@@ -62,8 +62,8 @@ int main() {
     // Machine row for bench_diff: deterministic fields only (parity
     // content fingerprint and round-trip outcome), never wall rates.
     std::uint64_t parity_hash = 0;
-    for (const auto& shard : parity) {
-      parity_hash = parity_hash * 1000003 + HashBytes(shard);
+    for (const auto& p : parity) {
+      parity_hash = parity_hash * 1000003 + HashBytes(p);
     }
     json.num("k", k)
         .num("m", m)

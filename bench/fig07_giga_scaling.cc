@@ -4,19 +4,41 @@
 // directory) scales file-creates/sec with metadata servers because
 // partitions split without synchronisation and clients correct stale
 // addressing lazily; a conventional single metadata server is flat.
+//
+// The storm runs on the production metadata plane: pfs::PfsCluster with
+// num_mds_shards = servers, driven through pfs::PfsClient, so splits,
+// stale-bitmap bounces and placement are pfs::ShardedMds's. The 1-server
+// row is the lone MDS (no splits, no bounces) and anchors the scaling.
+//
+// Shape gate (exit 1 on failure): steady-state creates/s rises with
+// every server count and reaches at least N/2 times the 1-server rate at
+// N servers; stale bounces stay below 0.05 per create; every create
+// succeeds, the directory lists exactly the files created, and every
+// file sits on the shard the final bitmap says.
+#include <algorithm>
+#include <atomic>
 #include <iostream>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "pdsi/common/stats.h"
 #include "pdsi/common/table.h"
 #include "pdsi/common/units.h"
-#include "pdsi/giga/giga.h"
+#include "pdsi/obs/obs.h"
+#include "pdsi/pfs/client.h"
+#include "pdsi/pfs/cluster.h"
+#include "pdsi/sim/virtual_time.h"
 
 using namespace pdsi;
 
 namespace {
+
+constexpr int kClients = 64;
+constexpr int kPerClient = 400;
+constexpr double kMaxRetriesPerCreate = 0.05;
 
 struct RunResult {
   double creates_per_second;        ///< whole run, including growth phase
@@ -24,43 +46,57 @@ struct RunResult {
   std::uint64_t splits;
   std::uint64_t partitions;
   std::uint64_t stale_retries;
+  bool ok;  ///< every create succeeded, count matches, placement holds
 };
 
-RunResult RunMetarates(std::uint32_t servers, int clients, int per_client) {
-  giga::GigaParams p;
-  p.num_servers = servers;
-  p.split_threshold = 800;
-  p.server_op_s = 200e-6;
-  giga::GigaDirectory dir(p);
-  sim::VirtualScheduler sched(clients);
+RunResult RunMetarates(std::uint32_t servers) {
+  pfs::PfsConfig cfg;
+  cfg.num_mds_shards = servers;
+  cfg.mds_split_threshold = 800;
+  cfg.mds_op_s = 200e-6;
+  cfg.rpc_latency_s = 80e-6;
+  cfg.store_data = false;  // pure metadata plane
+  obs::Registry reg;
+  obs::Context ctx;
+  ctx.registry = &reg;
+  sim::VirtualScheduler sched(kClients);
+  pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
   std::vector<std::thread> threads;
   std::mutex mu;
   double finish = 0.0;
   double half = 0.0;  // latest time any client crossed its midpoint
-  std::uint64_t retries = 0;
-  for (int c = 0; c < clients; ++c) {
+  std::atomic<bool> ok{true};
+  for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      giga::GigaClient client(dir, sched, c);
+      pfs::PfsClient client(cluster, static_cast<std::size_t>(c));
       double my_half = 0.0;
-      for (int i = 0; i < per_client; ++i) {
-        client.create("f" + std::to_string(c) + "_" + std::to_string(i));
-        if (i == per_client / 2) my_half = sched.now(c);
+      for (int i = 0; i < kPerClient; ++i) {
+        const std::string name =
+            "/f" + std::to_string(c) + "_" + std::to_string(i);
+        if (!client.create(name).ok()) ok = false;
+        if (i == kPerClient / 2) my_half = client.now();
       }
       std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, sched.now(c));
+      finish = std::max(finish, client.now());
       half = std::max(half, my_half);
-      retries += client.stale_retries();
-      sched.finish(c);
+      sched.finish(static_cast<std::size_t>(c));
     });
   }
   for (auto& t : threads) t.join();
+
   RunResult r;
-  r.creates_per_second = clients * per_client / finish;
+  r.creates_per_second = kClients * kPerClient / finish;
   r.steady_creates_per_second =
-      clients * (per_client - per_client / 2 - 1) / (finish - half);
-  r.splits = dir.splits();
-  r.partitions = dir.partitions();
-  r.stale_retries = retries;
+      kClients * (kPerClient - kPerClient / 2 - 1) / (finish - half);
+  r.splits = cluster.smds().splits();
+  r.partitions = r.splits + 1;  // every split adds one partition
+  r.stale_retries = reg.counter("pfs.mds_stale_retries").value();
+  // Listing the directory counts files on every shard count (the split
+  // index behind total_files() is bypassed at one shard).
+  const auto listed = cluster.smds().readdir("/");
+  r.ok = ok.load() && listed.ok() &&
+         listed->size() == static_cast<std::size_t>(kClients * kPerClient) &&
+         cluster.smds().check_placement_invariant();
   return r;
 }
 
@@ -70,25 +106,66 @@ int main() {
   bench::Header("Fig. 7: GIGA+ create scaling (Metarates-style storm)",
                 "creates/sec grows near-linearly with servers; client "
                 "addressing corrections stay rare");
+  bench::JsonReport json("fig07_giga_scaling");
 
-  constexpr int kClients = 64;
-  constexpr int kPerClient = 400;
+  constexpr double kCreates = kClients * kPerClient;
   Table t({"servers", "creates/s", "steady creates/s", "steady scaling",
-           "splits", "partitions", "stale retries", "retries/op"});
+           "splits", "partitions", "stale retries", "retries/op", "verify"});
   double base = 0.0;
+  double prev_scaling = 0.0;
+  double max_retries_per_create = 0.0;
+  bool monotonic = true;
+  bool scaling_ok = true;
+  bool verify_all = true;
   for (std::uint32_t servers : {1u, 2u, 4u, 8u, 16u, 32u}) {
-    const auto r = RunMetarates(servers, kClients, kPerClient);
+    const auto r = RunMetarates(servers);
     if (servers == 1) base = r.steady_creates_per_second;
+    const double scaling = r.steady_creates_per_second / base;
+    const double retries_per_create =
+        static_cast<double>(r.stale_retries) / kCreates;
+    monotonic = monotonic && scaling > prev_scaling;
+    scaling_ok = scaling_ok && scaling >= servers / 2.0;
+    prev_scaling = scaling;
+    max_retries_per_create =
+        std::max(max_retries_per_create, retries_per_create);
+    verify_all = verify_all && r.ok;
     t.row({std::to_string(servers), FormatCount(r.creates_per_second),
            FormatCount(r.steady_creates_per_second),
-           FormatDouble(r.steady_creates_per_second / base, 2) + "x",
-           std::to_string(r.splits), std::to_string(r.partitions),
-           std::to_string(r.stale_retries),
-           FormatDouble(static_cast<double>(r.stale_retries) /
-                            (kClients * kPerClient), 4)});
+           FormatDouble(scaling, 2) + "x", std::to_string(r.splits),
+           std::to_string(r.partitions), std::to_string(r.stale_retries),
+           FormatDouble(retries_per_create, 4), r.ok ? "ok" : "FAIL"});
+    json.str("scenario", "metarates")
+        .num("shards", servers)
+        .num("creates_per_s", r.creates_per_second)
+        .num("steady_creates_per_s", r.steady_creates_per_second)
+        .num("scaling", scaling)
+        .num("splits", static_cast<double>(r.splits))
+        .num("partitions", static_cast<double>(r.partitions))
+        .num("stale_retries", static_cast<double>(r.stale_retries))
+        .num("retries_per_create", retries_per_create)
+        .num("verify_ok", r.ok ? 1.0 : 0.0);
+    json.emit();
   }
   t.print(std::cout);
+
+  const bool bounces_ok = max_retries_per_create < kMaxRetriesPerCreate;
+  const bool shape_ok = monotonic && scaling_ok && bounces_ok && verify_all;
+  json.str("scenario", "summary")
+      .num("max_retries_per_create", max_retries_per_create)
+      .num("monotonic", monotonic ? 1.0 : 0.0)
+      .num("scaling_ok", scaling_ok ? 1.0 : 0.0)
+      .num("bounces_ok", bounces_ok ? 1.0 : 0.0)
+      .num("verify_all", verify_all ? 1.0 : 0.0);
+  json.emit();
   bench::Note("shape check: near-linear scaling until the 64 clients "
               "saturate; retries bounded by split count, not op count.");
+  if (!shape_ok) {
+    std::cerr << "fig07_giga_scaling: FAILED ("
+              << (!verify_all    ? "verification"
+                  : !bounces_ok  ? "bounce bound"
+                                 : "scaling gate")
+              << ")\n";
+    return 1;
+  }
   return 0;
 }

@@ -85,141 +85,4 @@ std::uint32_t SplitChild(std::uint32_t p, std::uint32_t depth) {
   return p + static_cast<std::uint32_t>(1ULL << depth);
 }
 
-GigaDirectory::GigaDirectory(const GigaParams& params)
-    : params_(params), servers_(params.num_servers) {
-  depth_[0] = 0;
-  partitions_[0] = {};
-}
-
-GigaDirectory::CreateOutcome GigaDirectory::create(std::uint32_t addressed,
-                                                   std::uint64_t hash,
-                                                   const std::string& name,
-                                                   double now) {
-  CreateOutcome out;
-  sim::SimResource& server = servers_[server_of(addressed)];
-  const double arrived = now + params_.rpc_latency_s;
-  // The addressed server always does the work of looking at the request.
-  double t = server.reserve(arrived, params_.server_op_s);
-
-  const std::uint32_t correct = bitmap_.partition_for(hash);
-  if (correct != addressed) {
-    out.status = Errc::stale;
-    out.complete = t + params_.rpc_latency_s;
-    return out;
-  }
-  auto& part = partitions_[addressed];
-  if (!part.emplace(name, hash).second) {
-    out.status = Errc::exists;
-    out.complete = t + params_.rpc_latency_s;
-    return out;
-  }
-  ++total_entries_;
-  const double split_done = maybe_split(addressed, t);
-  out.status = Status::Ok();
-  out.complete = std::max(t, split_done) + params_.rpc_latency_s;
-  return out;
-}
-
-GigaDirectory::LookupOutcome GigaDirectory::lookup(std::uint32_t addressed,
-                                                   std::uint64_t hash,
-                                                   const std::string& name,
-                                                   double now) {
-  LookupOutcome out;
-  sim::SimResource& server = servers_[server_of(addressed)];
-  const double t =
-      server.reserve(now + params_.rpc_latency_s, params_.server_op_s);
-  const std::uint32_t correct = bitmap_.partition_for(hash);
-  if (correct != addressed) {
-    out.status = Errc::stale;
-  } else {
-    auto it = partitions_.find(addressed);
-    out.status = (it != partitions_.end() && it->second.count(name))
-                     ? Status::Ok()
-                     : Status(Errc::not_found);
-  }
-  out.complete = t + params_.rpc_latency_s;
-  return out;
-}
-
-double GigaDirectory::maybe_split(std::uint32_t p, double now) {
-  auto& part = partitions_[p];
-  if (part.size() < params_.split_threshold) return now;
-
-  const std::uint32_t dp = depth_[p];
-  const std::uint32_t child = SplitChild(p, dp);
-  const std::uint64_t child_mask = (1ULL << (dp + 1)) - 1;
-
-  auto& dest = partitions_[child];
-  std::size_t moved = 0;
-  for (auto it = part.begin(); it != part.end();) {
-    if ((it->second & child_mask) == child) {
-      dest.emplace(it->first, it->second);
-      it = part.erase(it);
-      ++moved;
-    } else {
-      ++it;
-    }
-  }
-  depth_[p] = dp + 1;
-  depth_[child] = dp + 1;
-  bitmap_.set(child);
-  ++splits_;
-
-  // Migration occupies both the source and destination servers; the
-  // triggering create completes only once its partition is split.
-  const double cost = static_cast<double>(moved) * params_.migrate_entry_s;
-  const double a = servers_[server_of(p)].reserve(now, cost);
-  const double b = servers_[server_of(child)].reserve(now, cost);
-  return std::max(a, b);
-}
-
-bool GigaDirectory::check_placement_invariant() const {
-  for (const auto& [p, entries] : partitions_) {
-    for (const auto& [name, hash] : entries) {
-      if (bitmap_.partition_for(hash) != p) return false;
-    }
-  }
-  return true;
-}
-
-Status GigaClient::create(const std::string& name) {
-  const std::uint64_t hash = HashName(name);
-  for (;;) {
-    Status result = Errc::busy;
-    sched_.atomically(actor_, [&](double now) {
-      const std::uint32_t p = cached_.partition_for(hash);
-      auto out = dir_.create(p, hash, name, now);
-      if (!out.status.ok() && out.status.error() == Errc::stale) {
-        cached_.merge(dir_.bitmap());
-        ++stale_retries_;
-        result = Errc::stale;
-      } else {
-        result = out.status;
-      }
-      return out.complete;
-    });
-    if (!(result.ok() == false && result.error() == Errc::stale)) return result;
-  }
-}
-
-Status GigaClient::lookup(const std::string& name) {
-  const std::uint64_t hash = HashName(name);
-  for (;;) {
-    Status result = Errc::busy;
-    sched_.atomically(actor_, [&](double now) {
-      const std::uint32_t p = cached_.partition_for(hash);
-      auto out = dir_.lookup(p, hash, name, now);
-      if (!out.status.ok() && out.status.error() == Errc::stale) {
-        cached_.merge(dir_.bitmap());
-        ++stale_retries_;
-        result = Errc::stale;
-      } else {
-        result = out.status;
-      }
-      return out.complete;
-    });
-    if (!(result.ok() == false && result.error() == Errc::stale)) return result;
-  }
-}
-
 }  // namespace pdsi::giga

@@ -1,24 +1,23 @@
-// GIGA+ scalable directories (§4.2.2, Fig. 7; Patil & Gibson).
+// GIGA+ addressing algebra (§4.2.2, Fig. 7; Patil & Gibson).
 //
 // A directory is hash-partitioned over metadata servers. Partitions split
 // incrementally as they fill: partition p at radix depth d covers the
 // hash-suffix equivalence class (h mod 2^d == p); splitting moves the
 // upper half of its class to partition p + 2^d. The directory's split
-// history forms a bitmap; crucially, clients cache the bitmap WITHOUT
-// cache-consistency traffic — a stale client may address the wrong
-// server, which replies with its (fresher) bitmap rows and the client
-// retries. Unsynchronised growth is what lets creates scale near-linearly
-// with servers, unlike a single-MDS namespace.
+// history forms a bitmap that clients cache WITHOUT cache-consistency
+// traffic — a stale client may address the wrong server, which replies
+// with its (fresher) bitmap and the client retries.
+//
+// This module is only that algebra: the bitmap, the name hash and the
+// partition depth/child arithmetic. The directory itself — partitions
+// on metadata shards, splits with entry migration, stale-client bounces
+// and the placement invariant — is pdsi::pfs::ShardedMds and
+// pdsi::pfs::PfsClient, which the Fig. 7 bench runs.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
-
-#include "pdsi/common/result.h"
-#include "pdsi/sim/virtual_time.h"
 
 namespace pdsi::giga {
 
@@ -52,95 +51,5 @@ std::uint32_t PartitionDepth(std::uint32_t p);
 
 /// Sibling created when partition p at depth d splits: p + 2^d.
 std::uint32_t SplitChild(std::uint32_t p, std::uint32_t depth);
-
-struct GigaParams {
-  std::uint32_t num_servers = 8;
-  std::uint32_t split_threshold = 2000;  ///< entries per partition before split
-  double server_op_s = 150e-6;           ///< per-create service time
-  double rpc_latency_s = 80e-6;
-  /// Cost to migrate one entry during a split.
-  double migrate_entry_s = 4e-6;
-};
-
-/// Server-side state: one metadata server holds many partitions (of many
-/// directories; this model tracks a single huge directory, the Fig. 7
-/// workload). Methods take/return virtual time and must run inside
-/// scheduler atomically sections.
-class GigaDirectory {
- public:
-  GigaDirectory(const GigaParams& params);
-
-  const GigaParams& params() const { return params_; }
-  const Bitmap& bitmap() const { return bitmap_; }
-  std::uint64_t total_entries() const { return total_entries_; }
-  std::uint64_t splits() const { return splits_; }
-  std::uint32_t partitions() const { return bitmap_.highest() + 1; }
-
-  /// Which server hosts partition p (round-robin).
-  std::uint32_t server_of(std::uint32_t p) const {
-    return p % params_.num_servers;
-  }
-
-  /// Server-side create handling. `addressed` is the partition the client
-  /// sent the request to (from its possibly-stale bitmap). Returns
-  /// Errc::stale if this partition no longer covers the hash — the client
-  /// must refresh (the returned fresh rows are modelled by the client
-  /// merging our bitmap) and retry. On success may trigger a split.
-  struct CreateOutcome {
-    Status status;        ///< ok, stale, or exists
-    double complete = 0;  ///< virtual completion time
-  };
-  CreateOutcome create(std::uint32_t addressed, std::uint64_t hash,
-                       const std::string& name, double now);
-
-  /// Lookup mirrors create's addressing rules.
-  struct LookupOutcome {
-    Status status;  ///< ok, stale, not_found
-    double complete = 0;
-  };
-  LookupOutcome lookup(std::uint32_t addressed, std::uint64_t hash,
-                       const std::string& name, double now);
-
-  /// Invariant check (tests): every entry lives in the partition its hash
-  /// addresses under the *current* bitmap.
-  bool check_placement_invariant() const;
-
- private:
-  /// Returns when the split's migration completes (now if no split).
-  double maybe_split(std::uint32_t p, double now);
-
-  GigaParams params_;
-  Bitmap bitmap_;
-  std::vector<sim::SimResource> servers_;
-  /// Current radix depth of each live partition (grows as it re-splits).
-  std::unordered_map<std::uint32_t, std::uint32_t> depth_;
-  /// Partition -> set of (hash, name) entries. Names kept for exactness.
-  std::unordered_map<std::uint32_t,
-                     std::unordered_map<std::string, std::uint64_t>>
-      partitions_;
-  std::uint64_t total_entries_ = 0;
-  std::uint64_t splits_ = 0;
-};
-
-/// Client with a lazily-corrected cached bitmap.
-class GigaClient {
- public:
-  GigaClient(GigaDirectory& dir, sim::VirtualScheduler& sched, std::size_t actor)
-      : dir_(dir), sched_(sched), actor_(actor) {}
-
-  /// Creates a file, retrying on stale addressing. Returns final status
-  /// (ok or exists) and counts retries.
-  Status create(const std::string& name);
-  Status lookup(const std::string& name);
-
-  std::uint64_t stale_retries() const { return stale_retries_; }
-
- private:
-  GigaDirectory& dir_;
-  sim::VirtualScheduler& sched_;
-  std::size_t actor_;
-  Bitmap cached_;
-  std::uint64_t stale_retries_ = 0;
-};
 
 }  // namespace pdsi::giga

@@ -2,8 +2,9 @@
 //
 // Production parallel file systems of the era funnelled namespace
 // operations through one metadata server; the create-storm serialisation
-// this causes is the motivation for GIGA+ (src/pdsi/giga), which the
-// Fig. 7 bench contrasts against this MDS.
+// this causes is the motivation for GIGA+. pfs::ShardedMds runs one Mds
+// per GIGA+ shard; at one shard it is exactly this lone MDS, the
+// 1-server anchor of the Fig. 7 and ext19 create storms.
 #pragma once
 
 #include <cstdint>

@@ -210,6 +210,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, GlobalIndexProperty,
 struct EndToEndCase {
   const char* name;
   Options options;
+  // gtest's default printer dumps the struct's bytes, name pointer and
+  // padding included, and ctest builds the test name from that print, so
+  // the name would change from build to build. Print the case name.
+  friend void PrintTo(const EndToEndCase& c, std::ostream* os) {
+    *os << c.name;
+  }
 };
 
 class PlfsEndToEnd : public ::testing::TestWithParam<EndToEndCase> {};
@@ -288,7 +294,7 @@ INSTANTIATE_TEST_SUITE_P(
                        o.num_hostdirs = 1;
                        return o;
                      }()}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& param_info) { return std::string(param_info.param.name); });
 
 TEST(PlfsCore, CompressionShrinksIndexForStridedWrites) {
   auto run = [](bool compress) {

@@ -98,9 +98,9 @@ INSTANTIATE_TEST_SUITE_P(Configs, RsMatrix,
                          ::testing::Values(Config{2, 1}, Config{4, 2},
                                            Config{6, 3}, Config{10, 4},
                                            Config{17, 3}),
-                         [](const auto& info) {
-                           return "k" + std::to_string(info.param.k) + "m" +
-                                  std::to_string(info.param.m);
+                         [](const auto& param_info) {
+                           return "k" + std::to_string(param_info.param.k) +
+                                  "m" + std::to_string(param_info.param.m);
                          });
 
 TEST(ReedSolomon, TooManyErasuresThrows) {

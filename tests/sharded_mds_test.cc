@@ -2,9 +2,10 @@
 // MDS namespace bug fixes that PR landed together: the unlink emptiness
 // prefix scan (a sibling like "/a.x" sorts between "/a" and "/a/b" and
 // must not make a populated directory deletable), the root unlink guard,
-// POSIX same-path rename, placement invariants under GIGA+ splitting,
-// stale-bitmap client convergence, single-shard equivalence with the
-// legacy lone MDS, and cross-shard readdir. Labelled `mds` in ctest.
+// POSIX same-path rename, placement invariants and name collisions under
+// GIGA+ splitting, stale-bitmap client convergence with bounces bounded by
+// split history, single-shard equivalence with the legacy lone MDS, and
+// cross-shard readdir. Labelled `mds` in ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,10 +112,21 @@ TEST(ShardedMds, PlacementInvariantHoldsThroughSplits) {
   EXPECT_GT(smds.bitmap().highest(), 8u);
   EXPECT_EQ(smds.total_files(), static_cast<std::uint64_t>(kFiles));
   EXPECT_TRUE(smds.check_placement_invariant());
-  // Every file resolves after arbitrary migration history.
+  // Every file resolves after arbitrary migration history, and a name
+  // that was never created does not.
   for (int i = 0; i < kFiles; ++i) {
     EXPECT_TRUE(smds.lookup("/d/f" + std::to_string(i)).ok()) << i;
   }
+  EXPECT_EQ(smds.lookup("/d/missing").error(), Errc::not_found);
+  // Re-creating a name collides on its home shard, wherever the splits
+  // moved it, and leaves the partition index untouched.
+  for (int i = 0; i < kFiles; i += 97) {
+    EXPECT_EQ(smds.create("/d/f" + std::to_string(i), 1.0).error(),
+              Errc::exists)
+        << i;
+  }
+  EXPECT_EQ(smds.total_files(), static_cast<std::uint64_t>(kFiles));
+  EXPECT_TRUE(smds.check_placement_invariant());
 }
 
 TEST(ShardedMds, FileIdsStayGloballyUnique) {
@@ -389,8 +401,17 @@ TEST(ShardedClient, ShardCountScalesCreateStorm) {
   // storm runs many ranks at once, metarates-style.
   constexpr int kClients = 32;
   constexpr int kPerClient = 40;
+  struct Storm {
+    double finish = 0.0;
+    std::uint64_t splits = 0;
+    std::uint64_t bounces = 0;
+    std::uint64_t files = 0;
+    bool placed = false;
+  };
   auto storm = [](std::uint32_t shards) {
-    ClusterFixture fx(ShardedConfig(shards, 200), nullptr, kClients);
+    obs::Registry registry;
+    obs::Context ctx{nullptr, &registry};
+    ClusterFixture fx(ShardedConfig(shards, 200), &ctx, kClients);
     std::vector<std::thread> threads;
     std::mutex mu;
     double finish = 0.0;
@@ -409,11 +430,25 @@ TEST(ShardedClient, ShardCountScalesCreateStorm) {
       });
     }
     for (auto& t : threads) t.join();
-    return finish;
+    const ShardedMds& smds = fx.cluster.smds();
+    return Storm{finish, smds.splits(),
+                 registry.counter("pfs.mds_stale_retries").value(),
+                 smds.total_files(), smds.check_placement_invariant()};
   };
-  const double one = storm(1);
-  const double eight = storm(8);
-  EXPECT_GT(one / eight, 2.0) << "one=" << one << " eight=" << eight;
+  const Storm one = storm(1);
+  const Storm eight = storm(8);
+  EXPECT_GT(one.finish / eight.finish, 2.0)
+      << "one=" << one.finish << " eight=" << eight.finish;
+  // Concurrent growth loses no entry and misplaces none.
+  ASSERT_GT(eight.splits, 0u);
+  EXPECT_EQ(eight.files, static_cast<std::uint64_t>(kClients * kPerClient));
+  EXPECT_TRUE(eight.placed);
+  // Concurrent stale caches stay cheap: a bounce merges the whole
+  // authoritative bitmap, so each client bounces at most once per split
+  // it has not yet seen — bounded by split history, not by op count.
+  EXPECT_GT(eight.bounces, 0u);
+  EXPECT_LE(eight.bounces, kClients * eight.splits);
+  EXPECT_EQ(one.bounces, 0u);  // the lone MDS never bounces
 }
 
 }  // namespace
