@@ -39,13 +39,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct CheckpointRun {
   double seconds = 0.0;
   std::uint64_t bytes_ok = 0;
@@ -111,7 +104,7 @@ int main(int argc, char** argv) {
                 "Fig. 4 MTTI projection: at petascale the storage system is "
                 "always partially failed; clients must retry, fail over, and "
                 "restart from what survives");
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::JsonReport json("ext13_fault_resilience");
   // --trace <path>: the mtbf=30s sweep row is traced (fault.* retry spans
   // interleaved with the oss/rank tracks); other rows stay untraced so
@@ -234,12 +227,12 @@ int main(int argc, char** argv) {
         const std::uint32_t rank = static_cast<std::uint32_t>(
             std::stoul(e.substr(5)));
         auto inode = cluster.mds().lookup(hostdir + "/" + e);
-        const std::uint64_t stripes =
-            (inode->size + cfg.stripe_unit - 1) / cfg.stripe_unit;
-        for (std::uint64_t s = 0; s < stripes; ++s) {
-          data_servers[rank].push_back(cluster.placement().server_for(
-              inode->file_id, s, cluster.num_oss()));
-        }
+        cluster.for_each_chunk(
+            inode->file_id, 0, inode->size,
+            [&](std::uint32_t server, std::uint64_t, std::uint64_t) {
+              data_servers[rank].push_back(server);
+              return true;
+            });
       }
     }
     std::uint32_t victim = cluster.num_oss();

@@ -36,13 +36,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct OpenCost {
   double seconds = 0.0;
   std::uint64_t index_bytes = 0;
@@ -72,7 +65,7 @@ int main(int argc, char** argv) {
                 "PLFS's per-rank index droppings make the N-to-1 restart "
                 "open scale with writer ranks; compacting or caching the "
                 "merged index removes the per-open merge");
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::JsonReport json("ext14_restart_read");
   // --trace <path>: the largest sweep row is traced (index_merge,
   // index_flatten and index_cache_hit spans over the pfs tracks).

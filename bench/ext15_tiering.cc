@@ -35,13 +35,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 /// A fresh three-tier stack per scenario: 4 warm servers, a staging
 /// flash device, and an 8+2 archive shelf.
 struct Stack {
@@ -264,7 +257,7 @@ void ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header("Policy-driven storage tiering (pdsi::tier)",
                 "flash staging, PFS warm tier and an 8+2 erasure-coded "
                 "archive behind one engine; drains, demotions and rebuilds "

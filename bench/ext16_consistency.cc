@@ -47,13 +47,6 @@ namespace {
 
 constexpr std::uint64_t kRec = 64 * KiB;  // one lock unit per record
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct SweepParams {
   bool shared = true;  ///< strided shared file vs file-per-process
   bool faulty = false; ///< active fault plan (slow disks + dropped RPCs)
@@ -303,7 +296,7 @@ bool SweepScenario(const std::string& name, const SweepParams& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header("Consistency-model throughput sweep (pdsi::consist)",
                 "POSIX -> session -> commit -> MPI-IO relaxation reclaims "
                 "lock-manager time on shared files (arXiv 2402.14105); every "

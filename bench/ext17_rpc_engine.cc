@@ -47,13 +47,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct Setting {
   std::uint32_t window;
   std::uint32_t batch;
@@ -334,7 +327,7 @@ bool SweepScenario(const std::string& name, Runner run, const Shape& shape,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "RPC engine: window/batch sweep vs the synchronous client (pdsi::rpc)",
       "one outstanding RPC per client leaves a petascale machine idle "

@@ -53,13 +53,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct Shape {
   int servers = 8;        ///< incast fan-out width (one file per server)
   int rounds = 48;        ///< appends per file
@@ -409,7 +402,7 @@ bool ScenarioMissingFsyncAudit(const std::string& trace_base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "Live monitoring: SLO/anomaly alarms, exact request breakdowns, and "
       "the online consistency monitor (pdsi::obs + pdsi::consist)",

@@ -44,13 +44,6 @@ using namespace pdsi;
 
 namespace {
 
-bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 struct Shape {
   int create_clients = 64;      ///< ranks in the create storm
   int creates_per_client = 1024;
@@ -296,7 +289,7 @@ SweepOutcome Sweep(const std::string& name, const Shape& shape,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = SmokeFlag(argc, argv);
+  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "Sharded MDS: GIGA+ namespace partitioning vs the single metadata "
       "server (pdsi::pfs::ShardedMds)",

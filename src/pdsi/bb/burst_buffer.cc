@@ -31,54 +31,6 @@ BurstBuffer::BurstBuffer(BbParams params, DrainTarget& target, obs::Context* obs
 
 // -- Interval-set helpers ---------------------------------------------------
 
-std::uint64_t BurstBuffer::RangeAdd(RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return 0;
-  std::uint64_t added = e - s;
-  auto it = m.upper_bound(s);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= s) it = prev;  // overlaps or touches on the left
-  }
-  std::uint64_t ns = s, ne = e;
-  while (it != m.end() && it->first <= ne) {
-    const std::uint64_t os = std::max(it->first, s);
-    const std::uint64_t oe = std::min(it->second, e);
-    if (oe > os) added -= oe - os;
-    ns = std::min(ns, it->first);
-    ne = std::max(ne, it->second);
-    it = m.erase(it);
-  }
-  m.emplace(ns, ne);
-  return added;
-}
-
-std::uint64_t BurstBuffer::RangeRemove(RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return 0;
-  std::uint64_t removed = 0;
-  auto it = m.lower_bound(s);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > s) it = prev;
-  }
-  while (it != m.end() && it->first < e) {
-    const std::uint64_t rs = it->first, re = it->second;
-    const std::uint64_t os = std::max(rs, s), oe = std::min(re, e);
-    removed += oe - os;
-    it = m.erase(it);
-    if (rs < os) m.emplace(rs, os);
-    if (oe < re) m.emplace(oe, re);
-  }
-  return removed;
-}
-
-bool BurstBuffer::RangeCovers(const RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return true;
-  auto it = m.upper_bound(s);
-  if (it == m.begin()) return false;
-  --it;
-  return it->second >= e;
-}
-
 std::vector<BurstBuffer::Run> BurstBuffer::RangePieces(const RangeMap& m,
                                                        std::uint64_t file,
                                                        std::uint64_t s,

@@ -39,10 +39,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "pdsi/bb/drain_target.h"
+#include "pdsi/common/interval_set.h"
 #include "pdsi/common/units.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/sim/event_queue.h"
@@ -125,9 +126,6 @@ class BurstBuffer {
   void set_evict_hook(EvictHook hook) { evict_hook_ = std::move(hook); }
 
  private:
-  /// Disjoint half-open byte ranges, start -> end.
-  using RangeMap = std::map<std::uint64_t, std::uint64_t>;
-
   struct FileState {
     RangeMap resident;   ///< readable from the staging device
     RangeMap dirty;      ///< written, not yet picked up by a drain op
@@ -148,9 +146,6 @@ class BurstBuffer {
     std::uint64_t len;
   };
 
-  static std::uint64_t RangeAdd(RangeMap& m, std::uint64_t s, std::uint64_t e);
-  static std::uint64_t RangeRemove(RangeMap& m, std::uint64_t s, std::uint64_t e);
-  static bool RangeCovers(const RangeMap& m, std::uint64_t s, std::uint64_t e);
   /// Sub-ranges of [s, e) present in `m`.
   static std::vector<Run> RangePieces(const RangeMap& m, std::uint64_t file,
                                       std::uint64_t s, std::uint64_t e);

@@ -8,6 +8,8 @@
 //     tests and closed-form sweeps;
 //   * MakePfsDrainTarget   — stripes each drain unit over the simulated
 //     pdsi::pfs cluster's object storage servers (pfs_drain_target.cc).
+//     The tiering engine also writes pinned-warm data and cold->warm
+//     copy-ups through its PFS target, so there is one warm write path.
 #pragma once
 
 #include <cstdint>

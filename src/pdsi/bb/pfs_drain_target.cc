@@ -19,31 +19,23 @@ class PfsDrainTarget final : public DrainTarget {
 
   double drain(std::uint64_t file, std::uint64_t off, std::uint64_t len,
                double now) override {
-    const pfs::PfsConfig& cfg = cluster_.config();
+    fault::FaultInjector* inj = cluster_.fault();
     double done = now;
-    std::uint64_t pos = off;
-    std::uint64_t remaining = len;
-    while (remaining > 0) {
-      const std::uint64_t stripe = pos / cfg.stripe_unit;
-      const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-      const std::uint64_t n =
-          std::min<std::uint64_t>(cfg.stripe_unit - in_stripe, remaining);
-      const std::uint32_t server =
-          cluster_.placement().server_for(file, stripe, cluster_.num_oss());
-      double issue = now;
-      // The drain is not latency-sensitive, so an injected OSS crash just
-      // parks this chunk until the server restarts (plus one RPC timeout
-      // for the failed attempt that detected the crash).
-      if (fault::FaultInjector* inj = cluster_.fault();
-          inj && inj->down(server, issue)) {
-        const double resume = inj->next_up(server, issue) + inj->plan().rpc_timeout_s;
-        inj->note_drain_retry(server, issue, resume);
-        issue = resume;
-      }
-      done = std::max(done, cluster_.oss(server).serve_write(file, pos, n, issue));
-      pos += n;
-      remaining -= n;
-    }
+    cluster_.for_each_chunk(
+        file, off, len, [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+          double issue = now;
+          // The drain is not latency-sensitive, so an injected OSS crash
+          // just parks this chunk until the server restarts (plus one RPC
+          // timeout for the failed attempt that detected the crash).
+          if (inj && inj->down(server, issue)) {
+            const double resume =
+                inj->next_up(server, issue) + inj->plan().rpc_timeout_s;
+            inj->note_drain_retry(server, issue, resume);
+            issue = resume;
+          }
+          done = std::max(done, cluster_.oss(server).serve_write(file, pos, n, issue));
+          return true;
+        });
     return done;
   }
 

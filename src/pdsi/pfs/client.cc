@@ -552,18 +552,11 @@ rpc::RequestEngine::Request PfsClient::chunk_request(std::uint32_t server,
     // predicted) — the engine consults this from the second attempt on.
     req.failover = [this, server, file_id, off, len,
                     rid](double at, bool* served) {
-      fault::FaultInjector* inj = cluster_.fault();
-      for (std::uint32_t step = 1; step < cluster_.num_oss(); ++step) {
-        const std::uint32_t cand = (server + step) % cluster_.num_oss();
-        if (!inj->down(cand, at)) {
-          inj->note_failover(server, cand, at);
-          *served = true;
-          return cluster_.oss(cand).serve_failover_read(file_id, off, len, at,
-                                                        rid);
-        }
-      }
-      *served = false;
-      return at;
+      const std::uint32_t alt = cluster_.survivor(server, at);
+      *served = alt != server;
+      if (!*served) return at;
+      cluster_.fault()->note_failover(server, alt, at);
+      return cluster_.oss(alt).serve_failover_read(file_id, off, len, at, rid);
     };
   } else {
     // The server registers as touched only when the chunk actually
@@ -578,6 +571,22 @@ rpc::RequestEngine::Request PfsClient::chunk_request(std::uint32_t server,
     };
   }
   return req;
+}
+
+double PfsClient::execute_chunks(std::uint64_t file_id, std::uint64_t off,
+                                 std::uint64_t len, bool is_read, double t,
+                                 std::uint64_t rid, bool* ok) {
+  double done = t;
+  *ok = cluster_.for_each_chunk(
+      file_id, off, len, [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+        bool served = true;
+        done = std::max(done, engine_.execute(chunk_request(server, file_id, pos, n,
+                                                            is_read, rid),
+                                              t, cluster_.fault(),
+                                              /*charge_wire=*/true, &served));
+        return served;
+      });
+  return done;
 }
 
 Status PfsClient::write(FileHandle fh, std::uint64_t off,
@@ -604,21 +613,14 @@ Status PfsClient::write(FileHandle fh, std::uint64_t off,
       // may be torn) — the O_DIRECT/AIO contract.
       if (auto* buf = cluster_.data_for(f->file_id, true)) buf->write(off, data);
       cluster_.smds().extend(f->path, off + data.size(), t);
-      std::uint64_t pos = off;
-      std::size_t i = 0;
-      while (i < data.size()) {
-        const std::uint64_t stripe = pos / cfg.stripe_unit;
-        const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-        const std::uint64_t n =
-            std::min<std::uint64_t>(cfg.stripe_unit - in_stripe, data.size() - i);
-        const std::uint32_t server = cluster_.placement().server_for(
-            f->file_id, stripe, cluster_.num_oss());
-        t = engine_.submit(chunk_request(server, f->file_id, pos, n,
-                                         /*is_read=*/false, rid),
-                           t, cluster_.fault());
-        pos += n;
-        i += n;
-      }
+      cluster_.for_each_chunk(
+          f->file_id, off, data.size(),
+          [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+            t = engine_.submit(chunk_request(server, f->file_id, pos, n,
+                                             /*is_read=*/false, rid),
+                               t, cluster_.fault());
+            return true;
+          });
       // A pipelined holder cannot stamp the grant with a completion it
       // has not awaited: the whole-file token serialises submission
       // windows, not durable completion (which fsync still awaits).
@@ -641,29 +643,10 @@ Status PfsClient::write(FileHandle fh, std::uint64_t off,
     }
 
     // Stripe the request over the servers; chunks proceed in parallel.
-    double done = t;
-    std::uint64_t pos = off;
-    std::size_t i = 0;
-    while (i < data.size()) {
-      const std::uint64_t stripe = pos / cfg.stripe_unit;
-      const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-      const std::uint64_t n =
-          std::min<std::uint64_t>(cfg.stripe_unit - in_stripe, data.size() - i);
-      const std::uint32_t server =
-          cluster_.placement().server_for(f->file_id, stripe, cluster_.num_oss());
-      bool ok = true;
-      done = std::max(done,
-                      engine_.execute(chunk_request(server, f->file_id, pos, n,
-                                                    /*is_read=*/false, rid),
-                                      t, cluster_.fault(), /*charge_wire=*/true,
-                                      &ok));
-      if (!ok) {
-        st = Errc::io_error;
-        break;
-      }
-      pos += n;
-      i += n;
-    }
+    bool ok = true;
+    const double done = execute_chunks(f->file_id, off, data.size(),
+                                       /*is_read=*/false, t, rid, &ok);
+    if (!ok) st = Errc::io_error;
     whole.complete(done);
 
     // A failed write is failed wholesale: no payload lands and the MDS
@@ -700,29 +683,13 @@ double PfsClient::read_core(OpenFile* f, std::uint64_t off,
     return t;
   }
   const std::uint64_t len = std::min<std::uint64_t>(out.size(), size - off);
-  const PfsConfig& cfg = cluster_.config();
 
-  double done = t;
-  std::uint64_t pos = off;
-  std::uint64_t remaining = len;
-  while (remaining > 0) {
-    const std::uint64_t stripe = pos / cfg.stripe_unit;
-    const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-    const std::uint64_t n = std::min(cfg.stripe_unit - in_stripe, remaining);
-    const std::uint32_t server =
-        cluster_.placement().server_for(f->file_id, stripe, cluster_.num_oss());
-    bool ok = true;
-    done = std::max(done,
-                    engine_.execute(chunk_request(server, f->file_id, pos, n,
-                                                  /*is_read=*/true, rid),
-                                    t, cluster_.fault(),
-                                    /*charge_wire=*/true, &ok));
-    if (!ok) {
-      *result = Errc::io_error;
-      return done;
-    }
-    pos += n;
-    remaining -= n;
+  bool ok = true;
+  const double done =
+      execute_chunks(f->file_id, off, len, /*is_read=*/true, t, rid, &ok);
+  if (!ok) {
+    *result = Errc::io_error;
+    return done;
   }
   if (const auto* buf = cluster_.data_for(f->file_id, false)) {
     buf->read(off, out.subspan(0, len));

@@ -185,6 +185,13 @@ class PfsClient {
                                             std::uint64_t off, std::uint64_t len,
                                             bool is_read, std::uint64_t req);
 
+  /// Sync-mode striped transfer of [off, off+len): executes every chunk
+  /// from `t` and returns the last completion. Stops at the first chunk
+  /// that exhausts its retries and clears *ok.
+  double execute_chunks(std::uint64_t file_id, std::uint64_t off,
+                        std::uint64_t len, bool is_read, double t,
+                        std::uint64_t req, bool* ok);
+
   /// Pipelined-mode helper: enqueues the deferred timing charge of one
   /// metadata wire request on MDS shard `shard` — `charges` sequential
   /// MDS ops (scaled by `fraction`), then a parent-directory lock charge

@@ -1,5 +1,7 @@
 #include "pdsi/pfs/cluster.h"
 
+#include "pdsi/fault/fault.h"
+
 namespace pdsi::pfs {
 
 PfsCluster::PfsCluster(PfsConfig cfg, sim::VirtualScheduler& sched,
@@ -19,6 +21,15 @@ PfsCluster::PfsCluster(PfsConfig cfg, sim::VirtualScheduler& sched,
 void PfsCluster::set_fault(fault::FaultInjector* f) {
   fault_ = f;
   for (auto& s : servers_) s->set_fault(f);
+}
+
+std::uint32_t PfsCluster::survivor(std::uint32_t server, double at) const {
+  const std::uint32_t servers = num_oss();
+  for (std::uint32_t step = 1; step < servers; ++step) {
+    const std::uint32_t cand = (server + step) % servers;
+    if (!fault_ || !fault_->down(cand, at)) return cand;
+  }
+  return server;
 }
 
 double PfsCluster::total_disk_busy() const {

@@ -6,6 +6,7 @@
 // entered by PfsClient, so the cluster needs no internal locking.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -50,6 +51,33 @@ class PfsCluster {
   std::uint32_t num_oss() const { return static_cast<std::uint32_t>(servers_.size()); }
   const PlacementStrategy& placement() const { return *placement_; }
   obs::Context* obs_ctx() const { return obs_; }
+
+  /// The stripe walk: splits [off, off+len) of `file` at stripe-unit
+  /// boundaries and calls `fn(server, pos, n)` for each chunk in offset
+  /// order, `server` being the placement's server for that stripe. Stops
+  /// as soon as `fn` returns false; returns false iff it stopped early.
+  /// Every striped transfer (client reads and writes, drains, tier warm
+  /// reads) walks through here.
+  template <typename Fn>
+  bool for_each_chunk(std::uint64_t file, std::uint64_t off, std::uint64_t len,
+                      Fn&& fn) const {
+    const std::uint64_t unit = cfg_.stripe_unit;
+    const std::uint32_t servers = num_oss();
+    const std::uint64_t end = off + len;
+    for (std::uint64_t pos = off; pos < end;) {
+      const std::uint64_t n = std::min(unit - pos % unit, end - pos);
+      if (!fn(placement_->server_for(file, pos / unit, servers), pos, n)) {
+        return false;
+      }
+      pos += n;
+    }
+    return true;
+  }
+
+  /// Replica failover target: the first server after `server` in ring
+  /// order that the fault injector does not report down at `at`, or
+  /// `server` itself when every other server is down.
+  std::uint32_t survivor(std::uint32_t server, double at) const;
 
   /// Aggregate disk busy-time across servers (utilisation reporting).
   double total_disk_busy() const;

@@ -1,24 +1,21 @@
-// Placement, demotion and promotion policies for the tiering engine.
+// Placement, demotion and promotion rules for the tiering engine.
 //
-// The engine mechanism (tiers, copies, charging) is fixed; *where* an
-// object lives and *when* it moves is a policy decision, pluggable so
-// experiments can compare strategies without touching the data path.
-// Three concrete defaults ship here:
-//   * DefaultPlacement    — pinned objects go to their pin, everything
-//                           else enters at the hot (burst-buffer) tier;
-//   * WatermarkDemotion   — per-tier high/low occupancy hysteresis, the
-//                           same shape as the burst buffer's drain
-//                           backpressure; victims are coldest-first
-//                           (oldest last access, ids break ties so the
-//                           order is total and runs stay byte-stable);
-//   * TemperaturePromotion — an object read >= min_reads times within
-//                           window_s is "hot" and moves one tier up.
-// Policies are consulted synchronously from engine operations and must be
-// deterministic: no wall clocks, no unseeded randomness.
+// The engine mechanism (tiers, copies, charging) decides *how* an object
+// moves; these rules decide *where* it lives and *when* it moves:
+//   * placement — pinned objects go to their pin, everything else enters
+//                 at the hot (burst-buffer) tier;
+//   * demotion  — warm-occupancy hysteresis, the same shape as the burst
+//                 buffer's drain backpressure: shedding starts at
+//                 kDemoteHigh and stops at kDemoteLow; victims go
+//                 coldest first (oldest last access, ids break ties so
+//                 the order is total and runs stay byte-stable);
+//   * promotion — an object read kPromoteReads times within
+//                 kPromoteWindowS is "hot" and moves one tier up, never
+//                 above its pin.
+// All rules are deterministic: no wall clocks, no unseeded randomness.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace pdsi::tier {
 
@@ -29,7 +26,14 @@ inline constexpr int kColdTier = 2;  ///< erasure-coded object store
 inline constexpr int kNumTiers = 3;
 inline constexpr int kNoTier = -1;
 
-/// Per-object bookkeeping the policies decide on.
+/// Warm occupancy at which demotion starts, and at which it stops.
+inline constexpr double kDemoteHigh = 0.85;
+inline constexpr double kDemoteLow = 0.60;
+/// Reads within one window that make an object hot enough to promote.
+inline constexpr std::uint64_t kPromoteReads = 3;
+inline constexpr double kPromoteWindowS = 60.0;
+
+/// Per-object bookkeeping the rules decide on.
 struct ObjectMeta {
   std::uint64_t id = 0;
   std::uint64_t size = 0;
@@ -53,114 +57,48 @@ struct TierUsage {
 
 // -- Placement ---------------------------------------------------------------
 
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-  virtual std::string name() const = 0;
-  /// Tier a newly created object enters.
-  virtual int initial_tier(const ObjectMeta& meta,
-                           const TierUsage usage[kNumTiers]) const = 0;
-};
-
-class DefaultPlacement final : public PlacementPolicy {
- public:
-  std::string name() const override { return "default"; }
-  int initial_tier(const ObjectMeta& meta,
-                   const TierUsage[kNumTiers]) const override {
-    return meta.pin == kNoTier ? kHotTier : meta.pin;
-  }
-};
+/// Tier a newly created object enters.
+inline int InitialTier(const ObjectMeta& meta) {
+  return meta.pin == kNoTier ? kHotTier : meta.pin;
+}
 
 // -- Demotion ----------------------------------------------------------------
 
-class DemotionPolicy {
- public:
-  virtual ~DemotionPolicy() = default;
-  virtual std::string name() const = 0;
-  /// True when `tier` is over pressure and should shed objects.
-  virtual bool over_pressure(int tier, const TierUsage& u) const = 0;
-  /// True once shedding may stop (hysteresis: strictly below
-  /// over_pressure's trigger, or demotion thrashes).
-  virtual bool relieved(int tier, const TierUsage& u) const = 0;
-  /// Strict weak order: does `a` get demoted before `b`?
-  virtual bool demote_before(const ObjectMeta& a, const ObjectMeta& b) const = 0;
-};
+/// True when the warm tier should shed objects.
+inline bool OverPressure(const TierUsage& u) { return u.frac() >= kDemoteHigh; }
 
-class WatermarkDemotion final : public DemotionPolicy {
- public:
-  explicit WatermarkDemotion(double high = 0.85, double low = 0.60)
-      : high_(high), low_(low) {}
-  std::string name() const override { return "watermark"; }
-  bool over_pressure(int, const TierUsage& u) const override {
-    return u.frac() >= high_;
-  }
-  bool relieved(int, const TierUsage& u) const override {
-    return u.frac() <= low_;
-  }
-  bool demote_before(const ObjectMeta& a, const ObjectMeta& b) const override {
-    if (a.last_access != b.last_access) return a.last_access < b.last_access;
-    return a.id < b.id;  // total order => deterministic victim sequence
-  }
+/// True once shedding may stop (strictly below OverPressure's trigger, or
+/// demotion thrashes).
+inline bool Relieved(const TierUsage& u) { return u.frac() <= kDemoteLow; }
 
- private:
-  double high_;
-  double low_;
-};
+/// Strict weak order: is `a` demoted before `b`?
+inline bool DemoteBefore(const ObjectMeta& a, const ObjectMeta& b) {
+  if (a.last_access != b.last_access) return a.last_access < b.last_access;
+  return a.id < b.id;  // total order => deterministic victim sequence
+}
 
 // -- Promotion ---------------------------------------------------------------
 
-class PromotionPolicy {
- public:
-  virtual ~PromotionPolicy() = default;
-  virtual std::string name() const = 0;
-  /// Called on every read, before promote_to; mutates the meta's
-  /// temperature-tracking fields.
-  virtual void on_read(ObjectMeta& meta, double now) const = 0;
-  /// Target tier for an object currently served from `current_tier`, or
-  /// kNoTier to stay put. Must only return hotter (smaller) tiers.
-  virtual int promote_to(const ObjectMeta& meta, int current_tier,
-                         double now) const = 0;
-};
-
-class NoPromotion final : public PromotionPolicy {
- public:
-  std::string name() const override { return "none"; }
-  void on_read(ObjectMeta&, double) const override {}
-  int promote_to(const ObjectMeta&, int, double) const override {
-    return kNoTier;
+/// Counts one read in the sliding window, restarting the window once it
+/// is older than kPromoteWindowS.
+inline void NoteRead(ObjectMeta& meta, double now) {
+  if (now - meta.window_start > kPromoteWindowS) {
+    meta.window_start = now;
+    meta.window_reads = 0;
   }
-};
+  ++meta.window_reads;
+}
 
-/// Age/temperature promotion: reads are counted in a sliding window of
-/// `window_s`; an object that accumulates `min_reads` in one window is
-/// hot enough to move one tier up. Pinned objects never move above their
-/// pin.
-class TemperaturePromotion final : public PromotionPolicy {
- public:
-  explicit TemperaturePromotion(std::uint64_t min_reads = 3,
-                                double window_s = 60.0)
-      : min_reads_(min_reads), window_s_(window_s) {}
-  std::string name() const override { return "temperature"; }
-  void on_read(ObjectMeta& meta, double now) const override {
-    if (now - meta.window_start > window_s_) {
-      meta.window_start = now;
-      meta.window_reads = 0;
-    }
-    ++meta.window_reads;
-  }
-  int promote_to(const ObjectMeta& meta, int current_tier,
-                 double now) const override {
-    if (current_tier <= kHotTier) return kNoTier;
-    if (now - meta.window_start > window_s_) return kNoTier;
-    if (meta.window_reads < min_reads_) return kNoTier;
-    const int target = current_tier - 1;
-    if (meta.pin != kNoTier && target < meta.pin) return kNoTier;
-    return target;
-  }
-
- private:
-  std::uint64_t min_reads_;
-  double window_s_;
-};
+/// Target tier for an object served from `current_tier`, or kNoTier to
+/// stay put. Only ever returns the next hotter tier, and never one above
+/// the object's pin.
+inline int PromoteTo(const ObjectMeta& meta, int current_tier, double now) {
+  if (current_tier <= kHotTier) return kNoTier;
+  if (now - meta.window_start > kPromoteWindowS) return kNoTier;
+  if (meta.window_reads < kPromoteReads) return kNoTier;
+  const int target = current_tier - 1;
+  if (meta.pin != kNoTier && target < meta.pin) return kNoTier;
+  return target;
+}
 
 }  // namespace pdsi::tier

@@ -17,9 +17,6 @@ TierEngine::TierEngine(TierEngineParams params, pfs::PfsCluster& cluster,
       drain_target_(bb::MakePfsDrainTarget(cluster)),
       bb_(std::make_unique<bb::BurstBuffer>(params.bb, *drain_target_, ctx)),
       store_(params.cold, ctx),
-      placement_(std::make_unique<DefaultPlacement>()),
-      demotion_(std::make_unique<WatermarkDemotion>()),
-      promotion_(std::make_unique<TemperaturePromotion>()),
       ctx_(ctx) {
   bb_->set_drain_sink([this](std::uint64_t id, std::uint64_t off, std::uint64_t len) {
     on_drained(id, off, len);
@@ -40,56 +37,6 @@ TierEngine::TierEngine(TierEngineParams params, pfs::PfsCluster& cluster,
   }
 }
 
-// -- Interval-set helpers (same semantics as the burst buffer's) ------------
-
-std::uint64_t TierEngine::RangeAdd(RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return 0;
-  std::uint64_t added = e - s;
-  auto it = m.upper_bound(s);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= s) it = prev;
-  }
-  std::uint64_t ns = s, ne = e;
-  while (it != m.end() && it->first <= ne) {
-    const std::uint64_t os = std::max(it->first, s);
-    const std::uint64_t oe = std::min(it->second, e);
-    if (oe > os) added -= oe - os;
-    ns = std::min(ns, it->first);
-    ne = std::max(ne, it->second);
-    it = m.erase(it);
-  }
-  m.emplace(ns, ne);
-  return added;
-}
-
-std::uint64_t TierEngine::RangeRemove(RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return 0;
-  std::uint64_t removed = 0;
-  auto it = m.lower_bound(s);
-  if (it != m.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > s) it = prev;
-  }
-  while (it != m.end() && it->first < e) {
-    const std::uint64_t rs = it->first, re = it->second;
-    const std::uint64_t os = std::max(rs, s), oe = std::min(re, e);
-    removed += oe - os;
-    it = m.erase(it);
-    if (rs < os) m.emplace(rs, os);
-    if (oe < re) m.emplace(oe, re);
-  }
-  return removed;
-}
-
-bool TierEngine::RangeCovers(const RangeMap& m, std::uint64_t s, std::uint64_t e) {
-  if (s >= e) return true;
-  auto it = m.upper_bound(s);
-  if (it == m.begin()) return false;
-  --it;
-  return it->second >= e;
-}
-
 // -- Lookup -----------------------------------------------------------------
 
 TierEngine::Object* TierEngine::find(const std::string& name) {
@@ -104,74 +51,29 @@ const TierEngine::Object* TierEngine::find(const std::string& name) const {
   return &objects_.at(it->second);
 }
 
-// -- Warm-tier striping (drain-target pattern) ------------------------------
-
-double TierEngine::warm_write(std::uint64_t id, std::uint64_t off,
-                              std::uint64_t len, double now) {
-  const pfs::PfsConfig& cfg = cluster_.config();
-  double done = now;
-  std::uint64_t pos = off;
-  std::uint64_t remaining = len;
-  while (remaining > 0) {
-    const std::uint64_t stripe = pos / cfg.stripe_unit;
-    const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(cfg.stripe_unit - in_stripe, remaining);
-    const std::uint32_t server =
-        cluster_.placement().server_for(id, stripe, cluster_.num_oss());
-    double issue = now;
-    // Direct warm writes are not latency-sensitive: park on a crashed
-    // server until it restarts, as the drain path does.
-    if (fault::FaultInjector* inj = cluster_.fault();
-        inj && inj->down(server, issue)) {
-      const double resume = inj->next_up(server, issue) + inj->plan().rpc_timeout_s;
-      inj->note_drain_retry(server, issue, resume);
-      issue = resume;
-    }
-    done = std::max(done, cluster_.oss(server).serve_write(id, pos, n, issue));
-    pos += n;
-    remaining -= n;
-  }
-  return done;
-}
+// -- Warm-tier reads --------------------------------------------------------
 
 Result<double> TierEngine::warm_read(std::uint64_t id, std::uint64_t off,
                                      std::uint64_t len, double now,
                                      bool* fell_over) {
-  const pfs::PfsConfig& cfg = cluster_.config();
+  fault::FaultInjector* inj = cluster_.fault();
   double done = now;
-  std::uint64_t pos = off;
-  std::uint64_t remaining = len;
-  while (remaining > 0) {
-    const std::uint64_t stripe = pos / cfg.stripe_unit;
-    const std::uint64_t in_stripe = pos % cfg.stripe_unit;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(cfg.stripe_unit - in_stripe, remaining);
-    std::uint32_t server =
-        cluster_.placement().server_for(id, stripe, cluster_.num_oss());
-    fault::FaultInjector* inj = cluster_.fault();
-    if (inj && inj->down(server, now)) {
-      if (!inj->plan().read_failover) return Errc::io_error;
-      // Replica model: the next surviving server holds a copy.
-      std::uint32_t alt = server;
-      for (std::uint32_t step = 1; step < cluster_.num_oss(); ++step) {
-        const std::uint32_t cand = (server + step) % cluster_.num_oss();
-        if (!inj->down(cand, now)) {
-          alt = cand;
-          break;
+  const bool ok = cluster_.for_each_chunk(
+      id, off, len, [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+        if (!inj || !inj->down(server, now)) {
+          done = std::max(done, cluster_.oss(server).serve_read(id, pos, n, now));
+          return true;
         }
-      }
-      if (alt == server) return Errc::io_error;  // whole cluster down
-      inj->note_failover(server, alt, now);
-      *fell_over = true;
-      done = std::max(done,
-                      cluster_.oss(alt).serve_failover_read(id, pos, n, now));
-    } else {
-      done = std::max(done, cluster_.oss(server).serve_read(id, pos, n, now));
-    }
-    pos += n;
-    remaining -= n;
-  }
+        if (!inj->plan().read_failover) return false;
+        // Replica model: the next surviving server holds a copy.
+        const std::uint32_t alt = cluster_.survivor(server, now);
+        if (alt == server) return false;  // whole cluster down
+        inj->note_failover(server, alt, now);
+        *fell_over = true;
+        done = std::max(done, cluster_.oss(alt).serve_failover_read(id, pos, n, now));
+        return true;
+      });
+  if (!ok) return Errc::io_error;
   return done;
 }
 
@@ -209,18 +111,18 @@ void TierEngine::demote_to_cold(Object& o, double t) {
 }
 
 void TierEngine::maybe_demote_warm(double t) {
-  if (!demotion_->over_pressure(kWarmTier, usage(kWarmTier))) return;
+  if (!OverPressure(usage(kWarmTier))) return;
   std::vector<Object*> victims;
   for (auto& [id, o] : objects_) {
     if (!o.warm || o.meta.size == 0) continue;
     if (o.meta.pin == kHotTier || o.meta.pin == kWarmTier) continue;
     victims.push_back(&o);
   }
-  std::sort(victims.begin(), victims.end(), [this](Object* a, Object* b) {
-    return demotion_->demote_before(a->meta, b->meta);
+  std::sort(victims.begin(), victims.end(), [](Object* a, Object* b) {
+    return DemoteBefore(a->meta, b->meta);
   });
   for (Object* o : victims) {
-    if (demotion_->relieved(kWarmTier, usage(kWarmTier))) break;
+    if (Relieved(usage(kWarmTier))) break;
     demote_to_cold(*o, t);
   }
 }
@@ -233,7 +135,7 @@ void TierEngine::promote(Object& o, int target, const Bytes& bytes, double t) {
     o.data = bytes;
     warm_used_ += RangeAdd(o.drained, 0, o.meta.size);
     o.warm = true;
-    t_done = warm_write(o.meta.id, 0, o.meta.size, t);
+    t_done = drain_target_->drain(o.meta.id, 0, o.meta.size, t);
   } else if (target == kHotTier) {
     // Warm -> hot: refill the staging flash. The buffer re-drains the
     // bytes, but the drained map already covers them, so the warm
@@ -262,9 +164,7 @@ void TierEngine::on_drained(std::uint64_t id, std::uint64_t off, std::uint64_t l
   o.warm = RangeCovers(o.drained, 0, o.meta.size);
   // Demoting means driving the object store from inside a burst-buffer
   // callback; defer to settle(), outside the buffer's event loop.
-  if (demotion_->over_pressure(kWarmTier, usage(kWarmTier))) {
-    pending_demote_ = true;
-  }
+  if (OverPressure(usage(kWarmTier))) pending_demote_ = true;
 }
 
 void TierEngine::settle(double now) {
@@ -288,8 +188,7 @@ Result<double> TierEngine::write(const std::string& name, std::uint64_t off,
     fresh.meta.window_start = now;
     if (auto p = pins_.find(name); p != pins_.end()) fresh.meta.pin = p->second;
     fresh.name = name;
-    TierUsage u[kNumTiers] = {usage(0), usage(1), usage(2)};
-    fresh.placed = placement_->initial_tier(fresh.meta, u);
+    fresh.placed = InitialTier(fresh.meta);
     names_.emplace(name, id);
     o = &objects_.emplace(id, std::move(fresh)).first->second;
   }
@@ -328,8 +227,9 @@ Result<double> TierEngine::write(const std::string& name, std::uint64_t off,
 
   double done;
   if (o->placed == kWarmTier) {
-    // Pinned-warm objects bypass the staging flash.
-    done = warm_write(o->meta.id, dirty_off, dirty_len, start);
+    // Pinned-warm objects bypass the staging flash: the drain target
+    // writes them straight to the warm servers.
+    done = drain_target_->drain(o->meta.id, dirty_off, dirty_len, start);
     warm_used_ += RangeAdd(o->drained, dirty_off, dirty_off + dirty_len);
     o->warm = RangeCovers(o->drained, 0, o->meta.size);
   } else {
@@ -359,7 +259,7 @@ Result<double> TierEngine::read(const std::string& name, std::uint64_t off,
   if (n_read) *n_read = static_cast<std::size_t>(n);
   ++stats_.reads;
   if (c_reads_) c_reads_->add();
-  promotion_->on_read(o->meta, now);
+  NoteRead(o->meta, now);
   ++o->meta.reads;
   o->meta.last_access = now;
   if (n == 0) return now;
@@ -435,7 +335,7 @@ Result<double> TierEngine::read(const std::string& name, std::uint64_t off,
 
   std::memcpy(out.data(), src->data() + off, static_cast<std::size_t>(n));
 
-  const int target = promotion_->promote_to(o->meta, cur, now);
+  const int target = PromoteTo(o->meta, cur, now);
   if (target != kNoTier && target < cur) {
     if (cur == kColdTier) {
       promote(*o, kWarmTier, cold_buf.empty() ? *src : cold_buf, done);
@@ -525,17 +425,7 @@ Status TierEngine::pin(const std::string& name, int tier) {
   return Status::Ok();
 }
 
-// -- Policies / faults / introspection --------------------------------------
-
-void TierEngine::set_placement(std::unique_ptr<PlacementPolicy> p) {
-  if (p) placement_ = std::move(p);
-}
-void TierEngine::set_demotion(std::unique_ptr<DemotionPolicy> p) {
-  if (p) demotion_ = std::move(p);
-}
-void TierEngine::set_promotion(std::unique_ptr<PromotionPolicy> p) {
-  if (p) promotion_ = std::move(p);
-}
+// -- Faults / introspection -------------------------------------------------
 
 void TierEngine::set_fault(fault::FaultInjector* f) {
   cluster_.set_fault(f);

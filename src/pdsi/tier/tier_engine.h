@@ -10,7 +10,10 @@
 // hot->warm demotion IS the burst buffer's watermark drain (the engine's
 // drain target stripes over the PFS cluster), warm->cold demotion is an
 // ObjectStore put, promotion is a copy up — while *which* object moves
-// and *when* comes from the pluggable policies in policy.h.
+// and *when* comes from the fixed rules in policy.h. Every warm write
+// (drains, pinned-warm writes, cold->warm copy-ups) goes through the one
+// bb::PfsDrainTarget, and every warm transfer walks the stripes with
+// pfs::PfsCluster::for_each_chunk.
 //
 // Copies and authority: the engine keeps an object's canonical bytes in
 // memory while any hot/warm copy exists (the simulated PFS charges time
@@ -26,7 +29,8 @@
 // Faults: set_fault() installs one seeded injector across the warm
 // servers (cluster set) and the cold device shelf (injector servers
 // [num_oss, num_oss + devices)). A warm server down at read time fails
-// over to a surviving server when the plan allows it, else the read falls
+// over at once to the cluster's next surviving server
+// (pfs::PfsCluster::survivor) when the plan allows it, else the read falls
 // back to the cold copy if one exists (degraded read) and is an
 // Errc::io_error otherwise, counted in read_errors(). Inactive plans are
 // pure queries: installing one changes no timing and consumes no
@@ -40,6 +44,7 @@
 #include <string>
 
 #include "pdsi/bb/burst_buffer.h"
+#include "pdsi/common/interval_set.h"
 #include "pdsi/common/result.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/tier/object_store.h"
@@ -125,12 +130,6 @@ class TierEngine {
   /// promoted above) it.
   Status pin(const std::string& name, int tier);
 
-  // -- Policies (non-null; engine installs defaults) --
-
-  void set_placement(std::unique_ptr<PlacementPolicy> p);
-  void set_demotion(std::unique_ptr<DemotionPolicy> p);
-  void set_promotion(std::unique_ptr<PromotionPolicy> p);
-
   /// Installs one seeded injector across warm servers and cold devices
   /// (cluster servers [0, num_oss), store devices at [num_oss, ...)).
   /// nullptr clears. Inactive plans leave every timing untouched.
@@ -156,8 +155,6 @@ class TierEngine {
   static constexpr const char* kBucket = "tier";
 
  private:
-  using RangeMap = std::map<std::uint64_t, std::uint64_t>;
-
   struct Object {
     ObjectMeta meta;
     std::string name;
@@ -167,10 +164,6 @@ class TierEngine {
     bool cold = false;   ///< present in the object store
     int placed = kHotTier;  ///< tier the placement policy chose at create
   };
-
-  static std::uint64_t RangeAdd(RangeMap& m, std::uint64_t s, std::uint64_t e);
-  static std::uint64_t RangeRemove(RangeMap& m, std::uint64_t s, std::uint64_t e);
-  static bool RangeCovers(const RangeMap& m, std::uint64_t s, std::uint64_t e);
 
   Object* find(const std::string& name);
   const Object* find(const std::string& name) const;
@@ -182,9 +175,6 @@ class TierEngine {
   /// Runs any demotions deferred from inside burst-buffer callbacks.
   void settle(double now);
 
-  /// Stripes a warm-tier write over the cluster (drain-target pattern).
-  double warm_write(std::uint64_t id, std::uint64_t off, std::uint64_t len,
-                    double now);
   /// Stripes a warm-tier read; on a down server either fails over or
   /// reports Errc::io_error via the result (caller may fall back to
   /// cold). `fell_over` counts failovers for degraded-read accounting.
@@ -204,9 +194,6 @@ class TierEngine {
   std::unique_ptr<bb::DrainTarget> drain_target_;
   std::unique_ptr<bb::BurstBuffer> bb_;
   ObjectStore store_;
-  std::unique_ptr<PlacementPolicy> placement_;
-  std::unique_ptr<DemotionPolicy> demotion_;
-  std::unique_ptr<PromotionPolicy> promotion_;
 
   std::map<std::string, std::uint64_t> names_;  ///< name -> id
   std::map<std::uint64_t, Object> objects_;     ///< id -> record (ordered)

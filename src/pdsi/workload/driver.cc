@@ -1,8 +1,10 @@
 #include "pdsi/workload/driver.h"
 
+#include <algorithm>
 #include <cassert>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "pdsi/pfs/client.h"
 #include "pdsi/pfs/cluster.h"
@@ -28,6 +30,17 @@ struct RankHarness {
   sim::VirtualScheduler sched;
   sim::VirtualBarrier barrier;
 };
+
+/// Ranks append their events in thread-exit order, which varies from run
+/// to run; sorting by (start, rank, offset) makes the trace reproducible.
+void SortTrace(WriteTrace* trace) {
+  if (!trace) return;
+  std::sort(trace->begin(), trace->end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return std::tie(a.start, a.rank, a.offset) <
+                     std::tie(b.start, b.rank, b.offset);
+            });
+}
 
 }  // namespace
 
@@ -81,6 +94,7 @@ CheckpointResult RunDirectCheckpoint(const pfs::PfsConfig& cfg,
     });
   }
   for (auto& t : threads) t.join();
+  SortTrace(trace);
 
   return {t_end - t_begin, spec.total_bytes()};
 }
@@ -133,6 +147,7 @@ CheckpointResult RunPlfsCheckpoint(const pfs::PfsConfig& cfg,
     });
   }
   for (auto& t : threads) t.join();
+  SortTrace(trace);
 
   return {t_end - t_begin, spec.total_bytes()};
 }

@@ -24,6 +24,9 @@ struct TraceEvent {
   std::uint64_t length;
 };
 
+/// A captured run's events, ordered by (start, rank, offset): ranks
+/// finish in a different order every run, so the driver sorts after the
+/// join and two runs of one spec yield identical traces.
 using WriteTrace = std::vector<TraceEvent>;
 
 struct CheckpointResult {
@@ -33,8 +36,9 @@ struct CheckpointResult {
 };
 
 /// Direct writes through PfsClient (what the unmodified application does).
-/// `obs` (optional, must outlive the call) observes the whole run: PFS
-/// server spans plus per-rank client activity.
+/// When `trace` is non-null, one event per write is added to it and the
+/// whole trace is left in WriteTrace order. `obs` (optional, must outlive the call) observes the
+/// whole run: PFS server spans plus per-rank client activity.
 CheckpointResult RunDirectCheckpoint(const pfs::PfsConfig& cfg,
                                      const CheckpointSpec& spec,
                                      WriteTrace* trace = nullptr,

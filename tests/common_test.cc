@@ -1,11 +1,13 @@
 // Unit tests for pdsi/common: RNG determinism and distribution moments,
-// streaming statistics, CDFs, fits, table rendering, data patterns.
+// streaming statistics, CDFs, fits, table rendering, data patterns, and
+// the byte-range interval set.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
 #include "pdsi/common/bytes.h"
+#include "pdsi/common/interval_set.h"
 #include "pdsi/common/result.h"
 #include "pdsi/common/rng.h"
 #include "pdsi/common/stats.h"
@@ -231,6 +233,56 @@ TEST(Bytes, HashDiscriminates) {
   EXPECT_EQ(HashBytes(a), HashBytes(b));
   b[0] ^= 1;
   EXPECT_NE(HashBytes(a), HashBytes(b));
+}
+
+TEST(IntervalSet, AddMergesOverlapsAndNeighboursCountingOnlyNewBytes) {
+  RangeMap m;
+  EXPECT_EQ(RangeAdd(m, 10, 20), 10u);
+  EXPECT_EQ(RangeAdd(m, 30, 40), 10u);
+  EXPECT_EQ(RangeAdd(m, 15, 25), 5u) << "only 20..25 is new";
+  EXPECT_EQ(m, (RangeMap{{10, 25}, {30, 40}}));
+  EXPECT_EQ(RangeAdd(m, 25, 30), 5u) << "touches both neighbours";
+  EXPECT_EQ(m, (RangeMap{{10, 40}}));
+  EXPECT_EQ(RangeAdd(m, 40, 45), 5u) << "touches on the right only";
+  EXPECT_EQ(m, (RangeMap{{10, 45}}));
+  EXPECT_EQ(RangeAdd(m, 12, 38), 0u) << "already covered";
+  EXPECT_EQ(RangeAdd(m, 7, 7), 0u) << "empty range";
+  EXPECT_EQ(m, (RangeMap{{10, 45}}));
+  EXPECT_EQ(RangeAdd(m, 0, 50), 15u) << "swallows the whole set";
+  EXPECT_EQ(m, (RangeMap{{0, 50}}));
+
+  RangeMap gaps{{5, 10}, {20, 25}, {30, 35}};
+  EXPECT_EQ(RangeAdd(gaps, 8, 32), 15u) << "fills 10..20 and 25..30";
+  EXPECT_EQ(gaps, (RangeMap{{5, 35}}));
+}
+
+TEST(IntervalSet, RemoveSplitsRangesAndCountsRemovedBytes) {
+  RangeMap m{{0, 100}};
+  EXPECT_EQ(RangeRemove(m, 40, 60), 20u) << "splits one range in two";
+  EXPECT_EQ(m, (RangeMap{{0, 40}, {60, 100}}));
+  EXPECT_EQ(RangeRemove(m, 30, 70), 20u) << "the gap holds no bytes";
+  EXPECT_EQ(m, (RangeMap{{0, 30}, {70, 100}}));
+  EXPECT_EQ(RangeRemove(m, 30, 70), 0u) << "already a gap";
+  EXPECT_EQ(RangeRemove(m, 90, 90), 0u) << "empty range";
+  EXPECT_EQ(RangeRemove(m, 0, 30), 30u) << "exactly one range";
+  EXPECT_EQ(m, (RangeMap{{70, 100}}));
+  EXPECT_EQ(RangeRemove(m, 0, 200), 30u);
+  EXPECT_TRUE(m.empty());
+}
+
+TEST(IntervalSet, CoversHandlesGapsAndEmptyRanges) {
+  RangeMap m;
+  EXPECT_TRUE(RangeCovers(m, 5, 5)) << "an empty range is always covered";
+  EXPECT_FALSE(RangeCovers(m, 0, 1));
+  RangeAdd(m, 10, 20);
+  RangeAdd(m, 30, 40);
+  EXPECT_TRUE(RangeCovers(m, 10, 20));
+  EXPECT_TRUE(RangeCovers(m, 12, 18));
+  EXPECT_FALSE(RangeCovers(m, 5, 15)) << "starts in a gap";
+  EXPECT_FALSE(RangeCovers(m, 15, 25)) << "ends in a gap";
+  EXPECT_FALSE(RangeCovers(m, 15, 35)) << "spans the gap between ranges";
+  EXPECT_FALSE(RangeCovers(m, 20, 30)) << "exactly the gap";
+  EXPECT_TRUE(RangeCovers(m, 50, 50)) << "empty, even past the end";
 }
 
 }  // namespace

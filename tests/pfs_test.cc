@@ -236,10 +236,89 @@ TEST(Placement, RaidGroupConfinesFile) {
   EXPECT_EQ(servers.size(), 3u);
 }
 
+// The stripe walk every data path shares (client reads and writes, the
+// burst-buffer drain, the tiering engine's warm reads): on an unaligned
+// range the chunks tile it in offset order, never cross a stripe-unit
+// boundary, and land on the placement's server for their stripe.
+TEST(StripeWalk, ChunksTileTheRangeOnPlacementServers) {
+  sim::VirtualScheduler sched(1);
+  PfsCluster cluster(PfsConfig::PanFsLike(4), sched, MakeHashedPlacement());
+  const std::uint64_t unit = cluster.config().stripe_unit;
+  const std::uint64_t file = 7;
+  const std::uint64_t off = unit / 2 + 13;
+  const std::uint64_t len = 3 * unit + 101;  // ends past a 4th boundary
+  std::uint64_t next = off;
+  int chunks = 0;
+  const bool finished = cluster.for_each_chunk(
+      file, off, len, [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+        EXPECT_EQ(pos, next) << "chunks must tile the range in order";
+        EXPECT_GT(n, 0u);
+        EXPECT_EQ(pos / unit, (pos + n - 1) / unit) << "chunk crosses a stripe";
+        EXPECT_TRUE((pos + n) % unit == 0 || pos + n == off + len)
+            << "chunk stops short of its stripe's end";
+        EXPECT_EQ(server,
+                  cluster.placement().server_for(file, pos / unit, cluster.num_oss()));
+        next = pos + n;
+        ++chunks;
+        return true;
+      });
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(next, off + len);
+  EXPECT_EQ(chunks, 4);  // tail of stripe 0, stripes 1 and 2, head of 3
+}
+
+TEST(StripeWalk, StopsWhenFnReturnsFalseAndSkipsEmptyRanges) {
+  sim::VirtualScheduler sched(1);
+  PfsCluster cluster(PfsConfig::PanFsLike(4), sched);
+  const std::uint64_t unit = cluster.config().stripe_unit;
+  int calls = 0;
+  EXPECT_FALSE(cluster.for_each_chunk(
+      1, 0, 4 * unit, [&](std::uint32_t, std::uint64_t, std::uint64_t) {
+        return ++calls < 2;
+      }));
+  EXPECT_EQ(calls, 2) << "the walk must stop at the first false";
+  calls = 0;
+  EXPECT_TRUE(cluster.for_each_chunk(
+      1, unit / 3, 0, [&](std::uint32_t, std::uint64_t, std::uint64_t) {
+        ++calls;
+        return true;
+      }));
+  EXPECT_EQ(calls, 0);
+}
+
+// The replica failover target both the client and the tiering engine use:
+// the next server in ring order that is up at that instant.
+TEST(StripeWalk, SurvivorIsNextUpServerInRingOrder) {
+  sim::VirtualScheduler sched(1);
+  PfsCluster cluster(PfsConfig::PanFsLike(4), sched);
+  EXPECT_EQ(cluster.survivor(3, 0.0), 0u) << "no injector: every server is up";
+  fault::FaultInjector inj(fault::FaultPlan{}, 4);
+  inj.force_down(1, 0.0, 10.0);
+  inj.force_down(2, 0.0, 10.0);
+  cluster.set_fault(&inj);
+  EXPECT_EQ(cluster.survivor(0, 5.0), 3u);
+  EXPECT_EQ(cluster.survivor(1, 5.0), 3u);
+  EXPECT_EQ(cluster.survivor(3, 5.0), 0u);
+  EXPECT_EQ(cluster.survivor(1, 20.0), 2u) << "windows end at their restart";
+  inj.force_down(0, 0.0, 10.0);
+  inj.force_down(3, 0.0, 10.0);
+  EXPECT_EQ(cluster.survivor(2, 5.0), 2u) << "everyone down: no survivor";
+  cluster.set_fault(nullptr);
+}
+
+// A personality that prints as its name. gtest prints a PfsConfig byte by
+// byte, starting with a heap address, and ctest builds the test name from
+// that print, so the name would change from build to build.
+struct Personality : PfsConfig {
+  friend void PrintTo(const Personality& p, std::ostream* os) {
+    *os << p.name;
+  }
+};
+
 // The core asymmetry behind Fig. 8: N ranks writing sequential private
 // files achieve far more aggregate bandwidth than the same ranks writing
 // interleaved small strided records into one shared file.
-class NTo1Pathology : public ::testing::TestWithParam<PfsConfig> {};
+class NTo1Pathology : public ::testing::TestWithParam<Personality> {};
 
 TEST_P(NTo1Pathology, SharedStridedSlowerThanPrivateSequential) {
   constexpr int kRanks = 8;
@@ -307,9 +386,9 @@ TEST_P(NTo1Pathology, SharedStridedSlowerThanPrivateSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Personalities, NTo1Pathology,
-                         ::testing::Values(PfsConfig::PanFsLike(4),
-                                           PfsConfig::LustreLike(4),
-                                           PfsConfig::GpfsLike(4)),
+                         ::testing::Values(Personality{PfsConfig::PanFsLike(4)},
+                                           Personality{PfsConfig::LustreLike(4)},
+                                           Personality{PfsConfig::GpfsLike(4)}),
                          [](const auto& param_info) {
                            std::string n = param_info.param.name;
                            for (auto& c : n)

@@ -4,7 +4,9 @@
 // overhead where the baseline is already fine (N-N).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "pdsi/common/units.h"
 #include "pdsi/workload/driver.h"
@@ -63,7 +65,16 @@ constexpr auto kPersonalityName = [](const auto& param_info) {
   return n;
 };
 
-class PlfsSpeedup : public ::testing::TestWithParam<pfs::PfsConfig> {};
+// A personality that prints as its name. gtest prints a PfsConfig byte by
+// byte, starting with a heap address, and ctest builds the test name from
+// that print, so the name would change from build to build.
+struct Personality : pfs::PfsConfig {
+  friend void PrintTo(const Personality& p, std::ostream* os) {
+    *os << p.name;
+  }
+};
+
+class PlfsSpeedup : public ::testing::TestWithParam<Personality> {};
 
 TEST_P(PlfsSpeedup, PlfsBeatsDirectOnTinyStridedRecords) {
   // FLASH-like: small unaligned records are the worst case for direct N-1
@@ -89,20 +100,12 @@ TEST_P(PlfsSpeedup, PlfsBeatsDirectOnMediumStridedRecords) {
       << "s plfs=" << plfs.seconds << "s";
 }
 
-INSTANTIATE_TEST_SUITE_P(Personalities, PlfsSpeedup,
-                         ::testing::Values(pfs::PfsConfig::PanFsLike(4),
-                                           pfs::PfsConfig::LustreLike(4),
-                                           pfs::PfsConfig::GpfsLike(4)),
-                         kPersonalityName);
-
-// A personality that prints as its name. gtest prints a PfsConfig byte by
-// byte, starting with a heap address, and ctest builds the test name from
-// that print, so the name would change from build to build.
-struct Personality : pfs::PfsConfig {
-  friend void PrintTo(const Personality& p, std::ostream* os) {
-    *os << p.name;
-  }
-};
+INSTANTIATE_TEST_SUITE_P(
+    Personalities, PlfsSpeedup,
+    ::testing::Values(Personality{pfs::PfsConfig::PanFsLike(4)},
+                      Personality{pfs::PfsConfig::LustreLike(4)},
+                      Personality{pfs::PfsConfig::GpfsLike(4)}),
+    kPersonalityName);
 
 class PlfsNnOverhead : public ::testing::TestWithParam<Personality> {};
 
@@ -140,17 +143,37 @@ TEST(TraceCapture, EventsCoverAllWrites) {
     EXPECT_LT(e.start, e.end);
     EXPECT_EQ(e.length, spec.record_bytes);
   }
+  // WriteTrace order: by start time, then rank, then offset.
+  EXPECT_TRUE(std::is_sorted(trace.begin(), trace.end(),
+                             [](const TraceEvent& a, const TraceEvent& b) {
+                               return std::tie(a.start, a.rank, a.offset) <
+                                      std::tie(b.start, b.rank, b.offset);
+                             }));
+}
+
+void ExpectSameTrace(const WriteTrace& a, const WriteTrace& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].rank, b[i].rank) << "event " << i;
+    EXPECT_EQ(a[i].start, b[i].start) << "event " << i;
+    EXPECT_EQ(a[i].end, b[i].end) << "event " << i;
+    EXPECT_EQ(a[i].offset, b[i].offset) << "event " << i;
+    EXPECT_EQ(a[i].length, b[i].length) << "event " << i;
+  }
 }
 
 TEST(Determinism, DriverRunsAreReproducible) {
   CheckpointSpec spec{Pattern::n1_strided, 8, 20 * KiB + 3, 8};
   auto cfg = pfs::PfsConfig::GpfsLike(4);
-  const auto a = RunPlfsCheckpoint(cfg, spec);
-  const auto b = RunPlfsCheckpoint(cfg, spec);
+  WriteTrace ta, tb, tc, td;
+  const auto a = RunPlfsCheckpoint(cfg, spec, {}, &ta);
+  const auto b = RunPlfsCheckpoint(cfg, spec, {}, &tb);
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
-  const auto c = RunDirectCheckpoint(cfg, spec);
-  const auto d = RunDirectCheckpoint(cfg, spec);
+  ExpectSameTrace(ta, tb);
+  const auto c = RunDirectCheckpoint(cfg, spec, &tc);
+  const auto d = RunDirectCheckpoint(cfg, spec, &td);
   EXPECT_DOUBLE_EQ(c.seconds, d.seconds);
+  ExpectSameTrace(tc, td);
 }
 
 }  // namespace
