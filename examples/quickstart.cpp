@@ -9,10 +9,11 @@
 // Run from anywhere; it works in a temp directory and cleans up.
 #include <filesystem>
 #include <iostream>
+#include <thread>
+#include <vector>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
-#include "pdsi/mpix/mpix.h"
 #include "pdsi/plfs/plfs.h"
 
 using namespace pdsi;
@@ -33,22 +34,25 @@ int main() {
             << " strided records of "
             << FormatBytes(static_cast<double>(kRecord)) << "\n";
 
-  mpix::RunWorld(kRanks, [&](mpix::Comm& comm) {
-    auto writer = store.open_write("/ckpt", static_cast<std::uint32_t>(comm.rank()));
-    if (!writer.ok()) {
-      std::cerr << "open_write failed: " << ErrcName(writer.error()) << "\n";
-      return;
-    }
-    for (int k = 0; k < kSteps; ++k) {
-      const std::uint64_t off =
-          (static_cast<std::uint64_t>(k) * kRanks + comm.rank()) * kRecord;
-      const Bytes data =
-          MakePattern(static_cast<std::uint32_t>(comm.rank()), off, kRecord);
-      (*writer)->write(off, data);
-    }
-    (*writer)->close();
-    comm.barrier();
-  });
+  std::vector<std::thread> ranks;
+  for (int rank = 0; rank < kRanks; ++rank) {
+    ranks.emplace_back([&store, rank] {
+      auto writer = store.open_write("/ckpt", static_cast<std::uint32_t>(rank));
+      if (!writer.ok()) {
+        std::cerr << "open_write failed: " << ErrcName(writer.error()) << "\n";
+        return;
+      }
+      for (int k = 0; k < kSteps; ++k) {
+        const std::uint64_t off =
+            (static_cast<std::uint64_t>(k) * kRanks + rank) * kRecord;
+        const Bytes data =
+            MakePattern(static_cast<std::uint32_t>(rank), off, kRecord);
+        (*writer)->write(off, data);
+      }
+      (*writer)->close();
+    });
+  }
+  for (auto& t : ranks) t.join();
 
   // What landed on the backing store?
   std::cout << "\ncontainer layout under " << root << "/ckpt:\n";

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "pdsi/bb/burst_buffer.h"
-#include "pdsi/pfs/mds.h"  // NormalizePath
+#include "pdsi/pfs/namespace.h"  // NormalizePath
 
 namespace pdsi::plfs {
 namespace {
@@ -70,7 +70,7 @@ class BbBackend final : public Backend {
     f.inner_h = *ih;
     path_of_[f.id] = p;
     files_.emplace(p, std::move(f));
-    return put(p);
+    return handles_.open(p);
   }
 
   Result<BackendHandle> open(const std::string& path) override {
@@ -86,7 +86,7 @@ class BbBackend final : public Backend {
       path_of_[f.id] = p;
       files_.emplace(p, std::move(f));
     }
-    return put(p);
+    return handles_.open(p);
   }
 
   Status write(BackendHandle h, std::uint64_t off,
@@ -173,14 +173,9 @@ class BbBackend final : public Backend {
 
   Status close(BackendHandle h) override {
     std::lock_guard<std::mutex> lk(mu_);
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size() ||
-        handles_[h].empty()) {
-      return Errc::bad_handle;
-    }
     // The per-file inner handle stays open: the drain sink may still need
     // it after every user handle is gone.
-    handles_[h].clear();
-    return Status::Ok();
+    return handles_.close(h);
   }
 
   Result<std::uint64_t> stat_size(const std::string& path) override {
@@ -234,9 +229,7 @@ class BbBackend final : public Backend {
     path_of_[moved.id] = t;
     files_.emplace(t, std::move(moved));
     // Open user handles keep working: they resolve through the path map.
-    for (auto& h : handles_) {
-      if (h == f) h = t;
-    }
+    handles_.rename(f, t);
     return Status::Ok();
   }
 
@@ -307,30 +300,18 @@ class BbBackend final : public Backend {
   }
 
   FileState* file_for(BackendHandle h) {
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size()) return nullptr;
-    const std::string& p = handles_[h];
-    if (p.empty()) return nullptr;
-    auto it = files_.find(p);
+    const std::string* p = handles_.path(h);
+    if (!p) return nullptr;
+    auto it = files_.find(*p);
     return it == files_.end() ? nullptr : &it->second;
-  }
-
-  BackendHandle put(std::string path) {
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (handles_[i].empty()) {
-        handles_[i] = std::move(path);
-        return static_cast<BackendHandle>(i);
-      }
-    }
-    handles_.push_back(std::move(path));
-    return static_cast<BackendHandle>(handles_.size() - 1);
   }
 
   mutable std::mutex mu_;
   bb::BurstBuffer& bb_;
   std::unique_ptr<Backend> inner_;
-  std::map<std::string, FileState> files_;
+  std::unordered_map<std::string, FileState> files_;  ///< tracked files by path
   std::unordered_map<std::uint64_t, std::string> path_of_;
-  std::vector<std::string> handles_;  ///< handle -> open path ("" = free)
+  HandleTable handles_;
   std::uint64_t next_id_ = 1;
 };
 

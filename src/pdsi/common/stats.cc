@@ -62,60 +62,6 @@ double CdfAt(const std::vector<CdfPoint>& cdf, double value) {
   return (it - 1)->fraction;
 }
 
-LogHistogram::LogHistogram(double smallest, double base)
-    : smallest_(smallest), log_base_(std::log(base)) {
-  if (smallest <= 0.0 || base <= 1.0) {
-    throw std::invalid_argument("LogHistogram requires smallest > 0, base > 1");
-  }
-}
-
-void LogHistogram::add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < smallest_) {
-    underflow_ += weight;
-    return;
-  }
-  const std::size_t idx =
-      static_cast<std::size_t>(std::log(x / smallest_) / log_base_);
-  if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
-  counts_[idx] += weight;
-}
-
-std::vector<LogHistogram::Bucket> LogHistogram::buckets() const {
-  std::vector<Bucket> out;
-  if (underflow_ > 0) out.push_back({0.0, smallest_, underflow_});
-  double lo = smallest_;
-  const double base = std::exp(log_base_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double hi = lo * base;
-    if (counts_[i] > 0) out.push_back({lo, hi, counts_[i]});
-    lo = hi;
-  }
-  return out;
-}
-
-double LogHistogram::quantile(double q) const {
-  if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) return smallest_;
-  double lo = smallest_;
-  const double base = std::exp(log_base_);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    const double hi = lo * base;
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      // Log-linear interpolation inside the bucket.
-      return lo * std::pow(base, frac);
-    }
-    cum = next;
-    lo = hi;
-  }
-  return lo;
-}
-
 LinearFit FitLinear(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     throw std::invalid_argument("FitLinear requires two equal-length series");

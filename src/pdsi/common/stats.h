@@ -1,6 +1,6 @@
 // Streaming and batch statistics used by every benchmark harness:
-// online mean/variance, percentile extraction, log-scale histograms,
-// empirical CDFs, and least-squares fits for the failure-analysis module.
+// online mean/variance, percentile extraction, empirical CDFs, and
+// least-squares fits for the failure-analysis module.
 #pragma once
 
 #include <cstddef>
@@ -58,35 +58,6 @@ std::vector<CdfPoint> EmpiricalCdf(std::vector<double> samples);
 
 /// Evaluate an empirical CDF at a value (fraction of samples <= value).
 double CdfAt(const std::vector<CdfPoint>& cdf, double value);
-
-/// Logarithmically-bucketed histogram, for latency and size distributions
-/// spanning many orders of magnitude.
-class LogHistogram {
- public:
-  /// Buckets are [base^k, base^(k+1)) starting at `smallest`.
-  explicit LogHistogram(double smallest = 1.0, double base = 2.0);
-
-  void add(double x, std::uint64_t weight = 1);
-  std::uint64_t total() const { return total_; }
-
-  struct Bucket {
-    double lo;
-    double hi;
-    std::uint64_t count;
-  };
-  /// Non-empty buckets in ascending order.
-  std::vector<Bucket> buckets() const;
-
-  /// Approximate quantile from bucket boundaries (log interpolation).
-  double quantile(double q) const;
-
- private:
-  double smallest_;
-  double log_base_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
 
 /// Simple linear regression y = a + b*x; returns {a, b, r2}.
 struct LinearFit {

@@ -1,46 +1,13 @@
 #include "pdsi/pfs/mds.h"
 
-#include <stdexcept>
-
 namespace pdsi::pfs {
-
-std::string NormalizePath(std::string_view path) {
-  if (path.empty() || path[0] != '/') {
-    throw std::invalid_argument("path must be absolute: " + std::string(path));
-  }
-  std::string out;
-  out.reserve(path.size());
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) {
-      out.push_back('/');
-      out.append(path.substr(i, j - i));
-    }
-    i = j;
-  }
-  if (out.empty()) out = "/";
-  return out;
-}
-
-std::string ParentPath(const std::string& normalized) {
-  const auto pos = normalized.find_last_of('/');
-  if (pos == 0 || pos == std::string::npos) return "/";
-  return normalized.substr(0, pos);
-}
 
 Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
          std::uint32_t num_shards)
-    : cfg_(cfg),
+    : Namespace(1 + shard, num_shards),
+      cfg_(cfg),
       track_(obs::kMdsTrack + shard),
-      next_file_id_(1 + shard),
-      id_stride_(num_shards == 0 ? 1 : num_shards),
       ctx_(ctx) {
-  Inode root;
-  root.is_dir = true;
-  namespace_.emplace("/", root);
   // Single-shard instruments keep the historical names (and so the
   // historical metric dumps); shards of a sharded namespace get
   // per-shard names and tracks.
@@ -142,116 +109,6 @@ double Mds::charge_dir(const std::string& parent, double now,
     }
   }
   return done;
-}
-
-Result<Inode> Mds::create(const std::string& path, double mtime) {
-  const std::string p = NormalizePath(path);
-  if (namespace_.count(p)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(p));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
-  Inode node;
-  node.file_id = next_file_id_;
-  next_file_id_ += id_stride_;
-  node.mtime = mtime;
-  namespace_.emplace(p, node);
-  return node;
-}
-
-Result<Inode> Mds::lookup(const std::string& path) const {
-  auto it = namespace_.find(NormalizePath(path));
-  if (it == namespace_.end()) return Errc::not_found;
-  return it->second;
-}
-
-Status Mds::mkdir(const std::string& path) {
-  const std::string p = NormalizePath(path);
-  if (namespace_.count(p)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(p));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
-  Inode node;
-  node.file_id = next_file_id_;
-  next_file_id_ += id_stride_;
-  node.is_dir = true;
-  namespace_.emplace(p, node);
-  return Status::Ok();
-}
-
-bool Mds::has_children(const std::string& normalized) const {
-  // Scan from the first key sorting after "<dir>/": the immediate map
-  // successor of "/a" can be a sibling like "/a.x" ('.' < '/'), so the
-  // probe must seek past every such sibling before testing the prefix.
-  const std::string prefix =
-      normalized == "/" ? "/" : normalized + "/";
-  auto child = namespace_.lower_bound(prefix);
-  if (child != namespace_.end() && child->first == normalized) ++child;
-  return child != namespace_.end() &&
-         child->first.compare(0, prefix.size(), prefix) == 0;
-}
-
-Status Mds::unlink(const std::string& path) {
-  const std::string p = NormalizePath(path);
-  if (p == "/") return Errc::not_supported;  // the root is not unlinkable
-  auto it = namespace_.find(p);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (it->second.is_dir && has_children(p)) return Errc::not_empty;
-  namespace_.erase(it);
-  return Status::Ok();
-}
-
-Status Mds::rename(const std::string& from, const std::string& to,
-                   double mtime) {
-  const std::string f = NormalizePath(from);
-  const std::string t = NormalizePath(to);
-  auto it = namespace_.find(f);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (it->second.is_dir) return Errc::not_supported;  // file rename only
-  if (f == t) return Status::Ok();  // POSIX: same-path rename is a no-op
-  if (namespace_.count(t)) return Errc::exists;
-  auto parent = namespace_.find(ParentPath(t));
-  if (parent == namespace_.end()) return Errc::not_found;
-  if (!parent->second.is_dir) return Errc::not_dir;
-  Inode node = it->second;
-  node.mtime = mtime;
-  namespace_.erase(it);
-  namespace_.emplace(t, node);
-  return Status::Ok();
-}
-
-Result<std::vector<std::string>> Mds::readdir(const std::string& path) const {
-  const std::string p = NormalizePath(path);
-  auto it = namespace_.find(p);
-  if (it == namespace_.end()) return Errc::not_found;
-  if (!it->second.is_dir) return Errc::not_dir;
-  std::vector<std::string> names;
-  const std::string prefix = p == "/" ? "/" : p + "/";
-  for (auto child = namespace_.upper_bound(prefix);
-       child != namespace_.end() && child->first.compare(0, prefix.size(), prefix) == 0;
-       ++child) {
-    const std::string rest = child->first.substr(prefix.size());
-    if (rest.find('/') == std::string::npos) names.push_back(rest);
-  }
-  return names;
-}
-
-void Mds::extend(const std::string& path, std::uint64_t new_size, double mtime) {
-  auto it = namespace_.find(NormalizePath(path));
-  if (it == namespace_.end() || it->second.is_dir) return;
-  if (new_size > it->second.size) it->second.size = new_size;
-  it->second.mtime = mtime;
-}
-
-void Mds::install(const std::string& normalized, const Inode& inode) {
-  namespace_[normalized] = inode;
-}
-
-bool Mds::take(const std::string& normalized, Inode* out) {
-  auto it = namespace_.find(normalized);
-  if (it == namespace_.end()) return false;
-  if (out) *out = it->second;
-  namespace_.erase(it);
-  return true;
 }
 
 double Mds::migrate(double now, double cost, std::uint64_t partition,

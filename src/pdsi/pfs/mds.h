@@ -1,4 +1,5 @@
-// Metadata server: a single ordered namespace behind one service queue.
+// Metadata server: the namespace (pfs::Namespace) behind one service
+// queue, with per-directory locks.
 //
 // Production parallel file systems of the era funnelled namespace
 // operations through one metadata server; the create-storm serialisation
@@ -8,33 +9,19 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <string>
-#include <vector>
 
-#include "pdsi/common/result.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/sim/virtual_time.h"
 #include "pdsi/pfs/config.h"
+#include "pdsi/pfs/namespace.h"
 
 namespace pdsi::pfs {
 
-struct Inode {
-  std::uint64_t file_id = 0;
-  bool is_dir = false;
-  std::uint64_t size = 0;      ///< logical EOF (files)
-  double mtime = 0.0;
-};
-
-/// Normalises a path: leading '/', no trailing '/' (except root), no empty
-/// components. Throws std::invalid_argument on malformed input.
-std::string NormalizePath(std::string_view path);
-
-/// Parent directory of a normalised path ("/" for top-level entries).
-std::string ParentPath(const std::string& normalized);
-
-class Mds {
+/// The namespace operations are Namespace's own (zero-cost state
+/// transitions; the client layer pairs them with the charges below).
+class Mds : public Namespace {
  public:
   /// `ctx` (optional) traces every charged op on track obs::kMdsTrack and
   /// feeds the mds.* instruments. `shard`/`num_shards` place this MDS in
@@ -71,40 +58,12 @@ class Mds {
   double charge_dir(const std::string& parent, double now,
                     std::uint64_t req = 0);
 
-  // -- Namespace operations (zero-cost state transitions; pair them with
-  //    charge() from the client layer).
-  Result<Inode> create(const std::string& path, double mtime);
-  Result<Inode> lookup(const std::string& path) const;
-  Status mkdir(const std::string& path);
-  Status unlink(const std::string& path);
-  /// POSIX file rename: `from == to` succeeds as a no-op; otherwise the
-  /// destination inode's mtime is stamped with `mtime`.
-  Status rename(const std::string& from, const std::string& to, double mtime);
-  Result<std::vector<std::string>> readdir(const std::string& path) const;
-
-  /// Updates the authoritative size if the write extended the file.
-  void extend(const std::string& path, std::uint64_t new_size, double mtime);
-
-  /// True when any entry lives strictly below directory `normalized`
-  /// (the unlink emptiness probe — a prefix scan, so siblings that sort
-  /// between the directory and its children, like "/a.x" between "/a"
-  /// and "/a/b", cannot fool it).
-  bool has_children(const std::string& normalized) const;
-
   // -- Sharded-namespace support (pdsi::pfs::ShardedMds) --
-  /// Installs an inode verbatim (directory replication, split
-  /// migration); overwrites any existing entry, allocates no id.
-  void install(const std::string& normalized, const Inode& inode);
-  /// Removes an entry verbatim and returns it (split migration). False
-  /// when absent.
-  bool take(const std::string& normalized, Inode* out);
   /// Reserves `cost` seconds of this shard's service queue for split
   /// migration work, tracing one span covering the transfer of `moved`
   /// entries of partition `partition`.
   double migrate(double now, double cost, std::uint64_t partition,
                  std::uint64_t moved, std::uint64_t req = 0);
-
-  std::size_t entry_count() const { return namespace_.size(); }
 
  private:
   const PfsConfig& cfg_;
@@ -112,9 +71,6 @@ class Mds {
   std::unordered_map<std::string, sim::SimResource> dir_locks_;
   std::uint32_t track_ = 0;
   std::string iprefix_ = "mds.";  ///< instrument prefix ("mds.s<k>." sharded)
-  std::uint64_t next_file_id_ = 1;
-  std::uint64_t id_stride_ = 1;
-  std::map<std::string, Inode> namespace_;  ///< ordered for readdir scans
 
   obs::Context* ctx_ = nullptr;
   obs::Counter* c_ops_ = nullptr;

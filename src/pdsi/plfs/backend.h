@@ -2,22 +2,30 @@
 //
 // PLFS is middleware: it rearranges the application's writes into
 // per-rank logs but stores those logs through an ordinary file interface.
-// Three backends implement that interface:
+// Five backends implement that interface:
 //   * MemBackend   — in-process store for fast, deterministic unit tests;
 //   * PosixBackend — a real directory tree (the FUSE-deployment analogue);
 //   * PfsBackend   — the simulated parallel file system, which both moves
-//                    real bytes and charges virtual time (benchmarks).
+//                    real bytes and charges virtual time (benchmarks);
+//   * BbBackend    — burst-buffer staging in front of another backend
+//                    (bb/bb_backend.h);
+//   * TierBackend  — the hot/warm/cold tiering engine (tier/tier_backend.h).
+// MemBackend, TierBackend and the simulated PFS's metadata server keep
+// their directory trees in a pfs::Namespace, and BbBackend passes
+// namespace calls to its inner backend, so all but PosixBackend answer
+// them with the same rules and error codes.
 //
 // Thread-safety: backends are called concurrently by rank threads and must
-// be internally synchronised (MemBackend/PosixBackend) or rely on the
-// virtual-time scheduler's serialisation (PfsBackend, one instance per
-// rank over a shared cluster).
+// be internally synchronised (MemBackend/PosixBackend/BbBackend/
+// TierBackend) or rely on the virtual-time scheduler's serialisation
+// (PfsBackend, one instance per rank over a shared cluster).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pdsi/common/result.h"
@@ -74,6 +82,47 @@ class Backend {
   /// Simulated backends report virtual time; real backends have no
   /// meaningful shared clock and return 0 (spans collapse to instants).
   virtual double now() const { return 0.0; }
+};
+
+/// Handle -> open path table of the in-process backends. A handle names a
+/// path, not a file: the backend resolves it through its own namespace on
+/// every call, so once that path is renamed away or unlinked the handle
+/// goes bad (unless the backend re-points it with rename()). Handles reuse
+/// the lowest free slot. Not synchronised; callers hold their own lock.
+class HandleTable {
+ public:
+  BackendHandle open(std::string path) {
+    for (std::size_t i = 0; i < paths_.size(); ++i) {
+      if (paths_[i].empty()) {
+        paths_[i] = std::move(path);
+        return static_cast<BackendHandle>(i);
+      }
+    }
+    paths_.push_back(std::move(path));
+    return static_cast<BackendHandle>(paths_.size() - 1);
+  }
+
+  /// The open path, or nullptr for a closed or out-of-range handle.
+  const std::string* path(BackendHandle h) const {
+    if (h < 0 || static_cast<std::size_t>(h) >= paths_.size()) return nullptr;
+    return paths_[h].empty() ? nullptr : &paths_[h];
+  }
+
+  Status close(BackendHandle h) {
+    if (!path(h)) return Errc::bad_handle;
+    paths_[h].clear();
+    return Status::Ok();
+  }
+
+  /// Re-points every handle open on `from` at `to`.
+  void rename(const std::string& from, const std::string& to) {
+    for (auto& p : paths_) {
+      if (p == from) p = to;
+    }
+  }
+
+ private:
+  std::vector<std::string> paths_;  ///< "" = free slot
 };
 
 /// In-memory backend (tests). Internally synchronised.

@@ -1,199 +1,129 @@
-#include <map>
+#include <algorithm>
 #include <mutex>
+#include <unordered_map>
 
 #include "pdsi/plfs/backend.h"
-#include "pdsi/pfs/mds.h"  // NormalizePath / ParentPath helpers
+#include "pdsi/pfs/namespace.h"
 #include "pdsi/pfs/sparse_buffer.h"
 
 namespace pdsi::plfs {
 namespace {
 
 using pfs::NormalizePath;
-using pfs::ParentPath;
 
-/// In-memory file tree. An ordered map keyed by normalised path doubles as
-/// the directory index (prefix scans), mirroring the MDS implementation.
+/// In-memory file tree: the directory tree is a pfs::Namespace (the MDS's
+/// own rules), file payloads are sparse buffers keyed by inode file id and
+/// made on first use.
 class MemBackend final : public Backend {
  public:
-  MemBackend() {
-    Node root;
-    root.is_dir = true;
-    nodes_.emplace("/", std::move(root));
-  }
-
   Status mkdir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string p = NormalizePath(path);
-    if (nodes_.count(p)) return Errc::exists;
-    if (!parent_ok(p)) return Errc::not_found;
-    Node dir;
-    dir.is_dir = true;
-    nodes_.emplace(p, std::move(dir));
-    return Status::Ok();
+    return ns_.mkdir(path);
   }
 
   Result<BackendHandle> create(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    if (nodes_.count(p)) return Errc::exists;
-    if (!parent_ok(p)) return Errc::not_found;
-    Node file;
-    nodes_.emplace(p, std::move(file));
-    return put(p);
+    auto node = ns_.create(p, 0.0);
+    if (!node.ok()) return node.error();
+    return handles_.open(p);
   }
 
   Result<BackendHandle> open(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second.is_dir) return Errc::is_dir;
-    return put(p);
+    auto node = ns_.lookup(p);
+    if (!node.ok()) return node.error();
+    if (node->is_dir) return Errc::is_dir;
+    return handles_.open(p);
   }
 
   Status write(BackendHandle h, std::uint64_t off,
                std::span<const std::uint8_t> data) override {
     std::lock_guard<std::mutex> lk(mu_);
-    Node* n = node_for(h);
-    if (!n) return Errc::bad_handle;
-    n->data.write(off, data);
+    pfs::SparseBuffer* buf = buffer_for(h);
+    if (!buf) return Errc::bad_handle;
+    buf->write(off, data);
     return Status::Ok();
   }
 
   Result<std::size_t> read(BackendHandle h, std::uint64_t off,
                            std::span<std::uint8_t> out) override {
     std::lock_guard<std::mutex> lk(mu_);
-    Node* n = node_for(h);
-    if (!n) return Errc::bad_handle;
-    if (off >= n->data.size()) return static_cast<std::size_t>(0);
+    pfs::SparseBuffer* buf = buffer_for(h);
+    if (!buf) return Errc::bad_handle;
+    if (off >= buf->size()) return static_cast<std::size_t>(0);
     const std::size_t len = static_cast<std::size_t>(
-        std::min<std::uint64_t>(out.size(), n->data.size() - off));
-    n->data.read(off, out.subspan(0, len));
+        std::min<std::uint64_t>(out.size(), buf->size() - off));
+    buf->read(off, out.subspan(0, len));
     return len;
   }
 
   Result<std::uint64_t> size(BackendHandle h) override {
     std::lock_guard<std::mutex> lk(mu_);
-    Node* n = node_for(h);
-    if (!n) return Errc::bad_handle;
-    return n->data.size();
+    pfs::SparseBuffer* buf = buffer_for(h);
+    if (!buf) return Errc::bad_handle;
+    return buf->size();
   }
 
   Status fsync(BackendHandle) override { return Status::Ok(); }
 
   Status close(BackendHandle h) override {
     std::lock_guard<std::mutex> lk(mu_);
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size() ||
-        handles_[h].empty()) {
-      return Errc::bad_handle;
-    }
-    handles_[h].clear();
-    return Status::Ok();
+    return handles_.close(h);
   }
 
   Result<std::vector<std::string>> readdir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (!it->second.is_dir) return Errc::not_dir;
-    std::vector<std::string> names;
-    const std::string prefix = p == "/" ? "/" : p + "/";
-    for (auto child = nodes_.upper_bound(prefix);
-         child != nodes_.end() &&
-         child->first.compare(0, prefix.size(), prefix) == 0;
-         ++child) {
-      const std::string rest = child->first.substr(prefix.size());
-      if (rest.find('/') == std::string::npos) names.push_back(rest);
-    }
-    return names;
+    return ns_.readdir(path);
   }
 
   Status unlink(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second.is_dir) {
-      auto next = std::next(it);
-      if (next != nodes_.end() && next->first.size() > p.size() &&
-          next->first.compare(0, p.size(), p) == 0 && next->first[p.size()] == '/') {
-        return Errc::not_empty;
-      }
-    }
-    nodes_.erase(it);
-    return Status::Ok();
+    pfs::Inode gone;
+    const Status st = ns_.unlink(path, &gone);
+    if (st.ok()) data_.erase(gone.file_id);
+    return st;
   }
 
   Status rename(const std::string& from, const std::string& to) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string f = NormalizePath(from);
-    const std::string t = NormalizePath(to);
-    auto it = nodes_.find(f);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second.is_dir) return Errc::not_supported;
-    if (nodes_.count(t)) return Errc::exists;
-    if (!parent_ok(t)) return Errc::not_found;
-    Node moved = std::move(it->second);
-    nodes_.erase(it);
-    nodes_.emplace(t, std::move(moved));
-    return Status::Ok();
+    return ns_.rename(from, to, 0.0);
   }
 
   Result<bool> is_dir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = nodes_.find(NormalizePath(path));
-    if (it == nodes_.end()) return Errc::not_found;
-    return it->second.is_dir;
+    auto node = ns_.lookup(path);
+    if (!node.ok()) return node.error();
+    return node->is_dir;
   }
 
   Result<bool> exists(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    return nodes_.count(NormalizePath(path)) > 0;
+    return ns_.lookup(path).ok();
   }
 
   Result<std::uint64_t> stat_size(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = nodes_.find(NormalizePath(path));
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second.is_dir) return Errc::invalid;
-    return it->second.data.size();
+    auto node = ns_.lookup(path);
+    if (!node.ok()) return node.error();
+    if (node->is_dir) return Errc::invalid;
+    return data_[node->file_id].size();
   }
 
  private:
-  struct Node {
-    bool is_dir = false;
-    pfs::SparseBuffer data;
-  };
-
-  bool parent_ok(const std::string& p) {
-    auto it = nodes_.find(ParentPath(p));
-    return it != nodes_.end() && it->second.is_dir;
-  }
-
-  BackendHandle put(std::string path) {
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (handles_[i].empty()) {
-        handles_[i] = std::move(path);
-        return static_cast<BackendHandle>(i);
-      }
-    }
-    handles_.push_back(std::move(path));
-    return static_cast<BackendHandle>(handles_.size() - 1);
-  }
-
-  Node* node_for(BackendHandle h) {
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size()) return nullptr;
-    const std::string& p = handles_[h];
-    if (p.empty()) return nullptr;
-    auto it = nodes_.find(p);
-    if (it == nodes_.end() || it->second.is_dir) return nullptr;
-    return &it->second;
+  pfs::SparseBuffer* buffer_for(BackendHandle h) {
+    const std::string* p = handles_.path(h);
+    if (!p) return nullptr;
+    auto node = ns_.lookup(*p);
+    if (!node.ok() || node->is_dir) return nullptr;
+    return &data_[node->file_id];
   }
 
   std::mutex mu_;
-  std::map<std::string, Node> nodes_;
-  std::vector<std::string> handles_;  ///< handle -> open path ("" = free)
+  pfs::Namespace ns_;
+  std::unordered_map<std::uint64_t, pfs::SparseBuffer> data_;  ///< by file id
+  HandleTable handles_;
 };
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <mutex>
 
 #include "pdsi/plfs/backend.h"
-#include "pdsi/pfs/mds.h"  // NormalizePath
+#include "pdsi/pfs/namespace.h"  // NormalizePath
 
 namespace pdsi::plfs {
 namespace {

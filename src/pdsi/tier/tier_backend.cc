@@ -1,54 +1,45 @@
 #include "pdsi/tier/tier_backend.h"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
 #include <vector>
 
-#include "pdsi/pfs/mds.h"  // NormalizePath / ParentPath helpers
+#include "pdsi/pfs/namespace.h"
 #include "pdsi/tier/tier_engine.h"
 
 namespace pdsi::tier {
 namespace {
 
 using pfs::NormalizePath;
-using pfs::ParentPath;
 
-/// Namespace shape follows MemBackend (ordered path map = directory
-/// index); file payloads live in the engine under the normalised path.
-/// Engine objects are created lazily on first write, so a created-but-
-/// never-written file is namespace-only with size 0.
+/// The directory tree is a pfs::Namespace (the MDS's own rules); file
+/// payloads live in the engine under the normalised path. Engine objects
+/// are created lazily on first write, so a created-but-never-written file
+/// is namespace-only with size 0.
 class TierBackend final : public plfs::Backend {
  public:
-  explicit TierBackend(TierEngine& engine) : engine_(engine) {
-    nodes_.emplace("/", true);
-  }
+  explicit TierBackend(TierEngine& engine) : engine_(engine) {}
 
   Status mkdir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string p = NormalizePath(path);
-    if (nodes_.count(p)) return Errc::exists;
-    if (!parent_ok(p)) return Errc::not_found;
-    nodes_.emplace(p, true);
-    return Status::Ok();
+    return ns_.mkdir(path);
   }
 
   Result<plfs::BackendHandle> create(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    if (nodes_.count(p)) return Errc::exists;
-    if (!parent_ok(p)) return Errc::not_found;
-    nodes_.emplace(p, false);
-    return put(p);
+    auto node = ns_.create(p, clock_);
+    if (!node.ok()) return node.error();
+    return handles_.open(p);
   }
 
   Result<plfs::BackendHandle> open(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second) return Errc::is_dir;
-    return put(p);
+    auto node = ns_.lookup(p);
+    if (!node.ok()) return node.error();
+    if (node->is_dir) return Errc::is_dir;
+    return handles_.open(p);
   }
 
   Status write(plfs::BackendHandle h, std::uint64_t off,
@@ -94,20 +85,15 @@ class TierBackend final : public plfs::Backend {
 
   Status close(plfs::BackendHandle h) override {
     std::lock_guard<std::mutex> lk(mu_);
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size() ||
-        handles_[h].empty()) {
-      return Errc::bad_handle;
-    }
-    handles_[h].clear();
-    return Status::Ok();
+    return handles_.close(h);
   }
 
   Result<std::uint64_t> stat_size(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second) return Errc::invalid;
+    auto node = ns_.lookup(p);
+    if (!node.ok()) return node.error();
+    if (node->is_dir) return Errc::invalid;
     auto sz = engine_.size(p);
     if (!sz.ok()) return static_cast<std::uint64_t>(0);
     return *sz;
@@ -115,69 +101,38 @@ class TierBackend final : public plfs::Backend {
 
   Result<std::vector<std::string>> readdir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (!it->second) return Errc::not_dir;
-    std::vector<std::string> names;
-    const std::string prefix = p == "/" ? "/" : p + "/";
-    for (auto child = nodes_.upper_bound(prefix);
-         child != nodes_.end() &&
-         child->first.compare(0, prefix.size(), prefix) == 0;
-         ++child) {
-      const std::string rest = child->first.substr(prefix.size());
-      if (rest.find('/') == std::string::npos) names.push_back(rest);
-    }
-    return names;
+    return ns_.readdir(path);
   }
 
   Status unlink(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string p = NormalizePath(path);
-    auto it = nodes_.find(p);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second) {
-      auto next = std::next(it);
-      if (next != nodes_.end() && next->first.size() > p.size() &&
-          next->first.compare(0, p.size(), p) == 0 &&
-          next->first[p.size()] == '/') {
-        return Errc::not_empty;
-      }
-    } else if (engine_.exists(p)) {
-      engine_.remove(p);
-    }
-    nodes_.erase(it);
-    return Status::Ok();
+    const Status st = ns_.unlink(p);
+    if (st.ok() && engine_.exists(p)) engine_.remove(p);
+    return st;
   }
 
   Status rename(const std::string& from, const std::string& to) override {
     std::lock_guard<std::mutex> lk(mu_);
     const std::string f = NormalizePath(from);
     const std::string t = NormalizePath(to);
-    auto it = nodes_.find(f);
-    if (it == nodes_.end()) return Errc::not_found;
-    if (it->second) return Errc::not_supported;
-    if (nodes_.count(t)) return Errc::exists;
-    if (!parent_ok(t)) return Errc::not_found;
-    if (engine_.exists(f)) {
-      Status s = engine_.rename(f, t);
-      if (!s.ok()) return s;
-    }
-    nodes_.erase(it);
-    nodes_.emplace(t, false);
-    return Status::Ok();
+    const Status st = ns_.rename(f, t, clock_);
+    // The engine holds objects only for files of this namespace, so once
+    // the namespace accepts the move the engine's destination is free.
+    if (!st.ok() || f == t || !engine_.exists(f)) return st;
+    return engine_.rename(f, t);
   }
 
   Result<bool> is_dir(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = nodes_.find(NormalizePath(path));
-    if (it == nodes_.end()) return Errc::not_found;
-    return it->second;
+    auto node = ns_.lookup(path);
+    if (!node.ok()) return node.error();
+    return node->is_dir;
   }
 
   Result<bool> exists(const std::string& path) override {
     std::lock_guard<std::mutex> lk(mu_);
-    return nodes_.count(NormalizePath(path)) > 0;
+    return ns_.lookup(path).ok();
   }
 
   void compute(double seconds) override {
@@ -192,35 +147,19 @@ class TierBackend final : public plfs::Backend {
   }
 
  private:
-  bool parent_ok(const std::string& p) {
-    auto it = nodes_.find(ParentPath(p));
-    return it != nodes_.end() && it->second;
-  }
-
-  plfs::BackendHandle put(std::string path) {
-    for (std::size_t i = 0; i < handles_.size(); ++i) {
-      if (handles_[i].empty()) {
-        handles_[i] = std::move(path);
-        return static_cast<plfs::BackendHandle>(i);
-      }
-    }
-    handles_.push_back(std::move(path));
-    return static_cast<plfs::BackendHandle>(handles_.size() - 1);
-  }
-
+  /// The open file's path, or nullptr once it is closed, renamed away or
+  /// unlinked.
   const std::string* path_for(plfs::BackendHandle h) const {
-    if (h < 0 || static_cast<std::size_t>(h) >= handles_.size()) return nullptr;
-    const std::string& p = handles_[h];
-    if (p.empty()) return nullptr;
-    auto it = nodes_.find(p);
-    if (it == nodes_.end() || it->second) return nullptr;
-    return &it->first;
+    const std::string* p = handles_.path(h);
+    if (!p) return nullptr;
+    auto node = ns_.lookup(*p);
+    return node.ok() && !node->is_dir ? p : nullptr;
   }
 
   TierEngine& engine_;
   mutable std::mutex mu_;
-  std::map<std::string, bool> nodes_;  ///< path -> is_dir
-  std::vector<std::string> handles_;   ///< handle -> open path ("" = free)
+  pfs::Namespace ns_;
+  plfs::HandleTable handles_;
   double clock_ = 0.0;
 };
 

@@ -4,11 +4,12 @@
 // by the burst buffer, drained to the PFS, and demoted to the
 // erasure-coded archive entirely under the engine's policies.
 //
-// The adapter owns the namespace (directories, empty files) — the engine
-// is a flat object map — and owns the virtual clock: every engine
-// completion advances it, compute() models client CPU time, fsync() is a
-// flush (durability barrier) on the engine. Internally synchronised;
-// concurrent rank threads serialise onto the engine's single timeline.
+// The adapter owns the namespace (a pfs::Namespace: directories, empty
+// files, the MDS's rules) — the engine is a flat object map — and owns the
+// virtual clock: every engine completion advances it, compute() models
+// client CPU time, fsync() is a flush (durability barrier) on the engine.
+// Internally synchronised; concurrent rank threads serialise onto the
+// engine's single timeline.
 #pragma once
 
 #include <memory>

@@ -151,20 +151,6 @@ TEST(EmpiricalCdf, MonotoneAndComplete) {
   EXPECT_DOUBLE_EQ(CdfAt(cdf, 99.0), 1.0);
 }
 
-TEST(LogHistogram, QuantileApproximatesPercentile) {
-  Rng r(43);
-  LogHistogram h(1e-6);
-  std::vector<double> raw;
-  for (int i = 0; i < 50000; ++i) {
-    const double v = r.lognormal(0.0, 1.5);
-    h.add(v);
-    raw.push_back(v);
-  }
-  const double exact = Percentile(raw, 0.9);
-  const double approx = h.quantile(0.9);
-  EXPECT_NEAR(approx / exact, 1.0, 0.5);  // within a bucket factor
-}
-
 TEST(FitLinear, RecoversSlopeIntercept) {
   std::vector<double> x, y;
   for (int i = 0; i < 50; ++i) {

@@ -334,15 +334,17 @@ TEST(FaultPlfs, DegradedReadReturnsPartialDataWithErrorCount) {
   ASSERT_NE(victim, data_servers[0][0])
       << "placement put both logs on one server; enlarge the cluster";
 
-  // Healthy build, then the victim crashes for good before the read.
-  plfs::Options ropt;
-  ropt.degraded_reads = true;
-  auto reader = plfs::Reader::Open(*backend, "/ckpt", ropt);
-  ASSERT_TRUE(reader.ok());
+  // Healthy build, then the victim crashes for good before the read. The
+  // injector is declared before both readers so it outlives their close
+  // (an fsync that consults it).
   fault::FaultPlan plan;
   plan.read_failover = false;
   fault::FaultInjector inj(plan, cluster.num_oss());
   inj.force_down(victim, 0.0, kForever);
+  plfs::Options ropt;
+  ropt.degraded_reads = true;
+  auto reader = plfs::Reader::Open(*backend, "/ckpt", ropt);
+  ASSERT_TRUE(reader.ok());
   cluster.set_fault(&inj);
 
   Bytes out(2 * kHalf, 0xFF);

@@ -494,18 +494,19 @@ TEST(TierBackend, PlfsContainerRoundTripOnEngine) {
   EXPECT_EQ((*reader2)->size(), total);
 }
 
+// The namespace rules themselves are pfs::Namespace's, checked for every
+// backend by BackendNamespace; this keeps the engine side of the adapter:
+// payload sizes, and that the engine object follows rename and unlink.
 TEST(TierBackend, NamespaceSemanticsMatchMemBackend) {
   EngineFixture fx;
   auto be = tier::MakeTierBackend(*fx.engine);
   ASSERT_TRUE(be->mkdir("/d").ok());
-  EXPECT_EQ(be->mkdir("/d").error(), Errc::exists);
-  EXPECT_EQ(be->create("/missing/f").error(), Errc::not_found);
-
   auto h = be->create("/d/f");
   ASSERT_TRUE(h.ok());
-  // Created but never written: size 0, stat_size 0.
+  // Created but never written: size 0, stat_size 0, no engine object.
   EXPECT_EQ(*be->size(*h), 0u);
   EXPECT_EQ(*be->stat_size("/d/f"), 0u);
+  EXPECT_FALSE(fx.engine->exists("/d/f"));
 
   const Bytes data = MakePattern(8, 0, 100 * KiB);
   ASSERT_TRUE(be->write(*h, 0, data).ok());
@@ -514,12 +515,9 @@ TEST(TierBackend, NamespaceSemanticsMatchMemBackend) {
   ASSERT_TRUE(be->close(*h).ok());
   EXPECT_EQ(*be->stat_size("/d/f"), data.size());
 
-  auto names = be->readdir("/d");
-  ASSERT_TRUE(names.ok());
-  EXPECT_EQ(*names, std::vector<std::string>{"f"});
-
   ASSERT_TRUE(be->rename("/d/f", "/d/g").ok());
-  EXPECT_FALSE(*be->exists("/d/f"));
+  EXPECT_FALSE(fx.engine->exists("/d/f"));
+  EXPECT_TRUE(fx.engine->exists("/d/g"));
   Bytes back(data.size());
   auto h2 = be->open("/d/g");
   ASSERT_TRUE(h2.ok());
@@ -527,9 +525,7 @@ TEST(TierBackend, NamespaceSemanticsMatchMemBackend) {
   EXPECT_EQ(back, data);
   ASSERT_TRUE(be->close(*h2).ok());
 
-  EXPECT_EQ(be->unlink("/d").error(), Errc::not_empty);
   ASSERT_TRUE(be->unlink("/d/g").ok());
-  ASSERT_TRUE(be->unlink("/d").ok());
   EXPECT_FALSE(fx.engine->exists("/d/g"));
 }
 
