@@ -18,11 +18,11 @@
 //   2. missing_fsync_audit — a commit-consistency run where the writer
 //      forgets its fsync: the reader observes content no recorded
 //      publish edge justifies, a deterministic unpublished_read. The
-//      *online* ConsistencyMonitor, subscribed to the live tracer,
-//      reports the identical first violation as the batch checker,
-//      surfaced as a monitor alarm; the control run with the fsync
-//      audits clean through both passes. The buggy trace is written out
-//      so CI can replay the same agreement through
+//      ConsistencyMonitor, subscribed to the live tracer, reports the
+//      same first violation as CheckConsistency's replay of the
+//      recorded trace (the "batch" pass), surfaced as a monitor alarm;
+//      the control run with the fsync audits clean both ways. The buggy
+//      trace is written out so CI can replay it through
 //      `trace_tool <trace> --monitor --check commit`.
 //
 // Everything is virtual-time deterministic: alarms, breakdown tables
@@ -268,7 +268,7 @@ struct AuditRun {
   bool io_ok = true;
   bool batch_clean = true;
   bool live_clean = true;
-  bool agree = false;  ///< online monitor == batch checker, op pair and all
+  bool agree = false;  ///< live monitor == replayed trace, op pair and all
   std::size_t events = 0;
   std::size_t peak_retained = 0;
   std::string batch_verdict;   ///< formatted first violation (when any)

@@ -19,11 +19,9 @@
 // and 1 on the first (deterministic) violation, so any committed trace
 // can be audited standalone in CI.
 //
-// --monitor --check <model> additionally runs BOTH consistency passes —
-// the batch checker and the incremental ConsistencyMonitor — and prints
-// each verdict plus an agreement line: exit 0 when both are clean, 1
-// when both flag the same first violation, 2 when they disagree (a
-// monitor/checker parity bug worth failing CI over).
+// --monitor --check <model> also replays the ConsistencyMonitor beside
+// the other sinks, folds its violation into the alarm list, and prints
+// its verdict with its peak retained state: exit 0 clean, 1 violation.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -51,7 +49,7 @@ int Usage(const char* argv0) {
                "  <model> is one of posix|session|commit|mpiio\n"
                "  with no mode flags, --profile and --critical-path both run\n"
                "  --monitor replays the streaming sinks; with --check it also"
-               " compares the batch checker against the online monitor\n";
+               " replays the consistency monitor (exit 0 clean, 1 violation)\n";
   return 2;
 }
 
@@ -72,10 +70,8 @@ int CheckTrace(const std::vector<obs::AnalysisEvent>& events,
   return 1;
 }
 
-/// Replays the streaming sinks over the parsed trace. With `check`,
-/// also runs the batch checker next to the online ConsistencyMonitor
-/// and prints an agreement verdict (the replay half of the online/
-/// offline equivalence, runnable against any committed trace).
+/// Replays the streaming sinks over the parsed trace. With `check`, the
+/// ConsistencyMonitor rides along and its verdict decides the exit code.
 int MonitorTrace(const std::vector<obs::AnalysisEvent>& events, bool check,
                  consist::ConsistencyModel model) {
   obs::WatermarkSink water;
@@ -107,35 +103,15 @@ int MonitorTrace(const std::vector<obs::AnalysisEvent>& events, bool check,
   std::cout << "monitor: alarms=" << alarms.size() << "\n";
   if (!check) return 0;
 
-  const consist::CheckResult batch = consist::CheckConsistency(events, model);
   std::cout << "monitor-check: model=" << consist::ConsistencyModelName(model)
             << " peak_retained=" << mon.peak_retained() << "\n";
-  std::cout << "monitor-check: batch=";
-  if (batch.clean) {
-    std::cout << "CLEAN\n";
-  } else {
-    std::cout << "VIOLATION " << consist::FormatViolation(batch.first, events)
-              << "\n";
-  }
-  std::cout << "monitor-check: online=";
   if (mon.clean()) {
-    std::cout << "CLEAN\n";
-  } else {
-    std::cout << "VIOLATION " << consist::FormatViolation(mon.first(), events)
-              << "\n";
+    std::cout << "monitor-check: CLEAN\n";
+    return 0;
   }
-  const bool agree =
-      batch.clean == mon.clean() &&
-      (batch.clean || (batch.first.kind == mon.first().kind &&
-                       batch.first.op_a == mon.first().op_a &&
-                       batch.first.op_b == mon.first().op_b &&
-                       batch.first.detail == mon.first().detail));
-  if (!agree) {
-    std::cout << "monitor-check: MISMATCH\n";
-    return 2;
-  }
-  std::cout << "monitor-check: AGREE\n";
-  return batch.clean ? 0 : 1;
+  std::cout << "monitor-check: VIOLATION "
+            << consist::FormatViolation(mon.first(), events) << "\n";
+  return 1;
 }
 
 }  // namespace

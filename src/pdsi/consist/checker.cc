@@ -1,308 +1,14 @@
 #include "pdsi/consist/checker.h"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
 
 #include "pdsi/common/bytes.h"
+#include "pdsi/consist/monitor.h"
+#include "pdsi/obs/monitor.h"
 
 namespace pdsi::consist {
-namespace {
-
-constexpr const char* kConsistCat = "consist";
-
-/// Timestamp slack for the compact-trace round-trip: the text format
-/// prints ts and dur with 9 fractional digits, so an end reconstructed
-/// as ts + dur can drift ~1e-9 from an edge instant recorded at the same
-/// virtual time. Acceptance checks (required/justified edge windows,
-/// program order) widen by this; the violation-triggering time-overlap
-/// test narrows by it. Real op separations are >= microseconds, so the
-/// slack can neither hide a violation nor invent one.
-constexpr double kTsSlack = 2e-9;
-
-struct Op {
-  std::size_t ev = 0;  ///< index into the input event vector
-  std::string client;  ///< resolved track name
-  std::uint64_t file = 0;
-  std::uint64_t off = 0;
-  std::uint64_t len = 0;
-  std::uint64_t fp = 0;
-  double start = 0.0;
-  double end = 0.0;
-
-  std::uint64_t hi() const { return off + len; }
-  bool overlaps(const Op& o) const { return off < o.hi() && o.off < hi(); }
-  bool same_interval(const Op& o) const { return off == o.off && len == o.len; }
-  bool covers(const Op& o) const { return off <= o.off && hi() >= o.hi(); }
-  bool time_overlaps(const Op& o) const {
-    return start + kTsSlack < o.end && o.start + kTsSlack < end;
-  }
-};
-
-std::uint64_t U64Arg(const obs::AnalysisEvent& e, const char* key) {
-  return static_cast<std::uint64_t>(std::llround(e.arg(key, 0.0)));
-}
-
-/// Visibility-edge instants for one (file, client): ascending timestamps.
-struct Edges {
-  std::vector<double> opens, closes, syncs, pubs;
-};
-
-/// Any timestamp in `v` within [lo, hi] (inclusive, with round-trip slack)?
-bool AnyIn(const std::vector<double>& v, double lo, double hi) {
-  auto it = std::lower_bound(v.begin(), v.end(), lo - kTsSlack);
-  return it != v.end() && *it <= hi + kTsSlack;
-}
-
-/// Largest timestamp in `v` that is <= hi (with round-trip slack); NaN
-/// when none.
-double LastAtOrBefore(const std::vector<double>& v, double hi) {
-  auto it = std::upper_bound(v.begin(), v.end(), hi + kTsSlack);
-  if (it == v.begin()) return std::nan("");
-  return *(it - 1);
-}
-
-class Checker {
- public:
-  Checker(const std::vector<obs::AnalysisEvent>& events, ConsistencyModel model)
-      : events_(events), model_(model) {}
-
-  CheckResult run() {
-    index();
-    CheckResult r;
-    r.stats = stats_;
-    // Single pass in canonical event order: the first violation discovered
-    // is the first by (ts, track, seq), so verdicts are deterministic.
-    for (const auto& op : ops_) {
-      Violation v;
-      bool bad = op.is_write ? check_write(op.op, &v) : check_read(op.op, &v);
-      if (bad) {
-        r.clean = false;
-        r.first = v;
-        r.stats = stats_;
-        return r;
-      }
-    }
-    r.stats = stats_;
-    return r;
-  }
-
- private:
-  struct Parsed {
-    Op op;
-    bool is_write = false;
-  };
-
-  void index() {
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      const auto& e = events_[i];
-      if (e.cat != kConsistCat) continue;
-      if (e.is_span() && (e.name == "write" || e.name == "read")) {
-        Op op;
-        op.ev = i;
-        op.client = e.track;
-        op.file = U64Arg(e, "file");
-        op.off = U64Arg(e, "off");
-        op.len = U64Arg(e, "len");
-        op.fp = U64Arg(e, "fp");
-        op.start = e.ts;
-        op.end = e.end();
-        bool is_write = e.name == "write";
-        if (is_write) {
-          writes_by_file_[op.file].push_back(op);
-          ++stats_.writes;
-        } else {
-          ++stats_.reads;
-        }
-        ops_.push_back({op, is_write});
-      } else if (!e.is_span()) {
-        Edges& ed = edges_[{U64Arg(e, "file"), e.track}];
-        if (e.name == "open") ed.opens.push_back(e.ts);
-        else if (e.name == "close") ed.closes.push_back(e.ts);
-        else if (e.name == "sync") ed.syncs.push_back(e.ts);
-        else if (e.name == "pub") ed.pubs.push_back(e.ts);
-      }
-    }
-    for (auto& [key, ed] : edges_) {
-      std::sort(ed.opens.begin(), ed.opens.end());
-      std::sort(ed.closes.begin(), ed.closes.end());
-      std::sort(ed.syncs.begin(), ed.syncs.end());
-      std::sort(ed.pubs.begin(), ed.pubs.end());
-    }
-  }
-
-  const Edges& edges_for(std::uint64_t file, const std::string& client) {
-    static const Edges kEmpty;
-    auto it = edges_.find({file, client});
-    return it == edges_.end() ? kEmpty : it->second;
-  }
-
-  /// Does `model_` oblige read R to observe write W? Program order always
-  /// does; across clients the model's published edges decide. Every
-  /// relaxed model's condition implies POSIX's (the close/sync instants
-  /// it demands lie inside [W.end, R.start]), and MPI-IO's implies
-  /// commit's — the lattice-monotonicity the property tests pin.
-  bool required(const Op& w, const Op& r) {
-    if (w.client == r.client) return w.end <= r.start + kTsSlack;
-    switch (model_) {
-      case ConsistencyModel::posix:
-        return w.end <= r.start + kTsSlack;
-      case ConsistencyModel::session: {
-        // Writer closed after the write, reader (re)opened after that close
-        // and before the read.
-        double open = LastAtOrBefore(edges_for(r.file, r.client).opens, r.start);
-        if (std::isnan(open)) return false;
-        return AnyIn(edges_for(w.file, w.client).closes, w.end, open);
-      }
-      case ConsistencyModel::commit:
-        // Writer synced after the write and before the read began.
-        return AnyIn(edges_for(w.file, w.client).syncs, w.end, r.start);
-      case ConsistencyModel::mpiio: {
-        // Writer synced, then the reader synced, then the read began.
-        double rsync = LastAtOrBefore(edges_for(r.file, r.client).syncs, r.start);
-        if (std::isnan(rsync)) return false;
-        return AnyIn(edges_for(w.file, w.client).syncs, w.end, rsync);
-      }
-    }
-    return false;
-  }
-
-  /// May read R legally observe write W? Yes when program order delivers
-  /// it, when the two race in virtual time (unordered — either outcome is
-  /// legal), or when a recorded `pub` edge published W before R began.
-  /// This is model-independent: `pub` is emitted wherever the *recording*
-  /// model published, so content from an edge the trace does not contain
-  /// is exactly what this flags.
-  bool justified(const Op& w, const Op& r) {
-    if (w.client == r.client && w.end <= r.start + kTsSlack) return true;
-    if (w.time_overlaps(r)) return true;
-    return AnyIn(edges_for(w.file, w.client).pubs, w.end, r.start);
-  }
-
-  bool check_write(const Op& w, Violation* out) {
-    if (model_ != ConsistencyModel::posix) return false;
-    // POSIX: conflicting (byte-overlapping, cross-client) extent ops must
-    // be serialised by the lock protocol — overlap in virtual time means
-    // the serialisation failed.
-    const auto& all = writes_by_file_[w.file];
-    for (const Op& e : all) {
-      if (e.ev >= w.ev) break;
-      if (e.client == w.client || !e.overlaps(w)) continue;
-      ++stats_.conflict_pairs;
-      if (e.time_overlaps(w)) {
-        out->kind = ViolationKind::conflicting_writes;
-        out->op_a = e.ev;
-        out->op_b = w.ev;
-        std::ostringstream d;
-        d << "cross-client writes overlap bytes ["
-          << std::max(e.off, w.off) << "," << std::min(e.hi(), w.hi())
-          << ") and virtual time";
-        out->detail = d.str();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  bool check_read(const Op& r, Violation* out) {
-    const auto& all = writes_by_file_[r.file];
-    // Classify every write touching the read's byte interval. Content
-    // reasoning via fingerprints is only sound when candidate writes cover
-    // exactly the read's interval; anything partial makes the observable
-    // content a composite overlay we cannot reconstruct from per-op
-    // hashes, so those reads are skipped (counted, never flagged).
-    const Op* w_req = nullptr;        // newest required exact-interval write
-    const Op* last_match = nullptr;   // newest exact write with fp == r.fp
-    bool any_match_fresh_enough = false;
-    bool any_match_justified = false;
-    bool composite = false;
-    const Op* last_overlap = nullptr;
-    bool torn_possible = false;
-    for (const Op& w : all) {
-      if (!w.overlaps(r)) continue;
-      last_overlap = &w;
-      if (!w.same_interval(r)) {
-        composite = true;
-        continue;
-      }
-      if (w.time_overlaps(r)) torn_possible = true;
-      if (required(w, r)) w_req = &w;  // event order == version order
-      if (w.fp == r.fp) {
-        last_match = &w;
-        if (justified(w, r)) any_match_justified = true;
-      }
-    }
-    if (composite) {
-      ++stats_.composite_skips;
-      return false;
-    }
-    const bool zero_ok = r.fp == ZeroFingerprint(r.len);
-    if (last_match != nullptr) {
-      ++stats_.content_checks;
-      // Freshness: the newest matching write must not predate the newest
-      // required one.
-      any_match_fresh_enough = w_req == nullptr || last_match->ev >= w_req->ev;
-      if (!any_match_fresh_enough) {
-        out->kind = ViolationKind::stale_read;
-        out->op_a = w_req->ev;
-        out->op_b = r.ev;
-        out->detail = "read returned content older than a required write";
-        return true;
-      }
-      if (!any_match_justified) {
-        out->kind = ViolationKind::unpublished_read;
-        out->op_a = last_match->ev;
-        out->op_b = r.ev;
-        out->detail =
-            "read observed a write no publish edge, program order, or "
-            "concurrency justifies";
-        return true;
-      }
-      return false;
-    }
-    // No matching write. A hole read is fine when nothing was required;
-    // with a required write outstanding the hole is stale. A fingerprint
-    // matching neither any write nor the hole is corrupt — unless a
-    // racing write makes a torn composite possible.
-    if (zero_ok) {
-      ++stats_.content_checks;
-      if (w_req != nullptr) {
-        out->kind = ViolationKind::stale_read;
-        out->op_a = w_req->ev;
-        out->op_b = r.ev;
-        out->detail = "read returned the unwritten hole after a required write";
-        return true;
-      }
-      return false;
-    }
-    if (torn_possible) {
-      ++stats_.composite_skips;
-      return false;
-    }
-    ++stats_.content_checks;
-    out->kind = ViolationKind::corrupt_read;
-    out->op_a = w_req != nullptr
-                    ? w_req->ev
-                    : (last_overlap != nullptr ? last_overlap->ev : r.ev);
-    out->op_b = r.ev;
-    out->detail = "read fingerprint matches no write and no hole";
-    return true;
-  }
-
-  friend bool pdsi::consist::RequiredVisible(
-      const std::vector<obs::AnalysisEvent>&, ConsistencyModel, std::size_t,
-      std::size_t);
-
-  const std::vector<obs::AnalysisEvent>& events_;
-  ConsistencyModel model_;
-  std::vector<Parsed> ops_;
-  std::map<std::uint64_t, std::vector<Op>> writes_by_file_;
-  std::map<std::pair<std::uint64_t, std::string>, Edges> edges_;
-  CheckStats stats_;
-};
-
-}  // namespace
 
 std::string_view ViolationKindName(ViolationKind k) {
   switch (k) {
@@ -316,22 +22,45 @@ std::string_view ViolationKindName(ViolationKind k) {
 
 CheckResult CheckConsistency(const std::vector<obs::AnalysisEvent>& events,
                              ConsistencyModel model) {
-  return Checker(events, model).run();
+  ConsistencyMonitor mon(model);
+  obs::ReplayEvents(events, {&mon});
+  return {mon.clean(), mon.first(), mon.stats()};
 }
 
 bool RequiredVisible(const std::vector<obs::AnalysisEvent>& events,
                      ConsistencyModel model, std::size_t write_ev,
                      std::size_t read_ev) {
-  Checker c(events, model);
-  c.index();
-  const Op* w = nullptr;
-  const Op* r = nullptr;
-  for (const auto& p : c.ops_) {
-    if (p.op.ev == write_ev && p.is_write) w = &p.op;
-    if (p.op.ev == read_ev && !p.is_write) r = &p.op;
+  auto is_op = [&](std::size_t i, const char* name) {
+    return i < events.size() && events[i].cat == "consist" &&
+           events[i].is_span() && events[i].name == name;
+  };
+  if (!is_op(write_ev, "write") || !is_op(read_ev, "read")) return false;
+  const obs::AnalysisEvent& we = events[write_ev];
+  const obs::AnalysisEvent& re = events[read_ev];
+  const std::uint64_t w_file = U64Arg(we, "file");
+  const std::uint64_t r_file = U64Arg(re, "file");
+  WriteEdges w{we.track, we.ts, we.end()};
+  ReadEdges r{re.track, re.ts, re.end()};
+  for (const obs::AnalysisEvent& e : events) {
+    if (e.cat != "consist" || e.is_span()) continue;
+    const std::uint64_t file = U64Arg(e, "file");
+    if (file == w_file && e.track == w.client && e.ts >= w.end - kTsSlack) {
+      double* first = e.name == "close"  ? &w.first_close
+                      : e.name == "sync" ? &w.first_sync
+                      : e.name == "pub"  ? &w.first_pub
+                                         : nullptr;
+      if (first != nullptr && (*first == kNoEdge || e.ts < *first)) {
+        *first = e.ts;
+      }
+    }
+    if (file == r_file && e.track == r.client && e.ts <= r.start + kTsSlack) {
+      double* last = e.name == "open"   ? &r.last_open
+                     : e.name == "sync" ? &r.last_sync
+                                        : nullptr;
+      if (last != nullptr && e.ts > *last) *last = e.ts;
+    }
   }
-  if (w == nullptr || r == nullptr) return false;
-  return c.required(*w, *r);
+  return Required(model, w, r);
 }
 
 std::string FormatViolation(const Violation& v,
@@ -363,6 +92,10 @@ std::uint64_t ZeroFingerprint(std::uint64_t len) {
   std::uint64_t fp = HashBytes(zeros) & 0xffffffffULL;
   cache.emplace(len, fp);
   return fp;
+}
+
+std::uint64_t U64Arg(const obs::AnalysisEvent& e, const char* key) {
+  return static_cast<std::uint64_t>(std::llround(e.arg(key, 0.0)));
 }
 
 }  // namespace pdsi::consist

@@ -56,4 +56,62 @@ inline constexpr ConsistencyModel kAllConsistencyModels[kNumConsistencyModels] =
     ConsistencyModel::posix, ConsistencyModel::session,
     ConsistencyModel::commit, ConsistencyModel::mpiio};
 
+// -- Visibility rules --------------------------------------------------------
+
+/// Timestamp slack for the compact-trace round trip: the text format
+/// prints ts and dur with nine fractional digits, so an op end rebuilt as
+/// ts + dur can drift ~1e-9 from an edge instant recorded at the same
+/// virtual time. Acceptance windows (the rules below, program order)
+/// widen by it; the violation-triggering time-overlap test narrows by it.
+/// Real op separations are >= microseconds, so the slack can neither hide
+/// a violation nor invent one.
+inline constexpr double kTsSlack = 2e-9;
+
+/// "No such edge" (every recorded instant is >= 0).
+inline constexpr double kNoEdge = -1.0;
+
+/// A write as the rules see it: the writer, the write's virtual-time
+/// span, and the writer's first close, sync and pub edge on the file at
+/// or after the write's end (kNoEdge when there is none).
+struct WriteEdges {
+  std::string_view client;
+  double start = 0.0;
+  double end = 0.0;
+  double first_close = kNoEdge;
+  double first_sync = kNoEdge;
+  double first_pub = kNoEdge;
+};
+
+/// A read as the rules see it: the reader, the read's span, and the
+/// reader's last open and sync on the file at or before the read's start
+/// (kNoEdge when there is none).
+struct ReadEdges {
+  std::string_view client;
+  double start = 0.0;
+  double end = 0.0;
+  double last_open = kNoEdge;
+  double last_sync = kNoEdge;
+};
+
+/// The two spans overlap in virtual time (narrowed by kTsSlack): racing
+/// ops are unordered, so either outcome is legal.
+bool TimeOverlaps(double a_start, double a_end, double b_start, double b_end);
+
+/// Freshness: does `model` oblige read `r` to observe write `w`? Program
+/// order always does (same client, w ended before r began). Across
+/// clients: posix — w ended before r began; session — the writer closed
+/// after w and the reader (re)opened after that close; commit — the
+/// writer synced after w and before r; mpiio — the writer synced after w
+/// and the reader synced after that. Every relaxed model's edges lie
+/// inside [w.end, r.start], so each required set is a subset of POSIX's
+/// (and MPI-IO's of commit's): the lattice monotonicity the tests pin.
+bool Required(ConsistencyModel model, const WriteEdges& w, const ReadEdges& r);
+
+/// Provenance: may read `r` legally return write `w`? Yes by program
+/// order, when the two race in virtual time, or when a recorded `pub`
+/// edge published w before r began. Model-independent: `pub` marks
+/// wherever the recording model published, so content that no recorded
+/// edge delivers is exactly what this rejects.
+bool Justified(const WriteEdges& w, const ReadEdges& r);
+
 }  // namespace pdsi::consist

@@ -1,32 +1,25 @@
 #include "pdsi/consist/monitor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace pdsi::consist {
 namespace {
 
 constexpr const char* kConsistCat = "consist";
-
-/// Same round-trip slack as checker.cc (kept in lockstep): acceptance
-/// windows widen by it, the violation-triggering time-overlap narrows.
-constexpr double kTsSlack = 2e-9;
-
-std::uint64_t U64Arg(const obs::AnalysisEvent& e, const char* key) {
-  return static_cast<std::uint64_t>(std::llround(e.arg(key, 0.0)));
-}
+constexpr const char* kUnpublished =
+    "read observed a write no publish edge, program order, or concurrency "
+    "justifies";
 
 bool RangesOverlap(std::uint64_t off_a, std::uint64_t len_a, std::uint64_t off_b,
                    std::uint64_t len_b) {
   return off_a < off_b + len_b && off_b < off_a + len_a;
 }
 
-/// Largest instant <= hi (with slack); NaN when none. Mirrors checker.cc.
+/// Largest instant <= hi (with slack); kNoEdge when none.
 double LastAtOrBefore(const std::vector<double>& v, double hi) {
   auto it = std::upper_bound(v.begin(), v.end(), hi + kTsSlack);
-  if (it == v.begin()) return std::nan("");
-  return *(it - 1);
+  return it == v.begin() ? kNoEdge : *(it - 1);
 }
 
 }  // namespace
@@ -91,8 +84,8 @@ void ConsistencyMonitor::decide(std::size_t ev, bool bad, const Violation& v) {
 
 void ConsistencyMonitor::advance_front() {
   // Verdicts surface only from the queue front with every earlier op
-  // decided, so the latched first violation is the batch checker's (the
-  // first in op order), not merely the first discovered.
+  // decided, so the latched violation is the first in op order, not
+  // merely the first discovered.
   while (!queue_.empty() && queue_.front().decided) {
     if (queue_.front().bad && !violated_) {
       violated_ = true;
@@ -111,39 +104,6 @@ void ConsistencyMonitor::prune_edges(ReaderEdges& re) const {
   };
   prune(re.opens);
   prune(re.syncs);
-}
-
-bool ConsistencyMonitor::required(const LiveWrite& w, const PendingRead& r,
-                                  const FileState& fs) const {
-  if (w.client == r.client) return w.end <= r.start + kTsSlack;
-  switch (model_) {
-    case ConsistencyModel::posix:
-      return w.end <= r.start + kTsSlack;
-    case ConsistencyModel::session: {
-      auto it = fs.readers.find(r.client);
-      if (it == fs.readers.end()) return false;
-      const double open = LastAtOrBefore(it->second.opens, r.start);
-      if (std::isnan(open)) return false;
-      return w.first_close >= 0.0 && w.first_close <= open + kTsSlack;
-    }
-    case ConsistencyModel::commit:
-      return w.first_sync >= 0.0 && w.first_sync <= r.start + kTsSlack;
-    case ConsistencyModel::mpiio: {
-      auto it = fs.readers.find(r.client);
-      if (it == fs.readers.end()) return false;
-      const double rsync = LastAtOrBefore(it->second.syncs, r.start);
-      if (std::isnan(rsync)) return false;
-      return w.first_sync >= 0.0 && w.first_sync <= rsync + kTsSlack;
-    }
-  }
-  return false;
-}
-
-bool ConsistencyMonitor::justified(const LiveWrite& w,
-                                   const PendingRead& r) const {
-  if (w.client == r.client && w.end <= r.start + kTsSlack) return true;
-  if (w.start + kTsSlack < r.end && r.start + kTsSlack < w.end) return true;
-  return w.first_pub >= 0.0 && w.first_pub <= r.start + kTsSlack;
 }
 
 void ConsistencyMonitor::on_write(const obs::AnalysisEvent& e,
@@ -165,41 +125,36 @@ void ConsistencyMonitor::on_write(const obs::AnalysisEvent& e,
   bool bad = false;
   if (model_ == ConsistencyModel::posix) {
     // POSIX conflict check against earlier cross-client overlapping
-    // writes, in event order like the batch pass. Retired writes ended
-    // before the horizon, so they cannot time-overlap this one — live
-    // writes are the complete candidate set.
-    std::vector<const LiveWrite*> earlier;
+    // writes, in event order. Retired writes ended before the horizon,
+    // so they cannot time-overlap this one — live writes are the
+    // complete candidate set.
+    struct Earlier {
+      const LiveWrite* w;
+      std::uint64_t lo, hi;  ///< the shared bytes
+    };
+    std::vector<Earlier> earlier;
     for (const auto& [key, is] : fs.intervals) {
       if (!RangesOverlap(key.first, key.second, off, len)) continue;
       for (const LiveWrite& ew : is.live) {
-        if (ew.ev < index && ew.client != w.client) earlier.push_back(&ew);
+        if (ew.client == w.client) continue;
+        earlier.push_back({&ew, std::max(key.first, off),
+                           std::min(key.first + key.second, off + len)});
       }
     }
     std::sort(earlier.begin(), earlier.end(),
-              [](const LiveWrite* a, const LiveWrite* b) { return a->ev < b->ev; });
-    for (const LiveWrite* ew : earlier) {
+              [](const Earlier& a, const Earlier& b) { return a.w->ev < b.w->ev; });
+    for (const Earlier& c : earlier) {
       ++stats_.conflict_pairs;
-      if (ew->start + kTsSlack < w.end && w.start + kTsSlack < ew->end) {
-        v.kind = ViolationKind::conflicting_writes;
-        v.op_a = ew->ev;
-        v.op_b = index;
-        // Byte range needs the earlier write's interval; find it back.
-        std::uint64_t eo = off, eh = off + len;
-        for (const auto& [key, is] : fs.intervals) {
-          for (const LiveWrite& cand : is.live) {
-            if (&cand == ew) {
-              eo = std::max(key.first, off);
-              eh = std::min(key.first + key.second, off + len);
-            }
-          }
-        }
-        std::ostringstream d;
-        d << "cross-client writes overlap bytes [" << eo << "," << eh
-          << ") and virtual time";
-        v.detail = d.str();
-        bad = true;
-        break;
-      }
+      if (!TimeOverlaps(c.w->start, c.w->end, w.start, w.end)) continue;
+      v.kind = ViolationKind::conflicting_writes;
+      v.op_a = c.w->ev;
+      v.op_b = index;
+      std::ostringstream d;
+      d << "cross-client writes overlap bytes [" << c.lo << "," << c.hi
+        << ") and virtual time";
+      v.detail = d.str();
+      bad = true;
+      break;
     }
   }
   decide(index, bad, v);
@@ -247,17 +202,17 @@ void ConsistencyMonitor::on_edge(const obs::AnalysisEvent& e) {
     prune_edges(re);
   }
   // Writer-side firsts: the earliest edge of each type at or after a
-  // write's end is the only instant required()/justified() consult.
+  // write's end is the only instant the rules consult.
   for (auto& [key, is] : fs.intervals) {
     for (LiveWrite& w : is.live) {
       if (w.client != e.track || ts < w.end - kTsSlack) continue;
-      if (e.name == "close" && w.first_close < 0.0) w.first_close = ts;
-      else if (e.name == "sync" && w.first_sync < 0.0) w.first_sync = ts;
-      else if (e.name == "pub" && w.first_pub < 0.0) w.first_pub = ts;
+      if (e.name == "close" && w.first_close == kNoEdge) w.first_close = ts;
+      else if (e.name == "sync" && w.first_sync == kNoEdge) w.first_sync = ts;
+      else if (e.name == "pub" && w.first_pub == kNoEdge) w.first_pub = ts;
     }
     if (e.name == "pub") {
       for (Marker& m : is.markers) {
-        if (m.first_pub >= 0.0) continue;
+        if (m.first_pub != kNoEdge) continue;
         auto it = m.client_end.find(e.track);
         if (it != m.client_end.end() && ts >= it->second - kTsSlack) {
           m.first_pub = ts;
@@ -285,42 +240,43 @@ void ConsistencyMonitor::try_retire(IntervalState& is, std::uint64_t file) {
         case ConsistencyModel::posix:
           superseded = true;
           break;
-        case ConsistencyModel::session: {
-          if (n.first_close < 0.0) break;
-          bool all_reopened = true;
-          for (const auto& [client, re] : fs.readers) {
-            if (client == n.client || re.opens.empty()) continue;
-            if (re.opens.back() < n.first_close - kTsSlack) {
-              all_reopened = false;
-              break;
-            }
-          }
-          // A known client that never reopens keeps the front write
-          // alive — conservative, never wrong.
-          superseded = all_reopened;
-          break;
-        }
         case ConsistencyModel::commit:
-          superseded = n.first_sync >= 0.0 && n.first_sync <= h;
+          superseded = n.first_sync != kNoEdge && n.first_sync <= h;
           break;
+        case ConsistencyModel::session:
         case ConsistencyModel::mpiio: {
-          if (n.first_sync < 0.0) break;
-          bool all_synced = true;
-          for (const auto& [client, re] : fs.readers) {
-            if (client == n.client || re.syncs.empty()) continue;
-            if (re.syncs.back() < n.first_sync - kTsSlack) {
-              all_synced = false;
-              break;
-            }
+          // n is required wherever w is once each reader's newest open
+          // (session) or sync (mpiio) follows n's close (sync). A reader
+          // with none yet is obliged to see neither until it has one —
+          // except w's own writer, whom program order obliges to see w.
+          // A reader that never catches up keeps w alive: conservative,
+          // never wrong.
+          const bool session = model_ == ConsistencyModel::session;
+          const double edge = session ? n.first_close : n.first_sync;
+          if (edge == kNoEdge) break;
+          auto newest = [&](const std::string& client) {
+            auto it = fs.readers.find(client);
+            if (it == fs.readers.end()) return kNoEdge;
+            const std::vector<double>& v =
+                session ? it->second.opens : it->second.syncs;
+            return v.empty() ? kNoEdge : v.back();
+          };
+          auto caught_up = [&](const std::string& client) {
+            const double t = newest(client);
+            return client == n.client || (t != kNoEdge && t >= edge - kTsSlack);
+          };
+          superseded = caught_up(w.client);
+          for (auto it = fs.readers.begin();
+               superseded && it != fs.readers.end(); ++it) {
+            if (newest(it->first) != kNoEdge) superseded = caught_up(it->first);
           }
-          superseded = all_synced;
           break;
         }
       }
     }
     if (!superseded) break;
-    // Retire to a per-fingerprint marker: enough to classify a future
-    // read that returns this (now stale) content like the batch pass.
+    // Retire to a per-fingerprint marker: enough to judge a future read
+    // that returns this (now stale) content.
     Marker* m = nullptr;
     for (Marker& cand : is.markers) {
       if (cand.fp == w.fp) {
@@ -336,8 +292,8 @@ void ConsistencyMonitor::try_retire(IntervalState& is, std::uint64_t file) {
     m->ev = std::max(m->ev, w.ev);
     auto [it, inserted] = m->client_end.emplace(w.client, w.end);
     if (!inserted) it->second = std::min(it->second, w.end);
-    if (w.first_pub >= 0.0 &&
-        (m->first_pub < 0.0 || w.first_pub < m->first_pub)) {
+    if (w.first_pub != kNoEdge &&
+        (m->first_pub == kNoEdge || w.first_pub < m->first_pub)) {
       m->first_pub = w.first_pub;
     }
     is.live.pop_front();
@@ -348,11 +304,10 @@ void ConsistencyMonitor::try_retire(IntervalState& is, std::uint64_t file) {
 void ConsistencyMonitor::feed_deferred(const LiveWrite& w,
                                        const IntervalState& is,
                                        std::uint64_t file) {
-  // A deferred read waits for the write whose content it returned. The
-  // batch checker scans the whole trace, so a later matching write of
-  // the same interval resolves the read as unpublished (it cannot be
-  // justified: it neither raced the read nor published before it began);
-  // a later partial overlap makes the read a composite skip.
+  // A deferred read waits for the write whose content it returned. A
+  // later matching write of the same interval resolves it as unpublished
+  // (it cannot be justified: it neither raced the read nor published
+  // before it began); a later partial overlap makes it a composite skip.
   for (auto it = pending_.begin(); it != pending_.end();) {
     PendingRead& r = *it;
     if (!r.deferred || r.file != file ||
@@ -368,14 +323,8 @@ void ConsistencyMonitor::feed_deferred(const LiveWrite& w,
     }
     if (w.fp == r.fp) {
       ++stats_.content_checks;
-      Violation v;
-      v.kind = ViolationKind::unpublished_read;
-      v.op_a = w.ev;
-      v.op_b = r.ev;
-      v.detail =
-          "read observed a write no publish edge, program order, or "
-          "concurrency justifies";
-      decide(r.ev, true, v);
+      decide(r.ev, true,
+             {ViolationKind::unpublished_read, w.ev, r.ev, kUnpublished});
       it = pending_.erase(it);
       continue;
     }
@@ -398,13 +347,11 @@ void ConsistencyMonitor::finalize_ready(bool all) {
     if (r.deferred && all) {
       // End of stream: no matching write ever arrived.
       ++stats_.content_checks;
-      Violation v;
-      v.kind = ViolationKind::corrupt_read;
-      v.op_a = r.has_w_req ? r.w_req_ev
-                           : (r.has_overlap ? r.last_overlap_ev : r.ev);
-      v.op_b = r.ev;
-      v.detail = "read fingerprint matches no write and no hole";
-      decide(r.ev, true, v);
+      const std::size_t op_a =
+          r.has_w_req ? r.w_req_ev : (r.has_overlap ? r.last_overlap_ev : r.ev);
+      decide(r.ev, true,
+             {ViolationKind::corrupt_read, op_a, r.ev,
+              "read fingerprint matches no write and no hole"});
       it = pending_.erase(it);
       continue;
     }
@@ -418,7 +365,7 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
 
   // Composite: any differently-shaped write history overlapping the
   // read's bytes makes the observable content an overlay per-op hashes
-  // cannot reconstruct — skipped, exactly like the batch pass.
+  // cannot reconstruct — skipped.
   const IntervalState* same = nullptr;
   if (fs != nullptr) {
     for (const auto& [key, is] : fs->intervals) {
@@ -433,6 +380,14 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
     }
   }
 
+  ReadEdges re{r.client, r.start, r.end};
+  if (fs != nullptr) {
+    auto it = fs->readers.find(r.client);
+    if (it != fs->readers.end()) {
+      re.last_open = LastAtOrBefore(it->second.opens, r.start);
+      re.last_sync = LastAtOrBefore(it->second.syncs, r.start);
+    }
+  }
   bool torn = false;
   bool has_w_req = false;
   std::size_t w_req_ev = 0;
@@ -445,15 +400,15 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
     for (const LiveWrite& w : same->live) {
       has_overlap = true;
       overlap_ev = w.ev;  // event order == newest-last
-      if (w.start + kTsSlack < r.end && r.start + kTsSlack < w.end) torn = true;
-      if (required(w, r, *fs)) {
+      if (TimeOverlaps(w.start, w.end, r.start, r.end)) torn = true;
+      if (Required(model_, w.edges(), re)) {
         has_w_req = true;
         w_req_ev = w.ev;
       }
       if (w.fp == r.fp) {
         has_match = true;
         match_ev = w.ev;
-        if (justified(w, r)) match_justified = true;
+        if (Justified(w.edges(), re)) match_justified = true;
       }
     }
     for (const Marker& m : same->markers) {
@@ -470,11 +425,13 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
         has_match = true;
         match_ev = m.ev;
       }
-      // Justification ORs over every match, retired ones included.
-      // Program order holds for a marker writer (the write ended before
-      // the horizon, hence before this read began); otherwise a publish.
+      // Justification ORs over every match, retired ones included:
+      // Justified summarised over the merged writes. Program order holds
+      // for a marker writer (the write ended before the horizon, hence
+      // before this read began), no retired write races the read, and
+      // the earliest applicable publish stands for the rest.
       if (m.client_end.count(r.client) != 0 ||
-          (m.first_pub >= 0.0 && m.first_pub <= r.start + kTsSlack)) {
+          (m.first_pub != kNoEdge && m.first_pub <= r.start + kTsSlack)) {
         match_justified = true;
       }
     }
@@ -482,40 +439,27 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
 
   if (has_match) {
     ++stats_.content_checks;
-    Violation v;
     if (has_w_req && match_ev < w_req_ev) {
-      v.kind = ViolationKind::stale_read;
-      v.op_a = w_req_ev;
-      v.op_b = r.ev;
-      v.detail = "read returned content older than a required write";
-      decide(r.ev, true, v);
-      return;
+      decide(r.ev, true,
+             {ViolationKind::stale_read, w_req_ev, r.ev,
+              "read returned content older than a required write"});
+    } else if (!match_justified) {
+      decide(r.ev, true,
+             {ViolationKind::unpublished_read, match_ev, r.ev, kUnpublished});
+    } else {
+      decide(r.ev, false, {});
     }
-    if (!match_justified) {
-      v.kind = ViolationKind::unpublished_read;
-      v.op_a = match_ev;
-      v.op_b = r.ev;
-      v.detail =
-          "read observed a write no publish edge, program order, or "
-          "concurrency justifies";
-      decide(r.ev, true, v);
-      return;
-    }
-    decide(r.ev, false, {});
     return;
   }
   if (r.fp == ZeroFingerprint(r.len)) {
     ++stats_.content_checks;
     if (has_w_req) {
-      Violation v;
-      v.kind = ViolationKind::stale_read;
-      v.op_a = w_req_ev;
-      v.op_b = r.ev;
-      v.detail = "read returned the unwritten hole after a required write";
-      decide(r.ev, true, v);
-      return;
+      decide(r.ev, true,
+             {ViolationKind::stale_read, w_req_ev, r.ev,
+              "read returned the unwritten hole after a required write"});
+    } else {
+      decide(r.ev, false, {});
     }
-    decide(r.ev, false, {});
     return;
   }
   if (torn) {
@@ -523,9 +467,9 @@ void ConsistencyMonitor::finalize_read(PendingRead& r) {
     decide(r.ev, false, {});
     return;
   }
-  // No match anywhere yet: defer for a possible future matching write
-  // (the batch checker's whole-trace scan), deciding corrupt only at
-  // end of stream. Freeze the batch op_a candidates now.
+  // No match anywhere yet: defer for a possible future matching write,
+  // deciding corrupt only at end of stream. Freeze the op_a candidates
+  // now.
   r.deferred = true;
   r.has_w_req = has_w_req;
   r.w_req_ev = w_req_ev;

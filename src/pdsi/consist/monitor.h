@@ -1,47 +1,49 @@
-// Online (incremental) consistency monitoring.
+// The consistency checker, as a streaming sink.
 //
-// ConsistencyMonitor is the streaming counterpart of CheckConsistency
-// (checker.h): an obs::MonitorSink that consumes the canonical event
-// stream — live via Tracer::subscribe or replayed via ReplayEvents — and
-// flags the same first violation (same kind, same op pair) as the batch
-// checker, without retaining the full trace. Where the batch checker
-// indexes every op and edge up front, the monitor keeps only:
+// ConsistencyMonitor is an obs::MonitorSink that consumes the canonical
+// event stream — live via Tracer::subscribe or replayed via ReplayEvents
+// (which is all CheckConsistency does) — and judges every consist op
+// against the model's rules (model.h, `Required` and `Justified`) without
+// retaining the full trace. It keeps only:
 //
 //   * live writes — per (file, byte-interval) deques of writes that can
 //     still bind a future read (as its required version, its content
-//     match, or a torn-read race). A write retires once a newer write of
+//     match, or a torn-read race), each with the writer's first close,
+//     sync and pub edge after it. A write retires once a newer write of
 //     the same interval supersedes it for every possible future read
 //     under the model AND the horizon (min of the earliest pending read
 //     start and the delivered watermark) has passed its end;
-//   * markers — compact summaries (event index, fingerprint, publishing
-//     client set, first publish instant) of retired writes, merged per
-//     fingerprint, enough to still classify a read that returns stale
-//     content as stale/unpublished exactly like the batch pass;
-//   * pending reads — reads finalize once the watermark passes their end
-//     (every edge and overlapping write that can bind them has then been
-//     delivered). A read whose fingerprint matches nothing yet seen is
-//     *deferred* rather than declared corrupt: the batch checker scans
-//     the whole trace for a matching write, so the online verdict must
-//     wait for a possible future match (-> unpublished_read, e.g. a
-//     write reordered past its publishing close) or end of stream
-//     (-> corrupt_read);
+//   * markers — compact summaries (event index, fingerprint, writer set,
+//     first publish instant) of retired writes, merged per fingerprint,
+//     enough to still judge a read that returns that stale content;
+//   * pending reads — a read is judged once the watermark passes its end
+//     (every edge and overlapping write that can bind it has then been
+//     delivered);
 //   * reader edges — per (file, client) open/sync instants, pruned below
 //     the horizon to the single newest entry each.
 //
-// First-violation parity: ops enter a decision queue in event order and
-// verdicts are reported only when they reach the front with every
-// earlier op decided, so a deferred read cannot be overtaken by a later
-// violation — the reported pair is the batch checker's.
+// How a read is judged, once the watermark passes its end:
+//   * any seen write that overlaps its bytes without covering exactly
+//     its interval makes the content an overlay per-op hashes cannot
+//     reconstruct: a composite skip (counted, never flagged). A partial
+//     overlap that arrives later does not change a verdict already made;
+//   * a fingerprint matching a seen write of its interval is checked for
+//     freshness (not older than the newest required write: stale_read)
+//     and provenance (some matching write justified: unpublished_read);
+//   * the hole's fingerprint is stale when a required write exists;
+//   * a fingerprint matching nothing is a torn race (skip) when a write
+//     raced the read; otherwise the read is deferred. The first later
+//     write of its interval with that fingerprint makes it
+//     unpublished_read (e.g. a write reordered past its publishing
+//     close), a later partial overlap makes it a composite skip, and end
+//     of stream makes it corrupt_read.
 //
-// Documented divergences (none occur in phase-disciplined workloads, and
-// the parity tests cover every mutation injector):
-//   * a partial-overlap write arriving after a read already finalized
-//     cannot retroactively turn the read into a composite skip;
-//   * a deferred read is decided by the FIRST future matching write (the
-//     batch checker names the newest across the whole trace);
-//   * stats after the first violation keep counting (the batch checker
-//     stops), and conflict_pairs only counts pairs with a live partner —
-//     verdict and op pair are what the monitor guarantees.
+// Verdicts surface in op order: ops enter a decision queue in event order
+// and a verdict is reported only when it reaches the front with every
+// earlier op decided, so a deferred read cannot be overtaken by a later
+// violation and the reported pair is the first in canonical op order.
+// Stats count the whole stream, including ops after the first violation,
+// and conflict_pairs counts only pairs whose earlier write is still live.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +68,7 @@ class ConsistencyMonitor : public obs::MonitorSink {
 
   /// No violation so far. Final only after finish().
   bool clean() const { return !violated_; }
-  /// The first violation in canonical op order (meaningful when !clean());
-  /// kind, op_a, op_b and detail match CheckConsistency on the same
-  /// stream.
+  /// The first violation in canonical op order (meaningful when !clean()).
   const Violation& first() const { return first_; }
   const CheckStats& stats() const { return stats_; }
 
@@ -91,24 +91,27 @@ class ConsistencyMonitor : public obs::MonitorSink {
     double end = 0.0;
     std::uint64_t fp = 0;
     // First visibility edge of each type from the writer at or after the
-    // write's end (the only instants required()/justified() consult).
-    double first_close = -1.0;  ///< < 0 = none seen
-    double first_sync = -1.0;
-    double first_pub = -1.0;
+    // write's end (the only instants the rules consult).
+    double first_close = kNoEdge;
+    double first_sync = kNoEdge;
+    double first_pub = kNoEdge;
+
+    WriteEdges edges() const {
+      return {client, start, end, first_close, first_sync, first_pub};
+    }
   };
 
   /// Retired writes of one interval, merged per fingerprint: enough to
-  /// reproduce the batch checker's match + justification verdict for a
-  /// read returning this (stale) content.
+  /// judge a read returning this (stale) content.
   struct Marker {
     std::size_t ev = 0;  ///< newest merged event index (freshness compare)
     std::uint64_t fp = 0;
     /// Writer client -> min end among its merged writes. Membership gives
     /// program-order justification; the min end decides whether a later
     /// publish instant applies (justifying the earliest-ending merged
-    /// write justifies the fingerprint — batch ORs over all matches).
+    /// write justifies the fingerprint).
     std::map<std::string, double> client_end;
-    double first_pub = -1.0;  ///< earliest applicable publish; < 0 = none
+    double first_pub = kNoEdge;  ///< earliest applicable publish
   };
 
   struct IntervalState {
@@ -139,7 +142,7 @@ class ConsistencyMonitor : public obs::MonitorSink {
     double start = 0.0;
     double end = 0.0;
     bool deferred = false;  ///< fingerprint matched nothing yet seen
-    // Frozen at deferral time (batch op_a candidates for corrupt_read).
+    // Frozen at deferral time (op_a candidates for corrupt_read).
     bool has_w_req = false;
     std::size_t w_req_ev = 0;
     bool has_overlap = false;
@@ -157,7 +160,7 @@ class ConsistencyMonitor : public obs::MonitorSink {
   void on_write(const obs::AnalysisEvent& e, std::size_t index);
   void on_read(const obs::AnalysisEvent& e, std::size_t index);
   void on_edge(const obs::AnalysisEvent& e);
-  /// Finalizes every pending (non-deferred) read whose end the watermark
+  /// Judges every pending (not deferred) read whose end the watermark
   /// passed; `all` forces the rest (end of stream).
   void finalize_ready(bool all);
   void finalize_read(PendingRead& r);
@@ -171,10 +174,6 @@ class ConsistencyMonitor : public obs::MonitorSink {
   void try_retire(IntervalState& is, std::uint64_t file);
   void prune_edges(ReaderEdges& re) const;
   void note_retained();
-
-  bool required(const LiveWrite& w, const PendingRead& r,
-                const FileState& fs) const;
-  bool justified(const LiveWrite& w, const PendingRead& r) const;
 
   ConsistencyModel model_;
   double last_ts_ = 0.0;

@@ -1,7 +1,6 @@
 #include "pdsi/consist/mutate.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 
@@ -32,10 +31,6 @@ struct MEdge {
   std::uint64_t file = 0;
   double ts = 0.0;
 };
-
-std::uint64_t U64Arg(const obs::AnalysisEvent& e, const char* key) {
-  return static_cast<std::uint64_t>(std::llround(e.arg(key, 0.0)));
-}
 
 void SetArg(obs::AnalysisEvent* e, const std::string& key, double v) {
   for (auto& [k, val] : e->args) {
@@ -110,24 +105,18 @@ void Canonicalize(std::vector<obs::AnalysisEvent>* events,
   for (std::size_t* t : tracked) *t = pos[*t];
 }
 
-bool AnyPubIn(const std::vector<MEdge>& edges, std::uint64_t file,
-              const std::string& client, double lo, double hi,
-              std::size_t skip_ev = static_cast<std::size_t>(-1)) {
+/// The model's Justified rule for two extracted ops, optionally with one
+/// pub edge deleted — used to predict which read the checker names first.
+bool IsJustified(const MOp& w, const MOp& r, const std::vector<MEdge>& edges,
+                 std::size_t skip_pub_ev) {
+  WriteEdges we{w.client, w.start, w.end};
   for (const auto& e : edges) {
-    if (e.ev == skip_ev || e.name != "pub") continue;
-    if (e.file == file && e.client == client && e.ts >= lo && e.ts <= hi)
-      return true;
+    if (e.ev == skip_pub_ev || e.name != "pub" || e.file != w.file ||
+        e.client != w.client || e.ts < w.end - kTsSlack)
+      continue;
+    if (we.first_pub == kNoEdge || e.ts < we.first_pub) we.first_pub = e.ts;
   }
-  return false;
-}
-
-/// Mirrors the checker's justification rule, optionally with one pub
-/// edge deleted — used to predict which read the checker names first.
-bool Justified(const MOp& w, const MOp& r, const std::vector<MEdge>& edges,
-               std::size_t skip_pub_ev = static_cast<std::size_t>(-1)) {
-  if (w.client == r.client && w.end <= r.start) return true;
-  if (w.time_overlaps(r)) return true;
-  return AnyPubIn(edges, w.file, w.client, w.end, r.start, skip_pub_ev);
+  return Justified(we, {r.client, r.start, r.end});
 }
 
 double MaxEnd(const std::vector<obs::AnalysisEvent>& events) {
@@ -227,7 +216,7 @@ PlantedViolation DropSyncEdge(std::vector<obs::AnalysisEvent>* events,
             w.fp != r.fp)
           continue;
         last_match = &w;
-        if (Justified(w, r, edges, pub.ev)) any_justified = true;
+        if (IsJustified(w, r, edges, pub.ev)) any_justified = true;
       }
       if (last_match != nullptr && !any_justified) {
         flagged_r = r.ev;

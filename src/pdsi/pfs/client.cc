@@ -16,6 +16,11 @@ namespace {
 std::uint64_t ConsistFp(std::span<const std::uint8_t> data) {
   return HashBytes(data) & 0xffffffffULL;
 }
+
+/// Fraction of one MDS op an mpiio collective sync charges per client
+/// (the sync-barrier-sync metadata exchange batches across the
+/// collective; commit mode pays the full op).
+constexpr double kMpiioSyncFraction = 0.25;
 }  // namespace
 
 PfsClient::PfsClient(PfsCluster& cluster, std::size_t actor)
@@ -779,9 +784,8 @@ Status PfsClient::fsync(FileHandle fh) {
       // Commit publishes at every sync with a full metadata op; mpiio's
       // collective sync-barrier-sync batches the exchange, so each
       // participant pays only a fraction of it.
-      const double fraction = model == consist::ConsistencyModel::mpiio
-                                  ? cluster_.config().mpiio_sync_fraction
-                                  : 1.0;
+      const double fraction =
+          model == consist::ConsistencyModel::mpiio ? kMpiioSyncFraction : 1.0;
       done = cluster_.smds()
                  .shard(cluster_.smds().home_shard(f->path))
                  .publish(done, fraction, rid);

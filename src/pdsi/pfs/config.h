@@ -77,13 +77,9 @@ struct PfsConfig {
   // lock charges and instead publish visibility at close (session), at
   // fsync (commit), or at the amortised collective sync (mpiio).
   consist::ConsistencyModel consistency = consist::ConsistencyModel::posix;
-  /// Fraction of one MDS op an mpiio collective sync charges per client
-  /// (the sync-barrier-sync metadata exchange batches across the
-  /// collective; commit mode pays the full op).
-  double mpiio_sync_fraction = 0.25;
   /// Annotate every data op with its byte interval + content fingerprint
-  /// and emit the model's visibility edges on the rank tracks, for the
-  /// consist::ConsistencyChecker. Off by default: recording adds events,
+  /// and emit the model's visibility edges on the rank tracks, for
+  /// consist::CheckConsistency. Off by default: recording adds events,
   /// and default traces must stay byte-identical.
   bool record_consist_ops = false;
 

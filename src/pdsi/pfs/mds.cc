@@ -4,7 +4,7 @@ namespace pdsi::pfs {
 
 Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
          std::uint32_t num_shards)
-    : Namespace(1 + shard, num_shards),
+    : Namespace(1 + (std::uint64_t{shard} << 40)),
       cfg_(cfg),
       track_(obs::kMdsTrack + shard),
       ctx_(ctx) {

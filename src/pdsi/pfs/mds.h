@@ -25,9 +25,11 @@ class Mds : public Namespace {
  public:
   /// `ctx` (optional) traces every charged op on track obs::kMdsTrack and
   /// feeds the mds.* instruments. `shard`/`num_shards` place this MDS in
-  /// a sharded namespace (pdsi::pfs::ShardedMds): file ids are allocated
-  /// from the interleaved stream shard+1, shard+1+N, ... so ids stay
-  /// globally unique, and with num_shards > 1 the instruments and trace
+  /// a sharded namespace (pdsi::pfs::ShardedMds): shard k allocates file
+  /// ids consecutively from 1 + (k << 40), so ids stay globally unique,
+  /// round-robin placement (which starts a file at id mod num_oss) still
+  /// spreads each shard's files over every OSS, and ids stay below 2^53
+  /// (exact as trace args). With num_shards > 1 the instruments and trace
   /// track are suffixed per shard ("mds.s<k>.*", track kMdsTrack + k).
   /// The single-shard default is byte-identical to the historical MDS.
   explicit Mds(const PfsConfig& cfg, obs::Context* ctx = nullptr,

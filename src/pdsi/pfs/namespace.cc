@@ -31,8 +31,7 @@ std::string ParentPath(const std::string& normalized) {
   return normalized.substr(0, pos);
 }
 
-Namespace::Namespace(std::uint64_t first_id, std::uint64_t id_stride)
-    : next_file_id_(first_id), id_stride_(id_stride == 0 ? 1 : id_stride) {
+Namespace::Namespace(std::uint64_t first_id) : next_file_id_(first_id) {
   Inode root;
   root.is_dir = true;
   entries_.emplace("/", root);
@@ -46,8 +45,7 @@ Result<Inode> Namespace::add(const std::string& path, bool is_dir,
   if (parent == entries_.end()) return Errc::not_found;
   if (!parent->second.is_dir) return Errc::not_dir;
   Inode node;
-  node.file_id = next_file_id_;
-  next_file_id_ += id_stride_;
+  node.file_id = next_file_id_++;
   node.is_dir = is_dir;
   node.mtime = mtime;
   entries_.emplace(p, node);

@@ -40,10 +40,9 @@ std::string ParentPath(const std::string& normalized);
 /// `normalized`.
 class Namespace {
  public:
-  /// File ids are minted from the stream first_id, first_id + id_stride,
-  /// ... (directories take ids too), so interleaved streams keep the ids
-  /// of a sharded namespace globally unique.
-  explicit Namespace(std::uint64_t first_id = 1, std::uint64_t id_stride = 1);
+  /// File ids are minted consecutively from first_id (directories take
+  /// ids too); a sharded namespace gives each shard its own id range.
+  explicit Namespace(std::uint64_t first_id = 1);
 
   Result<Inode> create(const std::string& path, double mtime);
   Result<Inode> lookup(const std::string& path) const;
@@ -80,7 +79,6 @@ class Namespace {
 
   std::map<std::string, Inode> entries_;  ///< ordered for readdir scans
   std::uint64_t next_file_id_;
-  std::uint64_t id_stride_;
 };
 
 }  // namespace pdsi::pfs

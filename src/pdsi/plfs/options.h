@@ -64,11 +64,6 @@ struct Options {
   /// external coordination). Requires index_cache; ignored without one.
   bool close_to_open_cache = false;
 
-  /// Client CPU charged per index record during the restart merge
-  /// (decode + sort + interval-map insert). This is why index
-  /// compression pays off at restart: pattern records shrink the merge.
-  double index_merge_cost_per_entry_s = 3e-6;
-
   /// Optional tracing/metrics sink (must outlive the Writer/Reader).
   /// Timestamps come from Backend::now(), so spans are only meaningful
   /// over simulated backends; null disables instrumentation entirely.

@@ -31,8 +31,8 @@ Status Flatten(Backend& backend, const std::string& path, const std::string& des
 /// pattern-compressed `index.flat` dropping that later opens load instead
 /// of re-merging (see flat_index.h). Runs the raw merge itself, so a
 /// pre-existing flat dropping is rebuilt, never fed forward. Refuses
-/// (Errc::io_error) if any dropping was unreadable — a degraded view must
-/// not be frozen as the container's truth.
+/// (Errc::io_error) if any dropping was unreadable or torn — a degraded
+/// view must not be frozen as the container's truth.
 Status FlattenIndex(Backend& backend, const std::string& path,
                     const Options& options = {});
 

@@ -60,8 +60,9 @@ class Reader {
   double index_build_seconds() const { return index_build_seconds_; }
   /// Fingerprint of the index droppings the snapshot was built from.
   std::uint64_t index_fingerprint() const { return snap_->fingerprint; }
-  /// Droppings skipped at build plus segments zero-filled during reads
-  /// (only ever nonzero with options.degraded_reads).
+  /// Index droppings skipped (options.degraded_reads) or torn at build,
+  /// plus segments zero-filled during reads (degraded_reads). A torn
+  /// dropping — a partial record at its tail — keeps its whole records.
   std::uint64_t read_errors() const { return read_errors_; }
 
  private:

@@ -8,154 +8,18 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "consist_testing.h"
 #include "pdsi/common/bytes.h"
-#include "pdsi/common/units.h"
 #include "pdsi/consist/checker.h"
 #include "pdsi/consist/model.h"
 #include "pdsi/consist/mutate.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/obs/profile.h"
-#include "pdsi/pfs/client.h"
-#include "pdsi/pfs/cluster.h"
 
 namespace pdsi::consist {
 namespace {
-
-constexpr std::uint64_t kSlot = 64 * KiB;  // one extent-lock unit per rank
-constexpr std::uint64_t kLen = 4 * KiB;    // record length within a slot
-
-/// SplitMix64, for per-(rank, round) schedule decisions that do not
-/// depend on host-thread interleaving.
-std::uint64_t Mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t Hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return Mix64(Mix64(Mix64(a) ^ b) ^ c);
-}
-
-struct WorkloadSpec {
-  ConsistencyModel model = ConsistencyModel::posix;
-  int ranks = 3;
-  int rounds = 3;
-  /// All ranks write the same interval under whole-file locks (the
-  /// serialized-conflict workload); otherwise each rank owns a
-  /// lock-unit-aligned slot and reads rotate across the others'.
-  bool contended = false;
-  /// First half of the ranks only write, second half only read — gives
-  /// MPI-IO traces exactly one publish per write, so DropSyncEdge has an
-  /// unambiguous candidate.
-  bool split_roles = false;
-  /// Randomize the schedule (skip writes, pick read targets by hash)
-  /// while keeping the phase discipline the model demands.
-  bool randomized = false;
-  std::uint64_t salt = 1;
-};
-
-/// Runs a phase-disciplined multi-client workload through the real pfs
-/// client with consist-op recording on, under the model's publication
-/// discipline:
-///   posix   — write; barrier; read
-///   session — open, write, close; barrier; open, read, close
-///   commit  — write, fsync; barrier; read
-///   mpiio   — write, fsync; barrier; fsync, read
-/// Barriers separate the phases so writes never race reads; content is
-/// distinct per (rank, round) so fingerprints attribute uniquely.
-void RunWorkload(const WorkloadSpec& spec, obs::Tracer* tracer,
-                 obs::Registry* reg = nullptr) {
-  obs::Context ctx;
-  ctx.tracer = tracer;
-  ctx.registry = reg;
-  pfs::PfsConfig cfg = pfs::PfsConfig::PanFsLike(2);
-  cfg.consistency = spec.model;
-  cfg.record_consist_ops = true;
-  if (spec.contended) cfg.locking = pfs::LockProtocol::whole_file;
-  sim::VirtualScheduler sched(spec.ranks);
-  pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  std::vector<std::size_t> ids;
-  for (int r = 0; r < spec.ranks; ++r) ids.push_back(r);
-  sim::VirtualBarrier barrier(sched, ids);
-
-  const bool session = spec.model == ConsistencyModel::session;
-  const bool commit = spec.model == ConsistencyModel::commit;
-  const bool mpiio = spec.model == ConsistencyModel::mpiio;
-  const int writers = spec.split_roles ? (spec.ranks + 1) / 2 : spec.ranks;
-
-  std::vector<std::thread> threads;
-  for (int r = 0; r < spec.ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      const bool is_writer = r < writers;
-      const bool is_reader = !spec.split_roles || r >= writers;
-      pfs::FileHandle fh = -1;
-      if (r == 0) {
-        fh = *client.create("/shared");
-        if (session) client.close(fh);
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        if (!session) fh = *client.open("/shared");
-      }
-      for (int k = 0; k < spec.rounds; ++k) {
-        const bool write_this_round =
-            is_writer &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k) % 4 != 0);
-        if (write_this_round) {
-          if (session) fh = *client.open("/shared");
-          const std::uint64_t off =
-              spec.contended ? 0 : static_cast<std::uint64_t>(r) * kSlot;
-          const auto tag = static_cast<std::uint32_t>(
-              spec.salt * 1000003 + static_cast<std::uint64_t>(k) * 131 + r);
-          EXPECT_TRUE(client.write(fh, off, MakePattern(tag, off, kLen)).ok());
-          if (session) {
-            EXPECT_TRUE(client.close(fh).ok());
-          } else if (commit || mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-        }
-        barrier.arrive(r);
-        const bool read_this_round =
-            is_reader &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k + 1) % 8 != 0);
-        if (read_this_round) {
-          const int target =
-              spec.contended
-                  ? 0
-                  : static_cast<int>(
-                        (spec.randomized
-                             ? Hash3(spec.salt, 977 + r, k)
-                             : static_cast<std::uint64_t>(r) + 1 + k) %
-                        writers);
-          if (session) fh = *client.open("/shared");
-          if (mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-          Bytes out(kLen);
-          auto n = client.read(
-              fh, static_cast<std::uint64_t>(target) * kSlot, out);
-          EXPECT_TRUE(n.ok());
-          if (session) client.close(fh);
-        }
-        barrier.arrive(r);
-      }
-      if (!session && fh >= 0) client.close(fh);
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-std::vector<obs::AnalysisEvent> RecordWorkload(const WorkloadSpec& spec) {
-  obs::Tracer tracer;
-  RunWorkload(spec, &tracer);
-  return obs::CollectEvents(tracer);
-}
 
 /// Indices of consist write/read op spans in `events`.
 void OpIndices(const std::vector<obs::AnalysisEvent>& events,

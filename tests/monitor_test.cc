@@ -1,19 +1,22 @@
-// Tests for the online monitoring layer: the incremental consistency
-// monitor's first-violation parity with the batch checker (clean traces,
-// every mutation injector, live subscription vs replay), the bounded
-// retained-state guarantee, the cap-vs-subscriber regression (a capped
-// tracer still feeds sinks the full stream), and the rpc_req causal
-// breakdown identity with its zero-observer-effect gate.
+// Tests for the online monitoring layer: the consistency checker's
+// first-violation parity with the brute-force reference in
+// consist_testing.h (clean traces, every mutation injector), live
+// subscription vs replay, the bounded retained-state guarantee, the
+// cap-vs-subscriber regression (a capped tracer still feeds sinks the
+// full stream), and the rpc_req causal breakdown identity with its
+// zero-observer-effect gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "consist_testing.h"
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
 #include "pdsi/consist/checker.h"
@@ -30,121 +33,6 @@
 namespace pdsi::consist {
 namespace {
 
-constexpr std::uint64_t kSlot = 64 * KiB;  // one extent-lock unit per rank
-constexpr std::uint64_t kLen = 4 * KiB;    // record length within a slot
-
-std::uint64_t Mix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t Hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  return Mix64(Mix64(Mix64(a) ^ b) ^ c);
-}
-
-struct WorkloadSpec {
-  ConsistencyModel model = ConsistencyModel::posix;
-  int ranks = 3;
-  int rounds = 3;
-  bool contended = false;
-  bool split_roles = false;
-  bool randomized = false;
-  std::uint64_t salt = 1;
-};
-
-/// The consist_test phase-disciplined workload (same schedule, same
-/// content tags), so monitor parity is tested on the same traces the
-/// batch checker's own suite pins.
-void RunWorkload(const WorkloadSpec& spec, obs::Tracer* tracer) {
-  obs::Context ctx;
-  ctx.tracer = tracer;
-  pfs::PfsConfig cfg = pfs::PfsConfig::PanFsLike(2);
-  cfg.consistency = spec.model;
-  cfg.record_consist_ops = true;
-  if (spec.contended) cfg.locking = pfs::LockProtocol::whole_file;
-  sim::VirtualScheduler sched(spec.ranks);
-  pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  std::vector<std::size_t> ids;
-  for (int r = 0; r < spec.ranks; ++r) ids.push_back(r);
-  sim::VirtualBarrier barrier(sched, ids);
-
-  const bool session = spec.model == ConsistencyModel::session;
-  const bool commit = spec.model == ConsistencyModel::commit;
-  const bool mpiio = spec.model == ConsistencyModel::mpiio;
-  const int writers = spec.split_roles ? (spec.ranks + 1) / 2 : spec.ranks;
-
-  std::vector<std::thread> threads;
-  for (int r = 0; r < spec.ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      const bool is_writer = r < writers;
-      const bool is_reader = !spec.split_roles || r >= writers;
-      pfs::FileHandle fh = -1;
-      if (r == 0) {
-        fh = *client.create("/shared");
-        if (session) client.close(fh);
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        if (!session) fh = *client.open("/shared");
-      }
-      for (int k = 0; k < spec.rounds; ++k) {
-        const bool write_this_round =
-            is_writer &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k) % 4 != 0);
-        if (write_this_round) {
-          if (session) fh = *client.open("/shared");
-          const std::uint64_t off =
-              spec.contended ? 0 : static_cast<std::uint64_t>(r) * kSlot;
-          const auto tag = static_cast<std::uint32_t>(
-              spec.salt * 1000003 + static_cast<std::uint64_t>(k) * 131 + r);
-          EXPECT_TRUE(client.write(fh, off, MakePattern(tag, off, kLen)).ok());
-          if (session) {
-            EXPECT_TRUE(client.close(fh).ok());
-          } else if (commit || mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-        }
-        barrier.arrive(r);
-        const bool read_this_round =
-            is_reader &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k + 1) % 8 != 0);
-        if (read_this_round) {
-          const int target =
-              spec.contended
-                  ? 0
-                  : static_cast<int>(
-                        (spec.randomized
-                             ? Hash3(spec.salt, 977 + r, k)
-                             : static_cast<std::uint64_t>(r) + 1 + k) %
-                        writers);
-          if (session) fh = *client.open("/shared");
-          if (mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-          Bytes out(kLen);
-          auto n = client.read(
-              fh, static_cast<std::uint64_t>(target) * kSlot, out);
-          EXPECT_TRUE(n.ok());
-          if (session) client.close(fh);
-        }
-        barrier.arrive(r);
-      }
-      if (!session && fh >= 0) client.close(fh);
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
-}
-
-std::vector<obs::AnalysisEvent> RecordWorkload(const WorkloadSpec& spec) {
-  obs::Tracer tracer;
-  RunWorkload(spec, &tracer);
-  return obs::CollectEvents(tracer);
-}
-
 /// Replays `events` through a fresh monitor and returns it.
 ConsistencyMonitor Monitor(const std::vector<obs::AnalysisEvent>& events,
                            ConsistencyModel model) {
@@ -153,30 +41,29 @@ ConsistencyMonitor Monitor(const std::vector<obs::AnalysisEvent>& events,
   return mon;
 }
 
-/// Batch and online verdicts must agree: same cleanliness and, on a
-/// violation, the same kind and op pair (the parity contract — stats
-/// past the first violation may legitimately differ).
+/// The checker and the reference must agree: same cleanliness and, on a
+/// violation, the same kind, op pair and detail.
 void ExpectParity(const std::vector<obs::AnalysisEvent>& events,
                   ConsistencyModel model, const char* label,
                   std::uint64_t seed) {
-  const CheckResult batch = CheckConsistency(events, model);
-  const ConsistencyMonitor mon = Monitor(events, model);
-  ASSERT_EQ(mon.clean(), batch.clean)
+  const CheckResult ref = ReferenceCheck(events, model);
+  const CheckResult got = CheckConsistency(events, model);
+  ASSERT_EQ(got.clean, ref.clean)
       << label << " seed=" << seed
-      << " batch=" << (batch.clean ? "clean" : FormatViolation(batch.first, events))
-      << " online=" << (mon.clean() ? "clean" : FormatViolation(mon.first(), events));
-  if (!batch.clean) {
-    EXPECT_EQ(mon.first().kind, batch.first.kind)
+      << " reference=" << (ref.clean ? "clean" : FormatViolation(ref.first, events))
+      << " checker=" << (got.clean ? "clean" : FormatViolation(got.first, events));
+  if (!ref.clean) {
+    EXPECT_EQ(got.first.kind, ref.first.kind)
         << label << " seed=" << seed << ": "
-        << FormatViolation(mon.first(), events) << " vs batch "
-        << FormatViolation(batch.first, events);
-    EXPECT_EQ(mon.first().op_a, batch.first.op_a)
+        << FormatViolation(got.first, events) << " vs reference "
+        << FormatViolation(ref.first, events);
+    EXPECT_EQ(got.first.op_a, ref.first.op_a)
         << label << " seed=" << seed << ": "
-        << FormatViolation(mon.first(), events);
-    EXPECT_EQ(mon.first().op_b, batch.first.op_b)
+        << FormatViolation(got.first, events);
+    EXPECT_EQ(got.first.op_b, ref.first.op_b)
         << label << " seed=" << seed << ": "
-        << FormatViolation(mon.first(), events);
-    EXPECT_EQ(mon.first().detail, batch.first.detail)
+        << FormatViolation(got.first, events);
+    EXPECT_EQ(got.first.detail, ref.first.detail)
         << label << " seed=" << seed;
   }
 }
@@ -188,18 +75,17 @@ TEST(ConsistMonitor, CleanTracesAgreeWithBatchUnderEveryModel) {
     spec.ranks = 4;
     spec.rounds = 3;
     auto events = RecordWorkload(spec);
-    const CheckResult batch = CheckConsistency(events, m);
-    const ConsistencyMonitor mon = Monitor(events, m);
-    EXPECT_TRUE(batch.clean) << ConsistencyModelName(m);
-    EXPECT_TRUE(mon.clean())
-        << ConsistencyModelName(m) << ": "
-        << FormatViolation(mon.first(), events);
+    const CheckResult ref = ReferenceCheck(events, m);
+    const CheckResult got = CheckConsistency(events, m);
+    EXPECT_TRUE(ref.clean) << ConsistencyModelName(m);
+    EXPECT_TRUE(got.clean)
+        << ConsistencyModelName(m) << ": " << FormatViolation(got.first, events);
     // On clean traces the per-read classification counters agree too.
-    EXPECT_EQ(mon.stats().writes, batch.stats.writes) << ConsistencyModelName(m);
-    EXPECT_EQ(mon.stats().reads, batch.stats.reads) << ConsistencyModelName(m);
-    EXPECT_EQ(mon.stats().content_checks, batch.stats.content_checks)
+    EXPECT_EQ(got.stats.writes, ref.stats.writes) << ConsistencyModelName(m);
+    EXPECT_EQ(got.stats.reads, ref.stats.reads) << ConsistencyModelName(m);
+    EXPECT_EQ(got.stats.content_checks, ref.stats.content_checks)
         << ConsistencyModelName(m);
-    EXPECT_EQ(mon.stats().composite_skips, batch.stats.composite_skips)
+    EXPECT_EQ(got.stats.composite_skips, ref.stats.composite_skips)
         << ConsistencyModelName(m);
   }
 }
@@ -273,6 +159,77 @@ TEST(ConsistMonitor, OverlapConflictingWritesParity) {
     auto p = OverlapConflictingWrites(&events, seed);
     ASSERT_TRUE(p.applied) << seed;
     ExpectParity(events, ConsistencyModel::posix, "overlap", seed);
+  }
+}
+
+/// A random consist trace on one file and one byte interval: three
+/// clients, each a sequence of ten actions (write, read, or an open,
+/// close, sync or pub edge) with random durations and gaps. Every write
+/// has its own fingerprint; a read returns the hole, garbage, or one of
+/// the three newest writes that started before it.
+std::vector<obs::AnalysisEvent> SyntheticTrace(std::uint64_t seed) {
+  static const char* const kNames[] = {"write", "read",  "open",
+                                       "close", "sync", "pub"};
+  constexpr double kMs = 1e-3;
+  std::mt19937_64 rng(seed);
+  std::vector<obs::AnalysisEvent> events;
+  for (int c = 0; c < 3; ++c) {
+    double t = static_cast<double>(rng() % 5) * kMs;
+    for (int k = 0; k < 10; ++k) {
+      obs::AnalysisEvent e;
+      e.ts = t;
+      e.track = "rank" + std::to_string(c);
+      e.cat = "consist";
+      e.name = kNames[rng() % 6];
+      e.args = {{"file", 1.0}};
+      if (e.name == "write" || e.name == "read") {
+        e.dur = static_cast<double>(1 + rng() % 4) * kMs;
+        e.args.insert(e.args.end(), {{"off", 0.0},
+                                     {"len", static_cast<double>(kLen)},
+                                     {"fp", 0.0}});
+        t += e.dur;
+      }
+      events.push_back(std::move(e));
+      t += static_cast<double>(rng() % 4) * kMs;
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const obs::AnalysisEvent& a, const obs::AnalysisEvent& b) {
+                     return a.ts != b.ts ? a.ts < b.ts : a.track < b.track;
+                   });
+  std::vector<double> written;  // write fingerprints in event order
+  for (obs::AnalysisEvent& e : events) {
+    if (!e.is_span()) continue;
+    double& fp = e.args.back().second;
+    if (e.name == "write") {
+      fp = 1000.0 + static_cast<double>(written.size());
+      written.push_back(fp);
+      continue;
+    }
+    const std::uint64_t pick = rng() % 5;
+    if (pick == 0 || written.empty()) {
+      fp = static_cast<double>(ZeroFingerprint(kLen));
+    } else if (pick == 1) {
+      fp = 7.0;
+    } else {
+      fp = written[written.size() - 1 - rng() % std::min<std::size_t>(written.size(), 3)];
+    }
+  }
+  return events;
+}
+
+// Synthetic traces reach schedules the recorded workloads never do:
+// clients that read without reopening or syncing, writers reading back
+// their own writes, reads racing writes, reads of the hole or of
+// garbage. One interval means no read mixes intervals, and a read only
+// returns a write that started before it, so the streaming verdict is
+// the whole-trace one.
+TEST(ConsistMonitor, SyntheticTracesAgreeWithReference) {
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    const auto events = SyntheticTrace(seed);
+    for (ConsistencyModel m : kAllConsistencyModels) {
+      ExpectParity(events, m, ConsistencyModelName(m).data(), seed);
+    }
   }
 }
 

@@ -568,6 +568,57 @@ TEST(PlfsCore, DegradedShortReadKeepsPrefix) {
   EXPECT_EQ((*rd)->read_errors(), 1u);
 }
 
+// A crash mid-append can leave a partial record at the tail of an index
+// dropping. The whole records before it are durable and stay readable in
+// both modes; the torn dropping counts as one read error, so FlattenIndex
+// still refuses to freeze the container.
+TEST(PlfsCore, TornIndexTailKeepsWholeRecords) {
+  auto backend = MakeMemBackend();
+  Options o;
+  o.num_hostdirs = 1;
+  o.index_compression = false;  // one index record per write
+  constexpr std::uint32_t kRecords = 4;
+  constexpr std::uint64_t kLen = 64;
+  for (std::uint32_t rank : {0u, 1u}) {
+    WriteClock clock{0};
+    auto w = Writer::Open(*backend, "/f", rank, o, clock);
+    ASSERT_TRUE(w.ok());
+    for (std::uint32_t k = 0; k < kRecords; ++k) {
+      const std::uint64_t off = (rank * kRecords + k) * kLen;
+      ASSERT_TRUE((*w)->write(off, MakePattern(rank, off, kLen)).ok());
+    }
+    ASSERT_TRUE((*w)->close().ok());
+  }
+  const std::string index1 = "/f/hostdir.0/index.1";
+  {
+    auto size = backend->stat_size(index1);
+    ASSERT_TRUE(size.ok());
+    ASSERT_EQ(*size, kRecords * kRawEntrySize);
+    auto h = backend->open(index1);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(backend->write(*h, *size, Bytes(7, 0xab)).ok());
+    backend->close(*h);
+  }
+
+  for (bool degraded : {false, true}) {
+    Options ro = o;
+    ro.degraded_reads = degraded;
+    auto r = Reader::Open(*backend, "/f", ro);
+    ASSERT_TRUE(r.ok()) << "degraded=" << degraded;
+    EXPECT_EQ((*r)->read_errors(), 1u) << "degraded=" << degraded;
+    std::uint32_t intact = 0;
+    for (std::uint32_t k = 0; k < kRecords; ++k) {
+      const std::uint64_t off = (kRecords + k) * kLen;
+      Bytes buf(kLen);
+      auto n = (*r)->read(off, buf);
+      ASSERT_TRUE(n.ok()) << "degraded=" << degraded;
+      intact += *n == kLen && FindPatternMismatch(1, off, buf) == kNoMismatch;
+    }
+    EXPECT_EQ(intact, kRecords) << "rank 1 records, degraded=" << degraded;
+  }
+  EXPECT_EQ(FlattenIndex(*backend, "/f", o).error(), Errc::io_error);
+}
+
 // Delegating backend that fails selected operations on demand — reaches
 // writer error paths MemBackend alone cannot.
 class FailingBackend : public Backend {

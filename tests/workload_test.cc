@@ -151,6 +151,26 @@ TEST(TraceCapture, EventsCoverAllWrites) {
                              }));
 }
 
+// PLFS creates its droppings through the MDS; until a directory splits,
+// shard 0 mints every file id, and round-robin placement starts each file
+// at id mod num_oss. Shard ids that all fall in one residue class would
+// put every dropping on one OSS and make the sharded run several times
+// slower than the single MDS.
+TEST(PlfsShardedMds, FlashCheckpointOnEightShardsIsNoSlower) {
+  CheckpointSpec spec;
+  for (const AppModel& app : PaperApps(64)) {
+    if (app.name == "FLASH-io") spec = app.spec;
+  }
+  ASSERT_EQ(spec.ranks, 64u);
+  auto cfg = pfs::PfsConfig::PanFsLike(8);
+  const auto one = RunPlfsCheckpoint(cfg, spec);
+  cfg.num_mds_shards = 8;
+  const auto eight = RunPlfsCheckpoint(cfg, spec);
+  EXPECT_EQ(eight.bytes, one.bytes);
+  EXPECT_LE(eight.seconds, one.seconds)
+      << "1 shard " << one.seconds << " s, 8 shards " << eight.seconds << " s";
+}
+
 void ExpectSameTrace(const WriteTrace& a, const WriteTrace& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
