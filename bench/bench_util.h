@@ -3,7 +3,9 @@
 // straight into EXPERIMENTS.md.
 #pragma once
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -25,6 +27,42 @@ inline void Header(const std::string& experiment, const std::string& paper_claim
 }
 
 inline void Note(const std::string& text) { std::cout << "note: " << text << "\n"; }
+
+/// Keeps `value`, and the work that produced it, from being optimised
+/// away inside a timing loop.
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// Host-time loop for the micro_* benches: calls `body()` in doubling
+/// batches until 0.25 s of wall time have passed, then prints one row with
+/// the calls made, ns per call and, when one call handles `items` > 1
+/// items, ns per item. Host timings vary between runs and machines;
+/// nothing gates them.
+template <typename Body>
+void TimeLoop(const std::string& name, Body&& body, std::uint64_t items = 1) {
+  using Clock = std::chrono::steady_clock;
+  constexpr double kMinSeconds = 0.25;
+  std::uint64_t calls = 0;
+  double seconds = 0.0;
+  const auto start = Clock::now();
+  for (std::uint64_t batch = 1; seconds < kMinSeconds; batch *= 2) {
+    for (std::uint64_t i = 0; i < batch; ++i) body();
+    calls += batch;
+    seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  }
+  const double ns = seconds * 1e9 / static_cast<double>(calls);
+  char cell[128];
+  std::snprintf(cell, sizeof cell, "%-40s %12llu calls %12.1f ns/call", name.c_str(),
+                static_cast<unsigned long long>(calls), ns);
+  std::cout << cell;
+  if (items > 1) {
+    std::snprintf(cell, sizeof cell, " %10.2f ns/item", ns / static_cast<double>(items));
+    std::cout << cell;
+  }
+  std::cout << "\n";
+}
 
 /// Machine-readable mirror of the table output: each emit() prints one
 /// line of the form

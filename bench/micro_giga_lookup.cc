@@ -1,44 +1,38 @@
 // Microbenchmarks: GIGA+ client addressing — the per-operation cost every
 // file create/lookup pays (hashing the name, walking the bitmap).
-#include <benchmark/benchmark.h>
+#include <string>
 
+#include "bench_util.h"
 #include "pdsi/giga/giga.h"
 
 using namespace pdsi::giga;
+using pdsi::bench::DoNotOptimize;
+using pdsi::bench::TimeLoop;
 
-namespace {
-
-void BM_HashName(benchmark::State& state) {
+int main() {
   std::uint64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HashName("checkpoint.file." + std::to_string(i++)));
-  }
-}
-BENCHMARK(BM_HashName);
+  TimeLoop("HashName", [&] {
+    DoNotOptimize(HashName("checkpoint.file." + std::to_string(i++)));
+  });
 
-void BM_BitmapPartitionFor(benchmark::State& state) {
   // A directory grown to `partitions` via in-order splits.
-  const std::uint32_t partitions = static_cast<std::uint32_t>(state.range(0));
-  Bitmap b;
-  for (std::uint32_t p = 1; p < partitions; ++p) b.set(p);
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (auto _ : state) {
-    h ^= h >> 33;
-    h *= 0xff51afd7ed558ccdULL;
-    benchmark::DoNotOptimize(b.partition_for(h));
+  for (std::uint32_t partitions : {8u, 64u, 1024u, 65536u}) {
+    Bitmap b;
+    for (std::uint32_t p = 1; p < partitions; ++p) b.set(p);
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    TimeLoop("BitmapPartitionFor/" + std::to_string(partitions), [&] {
+      h ^= h >> 33;
+      h *= 0xff51afd7ed558ccdULL;
+      DoNotOptimize(b.partition_for(h));
+    });
   }
-}
-BENCHMARK(BM_BitmapPartitionFor)->Arg(8)->Arg(64)->Arg(1024)->Arg(65536);
 
-void BM_BitmapMerge(benchmark::State& state) {
   Bitmap big;
   for (std::uint32_t p = 0; p < 4096; p += 3) big.set(p);
-  for (auto _ : state) {
+  TimeLoop("BitmapMerge", [&] {
     Bitmap fresh;
     fresh.merge(big);
-    benchmark::DoNotOptimize(fresh.highest());
-  }
+    DoNotOptimize(fresh.highest());
+  });
+  return 0;
 }
-BENCHMARK(BM_BitmapMerge);
-
-}  // namespace

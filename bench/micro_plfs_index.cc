@@ -1,12 +1,16 @@
-// Microbenchmarks (google-benchmark): PLFS index hot paths — global-index
-// construction, logical-range lookup, pattern compression and record
-// serialisation. The SC09 follow-up work motivates these: index handling
-// dominates PLFS restart at scale.
-#include <benchmark/benchmark.h>
+// Microbenchmarks: PLFS index hot paths — global-index construction,
+// logical-range lookup, pattern compression and record serialisation. The
+// SC09 follow-up work motivates these: index handling dominates PLFS
+// restart at scale.
+#include <string>
+#include <vector>
 
+#include "bench_util.h"
 #include "pdsi/plfs/index.h"
 
 using namespace pdsi::plfs;
+using pdsi::bench::DoNotOptimize;
+using pdsi::bench::TimeLoop;
 
 namespace {
 
@@ -21,58 +25,52 @@ IndexEntry StridedEntry(std::uint64_t k, std::uint32_t ranks, std::uint64_t reco
   return e;
 }
 
-void BM_GlobalIndexInsertStrided(benchmark::State& state) {
-  const std::uint64_t entries = state.range(0);
-  for (auto _ : state) {
-    GlobalIndex g;
-    for (std::uint64_t k = 0; k < entries; ++k) {
-      g.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
-    }
-    benchmark::DoNotOptimize(g.size());
-  }
-  state.SetItemsProcessed(state.iterations() * entries);
-}
-BENCHMARK(BM_GlobalIndexInsertStrided)->Range(1 << 10, 1 << 16);
+}  // namespace
 
-void BM_GlobalIndexLookup(benchmark::State& state) {
+int main() {
+  for (std::uint64_t entries : {1u << 10, 1u << 13, 1u << 16}) {
+    TimeLoop(
+        "GlobalIndexInsertStrided/" + std::to_string(entries),
+        [&] {
+          GlobalIndex g;
+          for (std::uint64_t k = 0; k < entries; ++k) {
+            g.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
+          }
+          DoNotOptimize(g.size());
+        },
+        entries);
+  }
+
   GlobalIndex g;
-  const std::uint64_t entries = 1 << 16;
-  for (std::uint64_t k = 0; k < entries; ++k) {
+  for (std::uint64_t k = 0; k < (1 << 16); ++k) {
     g.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
   }
   std::uint64_t pos = 0;
-  for (auto _ : state) {
+  TimeLoop("GlobalIndexLookup", [&] {
     pos = (pos + 2654435761ULL) % (g.size() - 256 * 1024);
-    benchmark::DoNotOptimize(g.lookup(pos, 256 * 1024));
-  }
-}
-BENCHMARK(BM_GlobalIndexLookup);
+    DoNotOptimize(g.lookup(pos, 256 * 1024));
+  });
 
-void BM_PatternCompressor(benchmark::State& state) {
-  const bool enabled = state.range(0) != 0;
-  for (auto _ : state) {
-    PatternCompressor c(enabled);
-    for (std::uint64_t k = 0; k < 4096; ++k) {
-      c.add(StridedEntry(k, 8, 47 * 1024, 3));
-    }
-    c.finish();
-    benchmark::DoNotOptimize(c.take());
+  for (bool enabled : {false, true}) {
+    TimeLoop(
+        std::string("PatternCompressor/") + (enabled ? "1" : "0"),
+        [&] {
+          PatternCompressor c(enabled);
+          for (std::uint64_t k = 0; k < 4096; ++k) c.add(StridedEntry(k, 8, 47 * 1024, 3));
+          c.finish();
+          DoNotOptimize(c.take());
+        },
+        4096);
   }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_PatternCompressor)->Arg(0)->Arg(1);
 
-void BM_SerializeEntries(benchmark::State& state) {
-  std::vector<IndexEntry> entries;
-  for (std::uint64_t k = 0; k < 4096; ++k) {
-    entries.push_back(StridedEntry(k, 8, 47 * 1024, 1));
-  }
-  for (auto _ : state) {
-    auto raw = SerializeEntries(entries);
-    benchmark::DoNotOptimize(DeserializeEntries(raw));
-  }
-  state.SetBytesProcessed(state.iterations() * 4096 * kRawEntrySize);
+  std::vector<IndexEntry> records;
+  for (std::uint64_t k = 0; k < 4096; ++k) records.push_back(StridedEntry(k, 8, 47 * 1024, 1));
+  TimeLoop(
+      "SerializeEntries",
+      [&] {
+        auto raw = SerializeEntries(records);
+        DoNotOptimize(DeserializeEntries(raw));
+      },
+      records.size());
+  return 0;
 }
-BENCHMARK(BM_SerializeEntries);
-
-}  // namespace

@@ -2,14 +2,11 @@
 // on the hot path of every simulated I/O, so their cost bounds how large
 // a simulated system the harness can afford.
 //
-// Two outputs: google-benchmark wall-clock timings (how expensive the
-// models are to evaluate) and BENCH_ JSON lines holding the models'
-// *virtual-time* answers for a fixed op sequence — those are
-// deterministic, so bench_diff can gate them byte-for-byte in CI.
-// `--models-only` emits just the JSON (the CI mode); any other arguments
-// are handed to google-benchmark.
-#include <benchmark/benchmark.h>
-
+// Two outputs: BENCH_ JSON lines holding the models' *virtual-time*
+// answers for a fixed op sequence — those are deterministic, so bench_diff
+// can gate them byte-for-byte in CI — and host-time rows (how expensive
+// the models are to evaluate). `--models-only` emits just the JSON (the CI
+// mode).
 #include <cstring>
 #include <iostream>
 
@@ -19,56 +16,47 @@
 
 using namespace pdsi;
 using namespace pdsi::storage;
+using bench::DoNotOptimize;
+using bench::TimeLoop;
 
 namespace {
 
-void BM_DiskAccessSequential(benchmark::State& state) {
-  DiskModel d(ReferenceSataDisk());
-  std::uint64_t off = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(d.access(1, off, 65536));
-    off += 65536;
-  }
-}
-BENCHMARK(BM_DiskAccessSequential);
+void TimeModels() {
+  DiskModel seq(ReferenceSataDisk());
+  std::uint64_t seq_off = 0;
+  TimeLoop("DiskAccessSequential", [&] {
+    DoNotOptimize(seq.access(1, seq_off, 65536));
+    seq_off += 65536;
+  });
 
-void BM_DiskAccessRandom(benchmark::State& state) {
-  DiskModel d(ReferenceSataDisk());
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(d.access(1, rng.below(1ull << 38), 4096));
-  }
-}
-BENCHMARK(BM_DiskAccessRandom);
+  DiskModel rnd(ReferenceSataDisk());
+  Rng disk_rng(1);
+  TimeLoop("DiskAccessRandom", [&] {
+    DoNotOptimize(rnd.access(1, disk_rng.below(1ull << 38), 4096));
+  });
 
-void BM_SsdSequentialWrite(benchmark::State& state) {
-  SsdParams p = FlashDevice("fusionio-iodrive-duo");
-  p.capacity_bytes = 256ull << 20;
-  SsdModel ssd(p);
-  std::uint64_t off = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ssd.write(off % (p.capacity_bytes - 65536), 65536));
-    off += 65536;
-  }
-  state.SetBytesProcessed(state.iterations() * 65536);
-}
-BENCHMARK(BM_SsdSequentialWrite);
+  SsdParams sp = FlashDevice("fusionio-iodrive-duo");
+  sp.capacity_bytes = 256ull << 20;
+  SsdModel ssd_seq(sp);
+  std::uint64_t ssd_off = 0;
+  TimeLoop("SsdSequentialWrite", [&] {
+    DoNotOptimize(ssd_seq.write(ssd_off % (sp.capacity_bytes - 65536), 65536));
+    ssd_off += 65536;
+  });
 
-void BM_SsdRandomWriteSteadyState(benchmark::State& state) {
-  SsdParams p = FlashDevice("fusionio-iodrive-duo");
-  p.capacity_bytes = 64ull << 20;
-  SsdModel ssd(p);
-  Rng rng(2);
-  const std::uint64_t pages = p.capacity_bytes / 4096;
+  SsdParams rp = FlashDevice("fusionio-iodrive-duo");
+  rp.capacity_bytes = 64ull << 20;
+  SsdModel ssd_rand(rp);
+  Rng ssd_rng(2);
+  const std::uint64_t pages = rp.capacity_bytes / 4096;
   // Pre-fill so GC is active during measurement.
   for (std::uint64_t i = 0; i < pages * 2; ++i) {
-    ssd.write(rng.below(pages) * 4096, 4096);
+    ssd_rand.write(ssd_rng.below(pages) * 4096, 4096);
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ssd.write(rng.below(pages) * 4096, 4096));
-  }
+  TimeLoop("SsdRandomWriteSteadyState", [&] {
+    DoNotOptimize(ssd_rand.write(ssd_rng.below(pages) * 4096, 4096));
+  });
 }
-BENCHMARK(BM_SsdRandomWriteSteadyState);
 
 /// Fixed op sequences through each model; the summed service times are
 /// pure functions of the parameters, so the emitted row is byte-stable.
@@ -127,10 +115,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--models-only") == 0) models_only = true;
   }
   EmitModelAnswers();
-  if (models_only) return 0;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  if (!models_only) TimeModels();
   return 0;
 }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace pdsi::sim {
 
 VirtualScheduler::VirtualScheduler(std::size_t num_actors)
-    : times_(num_actors, 0.0), active_(num_actors, true), active_count_(num_actors) {
+    : times_(num_actors, 0.0), wake_(num_actors) {
   if (num_actors == 0) throw std::invalid_argument("scheduler needs >= 1 actor");
+  for (std::size_t a = 0; a < num_actors; ++a) ready_.emplace_hint(ready_.end(), 0.0, a);
 }
 
 double VirtualScheduler::now(std::size_t actor) const {
@@ -18,32 +20,35 @@ double VirtualScheduler::now(std::size_t actor) const {
 
 double VirtualScheduler::global_now() const {
   std::lock_guard<std::mutex> lk(mu_);
-  double t = kTimeInfinity;
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (active_[i]) t = std::min(t, times_[i]);
-  }
-  return t == kTimeInfinity ? 0.0 : t;
+  return ready_.empty() ? 0.0 : ready_.begin()->first;
 }
 
-bool VirtualScheduler::is_min_locked(std::size_t actor) const {
-  const double t = times_[actor];
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    if (!active_[i] || i == actor) continue;
-    if (times_[i] < t || (times_[i] == t && i < actor)) return false;
+void VirtualScheduler::wait_turn_locked(std::unique_lock<std::mutex>& lk,
+                                        std::size_t actor, const char* what) {
+  if (actor >= times_.size() || !ready_.contains({times_[actor], actor})) {
+    throw std::logic_error("VirtualScheduler: finished or unknown actor " +
+                           std::to_string(actor) + " " + what);
   }
-  return true;
+  wake_[actor].wait(lk, [&] { return ready_.begin()->second == actor; });
+}
+
+void VirtualScheduler::wake_first_locked() {
+  if (!ready_.empty()) wake_[ready_.begin()->second].notify_one();
 }
 
 void VirtualScheduler::atomically(std::size_t actor,
                                   const std::function<double(double)>& fn) {
   std::unique_lock<std::mutex> lk(mu_);
-  assert(active_[actor] && "finished actor issued a simulated operation");
-  cv_.wait(lk, [&] { return is_min_locked(actor); });
+  wait_turn_locked(lk, actor, "issued a simulated operation");
   const double now = times_[actor];
   const double next = fn(now);
   assert(next >= now && "virtual time must not go backwards");
   times_[actor] = next;
-  cv_.notify_all();
+  // Re-key the actor's own node, so an admission never allocates.
+  auto node = ready_.extract(ready_.begin());
+  node.value().first = next;
+  ready_.insert(std::move(node));
+  if (ready_.begin()->second != actor) wake_first_locked();
 }
 
 void VirtualScheduler::advance(std::size_t actor, double dt) {
@@ -53,16 +58,16 @@ void VirtualScheduler::advance(std::size_t actor, double dt) {
 
 void VirtualScheduler::finish(std::size_t actor) {
   std::lock_guard<std::mutex> lk(mu_);
-  if (active_[actor]) {
-    active_[actor] = false;
-    --active_count_;
-    cv_.notify_all();
-  }
+  const auto it = ready_.find({times_[actor], actor});
+  if (it == ready_.end()) return;
+  const bool was_first = it == ready_.begin();
+  ready_.erase(it);
+  if (was_first) wake_first_locked();
 }
 
 bool VirtualScheduler::all_finished() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return active_count_ == 0;
+  return ready_.empty();
 }
 
 VirtualBarrier::VirtualBarrier(VirtualScheduler& sched,
@@ -75,31 +80,33 @@ double VirtualBarrier::arrive(std::size_t actor) {
   std::unique_lock<std::mutex> lk(sched_.mu_);
   assert(std::find(participants_.begin(), participants_.end(), actor) !=
          participants_.end());
-  // Park: remove from min-calculation so non-participants keep moving.
-  sched_.active_[actor] = false;
-  --sched_.active_count_;
-  // Parking may unblock another actor's min-check; wake waiters.
-  sched_.cv_.notify_all();
+  // Arrive at this actor's (time, id) turn. Otherwise the last arrival
+  // could complete the barrier before or after an equal-time actor's
+  // admission depending on thread timing, and resumed participants with
+  // smaller ids would be ordered against it nondeterministically.
+  sched_.wait_turn_locked(lk, actor, "arrived at a barrier");
+  sched_.ready_.erase(sched_.ready_.begin());
   max_time_ = std::max(max_time_, sched_.times_[actor]);
-  ++arrived_;
-  const std::uint64_t my_generation = generation_;
-  if (arrived_ == participants_.size()) {
-    // Last arriver completes the barrier atomically: everyone resumes at
-    // the maximum arrival time.
-    for (std::size_t p : participants_) {
-      sched_.times_[p] = max_time_;
-      sched_.active_[p] = true;
-      ++sched_.active_count_;
-    }
-    arrived_ = 0;
-    const double synced = max_time_;
-    max_time_ = 0.0;
-    ++generation_;
-    sched_.cv_.notify_all();
-    return synced;
+  if (++arrived_ < participants_.size()) {
+    // Park: out of the ready set, so non-participants keep moving.
+    sched_.wake_first_locked();
+    const std::uint64_t my_generation = generation_;
+    sched_.wake_[actor].wait(lk, [&] { return generation_ != my_generation; });
+    return sched_.times_[actor];
   }
-  sched_.cv_.wait(lk, [&] { return generation_ != my_generation; });
-  return sched_.times_[actor];
+  // Last arriver completes the barrier atomically: everyone resumes at
+  // the maximum arrival time.
+  const double synced = max_time_;
+  for (std::size_t p : participants_) {
+    sched_.times_[p] = synced;
+    sched_.ready_.emplace(synced, p);
+    if (p != actor) sched_.wake_[p].notify_one();
+  }
+  arrived_ = 0;
+  max_time_ = 0.0;
+  ++generation_;
+  if (sched_.ready_.begin()->second != actor) sched_.wake_first_locked();
+  return synced;
 }
 
 }  // namespace pdsi::sim

@@ -13,13 +13,30 @@
 // exact, reproducible conservative discrete-event execution: re-running
 // with the same seeds produces byte-identical results regardless of OS
 // thread scheduling.
+//
+// Wake-the-min hand-off. The active actors sit in one ordered *ready set*
+// of (time, id) keys; an actor runs only when it is the set's first
+// element. Each actor sleeps on its own condition variable, and every
+// change to the set (an admission, a finish, a barrier arrival) wakes
+// exactly the actor that became first, if any, instead of every waiter.
+// An admitted actor that is still first after moving its clock runs on
+// without a wake-up. Admission costs O(log N) and about one thread switch
+// when the turn passes to another actor.
+//
+// No simulated operation may follow finish(): a finished actor is no
+// longer in the ready set, so atomically() and VirtualBarrier::arrive()
+// throw std::logic_error for it (in every build type) instead of waiting
+// for a turn that never comes.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <set>
+#include <utility>
 #include <vector>
 
 namespace pdsi::sim {
@@ -41,14 +58,15 @@ class VirtualScheduler {
   /// Blocks until `actor` is the (time, id)-minimum, then runs `fn(now)`
   /// under the scheduler lock. `fn` returns the actor's new absolute time,
   /// which must be >= now. Shared simulation state (resources, lock
-  /// tables) must only be touched inside such sections.
+  /// tables) must only be touched inside such sections. Throws
+  /// std::logic_error when `actor` is finished or out of range.
   void atomically(std::size_t actor, const std::function<double(double)>& fn);
 
   /// Convenience: advance the actor's clock by dt (>= 0).
   void advance(std::size_t actor, double dt);
 
-  /// Marks the actor finished; it no longer gates other actors.
-  /// Idempotent.
+  /// Marks the actor finished; it no longer gates other actors and may
+  /// issue no further simulated operation. Idempotent.
   void finish(std::size_t actor);
 
   /// True once every actor has finished.
@@ -56,26 +74,34 @@ class VirtualScheduler {
 
  private:
   friend class VirtualBarrier;
+  using Key = std::pair<double, std::size_t>;  // (virtual time, actor id)
 
-  bool is_min_locked(std::size_t actor) const;
+  /// Blocks until `actor` is the first ready key; throws std::logic_error
+  /// (naming `what`) when it is not in the ready set at all.
+  void wait_turn_locked(std::unique_lock<std::mutex>& lk, std::size_t actor,
+                        const char* what);
+  /// Notifies the actor holding the first ready key, if any.
+  void wake_first_locked();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::vector<double> times_;
-  std::vector<bool> active_;
-  std::size_t active_count_;
+  std::set<Key> ready_;  ///< active actors, first = next to run
+  std::vector<std::condition_variable> wake_;  ///< one per actor
 };
 
 /// Synchronises a fixed set of participants: every arriver blocks until
 /// all have arrived, then all resume with their clocks set to the maximum
-/// arrival time (the barrier's completion instant). Participants are
-/// removed from the scheduler's min-calculation while parked so
-/// non-participants can keep making progress.
+/// arrival time (the barrier's completion instant). An arrival takes
+/// effect at the arriver's (time, id) turn, like an admission, so the
+/// completion instant is ordered against every other actor's operations.
+/// Participants leave the ready set while parked so non-participants can
+/// keep making progress.
 class VirtualBarrier {
  public:
   VirtualBarrier(VirtualScheduler& sched, std::vector<std::size_t> participants);
 
   /// Blocks until all participants arrive. Returns the synchronised time.
+  /// Throws std::logic_error when `actor` is finished.
   double arrive(std::size_t actor);
 
  private:

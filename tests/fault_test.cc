@@ -364,6 +364,9 @@ TEST(FaultPlfs, DegradedReadReturnsPartialDataWithErrorCount) {
   ASSERT_TRUE(strict.ok());
   Bytes out2(2 * kHalf);
   EXPECT_FALSE((*strict)->read(0, out2).ok());
+  // Closing a reader issues a simulated fsync, which must precede finish.
+  strict->reset();
+  reader->reset();
   sched.finish(0);
 }
 

@@ -1,10 +1,15 @@
 // Tests for the deterministic virtual-time scheduler and the event queue.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "pdsi/common/rng.h"
 #include "pdsi/sim/event_queue.h"
 #include "pdsi/sim/virtual_time.h"
 
@@ -77,6 +82,172 @@ TEST(VirtualScheduler, TiesBreakByActorId) {
   for (auto& t : threads) t.join();
   const std::vector<int> expect{0, 1, 2, 0, 1, 2};
   EXPECT_EQ(order, expect);
+}
+
+TEST(VirtualScheduler, OperationAfterFinishThrows) {
+  VirtualScheduler sched(1);
+  VirtualBarrier barrier(sched, {0});
+  sched.finish(0);
+  EXPECT_THROW(sched.advance(0, 1.0), std::logic_error);
+  EXPECT_THROW(barrier.arrive(0), std::logic_error);
+}
+
+long VoluntaryContextSwitches() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_nvcsw;
+}
+
+// An admission hands the turn to the one actor that becomes the minimum,
+// so a contended run costs about one voluntary context switch per
+// admission. Waking every parked actor on each admission costs nearly one
+// per actor.
+TEST(VirtualScheduler, AdmissionWakesOnlyTheNextActor) {
+  constexpr std::size_t kActors = 64;
+  constexpr int kAdmissions = 100;
+  VirtualScheduler sched(kActors);
+  std::vector<std::thread> threads;
+  const long before = VoluntaryContextSwitches();
+  for (std::size_t a = 0; a < kActors; ++a) {
+    threads.emplace_back([&, a] {
+      // Staggered service times interleave the actors' admissions.
+      const double service = 1.0 + 0.01 * static_cast<double>(a);
+      for (int i = 0; i < kAdmissions; ++i) sched.advance(a, service);
+      sched.finish(a);
+    });
+  }
+  for (auto& t : threads) t.join();
+  const double per_admission =
+      static_cast<double>(VoluntaryContextSwitches() - before) / (kActors * kAdmissions);
+  EXPECT_LE(per_admission, 8.0);
+}
+
+// Seeded per-actor scripts, run threaded and by a sequential reference.
+struct Step {
+  enum class Kind { kAdvance, kArrive, kFinish };
+  Kind kind;
+  double dt = 0.0;
+};
+
+struct Script {
+  std::vector<std::size_t> participants;  ///< of the one barrier
+  std::vector<std::vector<Step>> steps;   ///< per actor; each ends in kFinish
+};
+
+using AdmissionLog = std::vector<std::pair<std::size_t, double>>;  // (actor, now)
+
+// Advances by quantized dts (so equal times and id tie-breaks are common),
+// the same number of arrivals at one barrier over a seeded subset for
+// every participant, and a finish after a seeded number of steps, so some
+// actors leave while others still run.
+Script MakeScript(std::size_t actors, std::uint64_t seed) {
+  Rng rng(seed);
+  Script s;
+  for (std::size_t a = 0; a < actors; ++a) {
+    if (rng.chance(0.5)) s.participants.push_back(a);
+  }
+  if (s.participants.empty()) s.participants.push_back(rng.below(actors));
+  const std::uint64_t rounds = rng.below(4);
+  s.steps.resize(actors);
+  for (std::size_t a = 0; a < actors; ++a) {
+    const bool joins = std::find(s.participants.begin(), s.participants.end(), a) !=
+                       s.participants.end();
+    std::uint64_t arrivals = joins ? rounds : 0;
+    std::uint64_t advances = rng.below(10);
+    while (arrivals + advances > 0) {
+      if (rng.below(arrivals + advances) < arrivals) {
+        s.steps[a].push_back({Step::Kind::kArrive});
+        --arrivals;
+      } else {
+        s.steps[a].push_back({Step::Kind::kAdvance, 0.5 * static_cast<double>(rng.below(4))});
+        --advances;
+      }
+    }
+    s.steps[a].push_back({Step::Kind::kFinish});
+  }
+  return s;
+}
+
+AdmissionLog RunThreaded(const Script& s) {
+  VirtualScheduler sched(s.steps.size());
+  VirtualBarrier barrier(sched, s.participants);
+  AdmissionLog log;  // appended only inside admitted sections
+  std::vector<std::thread> threads;
+  for (std::size_t a = 0; a < s.steps.size(); ++a) {
+    threads.emplace_back([&, a] {
+      for (const Step& step : s.steps[a]) {
+        switch (step.kind) {
+          case Step::Kind::kAdvance:
+            sched.atomically(a, [&](double now) {
+              log.emplace_back(a, now);
+              return now + step.dt;
+            });
+            break;
+          case Step::Kind::kArrive:
+            barrier.arrive(a);
+            break;
+          case Step::Kind::kFinish:
+            sched.finish(a);
+            break;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  return log;
+}
+
+// The (time, id)-minimum active actor takes its next step. A finish may
+// take effect early in the threaded run without changing the log; an
+// arrival takes effect at the arriver's turn, and the last one resumes
+// every participant at the latest arrival time.
+AdmissionLog RunReference(const Script& s) {
+  enum class State { kActive, kParked, kFinished };
+  const std::size_t n = s.steps.size();
+  std::vector<double> t(n, 0.0);
+  std::vector<std::size_t> pc(n, 0);
+  std::vector<State> state(n, State::kActive);
+  std::size_t arrived = 0;
+  double latest = 0.0;
+  AdmissionLog log;
+  for (;;) {
+    std::size_t next = n;
+    for (std::size_t a = 0; a < n; ++a) {
+      if (state[a] == State::kActive && (next == n || t[a] < t[next])) next = a;
+    }
+    if (next == n) return log;
+    const Step& step = s.steps[next][pc[next]++];
+    switch (step.kind) {
+      case Step::Kind::kAdvance:
+        log.emplace_back(next, t[next]);
+        t[next] += step.dt;
+        break;
+      case Step::Kind::kArrive:
+        state[next] = State::kParked;
+        latest = std::max(latest, t[next]);
+        if (++arrived == s.participants.size()) {
+          for (std::size_t p : s.participants) {
+            t[p] = latest;
+            state[p] = State::kActive;
+          }
+          arrived = 0;
+          latest = 0.0;
+        }
+        break;
+      case Step::Kind::kFinish:
+        state[next] = State::kFinished;
+        break;
+    }
+  }
+}
+
+TEST(VirtualScheduler, MatchesSequentialReference) {
+  for (std::size_t actors : {1, 2, 5, 64}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const Script s = MakeScript(actors, seed * 100 + actors);
+      ASSERT_EQ(RunThreaded(s), RunReference(s)) << actors << " actors, seed " << seed;
+    }
+  }
 }
 
 TEST(SimResource, FifoQueueing) {
