@@ -1,12 +1,17 @@
 // Shared helpers for the per-figure benchmark harnesses: consistent
 // banners and paper-vs-measured reporting so bench output can be pasted
-// straight into EXPERIMENTS.md.
+// straight into EXPERIMENTS.md, and a HOST_ line of the run's host cost
+// on stderr at exit.
 #pragma once
+
+#include <errno.h>  // program_invocation_short_name
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -245,5 +250,51 @@ class BenchObs {
   std::string bench_;
   std::unique_ptr<State> state_;
 };
+
+/// Prints one line on stderr when the bench exits:
+///
+///   HOST_<bench> {"wall_ms": ..., "user_ms": ..., "sys_ms": ..., "peak_rss_mib": ...}
+///
+/// with the host wall time since start-up, the process's user and system
+/// CPU time, and its peak resident set. The peak comes from VmHWM in
+/// /proc/self/status: ru_maxrss carries the launcher's peak across exec.
+/// Host cost varies between runs and machines, so it stays off stdout,
+/// whose lines are deterministic; nothing gates it.
+class HostReport {
+ public:
+  HostReport() : start_(std::chrono::steady_clock::now()) {}
+  HostReport(const HostReport&) = delete;
+  HostReport& operator=(const HostReport&) = delete;
+
+  ~HostReport() {
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count();
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto ms = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) * 1e3 + static_cast<double>(tv.tv_usec) / 1e3;
+    };
+    char peak[32] = "null";
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+      if (line.rfind("VmHWM:", 0) == 0) {
+        std::snprintf(peak, sizeof peak, "%.1f", std::strtod(line.c_str() + 6, nullptr) / 1024.0);
+        break;
+      }
+    }
+    std::fprintf(stderr,
+                 "HOST_%s {\"wall_ms\": %.1f, \"user_ms\": %.1f, \"sys_ms\": %.1f, "
+                 "\"peak_rss_mib\": %s}\n",
+                 program_invocation_short_name, wall_ms, ms(ru.ru_utime), ms(ru.ru_stime),
+                 peak);
+  }
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// The one reporter every bench that includes this header gets.
+inline const HostReport kHostReport;
 
 }  // namespace pdsi::bench

@@ -5,7 +5,8 @@
 // cases include the rules that once differed between the copies: a
 // directory with a child is not emptied by a sibling that sorts between
 // them ("/a.x" between "/a" and "/a/b"), the root is not unlinkable, a
-// same-path rename succeeds, and a file is not a directory.
+// same-path rename succeeds, a file is not a directory, and a zero-length
+// write past EOF leaves the file's size alone.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -185,6 +186,18 @@ TEST_P(BackendNamespace, SamePathRenameKeepsTheFile) {
   EXPECT_EQ(*n, data.size());
   EXPECT_EQ(back, data);
   ASSERT_TRUE(be().close(*r).ok());
+}
+
+TEST_P(BackendNamespace, ZeroLengthWriteDoesNotExtend) {
+  const Bytes data = MakePattern(5, 0, 10);
+  auto h = be().create("/f");
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(be().write(*h, 0, data).ok());
+  ASSERT_TRUE(be().write(*h, 1000, {}).ok());
+  ASSERT_TRUE(be().fsync(*h).ok());
+  EXPECT_EQ(*be().size(*h), data.size());
+  ASSERT_TRUE(be().close(*h).ok());
+  EXPECT_EQ(*be().stat_size("/f"), data.size());
 }
 
 TEST_P(BackendNamespace, RenameMovesFilesOnly) {

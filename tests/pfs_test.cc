@@ -4,11 +4,13 @@
 // the PLFS experiments depend on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 #include <thread>
 
 #include "pdsi/common/bytes.h"
+#include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
 #include "pdsi/consist/model.h"
 #include "pdsi/fault/fault.h"
@@ -37,16 +39,87 @@ TEST(SparseBuffer, HolesReadAsZeros) {
   for (auto v : out) EXPECT_EQ(v, 0);
 }
 
-TEST(SparseBuffer, TruncateDropsTail) {
-  SparseBuffer b(1024);
-  b.write(0, MakePattern(1, 0, 4096));
-  b.truncate(100);
-  EXPECT_EQ(b.size(), 100u);
-  b.write(200, MakePattern(1, 0, 1));  // re-extend past truncation point
-  Bytes out(50);
-  b.read(120, out);
-  for (auto v : out) EXPECT_EQ(v, 0) << "tail must be zeroed after truncate";
-  EXPECT_LT(b.allocated_bytes(), 8192u);
+// Drives SparseBuffer and a flat byte vector (the reference: its length
+// is the file size) through the same seeded writes and reads: writes that
+// cross chunk boundaries or land below and above a chunk's extent,
+// zero-length writes anywhere, and reads past a chunk's extent and past
+// EOF. Bytes and size() must match after every operation.
+TEST(SparseBuffer, MatchesFlatReference) {
+  for (const std::size_t chunk : {std::size_t{64}, std::size_t{1024}}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message() << "chunk " << chunk << " seed " << seed);
+      Rng rng(seed);
+      SparseBuffer b(chunk);
+      Bytes flat;
+      const std::uint64_t span = 32 * chunk;
+      for (int op = 0; op < 300; ++op) {
+        const std::uint64_t off = rng.below(span);
+        const double dice = rng.uniform();
+        if (dice < 0.1) {
+          b.write(rng.chance(0.5) ? off : flat.size() + rng.below(2 * chunk), {});
+        } else if (dice < 0.6) {
+          const std::size_t len = 1 + (rng.chance(0.8) ? rng.below(chunk / 4)
+                                                        : rng.below(3 * chunk));
+          const Bytes data = MakePattern(static_cast<std::uint32_t>(op), off, len);
+          b.write(off, data);
+          if (off + len > flat.size()) flat.resize(off + len, 0);
+          std::copy(data.begin(), data.end(), flat.begin() + static_cast<long>(off));
+        } else {
+          Bytes got(rng.below(3 * chunk), 0xAA);
+          b.read(off, got);
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            const std::uint64_t pos = off + k;
+            ASSERT_EQ(got[k], pos < flat.size() ? flat[pos] : 0) << "op " << op << " pos " << pos;
+          }
+        }
+        ASSERT_EQ(b.size(), flat.size()) << "op " << op;
+        Bytes whole(flat.size() + chunk, 0xAA);
+        b.read(0, whole);
+        ASSERT_TRUE(std::equal(flat.begin(), flat.end(), whole.begin())) << "op " << op;
+        ASSERT_TRUE(std::all_of(whole.begin() + static_cast<long>(flat.size()), whole.end(),
+                                [](std::uint8_t v) { return v == 0; }))
+            << "op " << op;
+      }
+    }
+  }
+}
+
+// One restart_read data dropping: 64 appended records of 512-1024 B. The
+// chunk grows with the log, so memory stays within 2x the bytes written
+// (a whole 256 KiB chunk per dropping would be about 5x here).
+TEST(SparseBuffer, AppendedLogAllocatesAboutItsLength) {
+  Rng rng(18);
+  SparseBuffer b;
+  std::uint64_t written = 0;
+  for (int r = 0; r < 64; ++r) {
+    const Bytes rec = MakePattern(1, written, 512 + rng.below(513));
+    b.write(written, rec);
+    written += rec.size();
+    ASSERT_LE(b.allocated_bytes(), 2 * written) << "record " << r;
+  }
+  EXPECT_EQ(b.size(), written);
+  Bytes back(written);
+  b.read(0, back);
+  EXPECT_EQ(FindPatternMismatch(1, 0, back), kNoMismatch);
+}
+
+// A dense file written front to back in unaligned pieces ends with every
+// chunk full: memory stays within one chunk of the file's length.
+TEST(SparseBuffer, DenseFileAllocatesAboutItsLength) {
+  constexpr std::uint64_t kChunk = 256 * KiB;
+  constexpr std::uint64_t kTotal = 4 * MiB;
+  SparseBuffer b(kChunk);
+  for (std::uint64_t off = 0; off < kTotal;) {
+    const std::size_t len = static_cast<std::size_t>(std::min<std::uint64_t>(100000, kTotal - off));
+    b.write(off, MakePattern(2, off, len));
+    off += len;
+  }
+  EXPECT_EQ(b.size(), kTotal);
+  EXPECT_GE(b.allocated_bytes(), kTotal);
+  EXPECT_LE(b.allocated_bytes(), kTotal + kChunk);
+  Bytes back(kTotal);
+  b.read(0, back);
+  EXPECT_EQ(FindPatternMismatch(2, 0, back), kNoMismatch);
 }
 
 TEST(Paths, Normalization) {
