@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
   for (double drain : {4 * kHour, 2 * kHour, kHour, 30 * kMinute,
                        10 * kMinute, kMinute}) {
     failure::CheckpointSimParams p = base;
-    p.bb_absorb_seconds = 30.0;
-    p.bb_drain_seconds = drain;
+    p.checkpoint_seconds = 30.0;  // the absorb into the burst buffer
+    p.drain_seconds = drain;
     if (drain == kMinute) p.obs = trace.ctx();
     Rng r(2026);
     const auto res = failure::SimulateCheckpointing(p, r);

@@ -249,13 +249,15 @@ int main(int argc, char** argv) {
 
     // Build the global index while the cluster is healthy (a degraded
     // *build* is unit-tested; here the restart loses a data server after
-    // the index merge), then crash the victim for good.
-    plfs::Options ropt;
-    ropt.degraded_reads = true;
-    auto reader = plfs::Reader::Open(*backend, "/restart", ropt);
+    // the index merge), then crash the victim for good. The injector is
+    // declared first so it outlives the reader, whose destructor closes
+    // its files through the cluster's fault hook.
     fault::FaultPlan fp;
     fp.read_failover = false;  // single-copy: reads must fail through
     fault::FaultInjector inj(fp, cluster.num_oss());
+    plfs::Options ropt;
+    ropt.degraded_reads = true;
+    auto reader = plfs::Reader::Open(*backend, "/restart", ropt);
     inj.force_down(victim, 0.0, 1e18);
     cluster.set_fault(&inj);
 

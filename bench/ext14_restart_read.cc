@@ -11,8 +11,7 @@
 //      paying only the fingerprint stat pass.
 //
 // The sweep runs ranks x records on the virtual-time PFS and reports the
-// open cost of each path plus speedups; a final MemBackend section pins
-// the parallel k-way index merge byte-identical to the serial merge.
+// open cost of each path plus speedups.
 // Uncompressed indexes model the worst case the flatten targets (the
 // compression ablation itself lives in abl01). --smoke shrinks the sweep;
 // BENCH_ lines stay present and parseable.
@@ -27,7 +26,6 @@
 #include "pdsi/common/units.h"
 #include "pdsi/pfs/cluster.h"
 #include "pdsi/plfs/flat_index.h"
-#include "pdsi/plfs/index.h"
 #include "pdsi/plfs/index_cache.h"
 #include "pdsi/plfs/pfs_backend.h"
 #include "pdsi/plfs/plfs.h"
@@ -162,59 +160,5 @@ int main(int argc, char** argv) {
               "a pattern-compressed file and the cached open only restats "
               "the droppings to validate its fingerprint — both speedups "
               "widen as ranks grow");
-
-  // ---- parallel merge: byte-identical to serial ---------------------------
-  PrintBanner(std::cout, "Parallel index merge (MemBackend): k-way merge "
-                         "must reproduce the serial merge exactly");
-  {
-    plfs::Plfs fs(plfs::MakeMemBackend(), [] {
-      plfs::Options o;
-      o.index_compression = false;
-      return o;
-    }());
-    constexpr std::uint32_t kRanks = 8;
-    constexpr std::uint32_t kRecords = 200;
-    for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
-      auto w = fs.open_write("/f", rank);
-      for (std::uint32_t k = 0; k < kRecords; ++k) {
-        // Overlapping strides so merge order decides winners.
-        const std::uint64_t off = (static_cast<std::uint64_t>(k) * kRanks +
-                                   (rank + k) % kRanks) * 1000;
-        (*w)->write(off, MakePattern(rank, off, 1500));
-      }
-      (*w)->close();
-    }
-    plfs::Options serial;
-    serial.index_read_threads = 1;
-    plfs::Options parallel;
-    parallel.index_read_threads = 4;
-    auto rs = plfs::Reader::Open(fs.backend(), "/f", serial);
-    auto rp = plfs::Reader::Open(fs.backend(), "/f", parallel);
-    if (!rs.ok() || !rp.ok()) {
-      std::cerr << "merge open failed\n";
-      return 1;
-    }
-    Bytes bs((*rs)->size());
-    Bytes bp((*rp)->size());
-    (*rs)->read(0, bs);
-    (*rp)->read(0, bp);
-    const bool identical =
-        SerializeEntries((*rs)->raw_entries()) ==
-            SerializeEntries((*rp)->raw_entries()) &&
-        HashBytes(bs) == HashBytes(bp);
-    Table t2({"metric", "value"});
-    t2.row({"raw entries", std::to_string((*rs)->raw_entries().size())});
-    t2.row({"merge threads", "1 vs 4"});
-    t2.row({"byte-identical", identical ? "yes" : "NO"});
-    t2.print(std::cout);
-    json.str("mode", "parallel_merge")
-        .num("entries", static_cast<double>((*rs)->raw_entries().size()))
-        .num("identical", identical ? 1.0 : 0.0);
-    json.emit();
-    if (!identical) return 1;
-  }
-  bench::Note("no wall-clock numbers for the thread sweep on purpose: real "
-              "threads are nondeterministic, so the gated claim is equality, "
-              "not speed");
   return 0;
 }

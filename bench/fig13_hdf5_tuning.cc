@@ -42,7 +42,7 @@ int main() {
 
   // "Peak filesystem bandwidth" in the figure's sense: aggregate media
   // streaming rate of the server disks.
-  const double peak = cfg.num_oss * cfg.disk.seq_bw_bytes;
+  const double peak = cfg.num_oss * pfs::OssDisk().seq_bw_bytes;
   std::cout << "aggregate media peak on this substrate: " << FormatRate(peak)
             << "\n";
 

@@ -163,7 +163,6 @@ double BurstBuffer::write(std::uint64_t file, std::uint64_t off,
 }
 
 bool BurstBuffer::evict_for(std::uint64_t need) {
-  if (!params_.evict_clean) return false;
   std::uint64_t freed = 0;
   while (freed < need && !clean_fifo_.empty()) {
     const Run r = clean_fifo_.front();

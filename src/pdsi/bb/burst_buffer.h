@@ -56,7 +56,6 @@ struct BbParams {
   double high_watermark = 0.70; ///< un-drained fraction that stalls ingest
   double low_watermark = 0.40;  ///< un-drained fraction at which it resumes
   std::uint64_t drain_unit = 64 * MiB;  ///< target bytes per drain op
-  bool evict_clean = true;      ///< drop drained data under space pressure
 };
 
 struct BbStats {

@@ -61,18 +61,24 @@ obs::Tracer* PhaseTracer(const CheckpointSimParams& p) {
   return t;
 }
 
-// Burst-buffer staging mode: absorb blocks the application, the drain
-// overlaps the next compute segment, and durability arrives only at drain
-// completion. At most one checkpoint is ever in flight (single staging
-// slot), so the next absorb stalls while the previous drain is running —
-// that stall is the visible symptom of a drain-bandwidth bottleneck.
-CheckpointSimResult SimulateWithBurstBuffer(const CheckpointSimParams& p, Rng& rng) {
+}  // namespace
+
+// One loop for direct and staged checkpoints. The checkpoint write blocks
+// the application; when staged, the drain overlaps the next compute
+// segment and durability arrives only at drain completion. At most one
+// checkpoint is ever in flight (single staging slot), so the next write
+// stalls while the previous drain is running — that stall is the visible
+// symptom of a drain-bandwidth bottleneck. A direct checkpoint (no drain)
+// is durable the instant its write returns, so it never stalls or loses
+// a drain.
+CheckpointSimResult SimulateCheckpointing(const CheckpointSimParams& p, Rng& rng) {
   CheckpointSimResult r;
   obs::Tracer* tracer = PhaseTracer(p);
   FailureClock fail(p, rng);
+  const bool staged = p.drain_seconds > 0.0;
 
-  double done = 0.0;     // durable (drained) work
-  double pending = 0.0;  // absorbed work whose drain has not completed
+  double done = 0.0;     // durable work
+  double pending = 0.0;  // checkpointed work whose drain has not completed
   double pending_durable_at = 0.0;
   double now = 0.0;
 
@@ -84,7 +90,7 @@ CheckpointSimResult SimulateWithBurstBuffer(const CheckpointSimParams& p, Rng& r
     }
     const double segment = std::min(p.interval, p.work_seconds - done - pending);
     if (segment <= 0.0) {
-      // All work absorbed; just wait out the final drain (or a failure).
+      // All work checkpointed; just wait out the final drain (or a failure).
       if (fail.next() < pending_durable_at) {
         const double failed_at = fail.next();
         ++r.failures;
@@ -106,11 +112,13 @@ CheckpointSimResult SimulateWithBurstBuffer(const CheckpointSimParams& p, Rng& r
     }
     const double compute_end = now + segment;
     // Backpressure: the single staging slot frees when the previous drain
-    // finishes; only then can the next absorb start.
-    const double absorb_start =
+    // finishes; only then can the next write start.
+    const double write_start =
         pending > 0.0 ? std::max(compute_end, pending_durable_at) : compute_end;
-    const double absorb_end = absorb_start + p.bb_absorb_seconds;
-    if (fail.next() < absorb_end) {
+    const double write_end = write_start + p.checkpoint_seconds;
+    if (fail.next() < write_end) {
+      // Failure mid-segment (or mid-checkpoint): progress since the last
+      // durable checkpoint is lost, pay the restart.
       const double failed_at = fail.next();
       ++r.failures;
       if (pending > 0.0) {
@@ -134,73 +142,28 @@ CheckpointSimResult SimulateWithBurstBuffer(const CheckpointSimParams& p, Rng& r
       fail.advance_past(now);
       continue;
     }
-    r.stall_seconds += absorb_start - compute_end;
-    if (pending > 0.0) {  // drained strictly before absorb_start
+    r.stall_seconds += write_start - compute_end;
+    if (pending > 0.0) {  // drained strictly before write_start
       done += pending;
       pending = 0.0;
     }
     ++r.checkpoints;
     if (tracer) {
       tracer->complete(obs::kCheckpointTrack, "compute", "ckpt", now, compute_end);
-      if (absorb_start > compute_end) {
+      if (write_start > compute_end) {
         tracer->complete(obs::kCheckpointTrack, "stall", "ckpt", compute_end,
-                         absorb_start);
+                         write_start);
       }
-      tracer->complete(obs::kCheckpointTrack, "absorb", "ckpt", absorb_start,
-                       absorb_end);
-      tracer->complete(obs::kCheckpointDrainTrack, "drain", "ckpt", absorb_end,
-                       absorb_end + p.bb_drain_seconds);
+      tracer->complete(obs::kCheckpointTrack, staged ? "absorb" : "checkpoint",
+                       "ckpt", write_start, write_end);
+      if (staged) {
+        tracer->complete(obs::kCheckpointDrainTrack, "drain", "ckpt", write_end,
+                         write_end + p.drain_seconds);
+      }
     }
-    now = absorb_end;
+    now = write_end;
     pending = segment;
-    pending_durable_at = absorb_end + p.bb_drain_seconds;
-  }
-  r.wall_seconds = now;
-  r.utilization = p.work_seconds / now;
-  return r;
-}
-
-}  // namespace
-
-CheckpointSimResult SimulateCheckpointing(const CheckpointSimParams& p, Rng& rng) {
-  if (p.bb_absorb_seconds > 0.0 || p.bb_drain_seconds > 0.0) {
-    return SimulateWithBurstBuffer(p, rng);
-  }
-  CheckpointSimResult r;
-  obs::Tracer* tracer = PhaseTracer(p);
-  FailureClock fail(p, rng);
-
-  double done = 0.0;        // committed (checkpointed) work
-  double now = 0.0;
-
-  while (done < p.work_seconds) {
-    // Attempt one segment: compute `interval` (or the remainder) and then
-    // checkpoint it. Progress only commits when the checkpoint finishes.
-    const double segment = std::min(p.interval, p.work_seconds - done);
-    const double attempt_end = now + segment + p.checkpoint_seconds;
-    if (fail.next() >= attempt_end) {
-      if (tracer) {
-        tracer->complete(obs::kCheckpointTrack, "compute", "ckpt", now,
-                         now + segment);
-        tracer->complete(obs::kCheckpointTrack, "checkpoint", "ckpt",
-                         now + segment, attempt_end);
-      }
-      now = attempt_end;
-      done += segment;
-      ++r.checkpoints;
-      continue;
-    }
-    // Failure mid-segment (or mid-checkpoint): progress since the last
-    // checkpoint is lost, pay the restart.
-    const double failed_at = fail.next();
-    ++r.failures;
-    if (tracer) {
-      tracer->instant(obs::kCheckpointTrack, "failure", "ckpt", failed_at);
-      tracer->complete(obs::kCheckpointTrack, "restart", "ckpt", failed_at,
-                       failed_at + p.restart_seconds);
-    }
-    now = failed_at + p.restart_seconds;
-    fail.advance_past(now);
+    pending_durable_at = write_end + p.drain_seconds;
   }
   r.wall_seconds = now;
   r.utilization = p.work_seconds / now;

@@ -19,23 +19,23 @@ namespace pdsi::failure {
 struct CheckpointSimParams {
   double work_seconds = 30.0 * 24 * 3600;  ///< useful compute to finish
   double interval = 3600.0;                ///< compute time between checkpoints
-  double checkpoint_seconds = 300.0;       ///< time to write a checkpoint
+  /// Blocking checkpoint write; when a burst buffer stages the
+  /// checkpoint, this is the absorb into it.
+  double checkpoint_seconds = 300.0;
   double restart_seconds = 600.0;          ///< reboot + read last checkpoint
   double mtti_seconds = 24.0 * 3600;       ///< failure process mean
   double weibull_shape = 1.0;              ///< 1.0 = Poisson failures
 
-  // -- Burst-buffer staging (pdsi::bb). When either field is positive the
-  // checkpoint cost splits in two: the application blocks only for the
-  // absorb into the burst buffer, then resumes compute while the buffer
-  // drains to the parallel file system in the background. The drain
-  // channel is serial with a single staging slot, so absorb k stalls until
-  // drain k-1 has finished (the backpressure regime once drain bandwidth
-  // is the bottleneck). A checkpoint is durable only when its drain
-  // completes: a failure that strikes mid-drain loses that checkpoint and
-  // rolls back to the previous durable one. With both fields zero the
-  // classic direct-to-PFS model below is used unchanged.
-  double bb_absorb_seconds = 0.0;  ///< blocking absorb into the burst buffer
-  double bb_drain_seconds = 0.0;   ///< background drain to the PFS
+  /// Background drain of a staged checkpoint to the parallel file system
+  /// (pdsi::bb); 0 means the checkpoint is durable when the write
+  /// returns. While positive, the application resumes compute after the
+  /// absorb and the buffer drains in the background. The drain channel is
+  /// serial with a single staging slot, so absorb k stalls until drain k-1
+  /// has finished (the backpressure regime once drain bandwidth is the
+  /// bottleneck). A checkpoint is durable only when its drain completes: a
+  /// failure that strikes mid-drain loses that checkpoint and rolls back
+  /// to the previous durable one.
+  double drain_seconds = 0.0;
 
   /// Optional injected interrupt schedule (virtual seconds, ascending;
   /// must outlive the call). When set, failures strike at exactly these
@@ -48,9 +48,9 @@ struct CheckpointSimParams {
   const std::vector<double>* interrupts = nullptr;
 
   /// Optional tracing/metrics sink (must outlive the call): phase spans
-  /// (compute/checkpoint/absorb/stall/restart, drains on their own track)
-  /// and failure instants land on obs::kCheckpointTrack /
-  /// obs::kCheckpointDrainTrack.
+  /// (compute/stall/restart, and checkpoint — named absorb when staged —
+  /// with drains on their own track) and failure instants land on
+  /// obs::kCheckpointTrack / obs::kCheckpointDrainTrack.
   obs::Context* obs = nullptr;
 };
 
@@ -59,15 +59,15 @@ struct CheckpointSimResult {
   std::uint64_t failures = 0;
   std::uint64_t checkpoints = 0;
   double utilization = 0.0;  ///< work_seconds / wall_seconds
-  // Burst-buffer mode only:
+  // Staged checkpoints (drain_seconds > 0) only:
   std::uint64_t lost_drains = 0;  ///< failures that caught a checkpoint mid-drain
   double stall_seconds = 0.0;     ///< absorb time spent waiting on the drain channel
 };
 
 /// Simulates until the work completes. Failures strike at Weibull times;
 /// a failure mid-segment loses progress since the last *durable*
-/// checkpoint and pays the restart cost. See CheckpointSimParams for the
-/// burst-buffer staging mode.
+/// checkpoint and pays the restart cost. See CheckpointSimParams for
+/// burst-buffer staging.
 CheckpointSimResult SimulateCheckpointing(const CheckpointSimParams& params, Rng& rng);
 
 }  // namespace pdsi::failure

@@ -4,20 +4,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "pdsi/obs/format.h"
+
 namespace pdsi::obs {
 namespace {
-
-std::string FmtFixed9(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9f", v);
-  return buf;
-}
-
-std::string FmtG(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
 
 std::string SpanKey(const AnalysisEvent& e) { return e.cat + ":" + e.name; }
 
@@ -34,8 +24,9 @@ void ReplayEvents(const std::vector<AnalysisEvent>& events,
 }
 
 std::string FormatAlarm(const Alarm& a) {
-  std::string out = "ALARM t=" + FmtFixed9(a.ts) + " " + a.kind + " " + a.key +
-                    " value=" + FmtG(a.value) + " limit=" + FmtG(a.threshold);
+  std::string out = "ALARM t=" + FmtFixed(a.ts, 9) + " " + a.kind + " " +
+                    a.key + " value=" + FmtG(a.value) +
+                    " limit=" + FmtG(a.threshold);
   if (!a.detail.empty()) out += " " + a.detail;
   return out;
 }
@@ -159,7 +150,7 @@ double WatermarkSink::utilization(const std::string& track) const {
 void WatermarkSink::write_report(std::ostream& os) const {
   for (const auto& [track, st] : states_) {
     os << "watermark " << track << " depth=" << st.max_depth
-       << " covered=" << FmtFixed9(st.covered)
+       << " covered=" << FmtFixed(st.covered, 9)
        << " util=" << FmtG(utilization(track)) << '\n';
   }
 }

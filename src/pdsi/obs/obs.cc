@@ -1,53 +1,13 @@
 #include "pdsi/obs/obs.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <tuple>
 #include <utility>
 
+#include "pdsi/obs/format.h"
 #include "pdsi/obs/monitor.h"
 
 namespace pdsi::obs {
-namespace {
-
-// Fixed-precision numeric formatting so exports are byte-stable: the same
-// doubles always print the same characters.
-std::string FmtFixed(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
-std::string FmtG(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 // -- Histogram ---------------------------------------------------------------
 
@@ -210,7 +170,8 @@ void Tracer::bind_drop_counter(Counter* c) {
 }
 
 void Tracer::push(std::uint32_t track, const char* name, const char* cat,
-                  double ts, double dur, std::initializer_list<Arg> args) {
+                  double ts, double dur, std::initializer_list<Arg> args,
+                  std::uint64_t req) {
   Event e;
   e.ts = ts;
   e.dur = dur;
@@ -221,6 +182,9 @@ void Tracer::push(std::uint32_t track, const char* name, const char* cat,
   for (const Arg& a : args) {
     if (e.nargs == kMaxArgs) break;
     e.args[e.nargs++] = a;
+  }
+  if (req != 0 && has_subscribers() && e.nargs < kMaxArgs) {
+    e.args[e.nargs++] = Arg::Int("req", req);
   }
   std::lock_guard<std::mutex> lk(mu_);
   if (!sinks_.empty()) {
@@ -244,13 +208,14 @@ void Tracer::push(std::uint32_t track, const char* name, const char* cat,
 }
 
 void Tracer::complete(std::uint32_t track, const char* name, const char* cat,
-                      double start, double end, std::initializer_list<Arg> args) {
-  push(track, name, cat, start, end >= start ? end - start : 0.0, args);
+                      double start, double end, std::initializer_list<Arg> args,
+                      std::uint64_t req) {
+  push(track, name, cat, start, end >= start ? end - start : 0.0, args, req);
 }
 
 void Tracer::instant(std::uint32_t track, const char* name, const char* cat,
                      double ts, std::initializer_list<Arg> args) {
-  push(track, name, cat, ts, -1.0, args);
+  push(track, name, cat, ts, -1.0, args, 0);
 }
 
 std::size_t Tracer::size() const {

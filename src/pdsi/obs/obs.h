@@ -186,9 +186,12 @@ class Tracer {
   /// "obs.dropped_events") so metric dumps expose trace truncation.
   void bind_drop_counter(Counter* c);
 
-  /// A span [start, end] on `track`. Chrome phase 'X'.
+  /// A span [start, end] on `track`. Chrome phase 'X'. A non-zero `req`
+  /// (the client's causal request id) is appended as a "req" arg only
+  /// while a sink is subscribed, so unmonitored traces stay identical.
   void complete(std::uint32_t track, const char* name, const char* cat,
-                double start, double end, std::initializer_list<Arg> args = {});
+                double start, double end, std::initializer_list<Arg> args = {},
+                std::uint64_t req = 0);
 
   /// A point event at `ts`. Chrome phase 'i'.
   void instant(std::uint32_t track, const char* name, const char* cat, double ts,
@@ -261,7 +264,7 @@ class Tracer {
   };
 
   void push(std::uint32_t track, const char* name, const char* cat, double ts,
-            double dur, std::initializer_list<Arg> args);
+            double dur, std::initializer_list<Arg> args, std::uint64_t req);
   std::vector<const Event*> sorted() const;  ///< callers must hold mu_
   void deliver(double watermark, bool all);
   std::string track_name_locked(std::uint32_t id) const;

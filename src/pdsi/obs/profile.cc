@@ -6,43 +6,10 @@
 #include <limits>
 #include <sstream>
 
+#include "pdsi/obs/format.h"
+
 namespace pdsi::obs {
 namespace {
-
-std::string FmtFixed(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
-std::string FmtG(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Union length of [start, end) intervals; `ivs` is sorted in place.
 double UnionSeconds(std::vector<std::pair<double, double>>& ivs) {

@@ -26,18 +26,17 @@ enum class LockProtocol {
 
 std::string_view LockProtocolName(LockProtocol p);
 
+/// The disk behind every OSS.
+inline storage::DiskParams OssDisk() { return storage::EnterpriseFcDisk(); }
+
 struct PfsConfig {
   std::string name = "generic-pfs";
   std::uint32_t num_oss = 8;            ///< object storage servers
   std::uint64_t stripe_unit = 1 * MiB;  ///< bytes per stripe chunk
-  storage::DiskParams disk = storage::EnterpriseFcDisk();
 
   // Network/CPU service model.
   double rpc_latency_s = 100e-6;        ///< one-way request latency
-  double server_cpu_per_op_s = 50e-6;   ///< request processing cost
-  double net_bw_bytes = 400.0 * 1e6;    ///< per-OSS NIC bandwidth
   double mds_op_s = 300e-6;             ///< metadata op service time
-  double mds_dir_lock_s = 300e-6;       ///< parent-directory lock hold
 
   // Sharded metadata (pdsi::pfs::ShardedMds, GIGA+-style splitting of
   // the namespace hash space). The default single shard is byte-identical
@@ -49,8 +48,6 @@ struct PfsConfig {
   std::uint32_t num_mds_shards = 1;
   /// File entries per namespace partition before it splits (shards > 1).
   std::uint32_t mds_split_threshold = 2000;
-  /// Cost to migrate one entry between shards during a split.
-  double mds_migrate_entry_s = 4e-6;
   /// Capability verification at the OSS per request (Maat security);
   /// 0 disables security.
   double security_verify_s = 0.0;
@@ -82,10 +79,6 @@ struct PfsConfig {
   /// consist::CheckConsistency. Off by default: recording adds events,
   /// and default traces must stay byte-identical.
   bool record_consist_ops = false;
-
-  // Write-back cache / aggregation: dirty data flushes to disk in
-  // contiguous per-object chunks of this size.
-  std::uint64_t flush_chunk = 4 * MiB;
 
   // Unaligned writes pay a read-modify-write of the containing
   // raid/block unit (PanFS RAID stripelets, GPFS blocks).

@@ -2,6 +2,10 @@
 
 namespace pdsi::pfs {
 
+namespace {
+constexpr double kDirLockS = 300e-6;  ///< parent-directory lock hold
+}  // namespace
+
 Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
          std::uint32_t num_shards)
     : Namespace(1 + (std::uint64_t{shard} << 40)),
@@ -24,27 +28,14 @@ Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
   }
 }
 
-namespace {
-/// True when the span should carry the client's causal request id: a
-/// non-zero id and a live subscriber (unmonitored traces stay identical).
-bool TagReq(const obs::Context* ctx, std::uint64_t req) {
-  return req != 0 && ctx->tracer->has_subscribers();
-}
-}  // namespace
-
 double Mds::charge(double now, std::uint64_t req) {
   const double done = service_.reserve(now, cfg_.mds_op_s);
   if (ctx_) {
     if (c_ops_) c_ops_->add(1);
     if (h_lat_) h_lat_->add(done - now);
     if (ctx_->tracer) {
-      if (TagReq(ctx_, req)) {
-        ctx_->tracer->complete(track_, "op", "mds", done - cfg_.mds_op_s,
-                               done, {obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(track_, "op", "mds", done - cfg_.mds_op_s,
-                               done);
-      }
+      ctx_->tracer->complete(track_, "op", "mds", done - cfg_.mds_op_s, done,
+                             {}, req);
     }
   }
   return done;
@@ -56,16 +47,9 @@ double Mds::charge_fraction(double now, double fraction, std::uint64_t req) {
     if (c_ops_) c_ops_->add(1);
     if (h_lat_) h_lat_->add(done - now);
     if (ctx_->tracer) {
-      if (TagReq(ctx_, req)) {
-        ctx_->tracer->complete(track_, "group_op", "mds",
-                               done - cfg_.mds_op_s * fraction, done,
-                               {obs::Arg::Num("fraction", fraction),
-                                obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(track_, "group_op", "mds",
-                               done - cfg_.mds_op_s * fraction, done,
-                               {obs::Arg::Num("fraction", fraction)});
-      }
+      ctx_->tracer->complete(track_, "group_op", "mds",
+                             done - cfg_.mds_op_s * fraction, done,
+                             {obs::Arg::Num("fraction", fraction)}, req);
     }
   }
   return done;
@@ -80,15 +64,8 @@ double Mds::publish(double now, double fraction, std::uint64_t req) {
     }
     if (c_publishes_) c_publishes_->add(1);
     if (ctx_->tracer) {
-      if (TagReq(ctx_, req)) {
-        ctx_->tracer->complete(track_, "publish", "mds", done - cost,
-                               done,
-                               {obs::Arg::Num("fraction", fraction),
-                                obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(track_, "publish", "mds", done - cost,
-                               done, {obs::Arg::Num("fraction", fraction)});
-      }
+      ctx_->tracer->complete(track_, "publish", "mds", done - cost, done,
+                             {obs::Arg::Num("fraction", fraction)}, req);
     }
   }
   return done;
@@ -96,17 +73,11 @@ double Mds::publish(double now, double fraction, std::uint64_t req) {
 
 double Mds::charge_dir(const std::string& parent, double now,
                        std::uint64_t req) {
-  const double done = dir_locks_[parent].reserve(now, cfg_.mds_dir_lock_s);
+  const double done = dir_locks_[parent].reserve(now, kDirLockS);
   if (ctx_ && ctx_->tracer) {
     // The span covers the lock hold; queueing shows as the gap from `now`.
-    if (TagReq(ctx_, req)) {
-      ctx_->tracer->complete(track_, "dir_lock", "mds",
-                             done - cfg_.mds_dir_lock_s, done,
-                             {obs::Arg::Int("req", req)});
-    } else {
-      ctx_->tracer->complete(track_, "dir_lock", "mds",
-                             done - cfg_.mds_dir_lock_s, done);
-    }
+    ctx_->tracer->complete(track_, "dir_lock", "mds", done - kDirLockS, done,
+                           {}, req);
   }
   return done;
 }
@@ -115,18 +86,10 @@ double Mds::migrate(double now, double cost, std::uint64_t partition,
                     std::uint64_t moved, std::uint64_t req) {
   const double done = service_.reserve(now, cost);
   if (ctx_ && ctx_->tracer) {
-    if (TagReq(ctx_, req)) {
-      ctx_->tracer->complete(track_, "split_migrate", "mds", done - cost,
-                             done,
-                             {obs::Arg::Int("partition", partition),
-                              obs::Arg::Int("moved", moved),
-                              obs::Arg::Int("req", req)});
-    } else {
-      ctx_->tracer->complete(track_, "split_migrate", "mds", done - cost,
-                             done,
-                             {obs::Arg::Int("partition", partition),
-                              obs::Arg::Int("moved", moved)});
-    }
+    ctx_->tracer->complete(track_, "split_migrate", "mds", done - cost, done,
+                           {obs::Arg::Int("partition", partition),
+                            obs::Arg::Int("moved", moved)},
+                           req);
   }
   return done;
 }

@@ -6,8 +6,17 @@
 
 namespace pdsi::pfs {
 
+namespace {
+constexpr double kCpuPerOpS = 50e-6;         ///< request processing cost
+constexpr double kNetBwBytes = 400.0 * 1e6;  ///< per-OSS NIC bandwidth
+/// Write-back cache / aggregation: dirty data flushes to disk in
+/// contiguous per-object chunks of this size; a cold read fetches a
+/// readahead window of the same size.
+constexpr std::uint64_t kFlushChunk = 4 * MiB;
+}  // namespace
+
 Oss::Oss(const PfsConfig& cfg, std::uint32_t index, obs::Context* ctx)
-    : cfg_(cfg), index_(index), disk_(cfg.disk), ctx_(ctx) {
+    : cfg_(cfg), index_(index), disk_(OssDisk()), ctx_(ctx) {
   if (ctx_ && ctx_->registry) {
     auto& r = *ctx_->registry;
     c_bytes_written_ = &r.counter("oss.bytes_written");
@@ -89,10 +98,10 @@ double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
   maybe_crash_reset(now);
   const double disk_q = ctx_ ? std::max(0.0, disk_res_.free_at() - now) : 0.0;
   double t = charge_rpc ? now + cfg_.rpc_latency_s : now;
-  t = cpu_res_.reserve(t, (cfg_.server_cpu_per_op_s + cfg_.security_verify_s) *
-                              perturb_.cpu_factor);
+  t = cpu_res_.reserve(
+      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
   t = nic_res_.reserve(
-      t, static_cast<double>(len) / cfg_.net_bw_bytes * perturb_.net_factor);
+      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
 
   ObjectState& st = objects_[object_id];
   st.size = std::max(st.size, off + len);
@@ -116,7 +125,7 @@ double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
     st.pending_start = off;
     st.pending_len = len;
   }
-  if (st.pending_len >= cfg_.flush_chunk) {
+  if (st.pending_len >= kFlushChunk) {
     t = flush_pending(st, object_id, t);
     st.pending_start = off + len;
   }
@@ -125,24 +134,13 @@ double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
     if (c_bytes_written_) c_bytes_written_->add(len);
     if (h_write_lat_) h_write_lat_->add(t - now);
     if (ctx_->tracer) {
-      // The req arg ties the span to the client's causal id — emitted
-      // only for monitored runs so unmonitored traces stay identical.
-      if (req != 0 && ctx_->tracer->has_subscribers()) {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "write", "oss", now,
-                               t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len),
-                                obs::Arg::Num("disk_q_s", disk_q),
-                                obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "write", "oss", now,
-                               t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len),
-                                obs::Arg::Num("disk_q_s", disk_q)});
-      }
+      ctx_->tracer->complete(obs::kOssTrackBase + index_, "write", "oss", now,
+                             t,
+                             {obs::Arg::Int("obj", object_id),
+                              obs::Arg::Int("off", off),
+                              obs::Arg::Int("len", len),
+                              obs::Arg::Num("disk_q_s", disk_q)},
+                             req);
     }
   }
   return t;
@@ -154,8 +152,8 @@ double Oss::serve_read(std::uint64_t object_id, std::uint64_t off,
   maybe_crash_reset(now);
   const double disk_q = ctx_ ? std::max(0.0, disk_res_.free_at() - now) : 0.0;
   double t = charge_rpc ? now + cfg_.rpc_latency_s : now;
-  t = cpu_res_.reserve(t, (cfg_.server_cpu_per_op_s + cfg_.security_verify_s) *
-                              perturb_.cpu_factor);
+  t = cpu_res_.reserve(
+      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
 
   ObjectState& st = objects_[object_id];
   const bool hit =
@@ -164,14 +162,13 @@ double Oss::serve_read(std::uint64_t object_id, std::uint64_t off,
     // Hole on this server: nothing is stored at or beyond `off` (the
     // client clamps against the MDS size, which spans all stripes), so
     // the extent map answers without disk I/O and no readahead window is
-    // installed — previously this charged a full flush_chunk transfer
-    // for data that was never written.
+    // installed: no transfer is charged for data that was never written.
   } else if (!hit) {
     // Fetch a readahead window starting at the request, clamped to the
     // object's stored size (no point prefetching past EOF). Dirty pending
     // data must reach disk first so the read observes it.
     t = flush_pending(st, object_id, t);
-    std::uint64_t window = std::max<std::uint64_t>(len, cfg_.flush_chunk);
+    std::uint64_t window = std::max<std::uint64_t>(len, kFlushChunk);
     window = std::min(window, st.size - off);
     window = std::max(window, len);
     t = disk_charge(object_id, off, window, t, "readahead");
@@ -179,28 +176,19 @@ double Oss::serve_read(std::uint64_t object_id, std::uint64_t off,
     st.ra_len = window;
   }
   t = nic_res_.reserve(
-      t, static_cast<double>(len) / cfg_.net_bw_bytes * perturb_.net_factor);
+      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
   record(now, t, len);
   if (ctx_) {
     if (c_bytes_read_) c_bytes_read_->add(len);
     if (h_read_lat_) h_read_lat_->add(t - now);
     if (ctx_->tracer) {
-      if (req != 0 && ctx_->tracer->has_subscribers()) {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "read", "oss", now,
-                               t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len),
-                                obs::Arg::Num("disk_q_s", disk_q),
-                                obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "read", "oss", now,
-                               t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len),
-                                obs::Arg::Num("disk_q_s", disk_q)});
-      }
+      ctx_->tracer->complete(obs::kOssTrackBase + index_, "read", "oss", now,
+                             t,
+                             {obs::Arg::Int("obj", object_id),
+                              obs::Arg::Int("off", off),
+                              obs::Arg::Int("len", len),
+                              obs::Arg::Num("disk_q_s", disk_q)},
+                             req);
     }
   }
   return t;
@@ -211,32 +199,24 @@ double Oss::serve_failover_read(std::uint64_t object_id, std::uint64_t off,
                                 std::uint64_t req) {
   maybe_crash_reset(now);
   double t = now + cfg_.rpc_latency_s;
-  t = cpu_res_.reserve(t, (cfg_.server_cpu_per_op_s + cfg_.security_verify_s) *
-                              perturb_.cpu_factor);
+  t = cpu_res_.reserve(
+      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
   // Always a cold disk read: the replica copy's cache is not modelled and
   // this server's own readahead window must not be disturbed.
   t = disk_charge(object_id, off, len, t, "failover_read");
   t = nic_res_.reserve(
-      t, static_cast<double>(len) / cfg_.net_bw_bytes * perturb_.net_factor);
+      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
   record(now, t, len);
   if (ctx_) {
     if (c_bytes_read_) c_bytes_read_->add(len);
     if (h_read_lat_) h_read_lat_->add(t - now);
     if (ctx_->tracer) {
-      if (req != 0 && ctx_->tracer->has_subscribers()) {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "failover_read",
-                               "oss", now, t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len),
-                                obs::Arg::Int("req", req)});
-      } else {
-        ctx_->tracer->complete(obs::kOssTrackBase + index_, "failover_read",
-                               "oss", now, t,
-                               {obs::Arg::Int("obj", object_id),
-                                obs::Arg::Int("off", off),
-                                obs::Arg::Int("len", len)});
-      }
+      ctx_->tracer->complete(obs::kOssTrackBase + index_, "failover_read",
+                             "oss", now, t,
+                             {obs::Arg::Int("obj", object_id),
+                              obs::Arg::Int("off", off),
+                              obs::Arg::Int("len", len)},
+                             req);
     }
   }
   return t;
@@ -245,16 +225,11 @@ double Oss::serve_failover_read(std::uint64_t object_id, std::uint64_t off,
 double Oss::serve_small_op(double now, std::uint64_t req) {
   maybe_crash_reset(now);
   double t = now + cfg_.rpc_latency_s;
-  t = cpu_res_.reserve(t, cfg_.server_cpu_per_op_s * perturb_.cpu_factor);
+  t = cpu_res_.reserve(t, kCpuPerOpS * perturb_.cpu_factor);
   record(now, t, 0);
   if (ctx_ && ctx_->tracer) {
-    if (req != 0 && ctx_->tracer->has_subscribers()) {
-      ctx_->tracer->complete(obs::kOssTrackBase + index_, "small_op", "oss",
-                             now, t, {obs::Arg::Int("req", req)});
-    } else {
-      ctx_->tracer->complete(obs::kOssTrackBase + index_, "small_op", "oss",
-                             now, t);
-    }
+    ctx_->tracer->complete(obs::kOssTrackBase + index_, "small_op", "oss", now,
+                           t, {}, req);
   }
   return t;
 }

@@ -4,6 +4,11 @@
 
 namespace pdsi::pfs {
 
+namespace {
+/// Cost to migrate one entry between shards during a split.
+constexpr double kMigrateEntryS = 4e-6;
+}  // namespace
+
 ShardedMds::ShardedMds(const PfsConfig& cfg, obs::Context* ctx) : cfg_(cfg) {
   const std::uint32_t n = std::max<std::uint32_t>(1, cfg.num_mds_shards);
   shards_.reserve(n);
@@ -174,7 +179,7 @@ double ShardedMds::settle_splits(double now, std::uint64_t req) {
   double done = now;
   for (const auto& s : pending_) {
     const double cost =
-        static_cast<double>(s.moved) * cfg_.mds_migrate_entry_s;
+        static_cast<double>(s.moved) * kMigrateEntryS;
     // Migration occupies both ends (read out of the source, install into
     // the destination), delaying whatever triggered the split.
     const double a = shards_[shard_of(s.partition)]->migrate(

@@ -90,7 +90,7 @@ class ShardedMds {
   void extend(const std::string& path, std::uint64_t new_size, double mtime);
 
   /// Charges any splits the preceding create/rename triggered: each one
-  /// reserves moved-entries * mds_migrate_entry_s on both the source and
+  /// reserves a per-moved-entry migration cost on both the source and
   /// destination shard (tracing "split_migrate" spans) and the caller's
   /// clock waits for the migration — in GIGA+ the triggering create
   /// completes only once its partition has split. Returns `now` untouched

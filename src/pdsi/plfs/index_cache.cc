@@ -15,19 +15,6 @@ std::shared_ptr<const IndexSnapshot> IndexCache::find(
   return it->second->second;
 }
 
-std::shared_ptr<const IndexSnapshot> IndexCache::find_any(
-    const std::string& container) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto it = by_path_.find(container);
-  if (it == by_path_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  return it->second->second;
-}
-
 void IndexCache::put(const std::string& container,
                      std::shared_ptr<const IndexSnapshot> snapshot) {
   if (!snapshot) return;

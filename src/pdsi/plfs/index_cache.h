@@ -49,14 +49,6 @@ class IndexCache {
   std::shared_ptr<const IndexSnapshot> find(const std::string& container,
                                             std::uint64_t fingerprint);
 
-  /// Close-to-open lookup: the latest snapshot for `container` with NO
-  /// fingerprint validation — the reader skips even the per-dropping
-  /// stat pass. Only sound under session consistency, where a writer's
-  /// close invalidates the container (invalidate()), so anything still
-  /// cached was built after the last publishing close. Counts toward
-  /// hits()/misses() like find().
-  std::shared_ptr<const IndexSnapshot> find_any(const std::string& container);
-
   /// Installs (or replaces) the snapshot for `container`, evicting the
   /// least-recently-used container beyond the bound.
   void put(const std::string& container,

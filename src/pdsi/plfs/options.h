@@ -28,16 +28,6 @@ struct Options {
   /// before hitting the backend. 0 = write through.
   std::uint64_t write_buffer_bytes = 0;
 
-  /// Reader: expand and merge index droppings with this many helper
-  /// threads (§1.1 item 5, parallel index redistribution). Only applies
-  /// to backends that tolerate concurrent access from anonymous threads
-  /// (Mem/Posix); the simulated backend reads sequentially regardless.
-  std::uint32_t index_read_threads = 1;
-
-  /// Drop a meta/<size>.<rank> hint at close so stat() can avoid a full
-  /// index merge.
-  bool write_meta_hints = true;
-
   /// Reader: when a dropping cannot be read (its server is down), report
   /// the region as a zero-filled hole and count the error instead of
   /// failing the whole read — the restart can consume what survives.
@@ -55,14 +45,6 @@ struct Options {
   /// pay the merge once. Must outlive every Reader/Writer using it;
   /// nullptr (the default) disables caching.
   IndexCache* index_cache = nullptr;
-
-  /// Close-to-open caching (session consistency, pdsi::consist): serve
-  /// the cached container index without revalidating the dropping
-  /// fingerprint, skipping even the per-dropping stat pass. Sound only
-  /// when writers publish by closing — which invalidates the cache —
-  /// i.e. under `consist::ConsistencyModel::session` (or stricter
-  /// external coordination). Requires index_cache; ignored without one.
-  bool close_to_open_cache = false;
 
   /// Optional tracing/metrics sink (must outlive the Writer/Reader).
   /// Timestamps come from Backend::now(), so spans are only meaningful

@@ -1,11 +1,8 @@
 #include "pdsi/plfs/reader.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <queue>
-#include <thread>
 #include <utility>
 
 #include "pdsi/plfs/container.h"
@@ -92,30 +89,6 @@ Status Reader::build(const std::string& path) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
   };
-
-  // Close-to-open mode trusts the invalidate-on-close protocol instead
-  // of a fingerprint: whatever is cached was built after the last
-  // publishing close, so a hit serves with no validation I/O at all —
-  // not even the container readdir below.
-  if (options_.index_cache && options_.close_to_open_cache) {
-    if (auto snap = options_.index_cache->find_any(path)) {
-      snap_ = std::move(snap);
-      if (options_.obs && options_.obs->registry) {
-        options_.obs->registry->counter("plfs.c2o_hits").add(1);
-      }
-      if (tracer) {
-        tracer->complete(options_.obs_track, "c2o_cache_hit", "plfs", v0,
-                         backend_.now(),
-                         {obs::Arg::Int("droppings", snap_->droppings.size()),
-                          obs::Arg::Int("entries", snap_->raw_entries.size())});
-      }
-      finish_timer();
-      return Status::Ok();
-    }
-    if (options_.obs && options_.obs->registry) {
-      options_.obs->registry->counter("plfs.c2o_misses").add(1);
-    }
-  }
 
   // Discover index droppings across hostdirs. The same top-level listing
   // reveals whether a flattened index is present, so the plain merge path
@@ -217,30 +190,29 @@ Status Reader::build(const std::string& path) {
     // Stale, corrupt, or unreadable flat dropping: fall back to the merge.
   }
 
-  // Read and decode each dropping (optionally in parallel).
+  // Read and decode each dropping.
   std::vector<std::vector<IndexEntry>> decoded(files.size());
   std::vector<Status> statuses(files.size());
   std::vector<std::uint64_t> sizes(files.size(), 0);
-  // One byte per dropping (not vector<bool>): pool threads set them.
-  std::vector<std::uint8_t> torn(files.size(), 0);
-  auto read_one = [&](std::size_t i) {
+  std::vector<bool> torn(files.size(), false);
+  for (std::size_t i = 0; i < files.size(); ++i) {
     auto h = backend_.open(files[i].index_path);
     if (!h.ok()) {
       statuses[i] = h.error();
-      return;
+      continue;
     }
     auto sz = backend_.size(*h);
     if (!sz.ok()) {
       statuses[i] = sz.error();
       backend_.close(*h);
-      return;
+      continue;
     }
     Bytes raw(*sz);
     auto n = backend_.read(*h, 0, raw);
     backend_.close(*h);
     if (!n.ok()) {
       statuses[i] = n.error();
-      return;
+      continue;
     }
     raw.resize(*n);
     sizes[i] = *n;
@@ -249,28 +221,6 @@ Status Reader::build(const std::string& path) {
     const std::size_t tail = raw.size() % kRawEntrySize;
     torn[i] = tail != 0;
     decoded[i] = DeserializeEntries(std::span(raw).first(raw.size() - tail));
-  };
-
-  const std::uint32_t workers =
-      std::max<std::uint32_t>(1, options_.index_read_threads);
-  auto run_pool = [&](auto&& work) {
-    std::vector<std::thread> pool;
-    std::atomic<std::size_t> next{0};
-    for (std::uint32_t w = 0; w < std::min<std::size_t>(workers, files.size());
-         ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t i = next.fetch_add(1); i < files.size();
-             i = next.fetch_add(1)) {
-          work(i);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  };
-  if (workers == 1 || files.size() <= 1) {
-    for (std::size_t i = 0; i < files.size(); ++i) read_one(i);
-  } else {
-    run_pool(read_one);
   }
   for (std::size_t i = 0; i < files.size(); ++i) {
     if (!statuses[i].ok()) {
@@ -302,11 +252,9 @@ Status Reader::build(const std::string& path) {
   raw_entries.reserve(total);
   std::vector<std::uint32_t> owner;
   owner.reserve(total);
-  std::vector<std::size_t> bases(files.size(), 0);
   for (std::size_t i = 0; i < files.size(); ++i) {
     snap->droppings.push_back(files[i].data_path);
     index_bytes_read_ += sizes[i];
-    bases[i] = raw_entries.size();
     for (const auto& e : decoded[i]) {
       raw_entries.push_back(e);
       owner.push_back(static_cast<std::uint32_t>(i));
@@ -314,60 +262,14 @@ Status Reader::build(const std::string& path) {
   }
   // raw_entries is dropping-major with in-dropping order preserved, so
   // comparing global positions as the tiebreak IS (dropping id, position).
-  std::vector<std::size_t> order;
-  if (workers > 1 && files.size() > 1) {
-    // Parallel merge: per-dropping position lists are argsorted by
-    // (sequence, position) on the pool, then k-way merged with the heap
-    // keyed by (sequence, dropping id) — byte-identical to the serial
-    // sort because within a dropping positions already ascend.
-    std::vector<std::vector<std::size_t>> perm(files.size());
-    run_pool([&](std::size_t i) {
-      perm[i].resize(decoded[i].size());
-      for (std::size_t j = 0; j < perm[i].size(); ++j) perm[i][j] = bases[i] + j;
-      std::sort(perm[i].begin(), perm[i].end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (raw_entries[a].sequence != raw_entries[b].sequence) {
-                    return raw_entries[a].sequence < raw_entries[b].sequence;
-                  }
-                  return a < b;
-                });
-    });
-    struct Head {
-      std::uint64_t sequence;
-      std::uint32_t dropping;
-      std::size_t pos;
-    };
-    auto later = [](const Head& a, const Head& b) {
-      if (a.sequence != b.sequence) return a.sequence > b.sequence;
-      return a.dropping > b.dropping;
-    };
-    std::priority_queue<Head, std::vector<Head>, decltype(later)> heap(later);
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      if (!perm[i].empty()) {
-        heap.push({raw_entries[perm[i][0]].sequence,
-                   static_cast<std::uint32_t>(i), 0});
-      }
+  std::vector<std::size_t> order(total);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (raw_entries[a].sequence != raw_entries[b].sequence) {
+      return raw_entries[a].sequence < raw_entries[b].sequence;
     }
-    order.reserve(total);
-    while (!heap.empty()) {
-      Head head = heap.top();
-      heap.pop();
-      order.push_back(perm[head.dropping][head.pos]);
-      if (++head.pos < perm[head.dropping].size()) {
-        head.sequence = raw_entries[perm[head.dropping][head.pos]].sequence;
-        heap.push(head);
-      }
-    }
-  } else {
-    order.resize(total);
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (raw_entries[a].sequence != raw_entries[b].sequence) {
-        return raw_entries[a].sequence < raw_entries[b].sequence;
-      }
-      return a < b;
-    });
-  }
+    return a < b;
+  });
   for (std::size_t i : order) snap->index.add(raw_entries[i], owner[i]);
   backend_.compute(static_cast<double>(raw_entries.size()) *
                    kIndexMergeCostPerEntry);

@@ -28,9 +28,7 @@ namespace pdsi::plfs {
 class Reader {
  public:
   /// Opens the container, reads every index dropping, builds the global
-  /// index. With options.index_read_threads > 1 the droppings are read,
-  /// decoded, and pre-sorted by a thread pool (backend must tolerate
-  /// concurrent calls; keep this at 1 for the virtual-time PFS backend).
+  /// index.
   static Result<std::unique_ptr<Reader>> Open(Backend& backend,
                                               const std::string& path,
                                               const Options& options = {});

@@ -171,7 +171,7 @@ Status Writer::close() {
   // index is stale — drop it now rather than waiting for a fingerprint
   // miss to notice. Unconditional: even a failed sync may have appended.
   if (options_.index_cache) options_.index_cache->invalidate(path_);
-  if (st.ok() && options_.write_meta_hints) {
+  if (st.ok()) {
     auto meta = backend_.create(
         ContainerPaths::meta_dropping(path_, max_logical_end_, rank_));
     if (meta.ok()) {

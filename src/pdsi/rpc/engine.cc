@@ -146,19 +146,6 @@ double RequestEngine::submit(Request req, double t, fault::FaultInjector* inj) {
   stats_.submitted++;
   if (c_submitted_) c_submitted_->add(1);
   req.submit_t = t;
-  if (!cfg_.pipelined()) {
-    // Synchronous mode: the engine is a pass-through retry seam — the
-    // call sequence (and therefore the timing) is exactly the pre-engine
-    // client's.
-    bool ok = true;
-    const bool mon = monitoring();
-    ExecInfo info;
-    const double done =
-        execute(req, t, inj, /*charge_wire=*/true, &ok, mon ? &info : nullptr);
-    if (!ok) async_error_ = true;
-    if (mon) emit_req_span(req, t, t, t, done, info, ok);
-    return done;
-  }
   const std::uint32_t queue = req.queue;
   queues_[queue].push_back(std::move(req));
   if (queues_[queue].size() >= cfg_.batch) return flush_queue(queue, t, inj);
@@ -176,12 +163,10 @@ double RequestEngine::drain(double t, fault::FaultInjector* inj, bool* ok) {
   }
   *ok = !async_error_;
   async_error_ = false;
-  if (cfg_.pipelined()) {
-    stats_.drains++;
-    if (c_drains_) c_drains_->add(1);
-    if (ctx_ && ctx_->tracer && t > start) {
-      ctx_->tracer->complete(track_, "rpc_drain", "rpc", start, t);
-    }
+  stats_.drains++;
+  if (c_drains_) c_drains_->add(1);
+  if (ctx_ && ctx_->tracer && t > start) {
+    ctx_->tracer->complete(track_, "rpc_drain", "rpc", start, t);
   }
   return t;
 }

@@ -151,13 +151,14 @@ class RequestEngine {
   /// one wire message once `batch` requests coalesced, and stall only
   /// when the in-flight window is saturated. Returns the client's
   /// post-submission time (== t unless the window stalled). Asynchronous
-  /// failures latch and surface at the next drain().
+  /// failures latch and surface at the next drain(). Pipelined clients
+  /// only; a synchronous client calls execute().
   double submit(Request req, double t, fault::FaultInjector* inj);
 
-  /// Synchronisation barrier: flushes every queue (in queue-index order),
-  /// awaits every in-flight completion, and reports (then clears) any
-  /// asynchronous failure since the last drain. Returns the instant the
-  /// last outstanding request completed.
+  /// Synchronisation barrier of a pipelined client: flushes every queue
+  /// (in queue-index order), awaits every in-flight completion, and
+  /// reports (then clears) any asynchronous failure since the last drain.
+  /// Returns the instant the last outstanding request completed.
   double drain(double t, fault::FaultInjector* inj, bool* ok);
 
   /// Requests currently in flight or queued (reporting/tests).

@@ -67,8 +67,7 @@ TEST(Dump, FullyTunedApproachesRegularStreaming) {
   tuned.metadata_coalescing = true;
   tuned.align_to_stripe = true;
   const auto r = RunDump(Cfg(), spec, tuned);
-  const auto cfg = Cfg();
-  const double media_peak = cfg.num_oss * cfg.disk.seq_bw_bytes;
+  const double media_peak = Cfg().num_oss * pfs::OssDisk().seq_bw_bytes;
   EXPECT_GT(r.bandwidth(), 0.4 * media_peak);
 }
 

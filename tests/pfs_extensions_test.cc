@@ -102,8 +102,7 @@ TEST(DirContention, FanoutSpreadsCreateStorm) {
   auto run = [](int dirs) {
     constexpr std::uint32_t kRanks = 16;
     PfsConfig cfg = PfsConfig::PvfsLike(2);
-    cfg.mds_op_s = 50e-6;       // MDS service itself is not the bottleneck
-    cfg.mds_dir_lock_s = 300e-6;  // ...the per-directory lock is
+    cfg.mds_op_s = 50e-6;  // MDS service is not the bottleneck; the dir lock is
     sim::VirtualScheduler sched(kRanks);
     PfsCluster cluster(cfg, sched);
     std::mutex mu;

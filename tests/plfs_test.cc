@@ -284,11 +284,6 @@ INSTANTIATE_TEST_SUITE_P(
                        o.write_buffer_bytes = 64 * KiB;
                        return o;
                      }()},
-        EndToEndCase{"parallel_index_read", [] {
-                       Options o;
-                       o.index_read_threads = 4;
-                       return o;
-                     }()},
         EndToEndCase{"single_hostdir", [] {
                        Options o;
                        o.num_hostdirs = 1;
@@ -443,13 +438,19 @@ TEST(PlfsCore, FlattenProducesIdenticalFlatFile) {
 }
 
 TEST(PlfsCore, StatSizeFallsBackWithoutMetaHints) {
-  Options o;
-  o.write_meta_hints = false;
-  Plfs fs(MakeMemBackend(), o);
+  Plfs fs(MakeMemBackend());
   {
     auto w = fs.open_write("/f", 0);
     (*w)->write(12345, MakePattern(0, 0, 55));
     (*w)->close();
+  }
+  // Remove the close-time hints, so stat() must merge the index.
+  const std::string meta = ContainerPaths::meta_dir("/f");
+  auto hints = fs.backend().readdir(meta);
+  ASSERT_TRUE(hints.ok());
+  ASSERT_FALSE(hints->empty());
+  for (const auto& name : *hints) {
+    ASSERT_TRUE(fs.backend().unlink(meta + "/" + name).ok());
   }
   auto sz = fs.stat_size("/f");
   ASSERT_TRUE(sz.ok());
@@ -1001,72 +1002,6 @@ TEST(PlfsCache, LruBoundEvictsOldestContainer) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
-// Close-to-open lookup (pdsi::consist session semantics): find_any serves
-// the latest snapshot without fingerprint validation — a stale fp that
-// would miss under find() still hits.
-TEST(PlfsCache, FindAnyIgnoresFingerprint) {
-  IndexCache cache(2);
-  auto snap = std::make_shared<IndexSnapshot>();
-  snap->fingerprint = 42;
-  cache.put("/c", snap);
-  EXPECT_EQ(cache.find("/c", 7), nullptr);  // validated lookup: fp mismatch
-  EXPECT_EQ(cache.find_any("/c"), snap);    // close-to-open: served anyway
-  EXPECT_EQ(cache.find_any("/missing"), nullptr);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-// End-to-end close-to-open: a reader under Options::close_to_open_cache
-// is served from the container cache without touching a single index
-// byte, and a writer's close (the session-model publish point)
-// invalidates so the next open rebuilds fresh data.
-TEST(PlfsCache, CloseToOpenHitSkipsIndexWorkUntilWriterCloses) {
-  IndexCache cache(4);
-  Options o;
-  o.index_cache = &cache;
-  Options c2o = o;
-  c2o.close_to_open_cache = true;
-  auto backend = MakeMemBackend();
-  WriteClock clock{0};
-  {
-    auto w = Writer::Open(*backend, "/f", 0, o, clock);
-    ASSERT_TRUE(w.ok());
-    ASSERT_TRUE((*w)->write(0, MakePattern(0, 0, 512)).ok());
-    ASSERT_TRUE((*w)->close().ok());
-  }
-  Bytes cold(512);
-  {
-    auto r = Reader::Open(*backend, "/f", o);  // warms the cache
-    ASSERT_TRUE(r.ok());
-    ASSERT_TRUE((*r)->read(0, cold).ok());
-  }
-  {
-    auto r = Reader::Open(*backend, "/f", c2o);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ((*r)->index_bytes_read(), 0u)
-        << "a close-to-open hit must skip the merge and the validation pass";
-    Bytes warm(512);
-    ASSERT_TRUE((*r)->read(0, warm).ok());
-    EXPECT_EQ(warm, cold);
-  }
-  {
-    auto w = Writer::Open(*backend, "/f", 1, o, clock);
-    ASSERT_TRUE(w.ok());
-    ASSERT_TRUE((*w)->write(0, MakePattern(1, 0, 512)).ok());
-    ASSERT_TRUE((*w)->close().ok());  // publish: invalidates the container
-  }
-  {
-    auto r = Reader::Open(*backend, "/f", c2o);
-    ASSERT_TRUE(r.ok());
-    EXPECT_GT((*r)->index_bytes_read(), 0u)
-        << "after a publishing close the snapshot is gone; rebuild";
-    Bytes fresh(512);
-    ASSERT_TRUE((*r)->read(0, fresh).ok());
-    EXPECT_EQ(FindPatternMismatch(1, 0, fresh), kNoMismatch);
-  }
-}
-
 // A degraded build (unreadable index dropping) must never be cached.
 TEST(PlfsCache, DegradedBuildIsNotCached) {
   IndexCache cache(4);
@@ -1090,60 +1025,6 @@ TEST(PlfsCache, DegradedBuildIsNotCached) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)->read_errors(), 1u);
   EXPECT_EQ(cache.size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel merge must be byte-identical to the serial merge.
-
-TEST(PlfsParallel, ParallelMergeMatchesSerialExactly) {
-  auto backend = MakeMemBackend();
-  Options o;
-  o.num_hostdirs = 2;
-  o.index_compression = false;  // maximise entry count and tie pressure
-  // Two clock domains so sequence stamps collide across rank groups, plus
-  // heavy logical overlap — the worst case for merge-order stability.
-  for (int epoch = 0; epoch < 2; ++epoch) {
-    WriteClock epoch_clock{0};
-    for (std::uint32_t r = 0; r < 3; ++r) {
-      const std::uint32_t rank = epoch * 3 + r;
-      auto w = Writer::Open(*backend, "/f", rank, o, epoch_clock);
-      ASSERT_TRUE(w.ok());
-      Rng rng(1000 + rank);
-      for (int k = 0; k < 60; ++k) {
-        const std::uint64_t off = rng.below(4000);
-        const std::uint64_t len = 1 + rng.below(300);
-        ASSERT_TRUE((*w)->write(off, MakePattern(rank, off, len)).ok());
-      }
-      ASSERT_TRUE((*w)->close().ok());
-    }
-  }
-
-  Options serial = o;
-  serial.index_read_threads = 1;
-  Options parallel = o;
-  parallel.index_read_threads = 4;
-  auto rs = Reader::Open(*backend, "/f", serial);
-  auto rp = Reader::Open(*backend, "/f", parallel);
-  ASSERT_TRUE(rs.ok());
-  ASSERT_TRUE(rp.ok());
-
-  EXPECT_EQ(SerializeEntries((*rs)->raw_entries()),
-            SerializeEntries((*rp)->raw_entries()));
-  const auto segs_s = (*rs)->index().all();
-  const auto segs_p = (*rp)->index().all();
-  ASSERT_EQ(segs_s.size(), segs_p.size());
-  for (std::size_t i = 0; i < segs_s.size(); ++i) {
-    EXPECT_EQ(segs_s[i].logical, segs_p[i].logical) << i;
-    EXPECT_EQ(segs_s[i].length, segs_p[i].length) << i;
-    EXPECT_EQ(segs_s[i].dropping, segs_p[i].dropping) << i;
-    EXPECT_EQ(segs_s[i].physical, segs_p[i].physical) << i;
-  }
-  ASSERT_EQ((*rs)->size(), (*rp)->size());
-  Bytes bs((*rs)->size());
-  Bytes bp((*rp)->size());
-  ASSERT_TRUE((*rs)->read(0, bs).ok());
-  ASSERT_TRUE((*rp)->read(0, bp).ok());
-  EXPECT_EQ(bs, bp);
 }
 
 // End-to-end over a real directory tree (the FUSE-deployment analogue).
