@@ -19,6 +19,7 @@
 #include <string>
 
 #include "pdsi/common/table.h"
+#include "pdsi/obs/format.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/obs/profile.h"
 
@@ -93,24 +94,7 @@ class JsonReport {
 
   JsonReport& str(const std::string& key, const std::string& v) {
     std::string quoted = "\"";
-    for (char c : v) {
-      switch (c) {
-        case '"': quoted += "\\\""; break;
-        case '\\': quoted += "\\\\"; break;
-        case '\n': quoted += "\\n"; break;
-        case '\r': quoted += "\\r"; break;
-        case '\t': quoted += "\\t"; break;
-        default:
-          if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(static_cast<unsigned char>(c)));
-            quoted += buf;
-          } else {
-            quoted += c;
-          }
-      }
-    }
+    quoted += obs::EscapeJson(v);
     quoted += '"';
     add(key, quoted);
     return *this;

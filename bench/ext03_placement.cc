@@ -8,7 +8,7 @@
 // strategies run identical workloads on the simulated substrate and we
 // report completion time plus per-server load imbalance.
 #include <iostream>
-#include <thread>
+#include <algorithm>
 
 #include "bench_util.h"
 #include "pdsi/common/bytes.h"
@@ -34,19 +34,10 @@ RunStats RunWorkload(std::unique_ptr<pfs::PlacementStrategy> placement,
   cfg.store_data = false;
   sim::VirtualScheduler sched(clients);
   pfs::PfsCluster cluster(cfg, sched, std::move(placement));
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      pfs::PfsClient client(cluster, c);
-      body(client, c);
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, client.now());
-      sched.finish(c);
-    });
-  }
-  for (auto& t : threads) t.join();
+  const double finish = sched.run([&](std::size_t c) {
+    pfs::PfsClient client(cluster, c);
+    body(client, static_cast<std::uint32_t>(c));
+  });
 
   OnlineStats busy;
   double max_busy = 0.0;

@@ -6,7 +6,6 @@
 // sequential log appends. Compares direct per-file creation on the
 // simulated PFS against small-file containers.
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 #include "pdsi/common/bytes.h"
@@ -28,34 +27,24 @@ double RunDirect(std::uint32_t clients, int files_per_client,
   cfg.store_data = false;
   sim::VirtualScheduler sched(clients);
   pfs::PfsCluster cluster(cfg, sched);
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      pfs::PfsClient client(cluster, c);
-      Bytes payload(file_bytes);
-      for (int f = 0; f < files_per_client; ++f) {
-        auto fh = client.create("/out/f" + std::to_string(c) + "_" +
-                                std::to_string(f));
-        if (c == 0 && f == 0) {
-          // First create fails (no /out); make it then.
-        }
-        if (!fh.ok()) {
-          client.mkdir("/out");
-          fh = client.create("/out/f" + std::to_string(c) + "_" +
-                             std::to_string(f));
-        }
-        client.write(*fh, 0, payload);
-        client.close(*fh);
+  return sched.run([&](std::size_t c) {
+    pfs::PfsClient client(cluster, c);
+    Bytes payload(file_bytes);
+    for (int f = 0; f < files_per_client; ++f) {
+      auto fh = client.create("/out/f" + std::to_string(c) + "_" +
+                              std::to_string(f));
+      if (c == 0 && f == 0) {
+        // First create fails (no /out); make it then.
       }
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, client.now());
-      sched.finish(c);
-    });
-  }
-  for (auto& t : threads) t.join();
-  return finish;
+      if (!fh.ok()) {
+        client.mkdir("/out");
+        fh = client.create("/out/f" + std::to_string(c) + "_" +
+                           std::to_string(f));
+      }
+      client.write(*fh, 0, payload);
+      client.close(*fh);
+    }
+  });
 }
 
 double RunPacked(std::uint32_t clients, int files_per_client,
@@ -65,25 +54,16 @@ double RunPacked(std::uint32_t clients, int files_per_client,
   sim::VirtualScheduler sched(clients);
   pfs::PfsCluster cluster(cfg, sched);
   plfs::WriteClock clock{1};
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      auto backend = plfs::MakePfsBackend(cluster, c);
-      auto w = plfs::SmallFileWriter::Open(*backend, "/pack", c, clock);
-      Bytes payload(file_bytes);
-      for (int f = 0; f < files_per_client; ++f) {
-        (*w)->put("f" + std::to_string(c) + "_" + std::to_string(f), payload);
-      }
-      (*w)->close();
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, sched.now(c));
-      sched.finish(c);
-    });
-  }
-  for (auto& t : threads) t.join();
-  return finish;
+  return sched.run([&](std::size_t c) {
+    auto backend = plfs::MakePfsBackend(cluster, c);
+    auto w = plfs::SmallFileWriter::Open(*backend, "/pack",
+                                         static_cast<std::uint32_t>(c), clock);
+    Bytes payload(file_bytes);
+    for (int f = 0; f < files_per_client; ++f) {
+      (*w)->put("f" + std::to_string(c) + "_" + std::to_string(f), payload);
+    }
+    (*w)->close();
+  });
 }
 
 }  // namespace

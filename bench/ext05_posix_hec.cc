@@ -8,8 +8,6 @@
 //  * group open: N ranks opening one shared file cost one metadata
 //    operation instead of N.
 #include <iostream>
-#include <mutex>
-#include <thread>
 
 #include "bench_util.h"
 #include "pdsi/common/bytes.h"
@@ -30,48 +28,36 @@ double RunSharedWrite(bool layout_aware, std::uint32_t ranks) {
   cfg.store_data = false;
   sim::VirtualScheduler sched(ranks);
   pfs::PfsCluster cluster(cfg, sched);
-  std::vector<std::size_t> all(ranks);
-  for (std::uint32_t i = 0; i < ranks; ++i) all[i] = i;
-  sim::VirtualBarrier barrier(sched, all);
+  sim::VirtualBarrier barrier(sched);
 
   constexpr std::uint64_t kRecord = 200 * KiB + 77;  // unaligned by nature
   constexpr int kSteps = 32;
-  std::mutex mu;
-  double finish = 0.0;
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      pfs::FileHandle fh;
-      if (r == 0) {
-        fh = *client.create("/shared");
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        fh = *client.open("/shared");
-      }
-      std::uint64_t slot = kRecord;  // without layout: natural packing
-      if (layout_aware) {
-        auto info = client.layout("/shared");
-        // Round each rank's slot up to the lock unit so no two ranks
-        // ever share a token.
-        slot = (kRecord + info->lock_unit - 1) / info->lock_unit *
-               info->lock_unit;
-      }
-      Bytes payload(kRecord);
-      for (int k = 0; k < kSteps; ++k) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(k) * ranks + r) * slot;
-        client.write(fh, off, payload);
-      }
-      client.close(fh);
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, client.now());
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
-  return finish;
+  return sched.run([&](std::size_t r) {
+    pfs::PfsClient client(cluster, r);
+    pfs::FileHandle fh;
+    if (r == 0) {
+      fh = *client.create("/shared");
+      barrier.arrive(r);
+    } else {
+      barrier.arrive(r);
+      fh = *client.open("/shared");
+    }
+    std::uint64_t slot = kRecord;  // without layout: natural packing
+    if (layout_aware) {
+      auto info = client.layout("/shared");
+      // Round each rank's slot up to the lock unit so no two ranks
+      // ever share a token.
+      slot = (kRecord + info->lock_unit - 1) / info->lock_unit *
+             info->lock_unit;
+    }
+    Bytes payload(kRecord);
+    for (int k = 0; k < kSteps; ++k) {
+      const std::uint64_t off =
+          (static_cast<std::uint64_t>(k) * ranks + r) * slot;
+      client.write(fh, off, payload);
+    }
+    client.close(fh);
+  });
 }
 
 /// N ranks open one file: N opens vs one group open.
@@ -80,42 +66,27 @@ double RunOpenStorm(bool group, std::uint32_t ranks, int files) {
   cfg.store_data = false;
   sim::VirtualScheduler sched(ranks);
   pfs::PfsCluster cluster(cfg, sched);
-  {
-    sim::VirtualScheduler setup(1);
-    // Pre-create the target files through a setup cluster? No — create
-    // them through rank 0's client in virtual time before the storm.
-  }
-  std::vector<std::size_t> all(ranks);
-  for (std::uint32_t i = 0; i < ranks; ++i) all[i] = i;
-  sim::VirtualBarrier barrier(sched, all);
-  std::mutex mu;
-  double finish = 0.0, start = 0.0;
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      if (r == 0) {
-        for (int f = 0; f < files; ++f) {
-          auto fh = client.create("/f" + std::to_string(f));
-          client.close(*fh);
-        }
-      }
-      const double t0 = barrier.arrive(r);
-      if (r == 0) start = t0;
+  sim::VirtualBarrier barrier(sched);
+  double start = 0.0;
+  // Every rank ends at the closing barrier, so the run's end is its time.
+  const double finish = sched.run([&](std::size_t r) {
+    pfs::PfsClient client(cluster, r);
+    if (r == 0) {
+      // Rank 0 creates the target files in virtual time before the storm.
       for (int f = 0; f < files; ++f) {
-        const std::string path = "/f" + std::to_string(f);
-        auto fh = group ? client.open_group(path, ranks) : client.open(path);
+        auto fh = client.create("/f" + std::to_string(f));
         client.close(*fh);
       }
-      const double t1 = barrier.arrive(r);
-      if (r == 0) {
-        std::lock_guard<std::mutex> lk(mu);
-        finish = t1;
-      }
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+    const double t0 = barrier.arrive(r);
+    if (r == 0) start = t0;
+    for (int f = 0; f < files; ++f) {
+      const std::string path = "/f" + std::to_string(f);
+      auto fh = group ? client.open_group(path, ranks) : client.open(path);
+      client.close(*fh);
+    }
+    barrier.arrive(r);
+  });
   return finish - start;
 }
 

@@ -15,11 +15,16 @@
 //
 // --smoke shrinks every sweep for the CI lane; BENCH_ lines stay present
 // and parseable.
+//
+// Gate (exit 1, reason on stderr): the fault-free row has no write errors
+// and no retries; every crash row's goodput is below the fault-free row's;
+// the degraded restart read returns every byte, counts read errors and
+// keeps some but not all of the checkpoint; the injected checkpoint sim
+// reruns bit-identically.
 #include <algorithm>
 #include <iostream>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -51,48 +56,38 @@ struct CheckpointRun {
 CheckpointRun RunFaultyCheckpoint(pfs::PfsCluster& cluster, std::uint32_t ranks,
                                   std::uint64_t record, std::uint32_t records) {
   sim::VirtualScheduler& sched = cluster.scheduler();
-  std::vector<std::size_t> all(ranks);
-  for (std::uint32_t r = 0; r < ranks; ++r) all[r] = r;
-  sim::VirtualBarrier barrier(sched, all);
+  sim::VirtualBarrier barrier(sched);
 
   CheckpointRun out;
   std::mutex mu;
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      pfs::FileHandle fh{};
-      if (r == 0) {
-        fh = *client.create("/ckpt");
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        fh = *client.open("/ckpt");
-      }
-      std::uint64_t ok_bytes = 0;
-      std::uint64_t errors = 0;
-      for (std::uint32_t i = 0; i < records; ++i) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(i) * ranks + r) * record;
-        Bytes data(record);  // contents irrelevant in timing mode
-        if (client.write(fh, off, data).ok()) {
-          ok_bytes += record;
-        } else {
-          ++errors;
-        }
-      }
-      client.close(fh);  // may fail if a server is down; the rank is done
+  out.seconds = sched.run([&](std::size_t r) {
+    pfs::PfsClient client(cluster, r);
+    pfs::FileHandle fh{};
+    if (r == 0) {
+      fh = *client.create("/ckpt");
       barrier.arrive(r);
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        out.seconds = std::max(out.seconds, client.now());
-        out.bytes_ok += ok_bytes;
-        out.write_errors += errors;
+    } else {
+      barrier.arrive(r);
+      fh = *client.open("/ckpt");
+    }
+    std::uint64_t ok_bytes = 0;
+    std::uint64_t errors = 0;
+    for (std::uint32_t i = 0; i < records; ++i) {
+      const std::uint64_t off =
+          (static_cast<std::uint64_t>(i) * ranks + r) * record;
+      Bytes data(record);  // contents irrelevant in timing mode
+      if (client.write(fh, off, data).ok()) {
+        ok_bytes += record;
+      } else {
+        ++errors;
       }
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+    client.close(fh);  // may fail if a server is down; the rank is done
+    barrier.arrive(r);
+    std::lock_guard<std::mutex> lk(mu);
+    out.bytes_ok += ok_bytes;
+    out.write_errors += errors;
+  });
   return out;
 }
 
@@ -106,6 +101,12 @@ int main(int argc, char** argv) {
                 "restart from what survives");
   const bool smoke = bench::SmokeFlag(argc, argv);
   bench::JsonReport json("ext13_fault_resilience");
+  bool failed = false;
+  auto gate = [&failed](bool ok, const std::string& what) {
+    if (ok) return;
+    std::cerr << "ext13_fault_resilience: FAILED: " << what << "\n";
+    failed = true;
+  };
   // --trace <path>: the mtbf=30s sweep row is traced (fault.* retry spans
   // interleaved with the oss/rank tracks); other rows stay untraced so
   // each track holds a single unambiguous run.
@@ -168,7 +169,14 @@ int main(int argc, char** argv) {
 
     const CheckpointRun run = RunFaultyCheckpoint(cluster, kRanks, kRecord, kRecords);
     const double goodput = static_cast<double>(run.bytes_ok) / run.seconds;
-    if (!plan.active()) clean_goodput = goodput;
+    if (!plan.active()) {
+      clean_goodput = goodput;
+      gate(run.write_errors == 0 && inj.retries() == 0,
+           "the fault-free row has write errors or retries");
+    } else if (pt.mtbf_s > 0) {
+      gate(goodput < clean_goodput,
+           std::string(pt.label) + " goodput is not below the fault-free row's");
+    }
     t1.row({pt.label, FormatDuration(run.seconds), FormatRate(goodput),
             std::to_string(run.write_errors), std::to_string(inj.retries()),
             std::to_string(inj.failovers())});
@@ -276,15 +284,20 @@ int main(int argc, char** argv) {
                                  static_cast<double>(out.size()), 1) +
                 "% of the checkpoint instead of aborting; without "
                 "degraded_reads the same read returns EIO");
+    const double survived = static_cast<double>(out.size() - zeros) /
+                            static_cast<double>(out.size());
     json.str("mode", "degraded_read")
         .num("bytes", static_cast<double>(out.size()))
         .num("returned", n.ok() ? static_cast<double>(*n) : -1.0)
         .num("zero_bytes", static_cast<double>(zeros))
         .num("read_errors", static_cast<double>((*reader)->read_errors()))
-        .num("survived_fraction",
-             static_cast<double>(out.size() - zeros) /
-                 static_cast<double>(out.size()));
+        .num("survived_fraction", survived);
     json.emit();
+    gate(n.ok() && *n == out.size(),
+         "the degraded restart read did not return every byte");
+    gate((*reader)->read_errors() > 0 && survived > 0.0 && survived < 1.0,
+         "the degraded restart read must count read errors and keep part, "
+         "but not all, of the checkpoint");
   }
 
   // ---- 3. checkpoint sim on the injected schedule --------------------------
@@ -313,6 +326,10 @@ int main(int argc, char** argv) {
     const auto injected = failure::SimulateCheckpointing(p, ri);
     Rng ri2(2026);
     const auto injected2 = failure::SimulateCheckpointing(p, ri2);
+    const bool deterministic = injected.wall_seconds == injected2.wall_seconds &&
+                               injected.failures == injected2.failures &&
+                               injected.checkpoints == injected2.checkpoints;
+    gate(deterministic, "the injected checkpoint sim does not rerun bit-identically");
 
     Table t3({"failure source", "failures", "utilisation", "wall"});
     t3.row({"analytic Weibull", std::to_string(analytic.failures),
@@ -326,9 +343,7 @@ int main(int argc, char** argv) {
                 "schedule couples lost work to faults the rest of the "
                 "simulator actually experienced; rerunning the schedule is "
                 "bit-stable (" +
-                std::string(injected.wall_seconds == injected2.wall_seconds
-                                ? "verified"
-                                : "VIOLATED") +
+                std::string(deterministic ? "verified" : "VIOLATED") +
                 ")");
     json.str("mode", "ckpt_sim")
         .str("source", "analytic")
@@ -341,9 +356,8 @@ int main(int argc, char** argv) {
         .num("failures", static_cast<double>(injected.failures))
         .num("utilization", injected.utilization)
         .num("wall_seconds", injected.wall_seconds)
-        .num("deterministic",
-             injected.wall_seconds == injected2.wall_seconds ? 1.0 : 0.0);
+        .num("deterministic", deterministic ? 1.0 : 0.0);
     json.emit();
   }
-  return 0;
+  return failed ? 1 : 0;
 }

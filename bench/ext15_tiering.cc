@@ -16,6 +16,8 @@
 //
 // Everything is virtual-time and byte-reproducible; --smoke shrinks the
 // data sizes for the CI lane while keeping every BENCH_ line present.
+// Gate (exit 1, reason on stderr): every scenario that verifies bytes
+// (crash_rebuild, capacity_pressure) reads them back identical.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -46,8 +48,6 @@ struct Stack {
     p.warm_capacity_bytes = warm;
     engine = std::make_unique<tier::TierEngine>(p, cluster, ctx);
   }
-  ~Stack() { sched.finish(0); }
-
   sim::VirtualScheduler sched;
   pfs::PfsCluster cluster;
   std::unique_ptr<tier::TierEngine> engine;
@@ -150,7 +150,8 @@ void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
 
 // -- Scenario 2: tier crash + rebuild from parity ---------------------------
 
-void ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
+/// Returns whether the dataset read back identical in every phase.
+bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
   PrintBanner(std::cout, "scenario 2: archive device loss, degraded reads, rebuild");
   const std::uint64_t kObj = (smoke ? 8 : 64) * MiB;
 
@@ -203,11 +204,13 @@ void ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx, bool smoke
       .num("degraded_gets", static_cast<double>(e.store().stats().degraded_gets))
       .num("identical", identical ? 1.0 : 0.0);
   json.emit();
+  return identical;
 }
 
 // -- Scenario 3: capacity pressure forcing archive demotion -----------------
 
-void ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
+/// Returns whether the archived generation read back identical.
+bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
                               bool smoke) {
   PrintBanner(std::cout, "scenario 3: warm watermark demotes to the archive");
   const std::uint64_t kGen = (smoke ? 4 : 16) * MiB;
@@ -252,6 +255,7 @@ void ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
       .num("cold_read_s", cold_read_s)
       .num("identical", identical ? 1.0 : 0.0);
   json.emit();
+  return identical;
 }
 
 }  // namespace
@@ -267,13 +271,15 @@ int main(int argc, char** argv) {
   bench::JsonReport json("ext15_tiering");
 
   ScenarioDrainRace(json, trace.ctx(), smoke);
-  ScenarioCrashRebuild(json, trace.ctx(), smoke);
-  ScenarioCapacityPressure(json, trace.ctx(), smoke);
+  const bool rebuild_ok = ScenarioCrashRebuild(json, trace.ctx(), smoke);
+  const bool pressure_ok = ScenarioCapacityPressure(json, trace.ctx(), smoke);
 
   bench::Note("shape check: analysis reads slow down while the drain holds "
               "the warm servers; archive loss within parity degrades but "
               "never corrupts (bytes verified identical before and after "
               "rebuild); watermark pressure demotes coldest generations "
               "first and they read back intact from k survivors.");
-  return 0;
+  if (!rebuild_ok) std::cerr << "ext15_tiering: FAILED: crash_rebuild bytes differ\n";
+  if (!pressure_ok) std::cerr << "ext15_tiering: FAILED: capacity_pressure bytes differ\n";
+  return rebuild_ok && pressure_ok ? 0 : 1;
 }

@@ -26,7 +26,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -111,85 +110,79 @@ RunResult RunOne(consist::ConsistencyModel model, const SweepParams& p,
   const bool commit = model == consist::ConsistencyModel::commit;
   const bool mpiio = model == consist::ConsistencyModel::mpiio;
 
-  std::vector<std::size_t> ids;
-  for (int r = 0; r < p.ranks; ++r) ids.push_back(static_cast<std::size_t>(r));
-  sim::VirtualBarrier barrier(sched, ids);
+  sim::VirtualBarrier barrier(sched);
 
   std::vector<double> ends(static_cast<std::size_t>(p.ranks), 0.0);
   std::atomic<bool> ok{true};
 
-  std::vector<std::thread> threads;
-  for (int r = 0; r < p.ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, static_cast<std::size_t>(r));
-      pfs::FileHandle fh = -1;
-      if (p.shared) {
-        if (r == 0) {
-          fh = *client.create("/shared");
-          if (session) client.close(fh);
-          barrier.arrive(static_cast<std::size_t>(r));
-        } else {
-          barrier.arrive(static_cast<std::size_t>(r));
-          if (!session) fh = *client.open("/shared");
-        }
-        for (int k = 0; k < p.rounds; ++k) {
-          const std::uint64_t woff =
-              static_cast<std::uint64_t>(k * p.ranks + r) * kRec;
-          if (session) fh = *client.open("/shared");
-          if (!client.write(fh, woff, MakePattern(Tag(p.ranks, k, r), woff, kRec))
-                   .ok()) {
-            ok = false;
-          }
-          if (session) {
-            if (!client.close(fh).ok()) ok = false;
-          } else if (commit || mpiio) {
-            if (!client.fsync(fh).ok()) ok = false;
-          }
-          barrier.arrive(static_cast<std::size_t>(r));
-          const int tgt = (r + 1 + k) % p.ranks;
-          const std::uint64_t roff =
-              static_cast<std::uint64_t>(k * p.ranks + tgt) * kRec;
-          if (session) fh = *client.open("/shared");
-          if (mpiio) {
-            if (!client.fsync(fh).ok()) ok = false;
-          }
-          Bytes out(kRec);
-          auto n = client.read(fh, roff, out);
-          if (!n.ok() || *n != kRec ||
-              FindPatternMismatch(Tag(p.ranks, k, tgt), roff, out) !=
-                  kNoMismatch) {
-            ok = false;
-          }
-          if (session) client.close(fh);
-          barrier.arrive(static_cast<std::size_t>(r));
-        }
-        ends[static_cast<std::size_t>(r)] = client.now();
-        if (!session && fh >= 0) client.close(fh);
+  sched.run([&](std::size_t actor) {
+    const int r = static_cast<int>(actor);
+    pfs::PfsClient client(cluster, actor);
+    pfs::FileHandle fh = -1;
+    if (p.shared) {
+      if (r == 0) {
+        fh = *client.create("/shared");
+        if (session) client.close(fh);
+        barrier.arrive(actor);
       } else {
-        // File-per-process: the identical op sequence under every model —
-        // no cross-client visibility is needed, so no publishes either.
-        fh = *client.create("/ckpt." + std::to_string(r));
-        for (int k = 0; k < p.rounds; ++k) {
-          const std::uint64_t off = static_cast<std::uint64_t>(k) * kRec;
-          if (!client.write(fh, off, MakePattern(Tag(p.ranks, k, r), off, kRec))
-                   .ok()) {
-            ok = false;
-          }
-          Bytes out(kRec);
-          auto n = client.read(fh, off, out);
-          if (!n.ok() || *n != kRec ||
-              FindPatternMismatch(Tag(p.ranks, k, r), off, out) !=
-                  kNoMismatch) {
-            ok = false;
-          }
-        }
-        ends[static_cast<std::size_t>(r)] = client.now();
-        client.close(fh);
+        barrier.arrive(actor);
+        if (!session) fh = *client.open("/shared");
       }
-      sched.finish(static_cast<std::size_t>(r));
-    });
-  }
-  for (auto& t : threads) t.join();
+      for (int k = 0; k < p.rounds; ++k) {
+        const std::uint64_t woff =
+            static_cast<std::uint64_t>(k * p.ranks + r) * kRec;
+        if (session) fh = *client.open("/shared");
+        if (!client.write(fh, woff, MakePattern(Tag(p.ranks, k, r), woff, kRec))
+                 .ok()) {
+          ok = false;
+        }
+        if (session) {
+          if (!client.close(fh).ok()) ok = false;
+        } else if (commit || mpiio) {
+          if (!client.fsync(fh).ok()) ok = false;
+        }
+        barrier.arrive(actor);
+        const int tgt = (r + 1 + k) % p.ranks;
+        const std::uint64_t roff =
+            static_cast<std::uint64_t>(k * p.ranks + tgt) * kRec;
+        if (session) fh = *client.open("/shared");
+        if (mpiio) {
+          if (!client.fsync(fh).ok()) ok = false;
+        }
+        Bytes out(kRec);
+        auto n = client.read(fh, roff, out);
+        if (!n.ok() || *n != kRec ||
+            FindPatternMismatch(Tag(p.ranks, k, tgt), roff, out) !=
+                kNoMismatch) {
+          ok = false;
+        }
+        if (session) client.close(fh);
+        barrier.arrive(actor);
+      }
+      ends[actor] = client.now();
+      if (!session && fh >= 0) client.close(fh);
+    } else {
+      // File-per-process: the identical op sequence under every model —
+      // no cross-client visibility is needed, so no publishes either.
+      fh = *client.create("/ckpt." + std::to_string(r));
+      for (int k = 0; k < p.rounds; ++k) {
+        const std::uint64_t off = static_cast<std::uint64_t>(k) * kRec;
+        if (!client.write(fh, off, MakePattern(Tag(p.ranks, k, r), off, kRec))
+                 .ok()) {
+          ok = false;
+        }
+        Bytes out(kRec);
+        auto n = client.read(fh, off, out);
+        if (!n.ok() || *n != kRec ||
+            FindPatternMismatch(Tag(p.ranks, k, r), off, out) !=
+                kNoMismatch) {
+          ok = false;
+        }
+      }
+      ends[actor] = client.now();
+      client.close(fh);
+    }
+  });
 
   RunResult res;
   res.bytes = 2 * static_cast<std::uint64_t>(p.ranks) *

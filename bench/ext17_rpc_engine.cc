@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,52 +102,46 @@ RunResult RunSharedSmallWrites(const Setting& s, const Shape& shape,
   sim::VirtualScheduler sched(static_cast<std::size_t>(ranks));
   pfs::PfsCluster cluster(cfg, sched, nullptr, ctx);
 
-  std::vector<std::size_t> ids;
-  for (int r = 0; r < ranks; ++r) ids.push_back(static_cast<std::size_t>(r));
-  sim::VirtualBarrier barrier(sched, ids);
+  sim::VirtualBarrier barrier(sched);
 
   std::vector<double> ends(static_cast<std::size_t>(ranks), 0.0);
   std::vector<rpc::EngineStats> stats(static_cast<std::size_t>(ranks));
   std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (int r = 0; r < ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, static_cast<std::size_t>(r));
-      pfs::FileHandle fh = -1;
-      if (r == 0) {
-        fh = *client.create("/shared");
-        barrier.arrive(static_cast<std::size_t>(r));
-      } else {
-        barrier.arrive(static_cast<std::size_t>(r));
-        fh = *client.open("/shared");
-      }
-      for (int k = 0; k < shape.rounds; ++k) {
-        const std::uint64_t off =
-            static_cast<std::uint64_t>(r * shape.rounds + k) * shape.rec;
-        const std::uint32_t tag = static_cast<std::uint32_t>(100 + r);
-        if (!client.write(fh, off, MakePattern(tag, off, shape.rec)).ok()) {
-          ok = false;
-        }
-      }
-      if (!client.fsync(fh).ok()) ok = false;  // pipelined sync barrier
-      // Read back this rank's last record: async writes must have landed.
-      const std::uint64_t voff =
-          static_cast<std::uint64_t>(r * shape.rounds + shape.rounds - 1) *
-          shape.rec;
-      Bytes out(shape.rec);
-      auto n = client.read(fh, voff, out);
-      if (!n.ok() || *n != shape.rec ||
-          FindPatternMismatch(static_cast<std::uint32_t>(100 + r), voff, out) !=
-              kNoMismatch) {
+  sched.run([&](std::size_t actor) {
+    const int r = static_cast<int>(actor);
+    pfs::PfsClient client(cluster, actor);
+    pfs::FileHandle fh = -1;
+    if (r == 0) {
+      fh = *client.create("/shared");
+      barrier.arrive(actor);
+    } else {
+      barrier.arrive(actor);
+      fh = *client.open("/shared");
+    }
+    for (int k = 0; k < shape.rounds; ++k) {
+      const std::uint64_t off =
+          static_cast<std::uint64_t>(r * shape.rounds + k) * shape.rec;
+      const std::uint32_t tag = static_cast<std::uint32_t>(100 + r);
+      if (!client.write(fh, off, MakePattern(tag, off, shape.rec)).ok()) {
         ok = false;
       }
-      ends[static_cast<std::size_t>(r)] = client.now();
-      if (!client.close(fh).ok()) ok = false;
-      stats[static_cast<std::size_t>(r)] = client.rpc_stats();
-      sched.finish(static_cast<std::size_t>(r));
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+    if (!client.fsync(fh).ok()) ok = false;  // pipelined sync barrier
+    // Read back this rank's last record: async writes must have landed.
+    const std::uint64_t voff =
+        static_cast<std::uint64_t>(r * shape.rounds + shape.rounds - 1) *
+        shape.rec;
+    Bytes out(shape.rec);
+    auto n = client.read(fh, voff, out);
+    if (!n.ok() || *n != shape.rec ||
+        FindPatternMismatch(static_cast<std::uint32_t>(100 + r), voff, out) !=
+            kNoMismatch) {
+      ok = false;
+    }
+    ends[actor] = client.now();
+    if (!client.close(fh).ok()) ok = false;
+    stats[actor] = client.rpc_stats();
+  });
 
   RunResult res;
   res.ops = static_cast<std::uint64_t>(ranks) *
@@ -190,7 +183,6 @@ RunResult RunMetadataStorm(const Setting& s, const Shape& shape,
   res.makespan_s = client.now();
   res.rpc = client.rpc_stats();
   res.bytes_ok = ok;
-  sched.finish(0);
   return res;
 }
 
@@ -246,7 +238,6 @@ RunResult RunIncastFanin(const Setting& s, const Shape& shape,
   res.makespan_s = client.now();
   res.rpc = client.rpc_stats();
   res.bytes_ok = ok;
-  sched.finish(0);
   return res;
 }
 

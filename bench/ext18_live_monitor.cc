@@ -32,7 +32,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -165,7 +164,6 @@ SloRun RunIncastSlo(Mode mode, const Shape& sh) {
     }
   }
   res.makespan_s = client.now();
-  sched.finish(0);
   if (mode != Mode::bare) tr.flush_subscribers(client.now());
 
   res.dropped = tr.dropped_events();
@@ -292,7 +290,7 @@ AuditRun RunCommitAudit(bool with_fsync) {
   cfg.consistency = consist::ConsistencyModel::commit;
   cfg.record_consist_ops = true;  // requires the synchronous client
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  sim::VirtualBarrier barrier(sched, {0, 1});
+  sim::VirtualBarrier barrier(sched);
 
   // The live monitor watches the run as it happens.
   consist::ConsistencyMonitor live(consist::ConsistencyModel::commit);
@@ -300,17 +298,18 @@ AuditRun RunCommitAudit(bool with_fsync) {
 
   AuditRun res;
   const std::uint64_t rec = 16 * KiB;
-  std::thread writer([&] {
-    pfs::PfsClient c(cluster, 0);
-    auto fh = c.create("/audit");
-    if (!fh.ok()) res.io_ok = false;
-    if (!c.write(*fh, 0, MakePattern(900, 0, rec)).ok()) res.io_ok = false;
-    if (with_fsync && !c.fsync(*fh).ok()) res.io_ok = false;
-    if (!c.close(*fh).ok()) res.io_ok = false;
-    barrier.arrive(0);
-    sched.finish(0);
-  });
-  std::thread reader([&] {
+  // Actor 0 writes; actor 1 reads once the barrier says the writer is done.
+  sched.run([&](std::size_t actor) {
+    if (actor == 0) {
+      pfs::PfsClient c(cluster, 0);
+      auto fh = c.create("/audit");
+      if (!fh.ok()) res.io_ok = false;
+      if (!c.write(*fh, 0, MakePattern(900, 0, rec)).ok()) res.io_ok = false;
+      if (with_fsync && !c.fsync(*fh).ok()) res.io_ok = false;
+      if (!c.close(*fh).ok()) res.io_ok = false;
+      barrier.arrive(0);
+      return;
+    }
     barrier.arrive(1);
     pfs::PfsClient c(cluster, 1);
     auto fh = c.open("/audit");
@@ -319,10 +318,7 @@ AuditRun RunCommitAudit(bool with_fsync) {
     auto n = c.read(*fh, 0, out);
     if (!n.ok() || *n != rec) res.io_ok = false;
     if (!c.close(*fh).ok()) res.io_ok = false;
-    sched.finish(1);
   });
-  writer.join();
-  reader.join();
   tr.flush_subscribers(0.0);
 
   const auto events = obs::CollectEvents(tr);

@@ -26,9 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -107,26 +105,17 @@ StormResult RunCreateStorm(std::uint32_t shards, const Shape& shape,
   sim::VirtualScheduler sched(static_cast<std::size_t>(clients));
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
 
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
   std::atomic<bool> ok{true};
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      pfs::PfsClient client(cluster, static_cast<std::size_t>(c));
-      for (int i = 0; i < shape.creates_per_client; ++i) {
-        if (!client
-                 .create("/r" + std::to_string(c) + "_f" + std::to_string(i))
-                 .ok()) {
-          ok = false;
-        }
+  const double finish = sched.run([&](std::size_t c) {
+    pfs::PfsClient client(cluster, c);
+    for (int i = 0; i < shape.creates_per_client; ++i) {
+      if (!client
+               .create("/r" + std::to_string(c) + "_f" + std::to_string(i))
+               .ok()) {
+        ok = false;
       }
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, client.now());
-      sched.finish(static_cast<std::size_t>(c));
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+  });
 
   StormResult res;
   res.ops = static_cast<std::uint64_t>(clients) *
@@ -164,51 +153,36 @@ StormResult RunOpenStorm(std::uint32_t shards, const Shape& shape) {
   sim::VirtualScheduler sched(static_cast<std::size_t>(openers) + 1);
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
 
-  std::vector<std::size_t> ids;
-  for (int a = 0; a <= openers; ++a) ids.push_back(static_cast<std::size_t>(a));
-  sim::VirtualBarrier barrier(sched, ids);
+  sim::VirtualBarrier barrier(sched);
 
-  std::vector<std::thread> threads;
-  std::mutex mu;
   double start = 0.0;
-  double finish = 0.0;
   std::uint64_t seed_bounces = 0;
   std::atomic<bool> ok{true};
-  // Actor 0 seeds the namespace (growing it through its splits), then
-  // the cold openers start together.
-  threads.emplace_back([&] {
-    pfs::PfsClient seeder(cluster, 0);
-    for (int i = 0; i < shape.open_files; ++i) {
-      if (!seeder.create("/s" + std::to_string(i)).ok()) ok = false;
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      seed_bounces = reg.counter("pfs.mds_stale_retries").value();
-    }
-    barrier.arrive(0);
-    sched.finish(0);
-  });
   const int slice = shape.open_files / openers;
-  for (int o = 0; o < openers; ++o) {
-    threads.emplace_back([&, o] {
-      const std::size_t actor = static_cast<std::size_t>(o) + 1;
-      barrier.arrive(actor);
-      // Constructed after the barrier: a genuinely cold client whose
-      // bitmap knows nothing of the seeding phase's splits.
-      pfs::PfsClient client(cluster, actor);
-      const double my_start = client.now();
-      for (int i = o * slice; i < (o + 1) * slice; ++i) {
-        auto fh =
-            client.open_group("/s" + std::to_string(i), shape.open_group);
-        if (!fh.ok() || !client.close(*fh).ok()) ok = false;
+  // Actor 0 seeds the namespace (growing it through its splits), then
+  // the cold openers start together at the barrier; the seeder ends
+  // there, so the run's end is the last opener's.
+  const double finish = sched.run([&](std::size_t actor) {
+    if (actor == 0) {
+      pfs::PfsClient seeder(cluster, 0);
+      for (int i = 0; i < shape.open_files; ++i) {
+        if (!seeder.create("/s" + std::to_string(i)).ok()) ok = false;
       }
-      std::lock_guard<std::mutex> lk(mu);
-      start = std::max(start, my_start);
-      finish = std::max(finish, client.now());
-      sched.finish(actor);
-    });
-  }
-  for (auto& t : threads) t.join();
+      seed_bounces = reg.counter("pfs.mds_stale_retries").value();
+      start = barrier.arrive(0);
+      return;
+    }
+    const int o = static_cast<int>(actor) - 1;
+    barrier.arrive(actor);
+    // Constructed after the barrier: a genuinely cold client whose
+    // bitmap knows nothing of the seeding phase's splits.
+    pfs::PfsClient client(cluster, actor);
+    for (int i = o * slice; i < (o + 1) * slice; ++i) {
+      auto fh =
+          client.open_group("/s" + std::to_string(i), shape.open_group);
+      if (!fh.ok() || !client.close(*fh).ok()) ok = false;
+    }
+  });
 
   StormResult res;
   res.ops = static_cast<std::uint64_t>(openers) *

@@ -18,9 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -61,28 +59,18 @@ RunResult RunMetarates(std::uint32_t servers) {
   ctx.registry = &reg;
   sim::VirtualScheduler sched(kClients);
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
-  double half = 0.0;  // latest time any client crossed its midpoint
+  std::vector<double> halves(kClients, 0.0);  // when each client crossed its midpoint
   std::atomic<bool> ok{true};
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      pfs::PfsClient client(cluster, static_cast<std::size_t>(c));
-      double my_half = 0.0;
-      for (int i = 0; i < kPerClient; ++i) {
-        const std::string name =
-            "/f" + std::to_string(c) + "_" + std::to_string(i);
-        if (!client.create(name).ok()) ok = false;
-        if (i == kPerClient / 2) my_half = client.now();
-      }
-      std::lock_guard<std::mutex> lk(mu);
-      finish = std::max(finish, client.now());
-      half = std::max(half, my_half);
-      sched.finish(static_cast<std::size_t>(c));
-    });
-  }
-  for (auto& t : threads) t.join();
+  const double finish = sched.run([&](std::size_t c) {
+    pfs::PfsClient client(cluster, c);
+    for (int i = 0; i < kPerClient; ++i) {
+      const std::string name =
+          "/f" + std::to_string(c) + "_" + std::to_string(i);
+      if (!client.create(name).ok()) ok = false;
+      if (i == kPerClient / 2) halves[c] = client.now();
+    }
+  });
+  const double half = *std::max_element(halves.begin(), halves.end());
 
   RunResult r;
   r.creates_per_second = kClients * kPerClient / finish;

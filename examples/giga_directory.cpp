@@ -7,9 +7,6 @@
 // placed exactly where the final bitmap says it should be, and that a
 // cold client joining afterwards finds them all.
 #include <iostream>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "pdsi/common/stats.h"
 #include "pdsi/common/units.h"
@@ -38,35 +35,37 @@ int main() {
   // joins once every creator has reached the barrier.
   sim::VirtualScheduler sched(kClients + 1);
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  std::vector<std::size_t> actors;
-  for (std::size_t a = 0; a <= kClients; ++a) actors.push_back(a);
-  sim::VirtualBarrier barrier(sched, actors);
-  std::vector<std::thread> threads;
-  std::mutex mu;
-  double finish = 0.0;
+  sim::VirtualBarrier barrier(sched);
+  const pfs::ShardedMds& smds = cluster.smds();
 
   std::cout << "creating " << kClients * kPerClient << " files in one "
             << "directory over " << kServers << " metadata servers...\n";
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      pfs::PfsClient client(cluster, c);
+  double finish = 0.0;  // the barrier instant: the last creator's end
+  std::uint64_t storm_bounces = 0;
+  bool placed = false;
+  int found = 0;
+  sched.run([&](std::size_t a) {
+    if (a < kClients) {
+      pfs::PfsClient client(cluster, a);
       for (int i = 0; i < kPerClient; ++i) {
-        client.create("/file." + std::to_string(c) + "." + std::to_string(i));
+        client.create("/file." + std::to_string(a) + "." + std::to_string(i));
       }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        finish = std::max(finish, client.now());
-      }
-      barrier.arrive(c);
-      sched.finish(c);
-    });
-  }
-  barrier.arrive(kClients);
-  for (auto& t : threads) t.join();
+      barrier.arrive(a);
+      return;
+    }
+    finish = barrier.arrive(a);
+    storm_bounces = bounces.value();
+    placed = smds.check_placement_invariant();
+    // Spot-check lookups through a fresh (fully stale) client.
+    pfs::PfsClient fresh(cluster, a);
+    for (int i = 0; i < 1000; ++i) {
+      found += fresh.stat("/file." + std::to_string(i % kClients) + "." +
+                          std::to_string(i))
+                   .ok();
+    }
+  });
 
   const double total = kClients * kPerClient;
-  const std::uint64_t storm_bounces = bounces.value();
-  const pfs::ShardedMds& smds = cluster.smds();
   std::cout << "done in " << FormatDuration(finish) << " of virtual time: "
             << FormatCount(total / finish) << " creates/s\n";
   std::cout << "directory grew to " << smds.splits() + 1 << " partitions via "
@@ -75,19 +74,8 @@ int main() {
             << FormatDouble(storm_bounces / total, 5) << " per create — stale "
             << "caches are nearly free)\n";
 
-  const bool placed = smds.check_placement_invariant();
   std::cout << "placement invariant (every entry where the bitmap says): "
             << (placed ? "HOLDS" : "VIOLATED") << "\n";
-
-  // Spot-check lookups through a fresh (fully stale) client.
-  pfs::PfsClient fresh(cluster, kClients);
-  int found = 0;
-  for (int i = 0; i < 1000; ++i) {
-    found += fresh.stat("/file." + std::to_string(i % kClients) + "." +
-                        std::to_string(i))
-                 .ok();
-  }
-  sched.finish(kClients);
   std::cout << "fresh-client lookups: " << found << "/1000 found, "
             << bounces.value() - storm_bounces << " addressing corrections\n";
   return placed && found == 1000 ? 0 : 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
@@ -80,14 +79,12 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
   const std::uint32_t fault_window = params.windows / 2;
 
   ExperimentResult result;
-  std::vector<std::thread> threads;
-
-  // Clients: iozone-like mixed streaming writes + random reads.
-  for (std::uint32_t c = 0; c < params.clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(params.seed * 977 + c);
-      pfs::PfsClient client(cluster, c);
-      auto fh = client.create("/ioz." + std::to_string(c));
+  sched.run([&](std::size_t me) {
+    if (me < params.clients) {
+      // Clients: iozone-like mixed streaming writes + random reads.
+      Rng rng(params.seed * 977 + me);
+      pfs::PfsClient client(cluster, me);
+      auto fh = client.create("/ioz." + std::to_string(me));
       Bytes chunk(256 * KiB);
       std::uint64_t wpos = 0;
       while (client.now() < total_time) {
@@ -98,13 +95,10 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
             rng.below(std::max<std::uint64_t>(1, wpos / small.size())) * small.size();
         client.read(*fh, rpos, small);
       }
-      sched.finish(c);
-    });
-  }
+      return;
+    }
 
-  // Monitor: samples windows, injects the fault, runs the diagnoser.
-  threads.emplace_back([&] {
-    const std::size_t me = params.clients;
+    // Monitor: samples windows, injects the fault, runs the diagnoser.
     PeerDiagnoser diagnoser(params.servers);
     for (std::uint32_t s = 0; s < params.servers; ++s) {
       cluster.oss(s).drain_metrics();  // reset
@@ -159,10 +153,7 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
         }
       }
     }
-    sched.finish(me);
   });
-
-  for (auto& t : threads) t.join();
   return result;
 }
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
+#include <mutex>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/pfs/client.h"
@@ -38,9 +38,7 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
   pfs::PfsConfig config = cfg;
   config.store_data = false;
   sim::VirtualScheduler sched(spec.ranks);
-  std::vector<std::size_t> all(spec.ranks);
-  for (std::uint32_t i = 0; i < spec.ranks; ++i) all[i] = i;
-  sim::VirtualBarrier barrier(sched, all);
+  sim::VirtualBarrier barrier(sched);
   pfs::PfsCluster cluster(config, sched);
 
   const std::uint64_t data_start = DataStart(config, options);
@@ -48,108 +46,103 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
   std::uint64_t payload = 0;
   std::mutex mu;
 
-  std::vector<std::thread> threads;
-  threads.reserve(spec.ranks);
-  for (std::uint32_t r = 0; r < spec.ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      const double t0 = barrier.arrive(r);
-      if (r == 0) t_begin = t0;
+  sched.run([&](std::size_t actor) {
+    const auto r = static_cast<std::uint32_t>(actor);
+    pfs::PfsClient client(cluster, r);
+    const double t0 = barrier.arrive(r);
+    if (r == 0) t_begin = t0;
 
-      pfs::FileHandle fh;
-      if (r == 0) {
-        fh = *client.create("/dump.h5");
-        // Superblock write.
-        Bytes header(1024);
-        client.write(fh, 0, header);
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        fh = *client.open("/dump.h5");
+    pfs::FileHandle fh;
+    if (r == 0) {
+      fh = *client.create("/dump.h5");
+      // Superblock write.
+      Bytes header(1024);
+      client.write(fh, 0, header);
+      barrier.arrive(r);
+    } else {
+      barrier.arrive(r);
+      fh = *client.open("/dump.h5");
+    }
+
+    // Region of this rank within the dataset. Without alignment the
+    // region start inherits the odd header offset and the irregular
+    // record sizes; with collective buffering the rank writes its
+    // region in large contiguous buffers instead of per-record.
+    std::uint64_t region_bytes = 0;
+    for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
+      region_bytes += RecordBytes(spec, k);
+    }
+    // Alignment pads each rank's region to a stripe multiple so
+    // neighbouring ranks never share a lock/RAID unit.
+    std::uint64_t region_stride = region_bytes;
+    if (options.align_to_stripe) {
+      region_stride = (region_bytes + config.stripe_unit - 1) /
+                      config.stripe_unit * config.stripe_unit;
+    }
+    const std::uint64_t region_start =
+        data_start + static_cast<std::uint64_t>(r) * region_stride;
+
+    std::uint64_t meta_done = 0;
+    auto maybe_metadata = [&](std::uint32_t k) {
+      if (options.metadata_coalescing) return;  // deferred to close
+      // Eager header/attribute update every few records: a tiny write
+      // into the shared header region (one lock unit for everyone).
+      const std::uint64_t per = std::max<std::uint32_t>(
+          1, spec.records_per_rank / std::max(1u, spec.metadata_updates_per_rank));
+      if (k % per == 0 && meta_done < spec.metadata_updates_per_rank) {
+        Bytes attr(kMetadataRecord);
+        client.write(fh, (r * 8 + meta_done) % 32 * kMetadataRecord, attr);
+        ++meta_done;
       }
+    };
 
-      // Region of this rank within the dataset. Without alignment the
-      // region start inherits the odd header offset and the irregular
-      // record sizes; with collective buffering the rank writes its
-      // region in large contiguous buffers instead of per-record.
-      std::uint64_t region_bytes = 0;
+    std::uint64_t local = 0;
+    if (options.collective_buffering) {
+      // Two-phase I/O: records exchange into cb-sized contiguous
+      // buffers; the file sees large sequential writes per rank.
+      std::uint64_t pos = region_start;
+      std::uint64_t pending = 0;
       for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
-        region_bytes += RecordBytes(spec, k);
-      }
-      // Alignment pads each rank's region to a stripe multiple so
-      // neighbouring ranks never share a lock/RAID unit.
-      std::uint64_t region_stride = region_bytes;
-      if (options.align_to_stripe) {
-        region_stride = (region_bytes + config.stripe_unit - 1) /
-                        config.stripe_unit * config.stripe_unit;
-      }
-      const std::uint64_t region_start =
-          data_start + static_cast<std::uint64_t>(r) * region_stride;
-
-      std::uint64_t meta_done = 0;
-      auto maybe_metadata = [&](std::uint32_t k) {
-        if (options.metadata_coalescing) return;  // deferred to close
-        // Eager header/attribute update every few records: a tiny write
-        // into the shared header region (one lock unit for everyone).
-        const std::uint64_t per = std::max<std::uint32_t>(
-            1, spec.records_per_rank / std::max(1u, spec.metadata_updates_per_rank));
-        if (k % per == 0 && meta_done < spec.metadata_updates_per_rank) {
-          Bytes attr(kMetadataRecord);
-          client.write(fh, (r * 8 + meta_done) % 32 * kMetadataRecord, attr);
-          ++meta_done;
-        }
-      };
-
-      std::uint64_t local = 0;
-      if (options.collective_buffering) {
-        // Two-phase I/O: records exchange into cb-sized contiguous
-        // buffers; the file sees large sequential writes per rank.
-        std::uint64_t pos = region_start;
-        std::uint64_t pending = 0;
-        for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
-          pending += RecordBytes(spec, k);
-          maybe_metadata(k);
-          if (pending >= options.cb_buffer_bytes ||
-              k + 1 == spec.records_per_rank) {
-            Bytes buf(pending);
-            client.write(fh, pos, buf);
-            pos += pending;
-            local += pending;
-            pending = 0;
-          }
-        }
-      } else {
-        // Independent I/O: one write per application record.
-        std::uint64_t pos = region_start;
-        for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
-          const std::uint64_t n = RecordBytes(spec, k);
-          Bytes rec(n);
-          maybe_metadata(k);
-          client.write(fh, pos, rec);
-          pos += n;
-          local += n;
+        pending += RecordBytes(spec, k);
+        maybe_metadata(k);
+        if (pending >= options.cb_buffer_bytes ||
+            k + 1 == spec.records_per_rank) {
+          Bytes buf(pending);
+          client.write(fh, pos, buf);
+          pos += pending;
+          local += pending;
+          pending = 0;
         }
       }
-
-      if (options.metadata_coalescing) {
-        // One coalesced header flush by rank 0 at close.
-        if (r == 0) {
-          Bytes header(kMetadataRecord * spec.metadata_updates_per_rank);
-          client.write(fh, 0, header);
-        }
+    } else {
+      // Independent I/O: one write per application record.
+      std::uint64_t pos = region_start;
+      for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
+        const std::uint64_t n = RecordBytes(spec, k);
+        Bytes rec(n);
+        maybe_metadata(k);
+        client.write(fh, pos, rec);
+        pos += n;
+        local += n;
       }
-      client.close(fh);
+    }
 
-      const double t1 = barrier.arrive(r);
-      if (r == 0) t_end = t1;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        payload += local;
+    if (options.metadata_coalescing) {
+      // One coalesced header flush by rank 0 at close.
+      if (r == 0) {
+        Bytes header(kMetadataRecord * spec.metadata_updates_per_rank);
+        client.write(fh, 0, header);
       }
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+    client.close(fh);
+
+    const double t1 = barrier.arrive(r);
+    if (r == 0) t_end = t1;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      payload += local;
+    }
+  });
 
   DumpResult out;
   out.seconds = t_end - t_begin;

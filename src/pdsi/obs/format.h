@@ -1,6 +1,6 @@
 // Byte-stable text formatting shared by the obs exporters (traces, metric
-// dumps, profiles, critical paths, monitor reports): the same doubles
-// always print the same characters. Internal to pdsi::obs.
+// dumps, profiles, critical paths, monitor reports) and the benches'
+// BENCH_ lines: the same doubles always print the same characters.
 #pragma once
 
 #include <cstdio>

@@ -20,8 +20,9 @@
 //    shard can run parent checks locally and list its local children;
 //    readdir is a scatter-gather merge and directory-unlink emptiness is
 //    an every-shard probe.
-//  - File ids interleave across shards (shard k mints k+1, k+1+N, ...),
-//    so ids stay globally unique for placement/locks/data buffers.
+//  - Shard k mints file ids consecutively from 1 + (k << 40), so ids
+//    stay globally unique for placement/locks/data buffers and each
+//    shard's files still spread over every OSS (see Mds).
 //
 // num_mds_shards == 1 (the default) degenerates to the historical lone
 // MDS byte-for-byte: every op forwards to shard 0 unrouted, no partition

@@ -10,6 +10,8 @@ namespace {
 constexpr std::uint64_t kFlatMagic = 0x54414c4653464c50ULL;  // "PLFSFLAT"
 constexpr std::uint32_t kFlatVersion = 1;
 constexpr std::size_t kFlatHeaderSize = 40;
+/// The smallest dropping-table record: a u32 length and a non-empty name.
+constexpr std::size_t kMinDroppingSize = sizeof(std::uint32_t) + 1;
 
 void Put64(Bytes& out, std::uint64_t v) {
   const std::size_t at = out.size();
@@ -136,6 +138,9 @@ Result<FlatIndex> ParseFlatIndex(std::span<const std::uint8_t> data) {
     return Errc::invalid;
   }
   if (magic != kFlatMagic || version != kFlatVersion) return Errc::invalid;
+  // The header's counts are untrusted: check each against the bytes left,
+  // by division so no product can wrap, before reserving for it.
+  if (ndroppings > c.rest().size() / kMinDroppingSize) return Errc::invalid;
   flat.droppings.reserve(ndroppings);
   for (std::uint32_t i = 0; i < ndroppings; ++i) {
     std::uint32_t len = 0;
@@ -144,7 +149,9 @@ Result<FlatIndex> ParseFlatIndex(std::span<const std::uint8_t> data) {
     flat.droppings.push_back(std::move(name));
   }
   const auto body = c.rest();
-  if (body.size() != nentries * kRawEntrySize) return Errc::invalid;
+  if (body.size() % kRawEntrySize != 0 || body.size() / kRawEntrySize != nentries) {
+    return Errc::invalid;
+  }
   flat.entries.reserve(nentries);
   for (std::uint64_t i = 0; i < nentries; ++i) {
     IndexEntry e = DeserializeEntry(body.subspan(i * kRawEntrySize));

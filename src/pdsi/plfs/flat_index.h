@@ -57,9 +57,10 @@ std::vector<IndexEntry> CompressSegments(
 
 Bytes SerializeFlatIndex(const FlatIndex& flat);
 
-/// Strict parse; any framing violation (magic, version, truncation,
-/// out-of-range dropping reference) returns Errc::invalid so the reader
-/// can fall back to the raw merge instead of trusting a corrupt file.
+/// Strict parse; any framing violation (magic, version, truncation, a
+/// count the remaining bytes cannot hold, out-of-range dropping
+/// reference) returns Errc::invalid so the reader can fall back to the
+/// raw merge instead of trusting a corrupt file.
 Result<FlatIndex> ParseFlatIndex(std::span<const std::uint8_t> data);
 
 }  // namespace pdsi::plfs

@@ -1,8 +1,6 @@
 #include "pdsi/pnfs/pnfs.h"
 
 #include <algorithm>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "pdsi/sim/virtual_time.h"
@@ -26,72 +24,60 @@ PnfsResult RunStreamingClients(const PnfsParams& p) {
   sim::SimResource nas_cpu;
   sim::SimResource mds;       // pNFS metadata server
 
-  std::mutex mu;
-  double finish = 0.0;
-  std::vector<std::thread> threads;
-  threads.reserve(p.clients);
-  for (std::uint32_t c = 0; c < p.clients; ++c) {
-    threads.emplace_back([&, c] {
-      sim::SimResource my_nic;  // client's own link
-      if (p.protocol == Protocol::pnfs) {
-        // LAYOUTGET once per file.
-        sched.atomically(c, [&](double now) {
-          return mds.reserve(now + p.rpc_latency_s, p.layout_rpc_s);
-        });
-      }
-      // Streaming with readahead: a window of requests stays in flight,
-      // so disk, server wire and client wire pipeline; the client's clock
-      // advances to the delivery of each window rather than summing every
-      // stage of every chunk.
-      constexpr int kReadaheadChunks = 16;
-      const std::uint64_t object = 5000 + c;
-      std::uint64_t off = 0;
-      std::uint64_t stripe = c;  // start server staggered per client
-      // Independent per-server fetch chains: a striped file's pieces on
-      // one server are a contiguous object, and different servers stream
-      // in parallel.
-      std::vector<double> disk_chain(p.data_servers, 0.0);
-      std::vector<std::uint64_t> srv_off(p.data_servers, 0);
-      while (off < p.bytes_per_client) {
-        sched.atomically(c, [&](double now) {
-          double deliver = now;
-          for (int k = 0; k < kReadaheadChunks && off < p.bytes_per_client; ++k) {
-            const std::uint64_t len =
-                std::min(p.chunk_bytes, p.bytes_per_client - off);
-            const std::uint32_t server =
-                static_cast<std::uint32_t>(stripe % p.data_servers);
-            const double wire = static_cast<double>(len);
-            const double service =
-                disks[server].access(object * 64 + server, srv_off[server], len);
-            srv_off[server] += len;
-            const double disk_done = disk_res[server].reserve(
-                std::max(disk_chain[server], now + p.rpc_latency_s), service);
-            disk_chain[server] = disk_done;
-            double t = disk_done;
-            if (p.protocol == Protocol::nfs) {
-              // Proxy hop: storage -> NAS head -> client. The head's NIC
-              // carries each byte twice and its CPU touches every op.
-              t = nas_cpu.reserve(t, p.server_cpu_per_op_s);
-              t = nas_nic.reserve(t, 2.0 * wire / p.nas_head_nic_bw);
-            } else {
-              t = ds_nic[server].reserve(t, wire / p.data_server_nic_bw);
-            }
-            t = my_nic.reserve(t, wire / p.client_nic_bw);
-            deliver = std::max(deliver, t);
-            off += len;
-            ++stripe;
+  const double finish = sched.run([&](std::size_t c) {
+    sim::SimResource my_nic;  // client's own link
+    if (p.protocol == Protocol::pnfs) {
+      // LAYOUTGET once per file.
+      sched.atomically(c, [&](double now) {
+        return mds.reserve(now + p.rpc_latency_s, p.layout_rpc_s);
+      });
+    }
+    // Streaming with readahead: a window of requests stays in flight,
+    // so disk, server wire and client wire pipeline; the client's clock
+    // advances to the delivery of each window rather than summing every
+    // stage of every chunk.
+    constexpr int kReadaheadChunks = 16;
+    const std::uint64_t object = 5000 + c;
+    std::uint64_t off = 0;
+    std::uint64_t stripe = c;  // start server staggered per client
+    // Independent per-server fetch chains: a striped file's pieces on
+    // one server are a contiguous object, and different servers stream
+    // in parallel.
+    std::vector<double> disk_chain(p.data_servers, 0.0);
+    std::vector<std::uint64_t> srv_off(p.data_servers, 0);
+    while (off < p.bytes_per_client) {
+      sched.atomically(c, [&](double now) {
+        double deliver = now;
+        for (int k = 0; k < kReadaheadChunks && off < p.bytes_per_client; ++k) {
+          const std::uint64_t len =
+              std::min(p.chunk_bytes, p.bytes_per_client - off);
+          const std::uint32_t server =
+              static_cast<std::uint32_t>(stripe % p.data_servers);
+          const double wire = static_cast<double>(len);
+          const double service =
+              disks[server].access(object * 64 + server, srv_off[server], len);
+          srv_off[server] += len;
+          const double disk_done = disk_res[server].reserve(
+              std::max(disk_chain[server], now + p.rpc_latency_s), service);
+          disk_chain[server] = disk_done;
+          double t = disk_done;
+          if (p.protocol == Protocol::nfs) {
+            // Proxy hop: storage -> NAS head -> client. The head's NIC
+            // carries each byte twice and its CPU touches every op.
+            t = nas_cpu.reserve(t, p.server_cpu_per_op_s);
+            t = nas_nic.reserve(t, 2.0 * wire / p.nas_head_nic_bw);
+          } else {
+            t = ds_nic[server].reserve(t, wire / p.data_server_nic_bw);
           }
-          return deliver;
-        });
-      }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        finish = std::max(finish, sched.now(c));
-      }
-      sched.finish(c);
-    });
-  }
-  for (auto& t : threads) t.join();
+          t = my_nic.reserve(t, wire / p.client_nic_bw);
+          deliver = std::max(deliver, t);
+          off += len;
+          ++stripe;
+        }
+        return deliver;
+      });
+    }
+  });
 
   PnfsResult r;
   r.seconds = finish;

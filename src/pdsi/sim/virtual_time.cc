@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <exception>
+#include <latch>
+#include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 namespace pdsi::sim {
 
@@ -16,11 +20,6 @@ VirtualScheduler::VirtualScheduler(std::size_t num_actors)
 double VirtualScheduler::now(std::size_t actor) const {
   std::lock_guard<std::mutex> lk(mu_);
   return times_[actor];
-}
-
-double VirtualScheduler::global_now() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return ready_.empty() ? 0.0 : ready_.begin()->first;
 }
 
 void VirtualScheduler::wait_turn_locked(std::unique_lock<std::mutex>& lk,
@@ -65,10 +64,61 @@ void VirtualScheduler::finish(std::size_t actor) {
   if (was_first) wake_first_locked();
 }
 
+double VirtualScheduler::run(const std::function<void(std::size_t actor)>& body) {
+  const std::size_t n = num_actors();
+  std::vector<std::exception_ptr> errors(n);  // slot a written only by actor a
+  // No body starts until every thread exists: if a thread fails to start,
+  // the started ones run no body, so none can wait on a missing peer.
+  std::latch start(1);
+  bool all_started = false;  // read only after `start` opens
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  try {
+    for (std::size_t a = 0; a < n; ++a) {
+      threads.emplace_back([&, a] {
+        start.wait();
+        if (all_started) {
+          try {
+            body(a);
+          } catch (...) {
+            errors[a] = std::current_exception();
+          }
+        }
+        finish(a);
+      });
+    }
+    all_started = true;
+  } catch (...) {
+    start.count_down();
+    for (std::thread& t : threads) t.join();
+    throw;
+  }
+  start.count_down();
+  for (std::thread& t : threads) t.join();
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  return *std::max_element(times_.begin(), times_.end());
+}
+
 bool VirtualScheduler::all_finished() const {
   std::lock_guard<std::mutex> lk(mu_);
   return ready_.empty();
 }
+
+namespace {
+
+std::vector<std::size_t> AllActors(std::size_t n) {
+  std::vector<std::size_t> v(n);
+  std::iota(v.begin(), v.end(), std::size_t{0});
+  return v;
+}
+
+}  // namespace
+
+VirtualBarrier::VirtualBarrier(VirtualScheduler& sched)
+    : VirtualBarrier(sched, AllActors(sched.num_actors())) {}
 
 VirtualBarrier::VirtualBarrier(VirtualScheduler& sched,
                                std::vector<std::size_t> participants)

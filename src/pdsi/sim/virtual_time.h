@@ -1,7 +1,12 @@
 // Deterministic virtual-time coordination for thread-ranks.
 //
 // Rank programs (checkpoint writers, metadata clients) are ordinary
-// synchronous C++ running on std::thread. Every simulated I/O goes through
+// synchronous C++. They start only through VirtualScheduler::run(), which
+// runs each actor's body on its own std::thread and finishes the actor
+// when the body returns (perfbench's parked rank threads, which keep
+// thread start-up out of the measured phase, are the one exception); a
+// single-actor scheduler needs no run(), its one actor is driven from the
+// calling thread. Every simulated I/O goes through
 // VirtualScheduler::atomically(), which admits exactly one thread at a
 // time: the one whose (virtual time, actor id) pair is the lexicographic
 // minimum over all active actors. Inside the admitted section the actor
@@ -52,9 +57,6 @@ class VirtualScheduler {
   /// this is exact; other threads get a snapshot.
   double now(std::size_t actor) const;
 
-  /// Minimum virtual time over active actors (reporting only).
-  double global_now() const;
-
   /// Blocks until `actor` is the (time, id)-minimum, then runs `fn(now)`
   /// under the scheduler lock. `fn` returns the actor's new absolute time,
   /// which must be >= now. Shared simulation state (resources, lock
@@ -65,8 +67,19 @@ class VirtualScheduler {
   /// Convenience: advance the actor's clock by dt (>= 0).
   void advance(std::size_t actor, double dt);
 
+  /// Runs `body(actor)` for every actor, each on its own thread, and
+  /// returns once all of them have returned. An actor is finished as soon
+  /// as its body returns, so a body that ends early never blocks its peers
+  /// in atomically(); a peer parked at a barrier the body never reached
+  /// still waits. Returns the largest virtual time any actor reached. If
+  /// bodies throw, every actor still finishes and run() rethrows the
+  /// exception of the lowest such actor after all threads have joined. If
+  /// a thread cannot be started, no body runs and that error propagates.
+  double run(const std::function<void(std::size_t actor)>& body);
+
   /// Marks the actor finished; it no longer gates other actors and may
-  /// issue no further simulated operation. Idempotent.
+  /// issue no further simulated operation. Idempotent. run() calls it for
+  /// every actor; perfbench's parked rank threads call it themselves.
   void finish(std::size_t actor);
 
   /// True once every actor has finished.
@@ -98,6 +111,9 @@ class VirtualScheduler {
 /// keep making progress.
 class VirtualBarrier {
  public:
+  /// A barrier over every actor of `sched`.
+  explicit VirtualBarrier(VirtualScheduler& sched);
+  /// A barrier over `participants` only (non-empty).
   VirtualBarrier(VirtualScheduler& sched, std::vector<std::size_t> participants);
 
   /// Blocks until all participants arrive. Returns the synchronised time.

@@ -35,10 +35,6 @@ using plfs::Backend;
 
 /// A backend under test and everything it runs on, torn down in reverse.
 struct Store {
-  ~Store() {
-    if (sched) sched->finish(0);
-  }
-
   std::unique_ptr<sim::VirtualScheduler> sched;
   std::unique_ptr<pfs::PfsCluster> cluster;
   std::unique_ptr<bb::FixedRateDrainTarget> drain;

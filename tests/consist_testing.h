@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pdsi/common/bytes.h"
@@ -78,77 +77,71 @@ inline void RunWorkload(const WorkloadSpec& spec, obs::Tracer* tracer,
   if (spec.contended) cfg.locking = pfs::LockProtocol::whole_file;
   sim::VirtualScheduler sched(spec.ranks);
   pfs::PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  std::vector<std::size_t> ids;
-  for (int r = 0; r < spec.ranks; ++r) ids.push_back(r);
-  sim::VirtualBarrier barrier(sched, ids);
+  sim::VirtualBarrier barrier(sched);
 
   const bool session = spec.model == ConsistencyModel::session;
   const bool commit = spec.model == ConsistencyModel::commit;
   const bool mpiio = spec.model == ConsistencyModel::mpiio;
   const int writers = spec.split_roles ? (spec.ranks + 1) / 2 : spec.ranks;
 
-  std::vector<std::thread> threads;
-  for (int r = 0; r < spec.ranks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      const bool is_writer = r < writers;
-      const bool is_reader = !spec.split_roles || r >= writers;
-      pfs::FileHandle fh = -1;
-      if (r == 0) {
-        fh = *client.create("/shared");
+  sched.run([&](std::size_t actor) {
+    const int r = static_cast<int>(actor);
+    pfs::PfsClient client(cluster, r);
+    const bool is_writer = r < writers;
+    const bool is_reader = !spec.split_roles || r >= writers;
+    pfs::FileHandle fh = -1;
+    if (r == 0) {
+      fh = *client.create("/shared");
+      if (session) client.close(fh);
+      barrier.arrive(r);
+    } else {
+      barrier.arrive(r);
+      if (!session) fh = *client.open("/shared");
+    }
+    for (int k = 0; k < spec.rounds; ++k) {
+      const bool write_this_round =
+          is_writer &&
+          (!spec.randomized || Hash3(spec.salt, r, 2 * k) % 4 != 0);
+      if (write_this_round) {
+        if (session) fh = *client.open("/shared");
+        const std::uint64_t off =
+            spec.contended ? 0 : static_cast<std::uint64_t>(r) * kSlot;
+        const auto tag = static_cast<std::uint32_t>(
+            spec.salt * 1000003 + static_cast<std::uint64_t>(k) * 131 + r);
+        EXPECT_TRUE(client.write(fh, off, MakePattern(tag, off, kLen)).ok());
+        if (session) {
+          EXPECT_TRUE(client.close(fh).ok());
+        } else if (commit || mpiio) {
+          EXPECT_TRUE(client.fsync(fh).ok());
+        }
+      }
+      barrier.arrive(r);
+      const bool read_this_round =
+          is_reader &&
+          (!spec.randomized || Hash3(spec.salt, r, 2 * k + 1) % 8 != 0);
+      if (read_this_round) {
+        const int target =
+            spec.contended
+                ? 0
+                : static_cast<int>(
+                      (spec.randomized
+                           ? Hash3(spec.salt, 977 + r, k)
+                           : static_cast<std::uint64_t>(r) + 1 + k) %
+                      writers);
+        if (session) fh = *client.open("/shared");
+        if (mpiio) {
+          EXPECT_TRUE(client.fsync(fh).ok());
+        }
+        Bytes out(kLen);
+        auto n = client.read(
+            fh, static_cast<std::uint64_t>(target) * kSlot, out);
+        EXPECT_TRUE(n.ok());
         if (session) client.close(fh);
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        if (!session) fh = *client.open("/shared");
       }
-      for (int k = 0; k < spec.rounds; ++k) {
-        const bool write_this_round =
-            is_writer &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k) % 4 != 0);
-        if (write_this_round) {
-          if (session) fh = *client.open("/shared");
-          const std::uint64_t off =
-              spec.contended ? 0 : static_cast<std::uint64_t>(r) * kSlot;
-          const auto tag = static_cast<std::uint32_t>(
-              spec.salt * 1000003 + static_cast<std::uint64_t>(k) * 131 + r);
-          EXPECT_TRUE(client.write(fh, off, MakePattern(tag, off, kLen)).ok());
-          if (session) {
-            EXPECT_TRUE(client.close(fh).ok());
-          } else if (commit || mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-        }
-        barrier.arrive(r);
-        const bool read_this_round =
-            is_reader &&
-            (!spec.randomized || Hash3(spec.salt, r, 2 * k + 1) % 8 != 0);
-        if (read_this_round) {
-          const int target =
-              spec.contended
-                  ? 0
-                  : static_cast<int>(
-                        (spec.randomized
-                             ? Hash3(spec.salt, 977 + r, k)
-                             : static_cast<std::uint64_t>(r) + 1 + k) %
-                        writers);
-          if (session) fh = *client.open("/shared");
-          if (mpiio) {
-            EXPECT_TRUE(client.fsync(fh).ok());
-          }
-          Bytes out(kLen);
-          auto n = client.read(
-              fh, static_cast<std::uint64_t>(target) * kSlot, out);
-          EXPECT_TRUE(n.ok());
-          if (session) client.close(fh);
-        }
-        barrier.arrive(r);
-      }
-      if (!session && fh >= 0) client.close(fh);
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+      barrier.arrive(r);
+    }
+    if (!session && fh >= 0) client.close(fh);
+  });
 }
 
 inline std::vector<obs::AnalysisEvent> RecordWorkload(const WorkloadSpec& spec) {

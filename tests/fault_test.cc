@@ -107,7 +107,6 @@ std::pair<double, double> RunWorkload(fault::FaultInjector* inj) {
   EXPECT_TRUE(client.read(fh, 0, out).ok());
   EXPECT_TRUE(client.close(fh).ok());
   const double t = client.now();
-  sched.finish(0);
   return {t, cluster.total_disk_busy()};
 }
 
@@ -134,7 +133,6 @@ TEST(FaultClient, DroppedRpcsAreRetriedAndDeterministic) {
           << "write " << i << " should survive drops within the retry budget";
     }
     const double t = client.now();
-    sched.finish(0);
     return t;
   };
   fault::FaultPlan plan;
@@ -181,7 +179,6 @@ TEST(FaultClient, FailedWriteLeavesNoPhantomTouchedServers) {
   EXPECT_TRUE(client.fsync(fh).ok());
   EXPECT_EQ(client.now(), before_sync) << "no touched servers, nothing to await";
   EXPECT_TRUE(client.close(fh).ok());
-  sched.finish(0);
 }
 
 TEST(FaultClient, PartialWriteStillSurfacesFsyncError) {
@@ -212,7 +209,6 @@ TEST(FaultClient, PartialWriteStillSurfacesFsyncError) {
   EXPECT_EQ(*cluster.touched_servers(fid).begin(), owner0);
   // The touched (now dead) server cannot be flushed: close -> fsync fails.
   EXPECT_FALSE(client.close(fh).ok());
-  sched.finish(0);
 }
 
 TEST(FaultClient, ReadFailsOverToSurvivingServer) {
@@ -243,7 +239,6 @@ TEST(FaultClient, ReadFailsOverToSurvivingServer) {
       EXPECT_EQ(FindPatternMismatch(0, 0, out), kNoMismatch)
           << "failover must serve the real bytes";
     }
-    sched.finish(0);
     return st;
   };
   std::uint64_t failovers = 0;
@@ -270,7 +265,6 @@ TEST(FaultOss, CrashDropsReadaheadWindow) {
   t = oss.serve_read(7, 0, 64 * 1024, t + 0.3);
   EXPECT_GT(oss.disk_busy_seconds(), busy_cold)
       << "the restarted server lost its readahead window and must re-read";
-  sched.finish(0);
 }
 
 TEST(FaultBb, DrainParksUntilServerRestarts) {
@@ -284,7 +278,6 @@ TEST(FaultBb, DrainParksUntilServerRestarts) {
   const double done = target->drain(1, 0, 1024 * 1024, 1.0);
   EXPECT_GE(done, 3.0) << "the chunk waits out the crash window";
   EXPECT_EQ(inj.drain_retries(), 1u);
-  sched.finish(0);
 }
 
 TEST(FaultPlfs, DegradedReadReturnsPartialDataWithErrorCount) {
@@ -367,7 +360,6 @@ TEST(FaultPlfs, DegradedReadReturnsPartialDataWithErrorCount) {
   // Closing a reader issues a simulated fsync, which must precede finish.
   strict->reset();
   reader->reset();
-  sched.finish(0);
 }
 
 TEST(FaultPlfs, DegradedBuildSkipsUnreadableIndexDroppings) {
@@ -396,7 +388,6 @@ TEST(FaultPlfs, DegradedBuildSkipsUnreadableIndexDroppings) {
   ASSERT_TRUE(reader.ok()) << "degraded build tolerates a lost index dropping";
   EXPECT_GT((*reader)->read_errors(), 0u);
   EXPECT_EQ((*reader)->size(), 0u) << "that rank's writes are invisible";
-  sched.finish(0);
 }
 
 // -- Tiering engine under faults --------------------------------------------
@@ -454,7 +445,6 @@ TierRunResult RunTierScenario(fault::FaultInjector* inj) {
   r.final_t = t;
   r.degraded = engine.degraded_reads();
   r.read_errors = engine.read_errors();
-  sched.finish(0);
   return r;
 }
 

@@ -395,7 +395,6 @@ void RunPipelinedMonitored(bool subscribe, BreakdownRun* out) {
   EXPECT_TRUE(client.fsync(fh).ok());
   EXPECT_TRUE(client.close(fh).ok());
   out->final_now = client.now();
-  sched.finish(0);
   if (subscribe) tr.flush_subscribers(client.now());
   out->events = obs::CollectEvents(tr);
 }

@@ -2,9 +2,7 @@
 // query, group open) and for OSS/MDS internals added for them.
 #include <gtest/gtest.h>
 
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
@@ -18,7 +16,6 @@ class ExtFixture : public ::testing::Test {
  protected:
   ExtFixture()
       : sched_(1), cluster_(PfsConfig::LustreLike(4), sched_), client_(cluster_, 0) {}
-  ~ExtFixture() override { sched_.finish(0); }
 
   sim::VirtualScheduler sched_;
   PfsCluster cluster_;
@@ -66,30 +63,21 @@ TEST(GroupOpen, AmortisesMetadataTime) {
     PfsConfig cfg = PfsConfig::LustreLike(2);
     sim::VirtualScheduler sched(kRanks);
     PfsCluster cluster(cfg, sched);
-    std::vector<std::size_t> all(kRanks);
-    for (std::uint32_t i = 0; i < kRanks; ++i) all[i] = i;
-    sim::VirtualBarrier barrier(sched, all);
-    std::mutex mu;
-    double finish = 0.0;
-    std::vector<std::thread> threads;
-    for (std::uint32_t r = 0; r < kRanks; ++r) {
-      threads.emplace_back([&, r] {
-        PfsClient client(cluster, r);
-        if (r == 0) {
-          auto fh = client.create("/f");
-          client.close(*fh);
-        }
-        const double t0 = barrier.arrive(r);
-        auto fh = group ? client.open_group("/f", kRanks) : client.open("/f");
+    sim::VirtualBarrier barrier(sched);
+    double start = 0.0;
+    const double finish = sched.run([&](std::size_t r) {
+      PfsClient client(cluster, r);
+      if (r == 0) {
+        auto fh = client.create("/f");
         client.close(*fh);
-        barrier.arrive(r);
-        std::lock_guard<std::mutex> lk(mu);
-        finish = std::max(finish, sched.now(r) - t0);
-        sched.finish(r);
-      });
-    }
-    for (auto& t : threads) t.join();
-    return finish;
+      }
+      const double t0 = barrier.arrive(r);
+      if (r == 0) start = t0;
+      auto fh = group ? client.open_group("/f", kRanks) : client.open("/f");
+      client.close(*fh);
+      barrier.arrive(r);
+    });
+    return finish - start;
   };
   const double individual = run(false);
   const double grouped = run(true);
@@ -105,28 +93,19 @@ TEST(DirContention, FanoutSpreadsCreateStorm) {
     cfg.mds_op_s = 50e-6;  // MDS service is not the bottleneck; the dir lock is
     sim::VirtualScheduler sched(kRanks);
     PfsCluster cluster(cfg, sched);
-    std::mutex mu;
-    double finish = 0.0;
-    std::vector<std::thread> threads;
-    for (std::uint32_t r = 0; r < kRanks; ++r) {
-      threads.emplace_back([&, r] {
-        PfsClient client(cluster, r);
-        if (r == 0) {
-          for (int d = 0; d < dirs; ++d) client.mkdir("/d" + std::to_string(d));
-        }
-        for (int i = 0; i < 32; ++i) {
-          const int d = (r * 32 + i) % dirs;
-          auto fh = client.create("/d" + std::to_string(d) + "/f" +
-                                  std::to_string(r) + "_" + std::to_string(i));
-          if (fh.ok()) client.close(*fh);
-        }
-        std::lock_guard<std::mutex> lk(mu);
-        finish = std::max(finish, client.now());
-        sched.finish(r);
-      });
-    }
-    for (auto& t : threads) t.join();
-    return finish;
+    return sched.run([&](std::size_t actor) {
+      const auto r = static_cast<std::uint32_t>(actor);
+      PfsClient client(cluster, r);
+      if (r == 0) {
+        for (int d = 0; d < dirs; ++d) client.mkdir("/d" + std::to_string(d));
+      }
+      for (int i = 0; i < 32; ++i) {
+        const int d = (r * 32 + i) % dirs;
+        auto fh = client.create("/d" + std::to_string(d) + "/f" +
+                                std::to_string(r) + "_" + std::to_string(i));
+        if (fh.ok()) client.close(*fh);
+      }
+    });
   };
   // Note: dir-lock cost equals one MDS op per create, so with 1 directory
   // the whole storm serialises behind that lock.
@@ -150,7 +129,6 @@ TEST(OssReadahead, ClampsToObjectSize) {
   const double tiny_read = client.now() - t0;
   // A 4 MiB read at ~120 MB/s would be ~35 ms; a clamped read is ~ a seek.
   EXPECT_LT(tiny_read, 0.02);
-  sched.finish(0);
 }
 
 }  // namespace

@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
@@ -134,8 +132,6 @@ class PfsFixture : public ::testing::Test {
  protected:
   PfsFixture()
       : sched_(1), cluster_(PfsConfig::PanFsLike(4), sched_), client_(cluster_, 0) {}
-
-  ~PfsFixture() override { sched_.finish(0); }
 
   sim::VirtualScheduler sched_;
   PfsCluster cluster_;
@@ -403,52 +399,37 @@ TEST_P(NTo1Pathology, SharedStridedSlowerThanPrivateSequential) {
     cfg.store_data = false;
     sim::VirtualScheduler sched(kRanks);
     PfsCluster cluster(cfg, sched);
-    std::vector<std::thread> threads;
-    double finish = 0.0;
-    std::mutex mu;
     // Rank 0 pre-creates the shared file in a separate single-actor phase
     // is unnecessary: create is idempotent enough if only rank 0 creates
     // and others open after a barrier.
-    sim::VirtualBarrier barrier(sched, [&] {
-      std::vector<std::size_t> all;
-      for (int r = 0; r < kRanks; ++r) all.push_back(r);
-      return all;
-    }());
-    for (int r = 0; r < kRanks; ++r) {
-      threads.emplace_back([&, r] {
-        PfsClient client(cluster, r);
-        FileHandle fh;
-        if (shared) {
-          if (r == 0) {
-            fh = *client.create("/ckpt");
-            barrier.arrive(r);
-          } else {
-            barrier.arrive(r);
-            fh = *client.open("/ckpt");
-          }
-        } else {
-          fh = *client.create("/ckpt." + std::to_string(r));
+    sim::VirtualBarrier barrier(sched);
+    return sched.run([&](std::size_t actor) {
+      const int r = static_cast<int>(actor);
+      PfsClient client(cluster, r);
+      FileHandle fh;
+      if (shared) {
+        if (r == 0) {
+          fh = *client.create("/ckpt");
           barrier.arrive(r);
+        } else {
+          barrier.arrive(r);
+          fh = *client.open("/ckpt");
         }
-        for (int i = 0; i < kRecordsPerRank; ++i) {
-          // Shared: strided N-1 layout. Private: sequential log.
-          const std::uint64_t off =
-              shared ? (static_cast<std::uint64_t>(i) * kRanks + r) * kRecord
-                     : static_cast<std::uint64_t>(i) * kRecord;
-          Bytes data(kRecord);  // contents irrelevant in timing mode
-          ASSERT_TRUE(client.write(fh, off, data).ok());
-        }
-        client.close(fh);
+      } else {
+        fh = *client.create("/ckpt." + std::to_string(r));
         barrier.arrive(r);
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          finish = std::max(finish, client.now());
-        }
-        sched.finish(r);
-      });
-    }
-    for (auto& t : threads) t.join();
-    return finish;
+      }
+      for (int i = 0; i < kRecordsPerRank; ++i) {
+        // Shared: strided N-1 layout. Private: sequential log.
+        const std::uint64_t off =
+            shared ? (static_cast<std::uint64_t>(i) * kRanks + r) * kRecord
+                   : static_cast<std::uint64_t>(i) * kRecord;
+        Bytes data(kRecord);  // contents irrelevant in timing mode
+        ASSERT_TRUE(client.write(fh, off, data).ok());
+      }
+      client.close(fh);
+      barrier.arrive(r);
+    });
   };
 
   const double shared_time = run(true);
@@ -488,33 +469,29 @@ std::pair<std::uint64_t, std::uint64_t> RunLockWorkload(
   cfg.store_data = false;
   sim::VirtualScheduler sched(2);
   PfsCluster cluster(cfg, sched, nullptr, &ctx);
-  sim::VirtualBarrier barrier(sched, {0, 1});
-  std::vector<std::thread> threads;
-  for (int r = 0; r < 2; ++r) {
-    threads.emplace_back([&, r] {
-      PfsClient client(cluster, r);
-      FileHandle fh;
-      if (r == 0) {
-        fh = *client.create("/locked");
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        fh = *client.open("/locked");
-      }
-      for (int i = 0; i < 8; ++i) {
-        Bytes data(4 * KiB);
-        const std::uint64_t off =
-            disjoint ? static_cast<std::uint64_t>(r) * MiB +
-                           static_cast<std::uint64_t>(i) * 64 * KiB
-                     : static_cast<std::uint64_t>(i) * 64 * KiB;
-        ASSERT_TRUE(client.write(fh, off, data).ok());
-      }
-      client.close(fh);
+  sim::VirtualBarrier barrier(sched);
+  sched.run([&](std::size_t actor) {
+    const int r = static_cast<int>(actor);
+    PfsClient client(cluster, r);
+    FileHandle fh;
+    if (r == 0) {
+      fh = *client.create("/locked");
       barrier.arrive(r);
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+    } else {
+      barrier.arrive(r);
+      fh = *client.open("/locked");
+    }
+    for (int i = 0; i < 8; ++i) {
+      Bytes data(4 * KiB);
+      const std::uint64_t off =
+          disjoint ? static_cast<std::uint64_t>(r) * MiB +
+                         static_cast<std::uint64_t>(i) * 64 * KiB
+                   : static_cast<std::uint64_t>(i) * 64 * KiB;
+      ASSERT_TRUE(client.write(fh, off, data).ok());
+    }
+    client.close(fh);
+    barrier.arrive(r);
+  });
   return {reg.counter("pfs.lock_conflicts").value(),
           reg.histogram("pfs.lock_wait_s", obs::LatencyBuckets()).total()};
 }
@@ -537,7 +514,6 @@ TEST(LockAccounting, SingleWriterFastPathAddsNothing) {
           client.write(fh, static_cast<std::uint64_t>(i) * 64 * KiB, data).ok());
     }
     client.close(fh);
-    sched.finish(0);
     EXPECT_EQ(reg.counter("pfs.lock_conflicts").value(), 0u)
         << "uncontended writes must not count as conflicts";
     EXPECT_EQ(reg.histogram("pfs.lock_wait_s", obs::LatencyBuckets()).total(), 0u)
@@ -666,7 +642,6 @@ TEST(WholeFileGrant, FailedWriteCannotLeakAHeldLockUnit) {
   EXPECT_LE(cluster.lock_unit(fid, 0).free, client.now());
   EXPECT_EQ(reg.histogram("pfs.lock_wait_s", obs::LatencyBuckets()).total(), 0u)
       << "no phantom hold may charge a wait";
-  sched.finish(0);
 }
 
 // Regression: a write overlapping the readahead window must invalidate the
@@ -701,7 +676,6 @@ TEST(OssRegression, OverlappingWriteInvalidatesReadaheadWindow) {
   t = oss.serve_read(1, 32 * KiB, 8 * KiB, t);
   EXPECT_GT(oss.disk_busy_seconds(), busy_overlap)
       << "reading past the invalidated point must go back to disk";
-  sched.finish(0);
 }
 
 // Regression: reading a range this server never stored (a hole in the
@@ -727,7 +701,6 @@ TEST(OssRegression, HoleReadsChargeNoDiskAndWindowClampsToSize) {
     for (auto v : out) ASSERT_EQ(v, 0u) << "holes read as zeros";
     EXPECT_EQ(cluster.oss(hole_server).disk_busy_seconds(), 0.0)
         << "the hole stripe's server must not touch its disk";
-    sched.finish(0);
   }
   // Server level: the readahead window never extends past the stored size.
   {
@@ -747,7 +720,6 @@ TEST(OssRegression, HoleReadsChargeNoDiskAndWindowClampsToSize) {
     t = oss.serve_read(2, 92 * KiB, 4 * KiB, t);
     EXPECT_EQ(oss.disk_busy_seconds(), busy_armed)
         << "the hole read must not have replaced the readahead window";
-    sched.finish(0);
   }
 }
 
@@ -760,22 +732,17 @@ TEST(PfsDeterminism, RepeatedRunsIdentical) {
     cfg.store_data = false;
     sim::VirtualScheduler sched(kRanks);
     PfsCluster cluster(cfg, sched);
-    std::vector<std::thread> threads;
     std::vector<double> finish(kRanks);
-    for (int r = 0; r < kRanks; ++r) {
-      threads.emplace_back([&, r] {
-        PfsClient client(cluster, r);
-        auto fh = client.create("/f" + std::to_string(r));
-        for (int i = 0; i < 50; ++i) {
-          Bytes data(10000 + 1000 * r);
-          client.write(*fh, static_cast<std::uint64_t>(i) * data.size(), data);
-        }
-        client.close(*fh);
-        finish[r] = client.now();
-        sched.finish(r);
-      });
-    }
-    for (auto& t : threads) t.join();
+    sched.run([&](std::size_t r) {
+      PfsClient client(cluster, r);
+      auto fh = client.create("/f" + std::to_string(r));
+      for (int i = 0; i < 50; ++i) {
+        Bytes data(10000 + 1000 * r);
+        client.write(*fh, static_cast<std::uint64_t>(i) * data.size(), data);
+      }
+      client.close(*fh);
+      finish[r] = client.now();
+    });
     return finish;
   };
   const auto a = run();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 
@@ -41,6 +42,32 @@ TEST(IndexEntry, SerializeRoundTrip) {
   EXPECT_EQ(d.count, e.count);
   EXPECT_EQ(d.rank, e.rank);
   EXPECT_EQ(d.sequence, e.sequence);
+}
+
+// Index droppings are read back by later runs, so their byte layout is
+// pinned: fields in declaration order, each in the host's little-endian
+// byte order.
+TEST(IndexEntry, SerializedRecordIsGolden) {
+  IndexEntry e;
+  e.logical = 0x1122334455;
+  e.length = 0xbc00;  // 47 KiB
+  e.physical = 0x63;
+  e.stride = 0xbc614e;
+  e.count = 42;
+  e.rank = 7;
+  e.sequence = 1ULL << 40;
+  const char expect[] =
+      "\x55\x44\x33\x22\x11\x00\x00\x00"  // logical  0x1122334455
+      "\x00\xbc\x00\x00\x00\x00\x00\x00"  // length   0xbc00
+      "\x63\x00\x00\x00\x00\x00\x00\x00"  // physical 0x63
+      "\x4e\x61\xbc\x00\x00\x00\x00\x00"  // stride   0xbc614e
+      "\x2a\x00\x00\x00"                  // count    42 (u32)
+      "\x07\x00\x00\x00"                  // rank     7 (u32)
+      "\x00\x00\x00\x00\x00\x01\x00\x00"; // sequence 1 << 40
+  static_assert(sizeof(expect) - 1 == kRawEntrySize);
+  Bytes buf(kRawEntrySize);
+  SerializeEntry(e, buf);
+  EXPECT_EQ(buf, Bytes(expect, expect + kRawEntrySize));
 }
 
 TEST(IndexEntry, BatchSerializeRejectsShortBuffer) {
@@ -773,6 +800,40 @@ TEST(FlatIndex, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->entries[1].logical, 5000u);
 }
 
+// `index.flat` images whose header claims more records than the bytes
+// after it can hold. Header fields sit at byte 0 (magic), 8 (version),
+// 12 (dropping count), 16 (fingerprint), 24 (entry count) and 32
+// (logical size).
+Bytes FlatClaimingEntries(std::uint64_t n) {  // one dropping, no entries
+  FlatIndex flat;
+  flat.droppings = {"hostdir.0/data.0"};
+  Bytes raw = SerializeFlatIndex(flat);
+  std::memcpy(raw.data() + 24, &n, sizeof(n));
+  return raw;
+}
+
+Bytes FlatClaimingDroppings(std::uint32_t n) {  // the bare 40-byte header
+  Bytes raw = SerializeFlatIndex(FlatIndex{});
+  std::memcpy(raw.data() + 12, &n, sizeof(n));
+  return raw;
+}
+
+// The flat header's byte layout, pinned like an index record's.
+TEST(FlatIndex, SerializedHeaderIsGolden) {
+  FlatIndex flat;
+  flat.fingerprint = 0x0123456789abcdefULL;
+  flat.logical_size = 0x2000;
+  const char expect[] =
+      "PLFSFLAT"                            // magic
+      "\x01\x00\x00\x00"                  // version 1 (u32)
+      "\x00\x00\x00\x00"                  // dropping count 0 (u32)
+      "\xef\xcd\xab\x89\x67\x45\x23\x01"  // fingerprint
+      "\x00\x00\x00\x00\x00\x00\x00\x00"  // entry count 0
+      "\x00\x20\x00\x00\x00\x00\x00\x00"; // logical size 0x2000
+  static_assert(sizeof(expect) - 1 == 40);
+  EXPECT_EQ(SerializeFlatIndex(flat), Bytes(expect, expect + 40));
+}
+
 TEST(FlatIndex, ParseRejectsCorruption) {
   FlatIndex flat;
   flat.droppings = {"hostdir.0/data.0"};
@@ -787,6 +848,12 @@ TEST(FlatIndex, ParseRejectsCorruption) {
   FlatIndex oob = flat;
   oob.entries[0].rank = 5;
   EXPECT_FALSE(ParseFlatIndex(SerializeFlatIndex(oob)).ok());
+  // Counts the bytes cannot hold: 2^60 entries of 48 bytes wrap to a
+  // zero-byte body, and 2^32-1 droppings would reserve ~128 GiB.
+  const Bytes huge_entries = FlatClaimingEntries(1ULL << 60);
+  ASSERT_EQ(huge_entries.size(), 60u);
+  EXPECT_EQ(ParseFlatIndex(huge_entries).error(), Errc::invalid);
+  EXPECT_EQ(ParseFlatIndex(FlatClaimingDroppings(0xffffffffu)).error(), Errc::invalid);
 }
 
 TEST(FlatIndex, FingerprintSensitivity) {
@@ -883,19 +950,22 @@ TEST(PlfsFlat, CorruptFlatIndexFallsBackToRawMerge) {
     (*w)->close();
   }
   ASSERT_TRUE(fs.flatten_index("/f").ok());
-  ASSERT_TRUE(fs.backend().unlink("/f/index.flat").ok());
-  {
-    auto h = fs.backend().create("/f/index.flat");
-    ASSERT_TRUE(h.ok());
-    const Bytes junk(64, 0x5a);
-    ASSERT_TRUE(fs.backend().write(*h, 0, junk).ok());
-    fs.backend().close(*h);
+  // Junk bytes, and headers whose counts the bytes after them cannot hold.
+  for (const Bytes& junk : {Bytes(64, 0x5a), FlatClaimingEntries(1ULL << 60),
+                            FlatClaimingDroppings(0xffffffffu)}) {
+    ASSERT_TRUE(fs.backend().unlink("/f/index.flat").ok());
+    {
+      auto h = fs.backend().create("/f/index.flat");
+      ASSERT_TRUE(h.ok());
+      ASSERT_TRUE(fs.backend().write(*h, 0, junk).ok());
+      fs.backend().close(*h);
+    }
+    auto r = fs.open_read("/f");
+    ASSERT_TRUE(r.ok());
+    Bytes buf(500);
+    ASSERT_TRUE((*r)->read(0, buf).ok());
+    EXPECT_EQ(FindPatternMismatch(0, 0, buf), kNoMismatch);
   }
-  auto r = fs.open_read("/f");
-  ASSERT_TRUE(r.ok());
-  Bytes buf(500);
-  ASSERT_TRUE((*r)->read(0, buf).ok());
-  EXPECT_EQ(FindPatternMismatch(0, 0, buf), kNoMismatch);
 }
 
 // Re-flattening after more writes replaces the stale flat dropping.

@@ -104,43 +104,35 @@ TEST(PfsConcurrency, StridedWritersReconstructExactly) {
   sim::VirtualScheduler sched(kRanks);
   pfs::PfsCluster cluster(cfg, sched);
 
-  std::vector<std::thread> threads;
-  sim::VirtualBarrier barrier(sched, [&] {
-    std::vector<std::size_t> all;
-    for (int r = 0; r < kRanks; ++r) all.push_back(r);
-    return all;
-  }());
-  for (int r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      pfs::PfsClient client(cluster, r);
-      pfs::FileHandle fh;
-      if (r == 0) {
-        fh = *client.create("/shared");
-        barrier.arrive(r);
-      } else {
-        barrier.arrive(r);
-        fh = *client.open("/shared");
-      }
-      for (int k = 0; k < kSteps; ++k) {
-        const std::uint64_t off = (static_cast<std::uint64_t>(k) * kRanks + r) * kRecord;
-        client.write(fh, off, MakePattern(r, off, kRecord));
-      }
-      client.close(fh);
+  sim::VirtualBarrier barrier(sched);
+  sched.run([&](std::size_t actor) {
+    const int r = static_cast<int>(actor);
+    pfs::PfsClient client(cluster, r);
+    pfs::FileHandle fh;
+    if (r == 0) {
+      fh = *client.create("/shared");
       barrier.arrive(r);
-      // Every rank verifies another rank's region through a fresh handle.
-      const std::uint32_t other = (r + 5) % kRanks;
-      Bytes buf(kRecord);
-      const std::uint64_t off = (static_cast<std::uint64_t>(3) * kRanks + other) * kRecord;
-      auto fh2 = client.open("/shared");
-      auto n = client.read(*fh2, off, buf);
-      EXPECT_TRUE(n.ok());
-      EXPECT_EQ(*n, kRecord);
-      EXPECT_EQ(FindPatternMismatch(other, off, buf), kNoMismatch);
-      client.close(*fh2);
-      sched.finish(r);
-    });
-  }
-  for (auto& t : threads) t.join();
+    } else {
+      barrier.arrive(r);
+      fh = *client.open("/shared");
+    }
+    for (int k = 0; k < kSteps; ++k) {
+      const std::uint64_t off = (static_cast<std::uint64_t>(k) * kRanks + r) * kRecord;
+      client.write(fh, off, MakePattern(r, off, kRecord));
+    }
+    client.close(fh);
+    barrier.arrive(r);
+    // Every rank verifies another rank's region through a fresh handle.
+    const std::uint32_t other = (r + 5) % kRanks;
+    Bytes buf(kRecord);
+    const std::uint64_t off = (static_cast<std::uint64_t>(3) * kRanks + other) * kRecord;
+    auto fh2 = client.open("/shared");
+    auto n = client.read(*fh2, off, buf);
+    EXPECT_TRUE(n.ok());
+    EXPECT_EQ(*n, kRecord);
+    EXPECT_EQ(FindPatternMismatch(other, off, buf), kNoMismatch);
+    client.close(*fh2);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -226,21 +218,16 @@ TEST(SchedulerStress, HeavyContentionIsDeterministic) {
     sim::VirtualScheduler sched(kActors);
     sim::SimResource shared;
     std::vector<double> finish(kActors);
-    std::vector<std::thread> threads;
-    for (int a = 0; a < kActors; ++a) {
-      threads.emplace_back([&, a] {
-        std::this_thread::sleep_for(std::chrono::microseconds((a * jitter) % 300));
-        Rng rng(1000 + a);
-        for (int i = 0; i < 200; ++i) {
-          sched.atomically(a, [&](double now) {
-            return shared.reserve(now, rng.uniform(1e-5, 1e-3));
-          });
-        }
-        finish[a] = sched.now(a);
-        sched.finish(a);
-      });
-    }
-    for (auto& t : threads) t.join();
+    sched.run([&](std::size_t a) {
+      std::this_thread::sleep_for(std::chrono::microseconds((a * jitter) % 300));
+      Rng rng(1000 + a);
+      for (int i = 0; i < 200; ++i) {
+        sched.atomically(a, [&](double now) {
+          return shared.reserve(now, rng.uniform(1e-5, 1e-3));
+        });
+      }
+      finish[a] = sched.now(a);
+    });
     return finish;
   };
   const auto a = run(0);

@@ -63,7 +63,6 @@ TEST(RetryPolicy, WriteAndAwaitChargeIdenticalSchedules) {
     const double before = client.now();
     EXPECT_FALSE(client.write(fh, 0, Bytes(4096)).ok());
     write_fail_s = client.now() - before;
-    sched.finish(0);
   }
 
   // Failed fsync await: the server was touched while healthy, then died.
@@ -80,7 +79,6 @@ TEST(RetryPolicy, WriteAndAwaitChargeIdenticalSchedules) {
     const double before = client.now();
     EXPECT_FALSE(client.fsync(fh).ok());
     await_fail_s = client.now() - before;
-    sched.finish(0);
   }
 
   // DOUBLE_EQ: the two schedules accumulate from different absolute
@@ -108,7 +106,6 @@ TEST(RpcEngine, SyncModeAddsNoInstrumentsOrQueueing) {
   Bytes out(64 * KiB);
   EXPECT_TRUE(client.read(fh, 0, out).ok());
   EXPECT_TRUE(client.close(fh).ok());
-  sched.finish(0);
 
   // The sync client never routes through submit()/drain(), so the
   // engine's accounting — and its rpc.* instruments — must not exist.
@@ -146,7 +143,6 @@ TEST(RpcEngine, WindowSaturationBoundsInflight) {
   EXPECT_GT(st.window_stalls, 0u);
   EXPECT_GT(st.stall_s, 0.0);
   EXPECT_EQ(client.rpc_stats().failures, 0u);
-  sched.finish(0);
 }
 
 TEST(RpcEngine, BatchFlushBoundariesAccountedExactly) {
@@ -172,7 +168,6 @@ TEST(RpcEngine, BatchFlushBoundariesAccountedExactly) {
   EXPECT_EQ(st.drains, 2u);  // fsync + close
   EXPECT_EQ(st.failures, 0u);
   EXPECT_EQ(client.rpc_stats().max_inflight, 11u);
-  sched.finish(0);
 }
 
 TEST(RpcEngine, AsyncWriteErrorLatchesUntilFsync) {
@@ -198,7 +193,6 @@ TEST(RpcEngine, AsyncWriteErrorLatchesUntilFsync) {
   const std::uint64_t fid = cluster.mds().lookup("/f")->file_id;
   EXPECT_TRUE(cluster.touched_servers(fid).empty());
   EXPECT_TRUE(client.fsync(fh).ok());
-  sched.finish(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,7 +234,6 @@ PipelinedRun RunPipelinedGolden(std::uint32_t window, std::uint32_t batch) {
   PipelinedRun run;
   run.final_now = client.now();
   run.drops = inj.dropped_rpcs();
-  sched.finish(0);
   std::ostringstream os;
   tr.write_compact(os);
   reg.write_text(os);
@@ -291,7 +284,6 @@ TEST(RpcEngine, PipelinedGoldenCountersArePinned) {
   EXPECT_TRUE(client.read(fh, 3 * rec.size(), out).ok());
   EXPECT_TRUE(client.fsync(fh).ok());
   EXPECT_TRUE(client.close(fh).ok());
-  sched.finish(0);
 
   // 24 pipelined writes + the fsync flush fan-out ride the queues; the
   // read and its drain are synchronous. 26 queued requests coalesce into
@@ -327,7 +319,6 @@ double MetadataStormSeconds(std::uint32_t window, std::uint32_t batch) {
   }
   EXPECT_TRUE(client.unlink("/f").ok());  // sync point: drains the queue
   const double t = client.now();
-  sched.finish(0);
   return t;
 }
 

@@ -9,10 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "pdsi/obs/obs.h"
@@ -294,19 +292,11 @@ TEST(ShardedMds, SingleShardMatchesLegacyMdsOnRecordedOps) {
 // -- Client-level behaviour over a sharded cluster --------------------
 
 struct ClusterFixture {
-  // Single-actor runs let the fixture retire actor 0; multi-actor storms
-  // have each rank thread call sched.finish(rank) itself.
   explicit ClusterFixture(PfsConfig cfg, obs::Context* ctx = nullptr,
                           std::size_t actors = 1)
-      : sched(actors),
-        cluster(std::move(cfg), sched, nullptr, ctx),
-        auto_finish(actors == 1) {}
-  ~ClusterFixture() {
-    if (auto_finish) sched.finish(0);
-  }
+      : sched(actors), cluster(std::move(cfg), sched, nullptr, ctx) {}
   sim::VirtualScheduler sched;
   PfsCluster cluster;
-  bool auto_finish;
 };
 
 TEST(ShardedClient, StaleBitmapClientConvergesFromEmptyCache) {
@@ -412,24 +402,15 @@ TEST(ShardedClient, ShardCountScalesCreateStorm) {
     obs::Registry registry;
     obs::Context ctx{nullptr, &registry};
     ClusterFixture fx(ShardedConfig(shards, 200), &ctx, kClients);
-    std::vector<std::thread> threads;
-    std::mutex mu;
-    double finish = 0.0;
-    for (int c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        PfsClient client(fx.cluster, c);
-        for (int i = 0; i < kPerClient; ++i) {
-          EXPECT_TRUE(client
-                          .create("/c" + std::to_string(c) + "_" +
-                                  std::to_string(i))
-                          .ok());
-        }
-        std::lock_guard<std::mutex> lk(mu);
-        finish = std::max(finish, client.now());
-        fx.sched.finish(c);
-      });
-    }
-    for (auto& t : threads) t.join();
+    const double finish = fx.sched.run([&](std::size_t c) {
+      PfsClient client(fx.cluster, c);
+      for (int i = 0; i < kPerClient; ++i) {
+        EXPECT_TRUE(client
+                        .create("/c" + std::to_string(c) + "_" +
+                                std::to_string(i))
+                        .ok());
+      }
+    });
     const ShardedMds& smds = fx.cluster.smds();
     return Storm{finish, smds.splits(),
                  registry.counter("pfs.mds_stale_retries").value(),

@@ -32,23 +32,18 @@ std::vector<int> RunAdmissionOrder(unsigned jitter_seed) {
   VirtualScheduler sched(4);
   SimResource disk;
   std::vector<int> order;
-  std::vector<std::thread> threads;
-  for (int a = 0; a < 4; ++a) {
-    threads.emplace_back([&, a] {
-      // Stagger wall-clock starts to try to shake nondeterminism loose.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(((a + jitter_seed) % 4) * 200));
-      for (int i = 0; i < 5; ++i) {
-        sched.atomically(a, [&](double now) {
-          order.push_back(a);
-          // Different service times per actor => interleaved admissions.
-          return disk.reserve(now, 0.001 * (a + 1));
-        });
-      }
-      sched.finish(a);
-    });
-  }
-  for (auto& t : threads) t.join();
+  sched.run([&](std::size_t a) {
+    // Stagger wall-clock starts to try to shake nondeterminism loose.
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(((a + jitter_seed) % 4) * 200));
+    for (int i = 0; i < 5; ++i) {
+      sched.atomically(a, [&](double now) {
+        order.push_back(static_cast<int>(a));
+        // Different service times per actor => interleaved admissions.
+        return disk.reserve(now, 0.001 * static_cast<double>(a + 1));
+      });
+    }
+  });
   return order;
 }
 
@@ -65,21 +60,16 @@ TEST(VirtualScheduler, AdmissionOrderIsDeterministic) {
 TEST(VirtualScheduler, TiesBreakByActorId) {
   VirtualScheduler sched(3);
   std::vector<int> order;
-  std::vector<std::thread> threads;
-  for (int a = 0; a < 3; ++a) {
-    threads.emplace_back([&, a] {
-      sched.atomically(a, [&](double now) {
-        order.push_back(a);
-        return now + 1.0;  // all land on the same time again
-      });
-      sched.atomically(a, [&](double now) {
-        order.push_back(a);
-        return now;
-      });
-      sched.finish(a);
+  sched.run([&](std::size_t a) {
+    sched.atomically(a, [&](double now) {
+      order.push_back(static_cast<int>(a));
+      return now + 1.0;  // all land on the same time again
     });
-  }
-  for (auto& t : threads) t.join();
+    sched.atomically(a, [&](double now) {
+      order.push_back(static_cast<int>(a));
+      return now;
+    });
+  });
   const std::vector<int> expect{0, 1, 2, 0, 1, 2};
   EXPECT_EQ(order, expect);
 }
@@ -90,6 +80,47 @@ TEST(VirtualScheduler, OperationAfterFinishThrows) {
   sched.finish(0);
   EXPECT_THROW(sched.advance(0, 1.0), std::logic_error);
   EXPECT_THROW(barrier.arrive(0), std::logic_error);
+}
+
+TEST(VirtualScheduler, RunReturnsLatestTimeAndFinishesEveryActor) {
+  VirtualScheduler sched(3);
+  const double end = sched.run([&](std::size_t a) {
+    sched.advance(a, 1.5 * static_cast<double>(a));  // ends at 0, 1.5, 3
+  });
+  EXPECT_DOUBLE_EQ(end, 3.0);
+  EXPECT_TRUE(sched.all_finished());
+}
+
+// A body that returns early is finished by run(), so it no longer holds
+// the (time, id) minimum against a peer that keeps going; unfinished, it
+// would block actor 1 forever once actor 1 passed t = 1.
+TEST(VirtualScheduler, RunFinishesABodyThatReturnsEarly) {
+  VirtualScheduler sched(2);
+  const double end = sched.run([&](std::size_t a) {
+    if (a == 0) {
+      sched.advance(0, 1.0);
+      return;
+    }
+    for (int i = 0; i < 100; ++i) sched.advance(1, 0.25);
+  });
+  EXPECT_DOUBLE_EQ(end, 25.0);
+  EXPECT_DOUBLE_EQ(sched.now(0), 1.0);
+}
+
+// A throwing body is finished like a returning one, its peers run to the
+// end, and run() rethrows the lowest throwing actor's exception.
+TEST(VirtualScheduler, RunRethrowsTheLowestActorsException) {
+  VirtualScheduler sched(3);
+  int steps = 0;  // actor 0's; read after run() has joined it
+  EXPECT_THROW(sched.run([&](std::size_t a) {
+                 sched.advance(a, 1.0);
+                 if (a == 1) throw std::runtime_error("actor 1");
+                 if (a == 2) throw std::logic_error("actor 2");
+                 for (; steps < 10; ++steps) sched.advance(0, 1.0);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(steps, 10);
+  EXPECT_TRUE(sched.all_finished());
 }
 
 long VoluntaryContextSwitches() {
@@ -106,17 +137,12 @@ TEST(VirtualScheduler, AdmissionWakesOnlyTheNextActor) {
   constexpr std::size_t kActors = 64;
   constexpr int kAdmissions = 100;
   VirtualScheduler sched(kActors);
-  std::vector<std::thread> threads;
   const long before = VoluntaryContextSwitches();
-  for (std::size_t a = 0; a < kActors; ++a) {
-    threads.emplace_back([&, a] {
-      // Staggered service times interleave the actors' admissions.
-      const double service = 1.0 + 0.01 * static_cast<double>(a);
-      for (int i = 0; i < kAdmissions; ++i) sched.advance(a, service);
-      sched.finish(a);
-    });
-  }
-  for (auto& t : threads) t.join();
+  sched.run([&](std::size_t a) {
+    // Staggered service times interleave the actors' admissions.
+    const double service = 1.0 + 0.01 * static_cast<double>(a);
+    for (int i = 0; i < kAdmissions; ++i) sched.advance(a, service);
+  });
   const double per_admission =
       static_cast<double>(VoluntaryContextSwitches() - before) / (kActors * kAdmissions);
   EXPECT_LE(per_admission, 8.0);
@@ -172,28 +198,24 @@ AdmissionLog RunThreaded(const Script& s) {
   VirtualScheduler sched(s.steps.size());
   VirtualBarrier barrier(sched, s.participants);
   AdmissionLog log;  // appended only inside admitted sections
-  std::vector<std::thread> threads;
-  for (std::size_t a = 0; a < s.steps.size(); ++a) {
-    threads.emplace_back([&, a] {
-      for (const Step& step : s.steps[a]) {
-        switch (step.kind) {
-          case Step::Kind::kAdvance:
-            sched.atomically(a, [&](double now) {
-              log.emplace_back(a, now);
-              return now + step.dt;
-            });
-            break;
-          case Step::Kind::kArrive:
-            barrier.arrive(a);
-            break;
-          case Step::Kind::kFinish:
-            sched.finish(a);
-            break;
-        }
+  sched.run([&](std::size_t a) {
+    for (const Step& step : s.steps[a]) {
+      switch (step.kind) {
+        case Step::Kind::kAdvance:
+          sched.atomically(a, [&](double now) {
+            log.emplace_back(a, now);
+            return now + step.dt;
+          });
+          break;
+        case Step::Kind::kArrive:
+          barrier.arrive(a);
+          break;
+        case Step::Kind::kFinish:
+          sched.finish(a);
+          break;
       }
-    });
-  }
-  for (auto& t : threads) t.join();
+    }
+  });
   return log;
 }
 
@@ -262,20 +284,19 @@ TEST(SimResource, FifoQueueing) {
 }
 
 TEST(VirtualBarrier, SynchronisesToMaxTime) {
-  VirtualScheduler sched(3);
-  VirtualBarrier barrier(sched, {0, 1, 2});
-  std::vector<double> synced(3);
-  std::vector<std::thread> threads;
-  for (int a = 0; a < 3; ++a) {
-    threads.emplace_back([&, a] {
-      sched.advance(a, a * 2.0);  // times 0, 2, 4
+  // The participant list and the all-actor constructor build one barrier.
+  for (const bool all_actors : {false, true}) {
+    VirtualScheduler sched(3);
+    VirtualBarrier barrier = all_actors ? VirtualBarrier(sched)
+                                        : VirtualBarrier(sched, {0, 1, 2});
+    std::vector<double> synced(3);
+    sched.run([&](std::size_t a) {
+      sched.advance(a, static_cast<double>(a) * 2.0);  // times 0, 2, 4
       synced[a] = barrier.arrive(a);
-      sched.finish(a);
     });
-  }
-  for (auto& t : threads) t.join();
-  for (int a = 0; a < 3; ++a) {
-    EXPECT_DOUBLE_EQ(synced[a], 4.0);
+    for (int a = 0; a < 3; ++a) {
+      EXPECT_DOUBLE_EQ(synced[a], 4.0) << "all_actors=" << all_actors;
+    }
   }
 }
 
@@ -287,23 +308,15 @@ TEST(VirtualBarrier, NonParticipantsKeepMoving) {
   // to t = 1 and then arrives. Actor 2 is not a participant: it must be
   // able to advance to t = 0.1 even while actor 0 is parked — if parked
   // actors gated the minimum, this test would deadlock.
-  std::thread t0([&] {
-    barrier.arrive(0);
-    sched.finish(0);
+  sched.run([&](std::size_t a) {
+    if (a == 2) {
+      for (int i = 0; i < 100; ++i) sched.advance(2, 0.001);
+      outsider_done = true;
+      return;
+    }
+    if (a == 1) sched.advance(1, 1.0);
+    barrier.arrive(a);
   });
-  std::thread t1([&] {
-    sched.advance(1, 1.0);
-    barrier.arrive(1);
-    sched.finish(1);
-  });
-  std::thread t2([&] {
-    for (int i = 0; i < 100; ++i) sched.advance(2, 0.001);
-    outsider_done = true;
-    sched.finish(2);
-  });
-  t0.join();
-  t1.join();
-  t2.join();
   EXPECT_TRUE(outsider_done.load());
   EXPECT_TRUE(sched.all_finished());
 }
@@ -311,18 +324,13 @@ TEST(VirtualBarrier, NonParticipantsKeepMoving) {
 TEST(VirtualBarrier, ReusableAcrossGenerations) {
   VirtualScheduler sched(2);
   VirtualBarrier barrier(sched, {0, 1});
-  std::vector<std::thread> threads;
   std::vector<double> last(2);
-  for (int a = 0; a < 2; ++a) {
-    threads.emplace_back([&, a] {
-      for (int round = 0; round < 10; ++round) {
-        sched.advance(a, a == 0 ? 1.0 : 2.0);
-        last[a] = barrier.arrive(a);
-      }
-      sched.finish(a);
-    });
-  }
-  for (auto& t : threads) t.join();
+  sched.run([&](std::size_t a) {
+    for (int round = 0; round < 10; ++round) {
+      sched.advance(a, a == 0 ? 1.0 : 2.0);
+      last[a] = barrier.arrive(a);
+    }
+  });
   EXPECT_DOUBLE_EQ(last[0], last[1]);
   EXPECT_DOUBLE_EQ(last[0], 20.0);  // max path is actor 1: 10 rounds x 2s
 }

@@ -214,7 +214,6 @@ struct EngineFixture {
     p.cold = SmallStore();
     engine = std::make_unique<TierEngine>(p, cluster, ctx);
   }
-  ~EngineFixture() { sched.finish(0); }
 
   sim::VirtualScheduler sched;
   pfs::PfsCluster cluster;
