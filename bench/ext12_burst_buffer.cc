@@ -10,7 +10,6 @@
 //   3. backpressure — an undersized buffer against a slow PFS degrades
 //      ingest to drain speed via watermark stalls instead of failing.
 #include <iostream>
-#include <vector>
 
 #include "bench_util.h"
 #include "pdsi/bb/burst_buffer.h"
@@ -19,6 +18,7 @@
 #include "pdsi/common/units.h"
 #include "pdsi/failure/checkpoint_sim.h"
 #include "pdsi/pfs/cluster.h"
+#include "pdsi/sim/virtual_time.h"
 #include "pdsi/storage/device_catalog.h"
 
 using namespace pdsi;
@@ -26,27 +26,19 @@ using namespace pdsi;
 namespace {
 
 // Issues the N-1 strided checkpoint: `ranks` writers, `chunk`-byte
-// records interleaved rank-major, each writer on its own clock (min-clock
-// issue order keeps arrivals FIFO).
+// records interleaved rank-major, one scheduler actor per writer
+// (admission in (time, rank) order keeps arrivals FIFO). Returns the time
+// the last record lands.
 template <typename WriteFn>
 double StridedCheckpointTime(std::uint32_t ranks, std::uint64_t chunk,
                              std::uint64_t per_rank, WriteFn&& write) {
-  std::vector<double> clock(ranks, 0.0);
-  std::vector<std::uint64_t> next(ranks, 0);
-  const std::uint64_t records = per_rank / chunk;
-  double end = 0.0;
-  while (true) {
-    std::uint32_t r = ranks;
-    for (std::uint32_t i = 0; i < ranks; ++i) {
-      if (next[i] < records && (r == ranks || clock[i] < clock[r])) r = i;
+  sim::VirtualScheduler sched(ranks);
+  return sched.run([&](std::size_t r) {
+    for (std::uint64_t k = 0; k < per_rank / chunk; ++k) {
+      const std::uint64_t off = (k * ranks + r) * chunk;
+      sched.atomically(r, [&](double now) { return write(off, chunk, now); });
     }
-    if (r == ranks) break;
-    const std::uint64_t off = (next[r] * ranks + r) * chunk;
-    clock[r] = write(off, chunk, clock[r]);
-    end = std::max(end, clock[r]);
-    ++next[r];
-  }
-  return end;
+  });
 }
 
 }  // namespace

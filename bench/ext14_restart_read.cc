@@ -13,8 +13,7 @@
 // The sweep runs ranks x records on the virtual-time PFS and reports the
 // open cost of each path plus speedups.
 // Uncompressed indexes model the worst case the flatten targets (the
-// compression ablation itself lives in abl01). --smoke shrinks the sweep;
-// BENCH_ lines stay present and parseable.
+// compression ablation itself lives in abl01).
 #include <iostream>
 #include <string>
 #include <vector>
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
                 "PLFS's per-rank index droppings make the N-to-1 restart "
                 "open scale with writer ranks; compacting or caching the "
                 "merged index removes the per-open merge");
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::JsonReport json("ext14_restart_read");
   // --trace <path>: the largest sweep row is traced (index_merge,
   // index_flatten and index_cache_hit spans over the pfs tracks).
@@ -72,11 +70,8 @@ int main(int argc, char** argv) {
 
   PrintBanner(std::cout, "N-to-1 checkpoint, then restart opens: cold merge "
                          "vs index.flat vs cached snapshot (virtual time)");
-  const std::vector<std::uint32_t> rank_counts =
-      smoke ? std::vector<std::uint32_t>{4, 8}
-            : std::vector<std::uint32_t>{4, 8, 16, 32};
-  const std::vector<std::uint32_t> record_counts =
-      smoke ? std::vector<std::uint32_t>{32} : std::vector<std::uint32_t>{64, 256};
+  const std::vector<std::uint32_t> rank_counts = {4, 8, 16, 32};
+  const std::vector<std::uint32_t> record_counts = {64, 256};
   const std::uint64_t kRec = 8 * KiB;
 
   Table t({"ranks", "records", "entries", "cold open", "flat open",

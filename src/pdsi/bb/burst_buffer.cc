@@ -14,6 +14,15 @@ BurstBuffer::BurstBuffer(BbParams params, DrainTarget& target, obs::Context* obs
   if (params_.drain_unit == 0) {
     throw std::invalid_argument("BurstBuffer: drain_unit must be positive");
   }
+  // The FTL's hard floor keeps one erased block in reserve, the block it
+  // is filling may hold up to a block of invalid pages GC cannot reach,
+  // and one log command programs up to a block plus a straddled page.
+  // With three spare blocks or fewer a full, wrapping log can wedge.
+  if (ssd_.physical_pages() - ssd_.logical_pages() <=
+      3ULL * params_.ssd.pages_per_block) {
+    throw std::invalid_argument(
+        "BurstBuffer: staging device needs more than three spare erase blocks");
+  }
   if (ctx_) {
     if (ctx_->tracer) {
       ctx_->tracer->track(obs::kBbIngestTrack, "bb.ingest");
@@ -190,7 +199,6 @@ bool BurstBuffer::evict_for(std::uint64_t need) {
                                 {obs::Arg::Int("file", r.file),
                                  obs::Arg::Int("off", s), obs::Arg::Int("len", n)});
         }
-        if (evict_hook_) evict_hook_(r.file, s, e - s);
       }
     }
   }

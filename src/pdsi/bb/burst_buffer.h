@@ -24,16 +24,22 @@
 //   * Eviction — drained (clean) extents are dropped oldest-first when a
 //     new absorb needs space; dirty data is never evicted (it is the only
 //     copy). A single write larger than the staging device is rejected.
+//   * Geometry — the log wraps at capacity and keeps every logical page
+//     mapped, so only the FTL's spare pages absorb garbage collection; a
+//     device with three spare erase blocks or fewer is rejected.
 //
 // Durability: a byte is durable on the PFS only after the drain op
 // carrying it completes; flush() is the checkpoint barrier that returns
 // the virtual time at which everything currently staged is durable. The
 // sink callback fires exactly once per drained run, in FIFO write order,
-// which is what plfs::MakeBbBackend uses to move the actual bytes.
+// which is how tier::TierEngine learns which bytes the warm tier holds.
+// The buffer models time and placement only; the bytes themselves live
+// with its owner (the tiering engine keeps each object's payload).
 //
-// Threading: all methods must be externally serialised (the PLFS backend
-// wraps the buffer in its own mutex); determinism then follows from the
-// event queue's total order.
+// Threading: all methods must be externally serialised (the tiering
+// engine's PLFS adapter, tier::MakeTierBackend, holds one mutex around
+// every engine call); determinism then follows from the event queue's
+// total order.
 #pragma once
 
 #include <cstdint>
@@ -76,12 +82,11 @@ class BurstBuffer {
   /// write order: the moment those bytes are durable on the target.
   using DrainSink =
       std::function<void(std::uint64_t file, std::uint64_t off, std::uint64_t len)>;
-  /// Fires when a clean staged run is evicted (backing bytes may be freed;
-  /// the data is already durable on the target).
-  using EvictHook = DrainSink;
 
   /// `obs` (optional, must outlive the buffer) traces absorb/stall spans
-  /// on obs::kBbIngestTrack and drain ops on obs::kBbDrainTrack.
+  /// on obs::kBbIngestTrack and drain ops on obs::kBbDrainTrack. Throws
+  /// std::invalid_argument for inverted watermarks, a zero drain unit or
+  /// too few spare erase blocks on the staging device.
   BurstBuffer(BbParams params, DrainTarget& target, obs::Context* obs = nullptr);
 
   /// Absorbs `len` bytes of `file` at `off`, arriving at caller time
@@ -122,7 +127,6 @@ class BurstBuffer {
   const storage::SsdModel& ssd() const { return ssd_; }
 
   void set_drain_sink(DrainSink sink) { sink_ = std::move(sink); }
-  void set_evict_hook(EvictHook hook) { evict_hook_ = std::move(hook); }
 
  private:
   struct FileState {
@@ -169,7 +173,6 @@ class BurstBuffer {
   storage::SsdModel ssd_;
   BbStats stats_;
   DrainSink sink_;
-  EvictHook evict_hook_;
   obs::Context* ctx_;
   obs::Counter* c_absorbed_ = nullptr;
   obs::Counter* c_drained_ = nullptr;

@@ -2,23 +2,21 @@
 //
 // PLFS is middleware: it rearranges the application's writes into
 // per-rank logs but stores those logs through an ordinary file interface.
-// Five backends implement that interface:
+// Four backends implement that interface:
 //   * MemBackend   — in-process store for fast, deterministic unit tests;
 //   * PosixBackend — a real directory tree (the FUSE-deployment analogue);
 //   * PfsBackend   — the simulated parallel file system, which both moves
 //                    real bytes and charges virtual time (benchmarks);
-//   * BbBackend    — burst-buffer staging in front of another backend
-//                    (bb/bb_backend.h);
-//   * TierBackend  — the hot/warm/cold tiering engine (tier/tier_backend.h).
+//   * TierBackend  — the hot/warm/cold tiering engine, whose hot tier is
+//                    the burst buffer's staging flash (tier/tier_backend.h).
 // MemBackend, TierBackend and the simulated PFS's metadata server keep
-// their directory trees in a pfs::Namespace, and BbBackend passes
-// namespace calls to its inner backend, so all but PosixBackend answer
-// them with the same rules and error codes.
+// their directory trees in a pfs::Namespace, so all but PosixBackend
+// answer namespace calls with the same rules and error codes.
 //
 // Thread-safety: backends are called concurrently by rank threads and must
-// be internally synchronised (MemBackend/PosixBackend/BbBackend/
-// TierBackend) or rely on the virtual-time scheduler's serialisation
-// (PfsBackend, one instance per rank over a shared cluster).
+// be internally synchronised (MemBackend/PosixBackend/TierBackend) or rely
+// on the virtual-time scheduler's serialisation (PfsBackend, one instance
+// per rank over a shared cluster).
 #pragma once
 
 #include <cstdint>
@@ -87,8 +85,8 @@ class Backend {
 /// Handle -> open path table of the in-process backends. A handle names a
 /// path, not a file: the backend resolves it through its own namespace on
 /// every call, so once that path is renamed away or unlinked the handle
-/// goes bad (unless the backend re-points it with rename()). Handles reuse
-/// the lowest free slot. Not synchronised; callers hold their own lock.
+/// goes bad. Handles reuse the lowest free slot. Not synchronised; callers
+/// hold their own lock.
 class HandleTable {
  public:
   BackendHandle open(std::string path) {
@@ -112,13 +110,6 @@ class HandleTable {
     if (!path(h)) return Errc::bad_handle;
     paths_[h].clear();
     return Status::Ok();
-  }
-
-  /// Re-points every handle open on `from` at `to`.
-  void rename(const std::string& from, const std::string& to) {
-    for (auto& p : paths_) {
-      if (p == from) p = to;
-    }
   }
 
  private:

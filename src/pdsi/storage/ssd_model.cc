@@ -111,8 +111,9 @@ double SsdModel::collect_one_block() {
       gc_cursor_ = gc_cursor_ * 6364136223846793005ULL + 1442695040888963407ULL;
       consider(static_cast<std::uint32_t>((gc_cursor_ >> 33) % blocks_.size()));
     }
-    if (victim == kUnmapped) {
-      // Sample found nothing reclaimable; fall back to exhaustive scan.
+    if (victim == kUnmapped || best_valid >= params_.pages_per_block) {
+      // Sample found nothing reclaimable (no full block, or only fully
+      // valid ones); fall back to exhaustive scan.
       for (std::uint32_t b = 0; b < blocks_.size(); ++b) consider(b);
     }
   }

@@ -79,6 +79,7 @@ class SsdModel {
   const SsdStats& stats() const { return stats_; }
 
   std::uint64_t logical_pages() const { return logical_pages_; }
+  std::uint64_t physical_pages() const { return physical_pages_; }
 
   /// Reads `len` bytes at logical byte offset `off`; returns service time.
   double read(std::uint64_t off, std::uint64_t len);

@@ -1,12 +1,12 @@
 // One set of namespace rules for every plfs::Backend that PLFS runs on:
 // mkdir/create/readdir/rename/unlink give the same results and error
-// codes on the in-memory store, the tiering engine's adapter, a burst
-// buffer staged over the in-memory store, and the simulated PFS. The
-// cases include the rules that once differed between the copies: a
-// directory with a child is not emptied by a sibling that sorts between
-// them ("/a.x" between "/a" and "/a/b"), the root is not unlinkable, a
-// same-path rename succeeds, a file is not a directory, and a zero-length
-// write past EOF leaves the file's size alone.
+// codes on the in-memory store, the tiering engine's adapter (whose hot
+// tier is the burst buffer), and the simulated PFS. The cases include the
+// rules that once differed between the copies: a directory with a child
+// is not emptied by a sibling that sorts between them ("/a.x" between
+// "/a" and "/a/b"), the root is not unlinkable, a same-path rename
+// succeeds, a file is not a directory, and a zero-length write past EOF
+// leaves the file's size alone.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -15,9 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "pdsi/bb/bb_backend.h"
-#include "pdsi/bb/burst_buffer.h"
-#include "pdsi/bb/drain_target.h"
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
 #include "pdsi/pfs/cluster.h"
@@ -37,8 +34,6 @@ using plfs::Backend;
 struct Store {
   std::unique_ptr<sim::VirtualScheduler> sched;
   std::unique_ptr<pfs::PfsCluster> cluster;
-  std::unique_ptr<bb::FixedRateDrainTarget> drain;
-  std::unique_ptr<bb::BurstBuffer> buffer;
   std::unique_ptr<tier::TierEngine> engine;
   std::unique_ptr<Backend> backend;
 };
@@ -68,15 +63,6 @@ const BackendCase kCases[] = {
        p.warm_capacity_bytes = 8 * MiB;
        s.engine = std::make_unique<tier::TierEngine>(p, *s.cluster);
        s.backend = tier::MakeTierBackend(*s.engine);
-     }},
-    {"bb_over_mem",
-     [](Store& s) {
-       bb::BbParams p;
-       p.ssd = storage::FlashDevice("fusionio-iodrive-duo");
-       p.ssd.capacity_bytes = 64 * MiB;
-       s.drain = std::make_unique<bb::FixedRateDrainTarget>(200e6);
-       s.buffer = std::make_unique<bb::BurstBuffer>(p, *s.drain);
-       s.backend = plfs::MakeBbBackend(*s.buffer, plfs::MakeMemBackend());
      }},
     {"pfs",
      [](Store& s) {

@@ -1,24 +1,22 @@
 // Tests for the pdsi::bb burst-buffer tier: watermark backpressure,
 // FIFO drain ordering, durability semantics (including failure-during-
-// drain in the checkpoint simulator), clean-data eviction, the PLFS
-// staging backend, and the two acceptance numbers the ext12 bench
-// reports (absorb speedup over direct-to-PFS, utilization uplift vs
-// drain overlap). Everything runs on virtual time and is deterministic.
+// drain in the checkpoint simulator), clean-data eviction, the staging
+// device geometries the buffer accepts, and the two acceptance numbers
+// the ext12 bench reports (absorb speedup over direct-to-PFS,
+// utilization uplift vs drain overlap). PLFS on the buffer is tested
+// through tier::MakeTierBackend in tier_test. Everything runs on virtual
+// time and is deterministic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
-#include <thread>
 #include <vector>
 
-#include "pdsi/bb/bb_backend.h"
 #include "pdsi/bb/burst_buffer.h"
 #include "pdsi/bb/drain_target.h"
-#include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
 #include "pdsi/failure/checkpoint_sim.h"
 #include "pdsi/pfs/cluster.h"
-#include "pdsi/plfs/plfs.h"
+#include "pdsi/sim/virtual_time.h"
 #include "pdsi/storage/device_catalog.h"
 
 namespace pdsi {
@@ -69,6 +67,30 @@ TEST(BurstBuffer, RejectsWritesLargerThanTheDevice) {
   bad.high_watermark = 0.2;
   bad.low_watermark = 0.5;  // inverted hysteresis
   EXPECT_THROW(BurstBuffer(bad, pfs), std::invalid_argument);
+}
+
+TEST(BurstBuffer, RejectsStagingDevicesWithTooFewSpareBlocks) {
+  // The FTL keeps one erased block in reserve, the block it fills can
+  // hold a block of invalid pages, and one log command programs up to a
+  // block plus a straddled page, so the wrapping log needs more than
+  // three erase blocks of spare pages beyond the logical capacity. At 25%
+  // over-provisioning a 4 MiB FusionIO device has two (1024 logical
+  // pages, 1280 physical) and can wedge; 8 MiB has four.
+  FixedRateDrainTarget pfs(100e6);
+  EXPECT_THROW(BurstBuffer(FastDevice(4 * MiB), pfs), std::invalid_argument);
+  BbParams thin = FastDevice(64 * MiB);
+  thin.ssd.over_provision = 0.02;  // 16 384 logical pages, three spare blocks
+  EXPECT_THROW(BurstBuffer(thin, pfs), std::invalid_argument);
+
+  // An accepted 8 MiB device takes a wrapping log of 512 KiB checkpoint
+  // writes, eight times its capacity, through GC.
+  BurstBuffer buf(FastDevice(8 * MiB), pfs);
+  double t = 0.0;
+  for (std::uint64_t off = 0; off < 64 * MiB; off += 512 * KiB) {
+    t = buf.write(1, off, 512 * KiB, t);
+  }
+  EXPECT_EQ(buf.stats().bytes_absorbed, 64 * MiB);
+  EXPECT_GT(buf.ssd().stats().erases, 0u);
 }
 
 // -- Backpressure -----------------------------------------------------------
@@ -197,11 +219,6 @@ TEST(BurstBuffer, EvictsOnlyCleanDataUnderCapacityPressure) {
   FixedRateDrainTarget pfs(300e6);
   BurstBuffer buf(p, pfs);
 
-  std::vector<std::uint64_t> evicted_files;
-  buf.set_evict_hook([&](std::uint64_t f, std::uint64_t, std::uint64_t) {
-    evicted_files.push_back(f);
-  });
-
   double t = 0.0;
   for (std::uint64_t off = 0; off < 48 * MiB; off += MiB) t = buf.write(1, off, MiB, t);
   t = buf.flush(t);  // file 1 fully drained: clean
@@ -212,174 +229,14 @@ TEST(BurstBuffer, EvictsOnlyCleanDataUnderCapacityPressure) {
   // File 2 needed more space than was free: clean file-1 data went.
   EXPECT_GE(buf.stats().bytes_evicted, 32 * MiB);
   EXPECT_LE(buf.resident_bytes(), buf.capacity_bytes());
-  ASSERT_FALSE(evicted_files.empty());
-  EXPECT_EQ(evicted_files.front(), 1u);  // oldest clean data first
 
-  // Evicted ranges are gone; recently staged file-2 data is resident.
+  // Oldest clean data went first: file 1's ranges are gone, while
+  // recently staged file-2 data is resident.
   bool hit = true;
   buf.read(1, 0, MiB, t, &hit);
   EXPECT_FALSE(hit);
   buf.read(2, 47 * MiB, MiB, t, &hit);
   EXPECT_TRUE(hit);
-}
-
-// -- PLFS staging backend ---------------------------------------------------
-
-Bytes Pattern(std::uint64_t seed, std::size_t n) {
-  Bytes b(n);
-  std::uint64_t x = seed * 0x9e3779b97f4a7c15ULL + 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    b[i] = static_cast<std::uint8_t>(x >> 56);
-  }
-  return b;
-}
-
-TEST(BbBackend, StagesWritesAndDrainsToInnerOnFsync) {
-  BbParams p = FastDevice(256 * MiB);
-  FixedRateDrainTarget pfs(200e6);
-  BurstBuffer buf(p, pfs);
-  auto inner = plfs::MakeMemBackend();
-  plfs::Backend* inner_raw = inner.get();
-  auto backend = plfs::MakeBbBackend(buf, std::move(inner));
-
-  auto h = backend->create("/ckpt");
-  ASSERT_TRUE(h.ok());
-  const Bytes data = Pattern(7, 8 * MiB);
-  ASSERT_TRUE(backend->write(*h, 0, data).ok());
-  ASSERT_TRUE(backend->write(*h, 12 * MiB, data).ok());  // leave a hole
-
-  // Staged-first read returns the freshly written bytes immediately.
-  Bytes back(8 * MiB);
-  auto n = backend->read(*h, 12 * MiB, back);
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(*n, back.size());
-  EXPECT_EQ(back, data);
-
-  // The hole reads as zeros.
-  Bytes hole(MiB);
-  auto hn = backend->read(*h, 9 * MiB, hole);
-  ASSERT_TRUE(hn.ok());
-  EXPECT_TRUE(std::all_of(hole.begin(), hole.end(),
-                          [](std::uint8_t b) { return b == 0; }));
-
-  auto sz = backend->size(*h);
-  ASSERT_TRUE(sz.ok());
-  EXPECT_EQ(*sz, 20 * MiB);
-
-  // fsync is the durability barrier: afterwards the inner backend holds
-  // every byte.
-  ASSERT_TRUE(backend->fsync(*h).ok());
-  EXPECT_EQ(buf.undrained_bytes(), 0u);
-  auto ih = inner_raw->open("/ckpt");
-  ASSERT_TRUE(ih.ok());
-  Bytes durable(8 * MiB);
-  auto dn = inner_raw->read(*ih, 12 * MiB, durable);
-  ASSERT_TRUE(dn.ok());
-  ASSERT_EQ(*dn, durable.size());
-  EXPECT_EQ(durable, data);
-  ASSERT_TRUE(backend->close(*h).ok());
-}
-
-TEST(BbBackend, ReadsFallThroughAfterEviction) {
-  // Tiny staging device: writing B evicts A's drained bytes; reads of A
-  // must then come from the inner store, byte-identical.
-  BbParams p = FastDevice(32 * MiB);
-  p.high_watermark = 0.9;
-  p.low_watermark = 0.3;
-  FixedRateDrainTarget pfs(300e6);
-  BurstBuffer buf(p, pfs);
-  auto backend = plfs::MakeBbBackend(buf, plfs::MakeMemBackend());
-
-  auto a = backend->create("/a");
-  auto b = backend->create("/b");
-  ASSERT_TRUE(a.ok() && b.ok());
-  const Bytes da = Pattern(1, 24 * MiB);
-  ASSERT_TRUE(backend->write(*a, 0, da).ok());
-  ASSERT_TRUE(backend->fsync(*a).ok());
-  const Bytes db = Pattern(2, 24 * MiB);
-  ASSERT_TRUE(backend->write(*b, 0, db).ok());
-  EXPECT_GE(buf.stats().bytes_evicted, 8 * MiB);
-
-  Bytes back(24 * MiB);
-  auto n = backend->read(*a, 0, back);
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(*n, back.size());
-  EXPECT_EQ(back, da);
-  auto nb = backend->read(*b, 0, back);
-  ASSERT_TRUE(nb.ok());
-  ASSERT_EQ(*nb, back.size());
-  EXPECT_EQ(back, db);
-}
-
-TEST(BbBackend, RenameAndUnlinkKeepStagingConsistent) {
-  BbParams p = FastDevice(64 * MiB);
-  FixedRateDrainTarget pfs(200e6);
-  BurstBuffer buf(p, pfs);
-  auto backend = plfs::MakeBbBackend(buf, plfs::MakeMemBackend());
-
-  auto h = backend->create("/old");
-  ASSERT_TRUE(h.ok());
-  const Bytes data = Pattern(3, 2 * MiB);
-  ASSERT_TRUE(backend->write(*h, 0, data).ok());
-  ASSERT_TRUE(backend->rename("/old", "/new").ok());
-
-  Bytes back(2 * MiB);
-  auto n = backend->read(*h, 0, back);  // open handle follows the rename
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(back, data);
-  ASSERT_TRUE(backend->close(*h).ok());
-
-  auto h2 = backend->open("/new");
-  ASSERT_TRUE(h2.ok());
-  ASSERT_TRUE(backend->unlink("/new").ok());
-  EXPECT_FALSE(backend->exists("/new").value_or(true));
-  EXPECT_EQ(buf.dirty_bytes(), 0u);  // staged dirty data discarded
-}
-
-TEST(BbBackend, PlfsContainerRoundTripThroughBurstBuffer) {
-  // The whole point of the backend: PLFS containers stage transparently.
-  BbParams p = FastDevice(256 * MiB);
-  FixedRateDrainTarget pfs(200e6);
-  BurstBuffer buf(p, pfs);
-  plfs::Plfs fs(plfs::MakeBbBackend(buf, plfs::MakeMemBackend()));
-
-  constexpr std::uint32_t kRanks = 4;
-  constexpr std::uint64_t kRecord = 4801;  // unaligned
-  constexpr int kSteps = 10;
-  std::vector<std::thread> threads;
-  for (std::uint32_t r = 0; r < kRanks; ++r) {
-    threads.emplace_back([&, r] {
-      auto w = fs.open_write("/ckpt", r);
-      ASSERT_TRUE(w.ok());
-      for (int k = 0; k < kSteps; ++k) {
-        const std::uint64_t off =
-            (static_cast<std::uint64_t>(k) * kRanks + r) * kRecord;
-        ASSERT_TRUE((*w)->write(off, Pattern(r * 100 + k, kRecord)).ok());
-      }
-      ASSERT_TRUE((*w)->close().ok());
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_GT(buf.stats().bytes_absorbed, kRanks * kRecord * kSteps);
-
-  auto reader = fs.open_read("/ckpt");
-  ASSERT_TRUE(reader.ok());
-  const std::uint64_t total = kRecord * kRanks * kSteps;
-  EXPECT_EQ((*reader)->size(), total);
-  Bytes out(total);
-  auto n = (*reader)->read(0, out);
-  ASSERT_TRUE(n.ok());
-  ASSERT_EQ(*n, total);
-  for (std::uint32_t r = 0; r < kRanks; ++r) {
-    for (int k = 0; k < kSteps; ++k) {
-      const std::uint64_t off =
-          (static_cast<std::uint64_t>(k) * kRanks + r) * kRecord;
-      const Bytes expect = Pattern(r * 100 + k, kRecord);
-      ASSERT_TRUE(std::equal(expect.begin(), expect.end(), out.begin() + off))
-          << "rank " << r << " step " << k;
-    }
-  }
 }
 
 // -- Checkpoint simulation: durability on failure ---------------------------
@@ -463,27 +320,19 @@ TEST(CheckpointSimBb, UtilizationUpliftMonotoneUntilDrainBottleneck) {
 // -- Acceptance (a): absorb >= 5x direct-to-PFS -----------------------------
 
 // Issues the N-1 strided checkpoint pattern: `ranks` writers, `chunk`
-// bytes per record, records interleaved rank-major, each writer modelled
-// by its own clock (min-clock issue order preserves FIFO arrival).
+// bytes per record, records interleaved rank-major, one scheduler actor
+// per writer (admission in (time, rank) order keeps arrivals FIFO).
+// Returns the time the last record lands.
 template <typename WriteFn>
 double StridedCheckpointTime(std::uint32_t ranks, std::uint64_t chunk,
                              std::uint64_t per_rank, WriteFn&& write) {
-  std::vector<double> clock(ranks, 0.0);
-  std::vector<std::uint64_t> next(ranks, 0);
-  const std::uint64_t records = per_rank / chunk;
-  double end = 0.0;
-  while (true) {
-    std::uint32_t r = ranks;
-    for (std::uint32_t i = 0; i < ranks; ++i) {
-      if (next[i] < records && (r == ranks || clock[i] < clock[r])) r = i;
+  sim::VirtualScheduler sched(ranks);
+  return sched.run([&](std::size_t r) {
+    for (std::uint64_t k = 0; k < per_rank / chunk; ++k) {
+      const std::uint64_t off = (k * ranks + r) * chunk;
+      sched.atomically(r, [&](double now) { return write(off, chunk, now); });
     }
-    if (r == ranks) break;
-    const std::uint64_t off = (next[r] * ranks + r) * chunk;
-    clock[r] = write(off, chunk, clock[r]);
-    end = std::max(end, clock[r]);
-    ++next[r];
-  }
-  return end;
+  });
 }
 
 TEST(BurstBufferPfs, AbsorbAtLeastFiveTimesDirectPfsBandwidth) {

@@ -8,13 +8,9 @@
 #include <filesystem>
 #include <thread>
 
-#include "pdsi/bb/bb_backend.h"
-#include "pdsi/bb/burst_buffer.h"
-#include "pdsi/bb/drain_target.h"
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
-#include "pdsi/storage/device_catalog.h"
 #include "pdsi/pfs/sparse_buffer.h"
 #include "pdsi/plfs/flat_index.h"
 #include "pdsi/plfs/index_cache.h"
@@ -1131,45 +1127,6 @@ TEST(PlfsPosix, RoundTripOnRealFilesystem) {
   }
   EXPECT_TRUE(std::filesystem::is_empty(root));
   std::filesystem::remove_all(root);
-}
-
-// -- Burst-buffer backend stat path -----------------------------------------
-
-TEST(PlfsBbBackend, StatSizeSeesStagedBytesWithoutHandleChurn) {
-  bb::BbParams p;
-  p.ssd = storage::FlashDevice("fusionio-iodrive-duo");
-  p.ssd.capacity_bytes = 256 * MiB;
-  bb::FixedRateDrainTarget sink(100e6);
-  bb::BurstBuffer buf(p, sink);
-  auto be = MakeBbBackend(buf, MakeMemBackend());
-
-  auto h = be->create("/log.7");
-  ASSERT_TRUE(h.ok());
-  const Bytes data = MakePattern(7, 0, 3 * MiB + 321);
-  ASSERT_TRUE(be->write(*h, 0, data).ok());
-
-  // The bytes are staged, not yet drained to the inner backend, and the
-  // writer still holds its handle open — stat must see the staged size
-  // anyway (the reader's dropping-fingerprint stat pass runs while
-  // writers are live).
-  auto sz = be->stat_size("/log.7");
-  ASSERT_TRUE(sz.ok());
-  EXPECT_EQ(*sz, data.size());
-
-  // After the durability barrier the answer is unchanged.
-  ASSERT_TRUE(be->fsync(*h).ok());
-  ASSERT_TRUE(be->close(*h).ok());
-  EXPECT_EQ(*be->stat_size("/log.7"), data.size());
-
-  // A sparse tail write extends the staged high-water mark immediately.
-  auto h2 = be->open("/log.7");
-  ASSERT_TRUE(h2.ok());
-  ASSERT_TRUE(be->write(*h2, 10 * MiB, MakePattern(7, 10 * MiB, KiB)).ok());
-  EXPECT_EQ(*be->stat_size("/log.7"), 10 * MiB + KiB);
-  ASSERT_TRUE(be->close(*h2).ok());
-
-  EXPECT_EQ(be->stat_size("/absent").error(), Errc::not_found);
-  EXPECT_EQ(be->stat_size("/").error(), Errc::invalid);  // inner: a directory
 }
 
 }  // namespace

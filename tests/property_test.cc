@@ -1,15 +1,14 @@
 // Cross-module property tests: randomised fuzzing of the PLFS container
-// against a linear oracle, parallel-file-system byte exactness under
+// against a linear oracle and of the burst buffer through the tiering
+// engine against shadow files, parallel-file-system byte exactness under
 // concurrency, and scheduler determinism under heavy contention.
 #include <gtest/gtest.h>
 
-#include <thread>
+#include <algorithm>
+#include <string>
+#include <vector>
 
-#include <map>
-
-#include "pdsi/bb/bb_backend.h"
 #include "pdsi/bb/burst_buffer.h"
-#include "pdsi/bb/drain_target.h"
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
@@ -18,6 +17,8 @@
 #include "pdsi/pfs/sparse_buffer.h"
 #include "pdsi/plfs/plfs.h"
 #include "pdsi/storage/device_catalog.h"
+#include "pdsi/tier/tier_backend.h"
+#include "pdsi/tier/tier_engine.h"
 
 namespace pdsi {
 namespace {
@@ -136,74 +137,104 @@ TEST(PfsConcurrency, StridedWritersReconstructExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst-buffer backend fuzz: random write/read/fsync interleavings through
-// MakeBbBackend(MemBackend) — drains, evictions and backpressure stalls
-// firing at arbitrary points — checked byte-for-byte against a trivial
-// shadow model (offset -> byte). Small capacity relative to the write
-// volume so the watermark/evict machinery actually engages.
+// Burst-buffer fuzz through the tiering engine's PLFS adapter: random
+// writes, reads and fsyncs over a few files on tier::MakeTierBackend,
+// checked byte-for-byte against one shadow buffer per file. The files
+// together outgrow the staging flash and fill the warm budget past its
+// demotion mark, so on every seed the buffer drains, evicts clean data
+// and stalls ingest, and the engine demotes files to the erasure-coded
+// archive and serves reads from its shards; the test asserts that each
+// of these happened.
 class BbFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BbFuzz, BackendMatchesShadowModelUnderRandomOps) {
-  Rng rng(GetParam());
-  bb::BbParams bp;
-  bp.ssd = storage::FlashDevice("fusionio-iodrive-duo");
-  bp.ssd.capacity_bytes = (1u << rng.below(3)) * 4 * MiB;  // 4/8/16 MiB
-  bp.high_watermark = 0.50;
-  bp.low_watermark = 0.25;
-  bp.drain_unit = 64 * KiB << rng.below(5);  // 64 KiB .. 1 MiB
-  bb::FixedRateDrainTarget pfs(1e7 * (1 + rng.below(10)));  // 10-100 MB/s
-  bb::BurstBuffer buf(bp, pfs);
-  auto be = plfs::MakeBbBackend(buf, plfs::MakeMemBackend());
+  const std::uint64_t seed = GetParam();
+  Rng rng(seed);
+  sim::VirtualScheduler sched(1);
+  pfs::PfsCluster cluster(pfs::PfsConfig::PanFsLike(2), sched);
+  tier::TierEngineParams tp;
+  tp.bb.ssd = storage::FlashDevice("fusionio-iodrive-duo");
+  // 128 KiB erase blocks keep these small devices inside the geometry the
+  // buffer accepts: 2 MiB has four spare blocks, 4 MiB eight.
+  tp.bb.ssd.pages_per_block = 32;
+  tp.bb.ssd.capacity_bytes = (1u << rng.below(2)) * 2 * MiB;  // 2/4 MiB
+  tp.bb.high_watermark = 0.50;
+  tp.bb.low_watermark = 0.25;
+  tp.bb.drain_unit = 64 * KiB << rng.below(5);  // 64 KiB .. 1 MiB
+  const std::uint64_t cap = tp.bb.ssd.capacity_bytes;
+  tp.warm_capacity_bytes = 2 * cap;
+  tp.cold.data_shards = 4;
+  tp.cold.parity_shards = 2;
+  tp.cold.shard_unit = 64 * KiB;
+  tp.cold.num_devices = 8;
+  tier::TierEngine engine(tp, cluster);
+  auto be = tier::MakeTierBackend(engine);
 
-  auto h = be->create("/bbfuzz");
-  ASSERT_TRUE(h.ok()) << "seed " << GetParam();
-  std::map<std::uint64_t, std::uint8_t> model;
-  std::uint64_t fsize = 0;
+  // Six files of up to a third of the flash each: about twice the flash,
+  // and past the warm tier's demotion mark once they fill.
+  constexpr int kFiles = 6;
+  std::vector<plfs::BackendHandle> h;
+  std::vector<Bytes> model(kFiles);
+  for (int f = 0; f < kFiles; ++f) {
+    auto c = be->create("/f" + std::to_string(f));
+    ASSERT_TRUE(c.ok()) << "seed " << seed;
+    h.push_back(*c);
+  }
 
-  auto expect_at = [&](std::uint64_t off) -> std::uint8_t {
-    auto it = model.find(off);
-    return it == model.end() ? 0 : it->second;  // holes read as zeros
-  };
-  auto check_read = [&](std::uint64_t off, std::size_t len) {
+  auto check_read = [&](int f, std::uint64_t off, std::size_t len) {
     Bytes out(len, 0xAA);
-    auto n = be->read(*h, off, out);
-    ASSERT_TRUE(n.ok()) << "seed " << GetParam();
-    const std::size_t want = off >= fsize
+    auto n = be->read(h[f], off, out);
+    ASSERT_TRUE(n.ok()) << "seed " << seed << " file " << f;
+    const Bytes& m = model[f];
+    const std::size_t want = off >= m.size()
         ? 0
-        : static_cast<std::size_t>(std::min<std::uint64_t>(len, fsize - off));
-    ASSERT_EQ(*n, want) << "seed " << GetParam() << " off " << off;
-    for (std::size_t i = 0; i < want; ++i) {
-      ASSERT_EQ(out[i], expect_at(off + i))
-          << "seed " << GetParam() << " at " << off + i;
-    }
+        : static_cast<std::size_t>(std::min<std::uint64_t>(len, m.size() - off));
+    ASSERT_EQ(*n, want) << "seed " << seed << " file " << f << " off " << off;
+    const auto first = std::mismatch(out.begin(), out.begin() + want,
+                                     m.begin() + static_cast<std::ptrdiff_t>(off));
+    ASSERT_TRUE(first.first == out.begin() + want)
+        << "seed " << seed << " file " << f << " at "
+        << off + static_cast<std::uint64_t>(first.first - out.begin());
   };
 
   const int ops = 300;
   for (int i = 0; i < ops; ++i) {
+    const int f = static_cast<int>(rng.below(kFiles));
     const double dice = rng.uniform();
-    if (dice < 0.60) {
-      const std::uint64_t off = rng.below(2 * MiB);
-      const std::size_t len = 1 + rng.below(64 * KiB);
-      Bytes data(len);
-      for (auto& b : data) b = static_cast<std::uint8_t>(rng.below(256));
-      ASSERT_TRUE(be->write(*h, off, data).ok()) << "seed " << GetParam();
-      for (std::size_t k = 0; k < len; ++k) model[off + k] = data[k];
-      fsize = std::max(fsize, off + len);
-      ASSERT_EQ(*be->size(*h), fsize) << "seed " << GetParam();
+    if (dice < 0.55) {
+      const std::uint64_t off = rng.below(cap / 3);
+      const std::size_t len = 1 + rng.below(cap / 32);
+      const Bytes data = MakePattern(static_cast<std::uint32_t>(i), off, len);
+      ASSERT_TRUE(be->write(h[f], off, data).ok()) << "seed " << seed << " op " << i;
+      Bytes& m = model[f];
+      if (off + len > m.size()) m.resize(off + len, 0);  // holes read as zeros
+      std::copy(data.begin(), data.end(), m.begin() + static_cast<std::ptrdiff_t>(off));
+      ASSERT_EQ(*be->size(h[f]), m.size()) << "seed " << seed << " op " << i;
     } else if (dice < 0.90) {
-      if (fsize == 0) continue;
       // Mix interior reads with reads straddling or past the EOF.
+      const std::uint64_t fsize = model[f].size();
       const std::uint64_t off = rng.below(fsize + fsize / 4 + 1);
-      check_read(off, 1 + rng.below(48 * KiB));
+      check_read(f, off, 1 + rng.below(cap / 64));
     } else {
-      ASSERT_TRUE(be->fsync(*h).ok()) << "seed " << GetParam();
+      ASSERT_TRUE(be->fsync(h[f]).ok()) << "seed " << seed << " op " << i;
     }
+    if (HasFatalFailure()) return;
   }
 
-  // Drain everything, then the durable image must still match the model.
-  ASSERT_TRUE(be->fsync(*h).ok()) << "seed " << GetParam();
-  check_read(0, static_cast<std::size_t>(fsize));
-  check_read(fsize / 3, static_cast<std::size_t>(fsize));  // tail + past-EOF
+  // Drain everything, then every file must still match its shadow.
+  for (int f = 0; f < kFiles; ++f) {
+    ASSERT_TRUE(be->fsync(h[f]).ok()) << "seed " << seed;
+    check_read(f, 0, static_cast<std::size_t>(model[f].size()));
+    check_read(f, model[f].size() / 3, static_cast<std::size_t>(model[f].size()));
+  }
+
+  const bb::BbStats& bs = engine.buffer().stats();
+  const tier::TierStats& ts = engine.stats();
+  EXPECT_GT(bs.bytes_drained, 0u) << "seed " << seed;
+  EXPECT_GT(bs.bytes_evicted, 0u) << "seed " << seed;
+  EXPECT_GT(bs.ingest_stalls, 0u) << "seed " << seed;
+  EXPECT_GT(ts.demotions, 0u) << "seed " << seed;
+  EXPECT_GT(ts.cold_hits, 0u) << "seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BbFuzz,

@@ -242,6 +242,24 @@ TEST(SsdModel, WriteAmplificationIsOneForSequentialFill) {
   EXPECT_DOUBLE_EQ(ssd.stats().write_amplification(), 1.0);
 }
 
+TEST(SsdModel, SampledGcFindsTheReclaimableBlockOfAWrappingLog) {
+  // A sequential log that wraps at capacity leaves every full block but
+  // the oldest fully valid, so the 16-block victim sample often holds
+  // only fully valid blocks. GC must then scan every block instead of
+  // reporting the device wedged.
+  for (const std::uint64_t cmd : {64 * KiB, 256 * KiB, 512 * KiB}) {
+    SsdParams p = FlashDevice("fusionio-iodrive-duo");
+    p.capacity_bytes = 8 * MiB;
+    SsdModel ssd(p);
+    std::uint64_t pos = 0;
+    for (std::uint64_t written = 0; written < 64 * MiB; written += cmd) {
+      ASSERT_NO_THROW(ssd.write(pos, cmd)) << "command " << cmd << " after " << written;
+      pos = (pos + cmd) % p.capacity_bytes;
+    }
+    EXPECT_GT(ssd.stats().erases, 0u);
+  }
+}
+
 TEST(SsdStats, WriteAmplificationOfPureGcWindowIsInfinite) {
   // A fresh device (no programs at all) reports 1.0 ...
   SsdStats fresh;

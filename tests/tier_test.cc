@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pdsi/common/bytes.h"
@@ -493,6 +494,50 @@ TEST(TierBackend, PlfsContainerRoundTripOnEngine) {
   EXPECT_EQ((*reader2)->size(), total);
 }
 
+TEST(BbBackend, PlfsContainerRoundTripThroughBurstBuffer) {
+  // PLFS containers stage transparently through the engine's burst
+  // buffer: four rank threads write one N-1 container at once, and the
+  // adapter serialises them onto the engine's single timeline.
+  EngineFixture fx(256 * MiB, 64 * MiB);
+  plfs::Plfs fs(tier::MakeTierBackend(*fx.engine));
+
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::uint64_t kRecord = 4801;  // unaligned
+  constexpr int kSteps = 10;
+  std::vector<std::thread> threads;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    threads.emplace_back([&fs, r] {
+      auto w = fs.open_write("/ckpt", r);
+      ASSERT_TRUE(w.ok()) << ErrcName(w.error());
+      for (int k = 0; k < kSteps; ++k) {
+        const std::uint64_t off =
+            (static_cast<std::uint64_t>(k) * kRanks + r) * kRecord;
+        ASSERT_TRUE((*w)->write(off, MakePattern(r, off, kRecord)).ok());
+      }
+      ASSERT_TRUE((*w)->close().ok());
+    });
+  }
+  for (auto& t : threads) t.join();
+  const std::uint64_t total = kRecord * kRanks * kSteps;
+  EXPECT_GT(fx.engine->buffer().stats().bytes_absorbed, total);
+
+  auto reader = fs.open_read("/ckpt");
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ((*reader)->size(), total);
+  Bytes out(total);
+  auto n = (*reader)->read(0, out);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, total);
+  for (std::uint64_t block = 0; block < kRanks * kSteps; ++block) {
+    const std::uint32_t rank = static_cast<std::uint32_t>(block % kRanks);
+    const std::uint64_t off = block * kRecord;
+    ASSERT_EQ(FindPatternMismatch(rank, off,
+                                  std::span(out).subspan(off, kRecord)),
+              kNoMismatch)
+        << "block " << block;
+  }
+}
+
 // The namespace rules themselves are pfs::Namespace's, checked for every
 // backend by BackendNamespace; this keeps the engine side of the adapter:
 // payload sizes, and that the engine object follows rename and unlink.
@@ -526,6 +571,56 @@ TEST(TierBackend, NamespaceSemanticsMatchMemBackend) {
 
   ASSERT_TRUE(be->unlink("/d/g").ok());
   EXPECT_FALSE(fx.engine->exists("/d/g"));
+}
+
+TEST(TierBackend, StatSizeSeesStagedBytes) {
+  // The reader's dropping-fingerprint stat pass runs while writers still
+  // hold their droppings open and the bytes sit undrained on flash.
+  EngineFixture fx;
+  auto be = tier::MakeTierBackend(*fx.engine);
+  auto h = be->create("/log.7");
+  ASSERT_TRUE(h.ok());
+  const Bytes data = MakePattern(7, 0, 3 * MiB + 321);
+  ASSERT_TRUE(be->write(*h, 0, data).ok());
+  ASSERT_GT(fx.engine->buffer().undrained_bytes(), 0u);
+  EXPECT_EQ(*be->stat_size("/log.7"), data.size());
+
+  // After the durability barrier the answer is unchanged.
+  ASSERT_TRUE(be->fsync(*h).ok());
+  ASSERT_EQ(fx.engine->buffer().undrained_bytes(), 0u);
+  ASSERT_TRUE(be->close(*h).ok());
+  EXPECT_EQ(*be->stat_size("/log.7"), data.size());
+
+  // A sparse tail write extends the size at once.
+  auto h2 = be->open("/log.7");
+  ASSERT_TRUE(h2.ok());
+  ASSERT_TRUE(be->write(*h2, 10 * MiB, MakePattern(7, 10 * MiB, KiB)).ok());
+  EXPECT_EQ(*be->stat_size("/log.7"), 10 * MiB + KiB);
+  ASSERT_TRUE(be->close(*h2).ok());
+
+  EXPECT_EQ(be->stat_size("/absent").error(), Errc::not_found);
+  EXPECT_EQ(be->stat_size("/").error(), Errc::invalid);  // a directory
+}
+
+TEST(TierBackend, UnlinkDiscardsStagedDirtyBytes) {
+  // Unlinking a file whose bytes never drained drops them from the flash
+  // tier: they are not drained to the warm tier afterwards.
+  EngineFixture fx;
+  auto be = tier::MakeTierBackend(*fx.engine);
+  auto h = be->create("/ckpt");
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(be->write(*h, 0, MakePattern(3, 0, 2 * MiB)).ok());
+  ASSERT_TRUE(be->close(*h).ok());
+  ASSERT_GT(fx.engine->buffer().dirty_bytes(), 0u);
+
+  ASSERT_TRUE(be->unlink("/ckpt").ok());
+  EXPECT_FALSE(be->exists("/ckpt").value_or(true));
+  EXPECT_FALSE(fx.engine->exists("/ckpt"));
+  EXPECT_EQ(fx.engine->buffer().undrained_bytes(), 0u);
+  EXPECT_EQ(fx.engine->buffer().resident_bytes(), 0u);
+  fx.engine->flush(be->now());
+  EXPECT_EQ(fx.engine->buffer().stats().bytes_drained, 0u);
+  EXPECT_EQ(fx.engine->usage(tier::kWarmTier).used, 0u);
 }
 
 }  // namespace
