@@ -3,6 +3,7 @@
 // SC09 follow-up work motivates these: index handling dominates PLFS
 // restart at scale.
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -32,19 +33,20 @@ int main() {
     TimeLoop(
         "GlobalIndexInsertStrided/" + std::to_string(entries),
         [&] {
-          GlobalIndex g;
+          GlobalIndex::Builder b;
           for (std::uint64_t k = 0; k < entries; ++k) {
-            g.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
+            b.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
           }
-          DoNotOptimize(g.size());
+          DoNotOptimize(std::move(b).build().size());
         },
         entries);
   }
 
-  GlobalIndex g;
+  GlobalIndex::Builder b;
   for (std::uint64_t k = 0; k < (1 << 16); ++k) {
-    g.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
+    b.add(StridedEntry(k / 8, 8, 47 * 1024, k % 8), k % 8);
   }
+  const GlobalIndex g = std::move(b).build();
   std::uint64_t pos = 0;
   TimeLoop("GlobalIndexLookup", [&] {
     pos = (pos + 2654435761ULL) % (g.size() - 256 * 1024);

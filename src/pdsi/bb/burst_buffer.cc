@@ -14,15 +14,6 @@ BurstBuffer::BurstBuffer(BbParams params, DrainTarget& target, obs::Context* obs
   if (params_.drain_unit == 0) {
     throw std::invalid_argument("BurstBuffer: drain_unit must be positive");
   }
-  // The FTL's hard floor keeps one erased block in reserve, the block it
-  // is filling may hold up to a block of invalid pages GC cannot reach,
-  // and one log command programs up to a block plus a straddled page.
-  // With three spare blocks or fewer a full, wrapping log can wedge.
-  if (ssd_.physical_pages() - ssd_.logical_pages() <=
-      3ULL * params_.ssd.pages_per_block) {
-    throw std::invalid_argument(
-        "BurstBuffer: staging device needs more than three spare erase blocks");
-  }
   if (ctx_) {
     if (ctx_->tracer) {
       ctx_->tracer->track(obs::kBbIngestTrack, "bb.ingest");

@@ -25,8 +25,9 @@
 //     new absorb needs space; dirty data is never evicted (it is the only
 //     copy). A single write larger than the staging device is rejected.
 //   * Geometry — the log wraps at capacity and keeps every logical page
-//     mapped, so only the FTL's spare pages absorb garbage collection; a
-//     device with three spare erase blocks or fewer is rejected.
+//     mapped, so only the FTL's spare pages absorb garbage collection;
+//     storage::SsdModel rejects a device with three spare erase blocks or
+//     fewer.
 //
 // Durability: a byte is durable on the PFS only after the drain op
 // carrying it completes; flush() is the checkpoint barrier that returns

@@ -96,11 +96,11 @@ PfsClient::OpenFile* PfsClient::get(FileHandle fh) {
 FileHandle PfsClient::put(std::uint64_t file_id, std::string path) {
   for (std::size_t i = 0; i < open_files_.size(); ++i) {
     if (!open_files_[i].in_use) {
-      open_files_[i] = {true, file_id, std::move(path)};
+      open_files_[i] = {true, file_id, std::move(path), {}};
       return static_cast<FileHandle>(i);
     }
   }
-  open_files_.push_back({true, file_id, std::move(path)});
+  open_files_.push_back({true, file_id, std::move(path), {}});
   return static_cast<FileHandle>(open_files_.size() - 1);
 }
 
@@ -538,44 +538,13 @@ double PfsClient::acquire_locks(std::uint64_t file_id, std::uint64_t off,
   return granted;
 }
 
-rpc::RequestEngine::Request PfsClient::chunk_request(std::uint32_t server,
-                                                     std::uint64_t file_id,
-                                                     std::uint64_t off,
-                                                     std::uint64_t len,
-                                                     bool is_read,
-                                                     std::uint64_t rid) {
-  rpc::RequestEngine::Request req;
-  req.queue = server;
-  req.drop_eligible = true;
-  req.req_id = rid;
-  if (is_read) {
-    req.serve = [this, server, file_id, off, len, rid](double at, bool wire) {
-      return cluster_.oss(server).serve_read(file_id, off, len, at, wire, rid);
-    };
-    // Reads from a crashed server go to a surviving server once the
-    // first attempt has timed out (the crash is detected, never
-    // predicted) — the engine consults this from the second attempt on.
-    req.failover = [this, server, file_id, off, len,
-                    rid](double at, bool* served) {
-      const std::uint32_t alt = cluster_.survivor(server, at);
-      *served = alt != server;
-      if (!*served) return at;
-      cluster_.fault()->note_failover(server, alt, at);
-      return cluster_.oss(alt).serve_failover_read(file_id, off, len, at, rid);
-    };
-  } else {
-    // The server registers as touched only when the chunk actually
-    // lands: the engine never calls serve for a request that exhausted
-    // its retries, so a wholesale-failed write cannot leave phantom
-    // entries for fsync/unlink to charge later.
-    req.serve = [this, server, file_id, off, len, rid](double at, bool wire) {
-      const double done =
-          cluster_.oss(server).serve_write(file_id, off, len, at, wire, rid);
-      cluster_.touched_servers(file_id).insert(server);
-      return done;
-    };
-  }
-  return req;
+double PfsClient::serve_write_chunk(std::uint32_t server, std::uint64_t file_id,
+                                    std::uint64_t off, std::uint64_t len,
+                                    double at, bool wire, std::uint64_t rid) {
+  const double done =
+      cluster_.oss(server).serve_write(file_id, off, len, at, wire, rid);
+  cluster_.touched_servers(file_id).insert(server);
+  return done;
 }
 
 double PfsClient::execute_chunks(std::uint64_t file_id, std::uint64_t off,
@@ -584,11 +553,29 @@ double PfsClient::execute_chunks(std::uint64_t file_id, std::uint64_t off,
   double done = t;
   *ok = cluster_.for_each_chunk(
       file_id, off, len, [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
+        const auto serve = [&](double at, bool wire) {
+          return is_read ? cluster_.oss(server).serve_read(file_id, pos, n, at, wire, rid)
+                         : serve_write_chunk(server, file_id, pos, n, at, wire, rid);
+        };
+        // Reads from a crashed server go to a surviving server once the
+        // first attempt has timed out (the crash is detected, never
+        // predicted) — the engine consults this from the second attempt on.
+        const auto failover = [&](double at, bool* served) {
+          const std::uint32_t alt = cluster_.survivor(server, at);
+          *served = alt != server;
+          if (!*served) return at;
+          cluster_.fault()->note_failover(server, alt, at);
+          return cluster_.oss(alt).serve_failover_read(file_id, pos, n, at, rid);
+        };
+        rpc::RequestEngine::Route route;
+        route.queue = server;
+        route.req_id = rid;
         bool served = true;
-        done = std::max(done, engine_.execute(chunk_request(server, file_id, pos, n,
-                                                            is_read, rid),
-                                              t, cluster_.fault(),
-                                              /*charge_wire=*/true, &served));
+        done = std::max(
+            done, engine_.execute(route, serve,
+                                  is_read ? rpc::RequestEngine::FailoverRef(failover)
+                                          : rpc::RequestEngine::FailoverRef(),
+                                  t, cluster_.fault(), /*charge_wire=*/true, &served));
         return served;
       });
   return done;
@@ -617,13 +604,20 @@ Status PfsClient::write(FileHandle fh, std::uint64_t off,
       // an io_error at the next fsync/close (and the bytes it covered
       // may be torn) — the O_DIRECT/AIO contract.
       if (auto* buf = cluster_.data_for(f->file_id, true)) buf->write(off, data);
-      cluster_.smds().extend(f->path, off + data.size(), t);
+      if (Inode* node = cluster_.smds().resolve(f->path, &f->inode)) {
+        node->extend(off + data.size(), t);
+      }
       cluster_.for_each_chunk(
           f->file_id, off, data.size(),
           [&](std::uint32_t server, std::uint64_t pos, std::uint64_t n) {
-            t = engine_.submit(chunk_request(server, f->file_id, pos, n,
-                                             /*is_read=*/false, rid),
-                               t, cluster_.fault());
+            rpc::RequestEngine::Request req;
+            req.queue = server;
+            req.req_id = rid;
+            req.serve = [this, server, file_id = f->file_id, pos, n, rid](
+                            double at, bool wire) {
+              return serve_write_chunk(server, file_id, pos, n, at, wire, rid);
+            };
+            t = engine_.submit(std::move(req), t, cluster_.fault());
             return true;
           });
       // A pipelined holder cannot stamp the grant with a completion it
@@ -658,7 +652,9 @@ Status PfsClient::write(FileHandle fh, std::uint64_t off,
     // size is not extended (the time spent trying is still charged).
     if (st.ok()) {
       if (auto* buf = cluster_.data_for(f->file_id, true)) buf->write(off, data);
-      cluster_.smds().extend(f->path, off + data.size(), done);
+      if (Inode* node = cluster_.smds().resolve(f->path, &f->inode)) {
+        node->extend(off + data.size(), done);
+      }
       if (recording_consist()) {
         // The span starts at the lock grant, not the call: waiting under
         // a conflicting lock is serialisation working, not a violation.
@@ -677,9 +673,9 @@ Status PfsClient::write(FileHandle fh, std::uint64_t off,
 double PfsClient::read_core(OpenFile* f, std::uint64_t off,
                             std::span<std::uint8_t> out, double t,
                             Result<std::size_t>* result, std::uint64_t rid) {
-  auto inode = cluster_.smds().lookup(f->path);
-  if (!inode.ok()) {
-    *result = inode.error();
+  const Inode* inode = cluster_.smds().resolve(f->path, &f->inode);
+  if (!inode) {
+    *result = Errc::not_found;
     return t;
   }
   const std::uint64_t size = inode->size;
@@ -738,18 +734,18 @@ double PfsClient::flush_touched(std::uint64_t file_id, double t, Status* st,
                                 std::uint64_t rid) {
   double done = t;
   for (std::uint32_t s : cluster_.touched_servers(file_id)) {
-    rpc::RequestEngine::Request req;
-    req.queue = s;
+    rpc::RequestEngine::Route route;
+    route.queue = s;
     // Availability wait, not a data RPC: flushes cannot fail over and
     // must not consume the injector's per-server drop stream.
-    req.drop_eligible = false;
-    req.req_id = rid;
-    req.serve = [this, s, file_id](double at, bool) {
+    route.drop_eligible = false;
+    route.req_id = rid;
+    const auto flush = [&](double at, bool) {
       return cluster_.oss(s).flush(file_id, at);
     };
     bool ok = true;
-    const double at =
-        engine_.execute(req, t, cluster_.fault(), /*charge_wire=*/true, &ok);
+    const double at = engine_.execute(route, flush, {}, t, cluster_.fault(),
+                                      /*charge_wire=*/true, &ok);
     done = std::max(done, at);
     if (!ok) {
       // This server's dirty data cannot be forced out; keep flushing

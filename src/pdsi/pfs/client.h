@@ -123,6 +123,10 @@ class PfsClient {
     bool in_use = false;
     std::uint64_t file_id = 0;
     std::string path;
+    /// The path's entry, resolved on the first data op and looked up
+    /// again only after its shard erased or replaced an entry: read's EOF
+    /// clamp and write's extend see exactly what a path lookup would.
+    ShardedMds::InodeRef inode;
   };
 
   OpenFile* get(FileHandle fh);
@@ -176,18 +180,21 @@ class PfsClient {
   /// observable effect); only monitored runs ever *emit* the id.
   std::uint64_t mint_req() { return ++next_req_id_; }
 
-  /// Builds the engine request for one striped chunk: serve through the
-  /// target OSS, reads carrying the replica-failover scan. All retry,
-  /// timeout and backoff behaviour is the engine's (the fault injector's
-  /// single seam). `req` is the causal id threaded to the OSS span.
-  rpc::RequestEngine::Request chunk_request(std::uint32_t server,
-                                            std::uint64_t file_id,
-                                            std::uint64_t off, std::uint64_t len,
-                                            bool is_read, std::uint64_t req);
+  /// One striped write chunk served by its OSS (the engine's serve
+  /// callback in both modes). The server registers as touched only when
+  /// the chunk actually lands: the engine never calls serve for a request
+  /// that exhausted its retries, so a wholesale-failed write cannot leave
+  /// phantom entries for fsync/unlink to charge later. `req` is the
+  /// causal id threaded to the OSS span.
+  double serve_write_chunk(std::uint32_t server, std::uint64_t file_id,
+                           std::uint64_t off, std::uint64_t len, double at,
+                           bool wire, std::uint64_t req);
 
   /// Sync-mode striped transfer of [off, off+len): executes every chunk
-  /// from `t` and returns the last completion. Stops at the first chunk
-  /// that exhausts its retries and clears *ok.
+  /// from `t` through the engine (all retry, timeout and backoff
+  /// behaviour is the engine's, the fault injector's single seam; reads
+  /// carry the replica-failover scan) and returns the last completion.
+  /// Stops at the first chunk that exhausts its retries and clears *ok.
   double execute_chunks(std::uint64_t file_id, std::uint64_t off,
                         std::uint64_t len, bool is_read, double t,
                         std::uint64_t req, bool* ok);

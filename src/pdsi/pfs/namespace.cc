@@ -87,6 +87,7 @@ Status Namespace::unlink(const std::string& path, Inode* removed) {
   if (it->second.is_dir && has_children(p)) return Errc::not_empty;
   if (removed) *removed = it->second;
   entries_.erase(it);
+  ++generation_;
   return Status::Ok();
 }
 
@@ -106,6 +107,7 @@ Status Namespace::rename(const std::string& from, const std::string& to,
   node.mtime = mtime;
   entries_.erase(it);
   entries_.emplace(t, node);
+  ++generation_;
   return Status::Ok();
 }
 
@@ -127,16 +129,14 @@ Result<std::vector<std::string>> Namespace::readdir(
   return names;
 }
 
-void Namespace::extend(const std::string& path, std::uint64_t new_size,
-                       double mtime) {
-  auto it = entries_.find(NormalizePath(path));
-  if (it == entries_.end() || it->second.is_dir) return;
-  if (new_size > it->second.size) it->second.size = new_size;
-  it->second.mtime = mtime;
+Inode* Namespace::find(const std::string& normalized) {
+  auto it = entries_.find(normalized);
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 void Namespace::install(const std::string& normalized, const Inode& inode) {
   entries_[normalized] = inode;
+  ++generation_;
 }
 
 bool Namespace::take(const std::string& normalized, Inode* out) {
@@ -144,6 +144,7 @@ bool Namespace::take(const std::string& normalized, Inode* out) {
   if (it == entries_.end()) return false;
   if (out) *out = it->second;
   entries_.erase(it);
+  ++generation_;
   return true;
 }
 

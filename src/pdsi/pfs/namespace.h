@@ -23,6 +23,14 @@ struct Inode {
   bool is_dir = false;
   std::uint64_t size = 0;      ///< logical EOF (files)
   double mtime = 0.0;
+
+  /// A write ending at `end` landed at time `at`: a file grows to cover
+  /// it and takes `at` as its mtime; a directory is left alone.
+  void extend(std::uint64_t end, double at) {
+    if (is_dir) return;
+    if (end > size) size = end;
+    mtime = at;
+  }
 };
 
 /// Normalises a path: leading '/', no trailing '/' (except root), no empty
@@ -55,8 +63,14 @@ class Namespace {
   Status rename(const std::string& from, const std::string& to, double mtime);
   Result<std::vector<std::string>> readdir(const std::string& path) const;
 
-  /// Updates the authoritative size if the write extended the file.
-  void extend(const std::string& path, std::uint64_t new_size, double mtime);
+  /// The entry at `normalized`, or nullptr. The pointer stays valid, and
+  /// keeps naming that path's entry, while generation() is unchanged;
+  /// writes extend a file through it (Inode::extend).
+  Inode* find(const std::string& normalized);
+  /// Bumped whenever an entry is erased or replaced (unlink, rename, take,
+  /// install). Creates, mkdirs and extends leave it alone: they move no
+  /// existing entry.
+  std::uint64_t generation() const { return generation_; }
 
   /// True when any entry lives strictly below directory `normalized`
   /// (the unlink emptiness probe — a prefix scan, so siblings that sort
@@ -79,6 +93,7 @@ class Namespace {
 
   std::map<std::string, Inode> entries_;  ///< ordered for readdir scans
   std::uint64_t next_file_id_;
+  std::uint64_t generation_ = 0;
 };
 
 }  // namespace pdsi::pfs

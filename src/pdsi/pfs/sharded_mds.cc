@@ -129,11 +129,13 @@ Result<std::vector<std::string>> ShardedMds::readdir(
   return names;
 }
 
-void ShardedMds::extend(const std::string& path, std::uint64_t new_size,
-                        double mtime) {
-  if (num_shards() == 1) return shards_[0]->extend(path, new_size, mtime);
-  const std::string p = NormalizePath(path);
-  shards_[home_shard(p)]->extend(p, new_size, mtime);
+Inode* ShardedMds::resolve(const std::string& normalized, InodeRef* ref) {
+  if (ref->inode && ref->shard->generation() == ref->generation) {
+    return ref->inode;
+  }
+  Mds& home = num_shards() == 1 ? *shards_[0] : *shards_[home_shard(normalized)];
+  *ref = {home.find(normalized), &home, home.generation()};
+  return ref->inode;
 }
 
 void ShardedMds::maybe_split(std::uint32_t part) {

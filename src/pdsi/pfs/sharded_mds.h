@@ -88,7 +88,22 @@ class ShardedMds {
   Status unlink(const std::string& path);
   Status rename(const std::string& from, const std::string& to, double mtime);
   Result<std::vector<std::string>> readdir(const std::string& path) const;
-  void extend(const std::string& path, std::uint64_t new_size, double mtime);
+
+  /// An open file's cached answer to lookup(): the entry and the shard
+  /// namespace that holds it, valid while that namespace's generation is
+  /// the one recorded.
+  struct InodeRef {
+    Inode* inode = nullptr;
+    const Namespace* shard = nullptr;
+    std::uint64_t generation = 0;
+  };
+  /// lookup() of a normalized path for a caller that asks again and
+  /// again: returns the cached entry while the shard holding it has
+  /// erased or replaced nothing since, else looks the path up afresh.
+  /// nullptr when the path is absent (then nothing is cached). A split
+  /// that moves the entry takes it from its shard, so the reference
+  /// follows the file to its new home.
+  Inode* resolve(const std::string& normalized, InodeRef* ref);
 
   /// Charges any splits the preceding create/rename triggered: each one
   /// reserves a per-moved-entry migration cost on both the source and

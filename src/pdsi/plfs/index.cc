@@ -118,52 +118,70 @@ std::vector<IndexEntry> PatternCompressor::take() {
   return out;
 }
 
-void GlobalIndex::add(const IndexEntry& e, std::uint32_t dropping_id) {
+void GlobalIndex::Builder::add(const IndexEntry& e, std::uint32_t dropping_id) {
+  if (e.length == 0) return;
   for (std::uint32_t k = 0; k < e.count; ++k) {
-    insert(e.logical + e.stride * k, e.length, dropping_id,
-           e.physical + static_cast<std::uint64_t>(k) * e.length);
+    const std::uint64_t logical = e.logical + e.stride * k;
+    if (logical + e.length < logical) continue;  // wraps: corrupt record
+    records_.push_back({logical, logical + e.length,
+                        e.physical + static_cast<std::uint64_t>(k) * e.length,
+                        records_.size(), dropping_id});
   }
 }
 
-void GlobalIndex::insert(std::uint64_t logical, std::uint64_t length,
-                         std::uint32_t dropping, std::uint64_t physical) {
-  if (length == 0) return;
-  const std::uint64_t end = logical + length;
-  size_ = std::max(size_, end);
-
-  // Trim or split any existing segment overlapping [logical, end).
-  auto it = segments_.upper_bound(logical);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    const std::uint64_t pstart = prev->first;
-    const std::uint64_t pend = pstart + prev->second.length;
-    if (pend > logical) {
-      // prev overlaps from the left; keep its head, maybe its tail.
-      Span tail = prev->second;
-      prev->second.length = logical - pstart;
-      if (prev->second.length == 0) segments_.erase(prev);
-      if (pend > end) {
-        const std::uint64_t skip = end - pstart;
-        segments_.emplace(end, Span{pend - end, tail.dropping, tail.physical + skip});
-      }
+GlobalIndex GlobalIndex::Builder::build() && {
+  std::vector<Record> recs = std::move(records_);
+  std::sort(recs.begin(), recs.end(), [](const Record& a, const Record& b) {
+    return a.logical != b.logical ? a.logical < b.logical : a.order < b.order;
+  });
+  GlobalIndex out;
+  out.segments_.reserve(recs.size());
+  // Sweep the logical axis from event to event (a record's start or the
+  // owner's end). The records covering the current position sit in a
+  // max-heap by application order, so its top owns the position. Ended
+  // records leave the heap lazily, once they reach the top; popping them
+  // before the next starts join keeps the heap at one or two records
+  // when nothing overlaps.
+  const auto older = [&recs](std::size_t a, std::size_t b) {
+    return recs[a].order < recs[b].order;
+  };
+  std::vector<std::size_t> live;
+  std::size_t next = 0;
+  std::size_t last_owner = recs.size();  // owner of segments_.back()
+  std::uint64_t pos = 0;
+  for (;;) {
+    while (!live.empty() && recs[live.front()].end <= pos) {
+      std::pop_heap(live.begin(), live.end(), older);
+      live.pop_back();
     }
-  }
-  it = segments_.lower_bound(logical);
-  while (it != segments_.end() && it->first < end) {
-    const std::uint64_t sstart = it->first;
-    const std::uint64_t send = sstart + it->second.length;
-    if (send <= end) {
-      it = segments_.erase(it);
+    if (live.empty()) {
+      if (next == recs.size()) break;
+      pos = recs[next].logical;  // skip a hole
+    }
+    for (; next < recs.size() && recs[next].logical == pos; ++next) {
+      live.push_back(next);
+      std::push_heap(live.begin(), live.end(), older);
+    }
+    const std::size_t owner = live.front();
+    const Record& r = recs[owner];
+    std::uint64_t stop = r.end;
+    if (next < recs.size()) stop = std::min(stop, recs[next].logical);
+    if (owner == last_owner) {
+      // An older record started under the owner: the run continues (a
+      // record is contiguous, so its run cannot resume after a gap).
+      out.segments_.back().length += stop - pos;
     } else {
-      // Keep the tail beyond our new segment.
-      Span tail = it->second;
-      const std::uint64_t skip = end - sstart;
-      segments_.erase(it);
-      segments_.emplace(end, Span{send - end, tail.dropping, tail.physical + skip});
-      break;
+      out.segments_.push_back(
+          {pos, stop - pos, r.dropping, r.physical + (pos - r.logical)});
+      last_owner = owner;
     }
+    pos = stop;
   }
-  segments_.emplace(logical, Span{length, dropping, physical});
+  // The newest record covering the highest written byte owns it.
+  if (!out.segments_.empty()) {
+    out.size_ = out.segments_.back().logical + out.segments_.back().length;
+  }
+  return out;
 }
 
 std::vector<GlobalIndex::Segment> GlobalIndex::lookup(std::uint64_t off,
@@ -173,37 +191,26 @@ std::vector<GlobalIndex::Segment> GlobalIndex::lookup(std::uint64_t off,
   const std::uint64_t end = off + len;
   std::uint64_t pos = off;
 
-  auto it = segments_.upper_bound(off);
-  if (it != segments_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second.length > off) it = prev;
-  }
+  // The first segment ending after `off`; segments are disjoint, so every
+  // later one starts at or past it.
+  auto it = std::partition_point(
+      segments_.begin(), segments_.end(),
+      [off](const Segment& s) { return s.logical + s.length <= off; });
   while (pos < end) {
-    if (it == segments_.end() || it->first >= end) {
+    if (it == segments_.end() || it->logical >= end) {
       out.push_back({pos, end - pos, kHole, 0});
       break;
     }
-    if (it->first > pos) {
-      out.push_back({pos, it->first - pos, kHole, 0});
-      pos = it->first;
+    if (it->logical > pos) {
+      out.push_back({pos, it->logical - pos, kHole, 0});
+      pos = it->logical;
     }
-    const std::uint64_t sstart = it->first;
-    const std::uint64_t send = sstart + it->second.length;
-    const std::uint64_t from = std::max(pos, sstart);
+    const std::uint64_t send = it->logical + it->length;
+    const std::uint64_t from = std::max(pos, it->logical);
     const std::uint64_t to = std::min(end, send);
-    out.push_back({from, to - from, it->second.dropping,
-                   it->second.physical + (from - sstart)});
+    out.push_back({from, to - from, it->dropping, it->physical + (from - it->logical)});
     pos = to;
     ++it;
-  }
-  return out;
-}
-
-std::vector<GlobalIndex::Segment> GlobalIndex::all() const {
-  std::vector<Segment> out;
-  out.reserve(segments_.size());
-  for (const auto& [start, span] : segments_) {
-    out.push_back({start, span.length, span.dropping, span.physical});
   }
   return out;
 }

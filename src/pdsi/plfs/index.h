@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -80,8 +79,10 @@ class PatternCompressor {
 
 /// The merged, queryable view of a container's index droppings.
 ///
-/// Built by inserting entries in ascending sequence order; overlapping
-/// logical ranges are resolved newest-wins by splitting older segments.
+/// Built once by a Builder from records in application order (later
+/// records shadow earlier ones), then immutable: a sorted array of
+/// disjoint data segments, each a maximal logical run owned by one
+/// record.
 class GlobalIndex {
  public:
   /// A resolved logical extent. dropping == kHole marks unwritten bytes.
@@ -93,10 +94,30 @@ class GlobalIndex {
   };
   static constexpr std::uint32_t kHole = ~0u;
 
-  /// Inserts all records of an entry, attributing them to data dropping
-  /// `dropping_id`. Entries must be added in ascending `sequence` order
-  /// for correct shadowing.
-  void add(const IndexEntry& e, std::uint32_t dropping_id);
+  /// Collects a container's records, then resolves them in one pass.
+  class Builder {
+   public:
+    /// Appends all records of an entry, attributing them to data dropping
+    /// `dropping_id`. Add entries in application order (ascending
+    /// `sequence`, ties broken by position) for correct shadowing.
+    /// Empty records, and records that would end past 2^64 (only a
+    /// corrupt dropping holds one), are skipped.
+    void add(const IndexEntry& e, std::uint32_t dropping_id);
+
+    /// Resolves newest-wins: sorts the records by logical offset, then
+    /// sweeps them once, the newest record covering each byte owning it.
+    GlobalIndex build() &&;
+
+   private:
+    struct Record {
+      std::uint64_t logical;
+      std::uint64_t end;
+      std::uint64_t physical;
+      std::uint64_t order;  ///< position in application order
+      std::uint32_t dropping;
+    };
+    std::vector<Record> records_;
+  };
 
   /// Logical EOF: one past the highest written byte.
   std::uint64_t size() const { return size_; }
@@ -106,20 +127,11 @@ class GlobalIndex {
   /// Decomposes [off, off+len) into data segments and holes, in order.
   std::vector<Segment> lookup(std::uint64_t off, std::uint64_t len) const;
 
-  /// All segments in logical order (flatten, visualisation).
-  std::vector<Segment> all() const;
+  /// All data segments in logical order (flatten, visualisation).
+  const std::vector<Segment>& all() const { return segments_; }
 
  private:
-  struct Span {
-    std::uint64_t length;
-    std::uint32_t dropping;
-    std::uint64_t physical;
-  };
-
-  void insert(std::uint64_t logical, std::uint64_t length, std::uint32_t dropping,
-              std::uint64_t physical);
-
-  std::map<std::uint64_t, Span> segments_;  ///< keyed by logical start
+  std::vector<Segment> segments_;  ///< disjoint, ascending logical
   std::uint64_t size_ = 0;
 };
 

@@ -86,7 +86,7 @@ Status FlattenIndex(Backend& backend, const std::string& path,
   for (const auto& abs : (*reader)->droppings()) {
     flat.droppings.push_back(abs.substr(path.size() + 1));
   }
-  const auto segments = (*reader)->index().all();
+  const auto& segments = (*reader)->index().all();
   flat.entries = CompressSegments(segments);
   const Bytes raw_bytes = SerializeFlatIndex(flat);
 

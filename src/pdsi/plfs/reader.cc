@@ -12,7 +12,7 @@ namespace pdsi::plfs {
 
 namespace {
 /// Client CPU charged per index record during the restart merge (decode +
-/// sort + interval-map insert), in seconds. This is why index compression
+/// sort + newest-wins resolve), in seconds. This is why index compression
 /// pays off at restart: pattern records shrink the merge.
 constexpr double kIndexMergeCostPerEntry = 3e-6;
 }  // namespace
@@ -73,7 +73,9 @@ std::shared_ptr<const IndexSnapshot> Reader::try_load_flat(
   snap->raw_entries = std::move(flat->entries);
   // Flat entries are overlap-free with sequence == emission index, so
   // adding in stored order rebuilds the exact resolved segment map.
-  for (const auto& e : snap->raw_entries) snap->index.add(e, e.rank);
+  GlobalIndex::Builder index;
+  for (const auto& e : snap->raw_entries) index.add(e, e.rank);
+  snap->index = std::move(index).build();
   if (snap->index.size() != flat->logical_size) return nullptr;
   snap->fingerprint = fingerprint;
   snap->index_bytes = raw.size();
@@ -270,7 +272,9 @@ Status Reader::build(const std::string& path) {
     }
     return a < b;
   });
-  for (std::size_t i : order) snap->index.add(raw_entries[i], owner[i]);
+  GlobalIndex::Builder index;
+  for (std::size_t i : order) index.add(raw_entries[i], owner[i]);
+  snap->index = std::move(index).build();
   backend_.compute(static_cast<double>(raw_entries.size()) *
                    kIndexMergeCostPerEntry);
 

@@ -30,37 +30,38 @@ void RequestEngine::configure(const EngineConfig& cfg, std::uint32_t num_queues,
   }
 }
 
-double RequestEngine::execute(const Request& req, double t,
+double RequestEngine::execute(const Route& route, ServeRef serve,
+                              FailoverRef failover, double t,
                               fault::FaultInjector* inj, bool charge_wire,
                               bool* ok, ExecInfo* info) {
   *ok = true;
-  if (!inj || req.fault_exempt) {
+  if (!inj || route.fault_exempt) {
     if (info) info->served_wire = charge_wire;
-    return req.serve(t, charge_wire);
+    return serve(t, charge_wire);
   }
   const fault::FaultPlan& plan = inj->plan();
   const RetryPolicy policy{plan.rpc_timeout_s, plan.retry_backoff_s,
                            plan.max_retries};
   double at = t;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const bool is_down = inj->down(req.queue, at);
-    if (!is_down && !(req.drop_eligible && inj->drop_rpc(req.queue))) {
+    const bool is_down = inj->down(route.queue, at);
+    if (!is_down && !(route.drop_eligible && inj->drop_rpc(route.queue))) {
       if (info) info->served_wire = charge_wire;
-      return req.serve(at, charge_wire);
+      return serve(at, charge_wire);
     }
-    if (!is_down) inj->note_drop(req.queue, at);
+    if (!is_down) inj->note_drop(route.queue, at);
     // Failover kicks in from the second attempt: the crash is detected by
     // the first timeout, never predicted.
-    if (is_down && req.failover && plan.read_failover && attempt > 0) {
+    if (is_down && failover && plan.read_failover && attempt > 0) {
       bool served = false;
-      const double done = req.failover(at, &served);
+      const double done = failover(at, &served);
       // A survivor's answer is service time, not wire: the failover
       // callback owns its own latency accounting.
       if (served) return done;
     }
     if (attempt >= plan.max_retries) break;
     const double penalty = policy.penalty(attempt);
-    inj->note_retry(req.queue, at, at + penalty);
+    inj->note_retry(route.queue, at, at + penalty);
     at += penalty;
     if (info) info->retry_s += penalty;
   }
@@ -69,7 +70,7 @@ double RequestEngine::execute(const Request& req, double t,
   return at;
 }
 
-void RequestEngine::emit_req_span(const Request& req, double submit_t,
+void RequestEngine::emit_req_span(const Route& route, double submit_t,
                                   double pre_slot_t, double exec_start_t,
                                   double done, const ExecInfo& info, bool ok) {
   // queue covers submit -> wire flush (batch wait plus any predecessor's
@@ -80,8 +81,8 @@ void RequestEngine::emit_req_span(const Request& req, double submit_t,
   const double wire_s = info.served_wire ? cfg_.wire_latency_s : 0.0;
   ctx_->tracer->complete(track_, ok ? "rpc_req" : "rpc_req_fail", "rpc",
                          submit_t, done,
-                         {obs::Arg::Int("req", req.req_id),
-                          obs::Arg::Int("srv", req.queue),
+                         {obs::Arg::Int("req", route.req_id),
+                          obs::Arg::Int("srv", route.queue),
                           obs::Arg::Num("queue_s", pre_slot_t - submit_t),
                           obs::Arg::Num("stall_s", exec_start_t - pre_slot_t),
                           obs::Arg::Num("retry_s", info.retry_s),
@@ -128,7 +129,8 @@ double RequestEngine::flush_queue(std::uint32_t queue, double t,
     ExecInfo info;
     // The message head pays the one-way wire latency; coalesced tails
     // enter the server pipeline with it already charged.
-    const double done = execute(pending[i], t, inj, /*charge_wire=*/i == 0, &ok,
+    const double done = execute(pending[i], pending[i].serve, {}, t, inj,
+                                /*charge_wire=*/i == 0, &ok,
                                 mon ? &info : nullptr);
     if (!ok) async_error_ = true;
     if (mon) {

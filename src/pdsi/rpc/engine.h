@@ -41,6 +41,7 @@
 #include <queue>
 #include <vector>
 
+#include "pdsi/common/function_ref.h"
 #include "pdsi/obs/obs.h"
 
 namespace pdsi::fault {
@@ -92,13 +93,17 @@ class RequestEngine {
   /// its completion time. `charge_wire` is false when the request rode a
   /// batched message whose head already paid the one-way RPC latency.
   using Serve = std::function<double(double start, bool charge_wire)>;
+  /// execute() runs its callbacks before it returns, so it only
+  /// references them: a synchronous RPC allocates nothing.
+  using ServeRef = FunctionRef<double(double start, bool charge_wire)>;
 
   /// Alternate service for reads whose owner is down (replica failover).
   /// Sets *served when a survivor answered; otherwise the engine keeps
   /// retrying the owner.
-  using Failover = std::function<double(double at, bool* served)>;
+  using FailoverRef = FunctionRef<double(double at, bool* served)>;
 
-  struct Request {
+  /// Where a request goes and how the fault plan treats it.
+  struct Route {
     std::uint32_t queue = 0;   ///< target server queue
     /// Data RPCs consume the injector's per-server drop stream; pure
     /// availability waits (fsync flush fan-out) do not — preserving the
@@ -112,11 +117,15 @@ class RequestEngine {
     /// through submit/batch/execute/retry and stamped on the monitor's
     /// per-request rpc_req span.
     std::uint64_t req_id = 0;
+  };
+
+  /// A pipelined request. It waits in its server queue until the queue
+  /// flushes, so it owns its service callback.
+  struct Request : Route {
     /// Client time at submit(); set by the engine. The rpc_req span
     /// starts here, so batch wait (submit -> flush) is attributable.
     double submit_t = 0.0;
     Serve serve;
-    Failover failover;  ///< optional; consulted from the second attempt on
   };
 
   /// Per-execution attribution, filled by execute() for monitor spans.
@@ -139,13 +148,15 @@ class RequestEngine {
   bool pipelined() const { return cfg_.pipelined(); }
   const EngineStats& stats() const { return stats_; }
 
-  /// The engine-owned retry seam: runs `req` starting at `t` under
-  /// `inj`'s fault plan (nullptr = no faults, exactly one serve call).
+  /// The engine-owned retry seam: runs `serve` for `route` starting at
+  /// `t` under `inj`'s fault plan (nullptr = no faults, exactly one serve
+  /// call). `failover` (optional) is consulted from the second attempt on.
   /// Returns the completion time; clears *ok once the retry budget is
   /// exhausted (the returned time then includes every backoff charged).
   /// `info` (optional) receives the retry/wire attribution.
-  double execute(const Request& req, double t, fault::FaultInjector* inj,
-                 bool charge_wire, bool* ok, ExecInfo* info = nullptr);
+  double execute(const Route& route, ServeRef serve, FailoverRef failover,
+                 double t, fault::FaultInjector* inj, bool charge_wire,
+                 bool* ok, ExecInfo* info = nullptr);
 
   /// Pipelined submission at client time `t`: enqueue, flush the queue as
   /// one wire message once `batch` requests coalesced, and stall only
@@ -185,7 +196,7 @@ class RequestEngine {
   /// Emits the rpc_req / rpc_req_fail span for one completed request:
   /// span [submit_t, done] on the client track with the queue / stall /
   /// retry / wire attribution args (service is the remainder).
-  void emit_req_span(const Request& req, double submit_t, double pre_slot_t,
+  void emit_req_span(const Route& route, double submit_t, double pre_slot_t,
                      double exec_start_t, double done, const ExecInfo& info,
                      bool ok);
 

@@ -36,7 +36,7 @@ void VirtualScheduler::wake_first_locked() {
 }
 
 void VirtualScheduler::atomically(std::size_t actor,
-                                  const std::function<double(double)>& fn) {
+                                  FunctionRef<double(double)> fn) {
   std::unique_lock<std::mutex> lk(mu_);
   wait_turn_locked(lk, actor, "issued a simulated operation");
   const double now = times_[actor];
@@ -138,19 +138,23 @@ double VirtualBarrier::arrive(std::size_t actor) {
   sched_.ready_.erase(sched_.ready_.begin());
   max_time_ = std::max(max_time_, sched_.times_[actor]);
   if (++arrived_ < participants_.size()) {
-    // Park: out of the ready set, so non-participants keep moving.
+    // Park: out of the ready set, so non-participants keep moving. After
+    // the completion a participant resumes only at its own turn, woken by
+    // the change that made it the first ready actor, like an admission.
     sched_.wake_first_locked();
     const std::uint64_t my_generation = generation_;
-    sched_.wake_[actor].wait(lk, [&] { return generation_ != my_generation; });
+    sched_.wake_[actor].wait(lk, [&] {
+      return generation_ != my_generation &&
+             sched_.ready_.begin()->second == actor;
+    });
     return sched_.times_[actor];
   }
   // Last arriver completes the barrier atomically: everyone resumes at
-  // the maximum arrival time.
+  // the maximum arrival time, and only the first of them is woken.
   const double synced = max_time_;
   for (std::size_t p : participants_) {
     sched_.times_[p] = synced;
     sched_.ready_.emplace(synced, p);
-    if (p != actor) sched_.wake_[p].notify_one();
   }
   arrived_ = 0;
   max_time_ = 0.0;

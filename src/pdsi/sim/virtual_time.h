@@ -22,11 +22,13 @@
 // Wake-the-min hand-off. The active actors sit in one ordered *ready set*
 // of (time, id) keys; an actor runs only when it is the set's first
 // element. Each actor sleeps on its own condition variable, and every
-// change to the set (an admission, a finish, a barrier arrival) wakes
-// exactly the actor that became first, if any, instead of every waiter.
-// An admitted actor that is still first after moving its clock runs on
-// without a wake-up. Admission costs O(log N) and about one thread switch
-// when the turn passes to another actor.
+// change to the set (an admission, a finish, a barrier arrival or
+// completion) wakes exactly the actor that became first, if any, instead
+// of every waiter; a participant parked at a completed barrier resumes at
+// its own turn, like any admission. An admitted actor that is still first
+// after moving its clock runs on without a wake-up. Admission costs
+// O(log N) and about one thread switch when the turn passes to another
+// actor, and takes its section as a FunctionRef, so it allocates nothing.
 //
 // No simulated operation may follow finish(): a finished actor is no
 // longer in the ready set, so atomically() and VirtualBarrier::arrive()
@@ -43,6 +45,8 @@
 #include <set>
 #include <utility>
 #include <vector>
+
+#include "pdsi/common/function_ref.h"
 
 namespace pdsi::sim {
 
@@ -61,8 +65,9 @@ class VirtualScheduler {
   /// under the scheduler lock. `fn` returns the actor's new absolute time,
   /// which must be >= now. Shared simulation state (resources, lock
   /// tables) must only be touched inside such sections. Throws
-  /// std::logic_error when `actor` is finished or out of range.
-  void atomically(std::size_t actor, const std::function<double(double)>& fn);
+  /// std::logic_error when `actor` is finished or out of range. `fn` is
+  /// referenced, not copied, so an admission allocates nothing.
+  void atomically(std::size_t actor, FunctionRef<double(double)> fn);
 
   /// Convenience: advance the actor's clock by dt (>= 0).
   void advance(std::size_t actor, double dt);

@@ -20,6 +20,16 @@ SsdModel::SsdModel(SsdParams params) : params_(params) {
   std::uint64_t num_blocks = (physical + bpb - 1) / bpb;
   if (num_blocks < logical_pages_ / bpb + 2) num_blocks = logical_pages_ / bpb + 2;
   physical_pages_ = num_blocks * bpb;
+  // The write path's hard floor keeps one erased block in reserve, the
+  // block being filled may hold up to a block of invalid pages GC cannot
+  // reach, and one command programs up to a block plus a straddled page.
+  // With three spare blocks or fewer a full device under a wrapping
+  // workload can wedge.
+  if (physical_pages_ - logical_pages_ <= 3 * bpb) {
+    throw std::invalid_argument(
+        "SsdModel: needs more than three spare erase blocks beyond the "
+        "logical capacity, or GC can wedge the device");
+  }
   free_pages_ = physical_pages_;
 
   blocks_.resize(num_blocks);

@@ -73,13 +73,14 @@ struct SsdStats {
 
 class SsdModel {
  public:
+  /// Throws std::invalid_argument for a degenerate geometry or for three
+  /// spare erase blocks or fewer beyond the logical capacity.
   explicit SsdModel(SsdParams params = {});
 
   const SsdParams& params() const { return params_; }
   const SsdStats& stats() const { return stats_; }
 
   std::uint64_t logical_pages() const { return logical_pages_; }
-  std::uint64_t physical_pages() const { return physical_pages_; }
 
   /// Reads `len` bytes at logical byte offset `off`; returns service time.
   double read(std::uint64_t off, std::uint64_t len);

@@ -136,10 +136,10 @@ void TierEngine::promote(Object& o, int target, const Bytes& bytes, double t) {
     warm_used_ += RangeAdd(o.drained, 0, o.meta.size);
     o.warm = true;
     t_done = drain_target_->drain(o.meta.id, 0, o.meta.size, t);
-  } else if (target == kHotTier) {
+  } else if (target == kHotTier && o.meta.size <= bb_->capacity_bytes()) {
     // Warm -> hot: refill the staging flash. The buffer re-drains the
     // bytes, but the drained map already covers them, so the warm
-    // accounting stays put.
+    // accounting stays put. An object larger than the flash stays warm.
     t_done = bb_->write(o.meta.id, 0, o.meta.size, t);
   } else {
     return;
@@ -238,7 +238,14 @@ Result<double> TierEngine::write(const std::string& name, std::uint64_t off,
     // any drained warm copy of the range stale.
     warm_used_ -= RangeRemove(o->drained, dirty_off, dirty_off + dirty_len);
     o->warm = RangeCovers(o->drained, 0, o->meta.size);
-    done = bb_->write(o->meta.id, dirty_off, dirty_len, start);
+    // The buffer takes at most its device's capacity per write, and a
+    // recalled object can be larger: absorb it in staging-sized pieces.
+    const std::uint64_t piece = bb_->capacity_bytes();
+    done = start;
+    for (std::uint64_t pos = dirty_off; pos < dirty_off + dirty_len; pos += piece) {
+      done = bb_->write(o->meta.id, pos,
+                        std::min(piece, dirty_off + dirty_len - pos), done);
+    }
   }
   ++stats_.writes;
   if (c_writes_) c_writes_->add();

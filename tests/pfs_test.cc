@@ -120,6 +120,41 @@ TEST(SparseBuffer, DenseFileAllocatesAboutItsLength) {
   EXPECT_EQ(FindPatternMismatch(2, 0, back), kNoMismatch);
 }
 
+TEST(Namespace, GenerationCountsErasuresAndReplacements) {
+  // An open handle's cached entry pointer stays valid exactly while the
+  // generation is unchanged: every op that erases or replaces an entry
+  // bumps it, and no other op may.
+  Namespace ns;
+  auto gen = [&ns] { return ns.generation(); };
+  std::uint64_t g = gen();
+  ASSERT_TRUE(ns.mkdir("/d").ok());
+  ASSERT_TRUE(ns.create("/d/a", 1.0).ok());
+  Inode* a = ns.find("/d/a");
+  ASSERT_NE(a, nullptr);
+  a->extend(100, 2.0);
+  EXPECT_EQ(ns.create("/d/a", 1.0).error(), Errc::exists);
+  EXPECT_EQ(ns.unlink("/d/missing").error(), Errc::not_found);
+  EXPECT_TRUE(ns.rename("/d/a", "/d/a", 3.0).ok());  // no-op
+  ASSERT_TRUE(ns.create("/d/c", 1.0).ok());
+  EXPECT_EQ(gen(), g);
+  EXPECT_EQ(ns.find("/d/a"), a);
+  EXPECT_EQ(ns.lookup("/d/a")->size, 100u);
+
+  ASSERT_TRUE(ns.rename("/d/a", "/d/b", 4.0).ok());
+  EXPECT_GT(gen(), g);
+  g = gen();
+  Inode b;
+  ASSERT_TRUE(ns.take("/d/b", &b));
+  EXPECT_GT(gen(), g);
+  g = gen();
+  ns.install("/d/b", b);
+  EXPECT_GT(gen(), g);
+  g = gen();
+  ASSERT_TRUE(ns.unlink("/d/b").ok());
+  EXPECT_GT(gen(), g);
+  EXPECT_EQ(ns.find("/d/b"), nullptr);
+}
+
 TEST(Paths, Normalization) {
   EXPECT_EQ(NormalizePath("/a//b/"), "/a/b");
   EXPECT_EQ(NormalizePath("/"), "/");
@@ -220,6 +255,80 @@ TEST_F(PfsFixture, RenameMovesFile) {
   Bytes out(64);
   ASSERT_TRUE(client_.read(*fh2, 0, out).ok());
   EXPECT_EQ(FindPatternMismatch(2, 0, out), kNoMismatch);
+}
+
+// An open handle caches its file's inode after the first data op. These
+// pin that the cache is invisible: each case reads exactly what a fresh
+// path lookup per call returns.
+TEST_F(PfsFixture, HandleReadAfterRenameOrUnlinkIsNotFound) {
+  for (const bool unlink : {false, true}) {
+    SCOPED_TRACE(unlink ? "unlink" : "rename");
+    auto fh = client_.create("/h");
+    ASSERT_TRUE(fh.ok());
+    ASSERT_TRUE(client_.write(*fh, 0, MakePattern(3, 0, 4096)).ok());
+    Bytes out(4096);
+    ASSERT_EQ(*client_.read(*fh, 0, out), 4096u);  // resolves the inode
+    if (unlink) {
+      ASSERT_TRUE(client_.unlink("/h").ok());
+    } else {
+      ASSERT_TRUE(client_.rename("/h", "/h2").ok());
+    }
+    EXPECT_EQ(client_.read(*fh, 0, out).error(), Errc::not_found);
+    EXPECT_TRUE(client_.close(*fh).ok());
+    if (!unlink) {
+      ASSERT_TRUE(client_.unlink("/h2").ok());
+    }
+  }
+}
+
+TEST_F(PfsFixture, HandleSeesTheFileRecreatedAtItsPath) {
+  // After an unlink and a re-create at the same path, the old handle's EOF
+  // clamp follows the new file, as a per-call path lookup does.
+  auto fh = client_.create("/h");
+  ASSERT_TRUE(fh.ok());
+  ASSERT_TRUE(client_.write(*fh, 0, MakePattern(3, 0, 4096)).ok());
+  Bytes out(4096);
+  ASSERT_EQ(*client_.read(*fh, 0, out), 4096u);
+  ASSERT_TRUE(client_.unlink("/h").ok());
+  auto fresh = client_.create("/h");
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(client_.write(*fresh, 0, MakePattern(4, 0, 100)).ok());
+  auto n = client_.read(*fh, 0, out);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 100u);
+}
+
+TEST(PfsHandle, AnotherClientsExtendIsVisibleToTheEofClamp) {
+  sim::VirtualScheduler sched(2);
+  PfsCluster cluster(PfsConfig::PanFsLike(4), sched);
+  sim::VirtualBarrier barrier(sched);
+  Result<std::size_t> before(Errc::io_error);
+  Result<std::size_t> after(Errc::io_error);
+  Status extended = Errc::io_error;
+  // No ASSERT before a barrier: a body that returned early would leave
+  // its peer parked there.
+  sched.run([&](std::size_t a) {
+    PfsClient client(cluster, a);
+    Bytes out(4096);
+    if (a == 0) {
+      const FileHandle fh = client.create("/shared").value_or(-1);
+      EXPECT_TRUE(client.write(fh, 0, MakePattern(5, 0, 1000)).ok());
+      before = client.read(fh, 0, out);  // caches the inode
+      barrier.arrive(a);                 // actor 1 extends the file
+      barrier.arrive(a);
+      after = client.read(fh, 0, out);
+      return;
+    }
+    barrier.arrive(a);
+    const FileHandle fh = client.open("/shared").value_or(-1);
+    extended = client.write(fh, 3000, MakePattern(6, 3000, 1000));
+    barrier.arrive(a);
+  });
+  EXPECT_TRUE(extended.ok());
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(*before, 1000u);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, 4000u);
 }
 
 TEST_F(PfsFixture, BadHandleRejected) {

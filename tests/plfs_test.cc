@@ -1,12 +1,17 @@
 // PLFS core tests: index record serialisation, pattern compression, the
-// global interval map (newest-wins shadowing), and end-to-end container
-// write/read verification over the in-memory and POSIX backends.
+// global index (newest-wins shadowing, against an interval-map
+// reference), and end-to-end container write/read verification over the
+// in-memory and POSIX backends.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
@@ -134,9 +139,10 @@ TEST(PatternCompressor, DisabledPassesThrough) {
 }
 
 TEST(GlobalIndex, SimpleLookupAndHoles) {
-  GlobalIndex g;
-  g.add(Plain(100, 50, 0), 0);
-  g.add(Plain(200, 50, 50), 1);
+  GlobalIndex::Builder b;
+  b.add(Plain(100, 50, 0), 0);
+  b.add(Plain(200, 50, 50), 1);
+  const GlobalIndex g = std::move(b).build();
   EXPECT_EQ(g.size(), 250u);
 
   auto segs = g.lookup(0, 250);
@@ -150,9 +156,10 @@ TEST(GlobalIndex, SimpleLookupAndHoles) {
 }
 
 TEST(GlobalIndex, PartialOverlapKeepsTailPhysicalOffsets) {
-  GlobalIndex g;
-  g.add(Plain(0, 100, 0, 0, 1), 0);
-  g.add(Plain(40, 20, 500, 1, 2), 1);  // newer write punches the middle
+  GlobalIndex::Builder b;
+  b.add(Plain(0, 100, 0, 0, 1), 0);
+  b.add(Plain(40, 20, 500, 1, 2), 1);  // newer write punches the middle
+  const GlobalIndex g = std::move(b).build();
   auto segs = g.lookup(0, 100);
   ASSERT_EQ(segs.size(), 3u);
   EXPECT_EQ(segs[0].dropping, 0u);
@@ -166,20 +173,22 @@ TEST(GlobalIndex, PartialOverlapKeepsTailPhysicalOffsets) {
 }
 
 TEST(GlobalIndex, NewerSpansSwallowOlder) {
-  GlobalIndex g;
-  for (int k = 0; k < 10; ++k) g.add(Plain(k * 10, 10, k * 10, 0, k), 0);
-  g.add(Plain(0, 100, 0, 1, 1000), 1);
+  GlobalIndex::Builder b;
+  for (int k = 0; k < 10; ++k) b.add(Plain(k * 10, 10, k * 10, 0, k), 0);
+  b.add(Plain(0, 100, 0, 1, 1000), 1);
+  const GlobalIndex g = std::move(b).build();
   auto segs = g.lookup(0, 100);
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].dropping, 1u);
 }
 
 TEST(GlobalIndex, PatternEntryExpands) {
-  GlobalIndex g;
+  GlobalIndex::Builder b;
   IndexEntry e = Plain(0, 10, 0);
   e.stride = 100;
   e.count = 5;
-  g.add(e, 3);
+  b.add(e, 3);
+  const GlobalIndex g = std::move(b).build();
   EXPECT_EQ(g.size(), 410u);
   EXPECT_EQ(g.segment_count(), 5u);
   auto segs = g.lookup(200, 10);
@@ -193,7 +202,7 @@ class GlobalIndexProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GlobalIndexProperty, MatchesLinearOracle) {
   Rng rng(GetParam());
-  GlobalIndex g;
+  GlobalIndex::Builder builder;
   pfs::SparseBuffer oracle;
   std::vector<Bytes> logs(4);
 
@@ -207,10 +216,11 @@ TEST_P(GlobalIndexProperty, MatchesLinearOracle) {
     IndexEntry e = Plain(off, len, logs[rank].size(), rank,
                          static_cast<std::uint64_t>(op));
     logs[rank].insert(logs[rank].end(), payload.begin(), payload.end());
-    g.add(e, rank);
+    builder.add(e, rank);
     oracle.write(off, payload);
   }
 
+  const GlobalIndex g = std::move(builder).build();
   EXPECT_EQ(g.size(), oracle.size());
   // Reconstruct the file through the index and compare byte-for-byte.
   Bytes expect(oracle.size());
@@ -226,6 +236,193 @@ TEST_P(GlobalIndexProperty, MatchesLinearOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GlobalIndexProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// The interval-map index GlobalIndex replaced, kept as the reference its
+// segments are checked against: every record is inserted in application
+// order into a std::map keyed by logical start, trimming or splitting the
+// older segments it overlaps.
+class MapIndex {
+ public:
+  using Segment = GlobalIndex::Segment;
+
+  void add(const IndexEntry& e, std::uint32_t dropping) {
+    for (std::uint32_t k = 0; k < e.count; ++k) {
+      insert(e.logical + e.stride * k, e.length, dropping,
+             e.physical + static_cast<std::uint64_t>(k) * e.length);
+    }
+  }
+
+  std::uint64_t size() const { return size_; }
+
+  std::vector<Segment> lookup(std::uint64_t off, std::uint64_t len) const {
+    std::vector<Segment> out;
+    if (len == 0) return out;
+    const std::uint64_t end = off + len;
+    std::uint64_t pos = off;
+    auto it = segments_.upper_bound(off);
+    if (it != segments_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + prev->second.length > off) it = prev;
+    }
+    while (pos < end) {
+      if (it == segments_.end() || it->first >= end) {
+        out.push_back({pos, end - pos, GlobalIndex::kHole, 0});
+        break;
+      }
+      if (it->first > pos) {
+        out.push_back({pos, it->first - pos, GlobalIndex::kHole, 0});
+        pos = it->first;
+      }
+      const std::uint64_t send = it->first + it->second.length;
+      const std::uint64_t from = std::max(pos, it->first);
+      const std::uint64_t to = std::min(end, send);
+      out.push_back({from, to - from, it->second.dropping,
+                     it->second.physical + (from - it->first)});
+      pos = to;
+      ++it;
+    }
+    return out;
+  }
+
+  std::vector<Segment> all() const {
+    std::vector<Segment> out;
+    for (const auto& [start, span] : segments_) {
+      out.push_back({start, span.length, span.dropping, span.physical});
+    }
+    return out;
+  }
+
+ private:
+  struct Span {
+    std::uint64_t length;
+    std::uint32_t dropping;
+    std::uint64_t physical;
+  };
+
+  void insert(std::uint64_t logical, std::uint64_t length, std::uint32_t dropping,
+              std::uint64_t physical) {
+    if (length == 0) return;
+    const std::uint64_t end = logical + length;
+    size_ = std::max(size_, end);
+    auto it = segments_.upper_bound(logical);
+    if (it != segments_.begin()) {
+      auto prev = std::prev(it);
+      const std::uint64_t pstart = prev->first;
+      const std::uint64_t pend = pstart + prev->second.length;
+      if (pend > logical) {
+        const Span tail = prev->second;
+        prev->second.length = logical - pstart;
+        if (prev->second.length == 0) segments_.erase(prev);
+        if (pend > end) {
+          segments_.emplace(end, Span{pend - end, tail.dropping,
+                                      tail.physical + (end - pstart)});
+        }
+      }
+    }
+    it = segments_.lower_bound(logical);
+    while (it != segments_.end() && it->first < end) {
+      const std::uint64_t sstart = it->first;
+      const std::uint64_t send = sstart + it->second.length;
+      if (send <= end) {
+        it = segments_.erase(it);
+      } else {
+        const Span tail = it->second;
+        segments_.erase(it);
+        segments_.emplace(end, Span{send - end, tail.dropping,
+                                    tail.physical + (end - sstart)});
+        break;
+      }
+    }
+    segments_.emplace(logical, Span{length, dropping, physical});
+  }
+
+  std::map<std::uint64_t, Span> segments_;
+  std::uint64_t size_ = 0;
+};
+
+void ExpectSameSegments(const std::vector<GlobalIndex::Segment>& got,
+                        const std::vector<GlobalIndex::Segment>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].logical, want[i].logical) << i;
+    EXPECT_EQ(got[i].length, want[i].length) << i;
+    EXPECT_EQ(got[i].dropping, want[i].dropping) << i;
+    EXPECT_EQ(got[i].physical, want[i].physical) << i;
+  }
+}
+
+// Overlap-heavy random containers: rewrites of earlier ranges, pattern
+// entries whose stride is shorter than their length (a run that shadows
+// itself), zero-length records, and sequence stamps with many ties, fed
+// in the reader's merge order (sequence, then position) to both indexes.
+class GlobalIndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GlobalIndexEquivalence, MatchesTheMapIndex) {
+  Rng rng(GetParam());
+  const std::uint64_t span = 256 + rng.below(4096);  // small: dense overlap
+  std::vector<std::pair<IndexEntry, std::uint32_t>> entries;
+  const int n = 50 + static_cast<int>(rng.below(400));
+  for (int i = 0; i < n; ++i) {
+    IndexEntry e = Plain(rng.below(span), rng.below(6) == 0 ? 0 : 1 + rng.below(300),
+                         rng.below(1 << 20), 0, rng.below(40));
+    if (rng.below(3) == 0) {
+      e.count = static_cast<std::uint32_t>(rng.below(12));  // 0 is empty
+      e.stride = rng.below(2) == 0 ? 1 + rng.below(e.length + 1)  // overlapping
+                                   : e.length + rng.below(200);
+    }
+    if (rng.below(4) == 0 && !entries.empty()) {
+      // Rewrite an earlier entry's range exactly.
+      const IndexEntry& old = entries[rng.below(entries.size())].first;
+      e.logical = old.logical;
+      e.length = old.length;
+    }
+    entries.push_back({e, static_cast<std::uint32_t>(rng.below(8))});
+  }
+  std::stable_sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    return a.first.sequence < b.first.sequence;
+  });
+
+  MapIndex want;
+  GlobalIndex::Builder builder;
+  for (const auto& [e, dropping] : entries) {
+    want.add(e, dropping);
+    builder.add(e, dropping);
+  }
+  const GlobalIndex got = std::move(builder).build();
+
+  EXPECT_EQ(got.size(), want.size());
+  ExpectSameSegments(got.all(), want.all());
+  EXPECT_EQ(got.segment_count(), want.all().size());
+  for (int q = 0; q < 200; ++q) {
+    const std::uint64_t off = rng.below(want.size() + 64);
+    const std::uint64_t len = rng.below(want.size() + 64);
+    ExpectSameSegments(got.lookup(off, len), want.lookup(off, len));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GlobalIndexEquivalence, ::testing::Range<std::uint64_t>(1, 41));
+
+TEST(GlobalIndex, EqualStampsResolveByPositionNotBySequence) {
+  // Two writes share a sequence stamp; the one added later wins, and a
+  // later-added write with a *smaller* stamp still shadows: the index
+  // trusts the caller's application order and never re-sorts by stamp.
+  GlobalIndex::Builder b;
+  b.add(Plain(0, 100, 0, 0, 7), 0);
+  b.add(Plain(50, 100, 0, 1, 7), 1);
+  b.add(Plain(120, 10, 500, 2, 3), 2);
+  const GlobalIndex g = std::move(b).build();
+  MapIndex m;
+  m.add(Plain(0, 100, 0, 0, 7), 0);
+  m.add(Plain(50, 100, 0, 1, 7), 1);
+  m.add(Plain(120, 10, 500, 2, 3), 2);
+  ExpectSameSegments(g.all(), m.all());
+  const auto segs = g.lookup(0, 150);
+  ASSERT_EQ(segs.size(), 4u);
+  EXPECT_EQ(segs[1].dropping, 1u);
+  EXPECT_EQ(segs[2].dropping, 2u);
+  EXPECT_EQ(segs[3].dropping, 1u);
+  EXPECT_EQ(segs[3].physical, 80u);
+}
 
 // ---------------------------------------------------------------------------
 // End-to-end container tests over MemBackend.

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "pdsi/common/bytes.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/pfs/client.h"
 #include "pdsi/pfs/cluster.h"
@@ -254,7 +255,7 @@ TEST(ShardedMds, SingleShardMatchesLegacyMdsOnRecordedOps) {
         return name(legacy.rename(f, t, 2.5).error());
       },
       [&](const std::string& p, std::uint64_t n, double m) {
-        legacy.extend(p, n, m);
+        if (Inode* node = legacy.find(p)) node->extend(n, m);
       });
   const auto sharded_log = drive(
       [&](const std::string& p) { return name(sharded.mkdir(p).error()); },
@@ -267,7 +268,8 @@ TEST(ShardedMds, SingleShardMatchesLegacyMdsOnRecordedOps) {
         return name(sharded.rename(f, t, 2.5).error());
       },
       [&](const std::string& p, std::uint64_t n, double m) {
-        sharded.extend(p, n, m);
+        ShardedMds::InodeRef ref;
+        if (Inode* node = sharded.resolve(p, &ref)) node->extend(n, m);
       });
   EXPECT_EQ(legacy_log, sharded_log);
 
@@ -362,6 +364,37 @@ TEST(ShardedClient, NamespaceLifecycleAcrossShards) {
   ASSERT_TRUE(client.close(*fh).ok());
   ASSERT_TRUE(client.unlink("/dir/f1").ok());
   EXPECT_EQ(client.open("/dir/f1").error(), Errc::not_found);
+}
+
+TEST(ShardedClient, OpenHandleFollowsItsFileThroughASplit) {
+  // A handle caches its file's inode on the first data op; a GIGA+ split
+  // that migrates the file to another shard must not strand it.
+  ClusterFixture fx(ShardedConfig(4, 16));
+  PfsClient client(fx.cluster, 0);
+  auto fh = client.create("/moved");
+  ASSERT_TRUE(fh.ok());
+  const Bytes data = MakePattern(9, 0, 3000);
+  ASSERT_TRUE(client.write(*fh, 0, data).ok());
+  const std::uint32_t home = fx.cluster.smds().home_shard("/moved");
+  int created = 0;
+  Bytes out(4000);
+  while (fx.cluster.smds().home_shard("/moved") == home) {
+    ASSERT_LT(created, 2000) << "no split moved the file";
+    // Each read re-validates the cached inode, so the last one before the
+    // move holds a reference the move itself must invalidate.
+    ASSERT_TRUE(client.read(*fh, 0, std::span(out).first(1)).ok());
+    ASSERT_TRUE(client.create("/n" + std::to_string(created++)).ok());
+  }
+  auto n = client.read(*fh, 0, out);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, data.size());
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), out.begin()));
+  // A write through the handle extends the entry at its new home.
+  ASSERT_TRUE(client.write(*fh, 3000, MakePattern(9, 3000, 500)).ok());
+  auto st = client.stat("/moved");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 3500u);
+  EXPECT_TRUE(fx.cluster.smds().check_placement_invariant());
 }
 
 TEST(ShardedClient, PipelinedModeSurvivesSplitStorm) {

@@ -260,6 +260,21 @@ TEST(SsdModel, SampledGcFindsTheReclaimableBlockOfAWrappingLog) {
   }
 }
 
+TEST(SsdModel, RejectsDevicesWithThreeSpareBlocksOrFewer) {
+  // GC's hard floor keeps one erased block, the block being filled can
+  // hold a block of invalid pages, and one command programs up to a block
+  // plus a straddled page: a device needs more than three spare blocks.
+  SsdParams p = FlashDevice("fusionio-iodrive-duo");
+  p.capacity_bytes = 64 * MiB;
+  p.over_provision = 0.02;  // 16 384 logical pages, 16 768 physical: three
+  EXPECT_THROW(SsdModel{p}, std::invalid_argument);
+  p.capacity_bytes = 4 * MiB;
+  p.over_provision = 0.25;  // 1024 logical pages, 1280 physical: two
+  EXPECT_THROW(SsdModel{p}, std::invalid_argument);
+  p.capacity_bytes = 8 * MiB;  // 2048 logical pages, 2560 physical: four
+  EXPECT_NO_THROW(SsdModel{p});
+}
+
 TEST(SsdStats, WriteAmplificationOfPureGcWindowIsInfinite) {
   // A fresh device (no programs at all) reports 1.0 ...
   SsdStats fresh;

@@ -318,6 +318,57 @@ TEST(TierEngine, PinToColdArchivesAtFlushAndRecallsOnWrite) {
             kNoMismatch);
 }
 
+TEST(TierEngine, ObjectLargerThanTheFlashIsNotPromotedToHot) {
+  // 20 MiB written in 1 MiB pieces on 16 MiB flash, flushed, then read
+  // three times: the third read crosses the temperature threshold. Hot
+  // promotion would absorb the whole object in one flash write, which
+  // the burst buffer rejects; the object stays warm instead.
+  EngineFixture fx(16 * MiB, 64 * MiB);
+  TierEngine& e = *fx.engine;
+  double t = 0.0;
+  for (std::uint64_t off = 0; off < 20 * MiB; off += MiB) {
+    t = *e.write("big", off, MakePattern(3, off, MiB), t);
+  }
+  t = e.flush(t);
+  Bytes back(20 * MiB);
+  for (int i = 0; i < 3; ++i) {
+    auto r = e.read("big", 0, back, t + i);
+    ASSERT_TRUE(r.ok()) << i;
+    t = std::max(t, *r);
+  }
+  EXPECT_EQ(FindPatternMismatch(3, 0, back), kNoMismatch);
+  EXPECT_EQ(e.stats().promotions, 0u);
+  EXPECT_EQ(e.resident_tier("big"), tier::kWarmTier);
+}
+
+TEST(TierEngine, RecallLargerThanTheFlashIsAbsorbedInPieces) {
+  // A cold-only object larger than the flash is written again: the whole
+  // recalled object is re-ingested, in pieces the buffer can take.
+  EngineFixture fx(16 * MiB, 64 * MiB);
+  TierEngine& e = *fx.engine;
+  ASSERT_TRUE(e.pin("big", tier::kColdTier).ok());
+  double t = 0.0;
+  for (std::uint64_t off = 0; off < 20 * MiB; off += MiB) {
+    t = *e.write("big", off, MakePattern(4, off, MiB), t);
+  }
+  t = e.flush(t);
+  ASSERT_EQ(e.resident_tier("big"), tier::kColdTier);
+  const std::uint64_t absorbed = e.buffer().stats().bytes_absorbed;
+
+  auto w = e.write("big", 5 * MiB, MakePattern(5, 5 * MiB, KiB), t);
+  ASSERT_TRUE(w.ok());
+  EXPECT_EQ(e.buffer().stats().bytes_absorbed - absorbed, 20 * MiB);
+  t = e.flush(*w);
+  EXPECT_EQ(e.resident_tier("big"), tier::kColdTier);
+  Bytes back(20 * MiB);
+  ASSERT_TRUE(e.read("big", 0, back, t).ok());
+  EXPECT_EQ(FindPatternMismatch(4, 0, std::span(back).first(5 * MiB)), kNoMismatch);
+  EXPECT_EQ(FindPatternMismatch(5, 5 * MiB, std::span(back).subspan(5 * MiB, KiB)),
+            kNoMismatch);
+  EXPECT_EQ(FindPatternMismatch(4, 5 * MiB + KiB, std::span(back).subspan(5 * MiB + KiB)),
+            kNoMismatch);
+}
+
 TEST(TierEngine, PinToWarmBypassesStagingFlash) {
   EngineFixture fx;
   TierEngine& e = *fx.engine;
