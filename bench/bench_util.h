@@ -237,11 +237,14 @@ class BenchObs {
 
 /// Prints one line on stderr when the bench exits:
 ///
-///   HOST_<bench> {"wall_ms": ..., "user_ms": ..., "sys_ms": ..., "peak_rss_mib": ...}
+///   HOST_<bench> {"wall_ms": ..., "user_ms": ..., "sys_ms": ..., "peak_rss_mib": ...,
+///                 "vcsw": ..., "ivcsw": ...}
 ///
 /// with the host wall time since start-up, the process's user and system
-/// CPU time, and its peak resident set. The peak comes from VmHWM in
-/// /proc/self/status: ru_maxrss carries the launcher's peak across exec.
+/// CPU time, its peak resident set, and its voluntary and involuntary
+/// context switches (a rank thread that waits for its turn switches
+/// voluntarily). The peak comes from VmHWM in /proc/self/status:
+/// ru_maxrss carries the launcher's peak across exec.
 /// Host cost varies between runs and machines, so it stays off stdout,
 /// whose lines are deterministic; nothing gates it.
 class HostReport {
@@ -269,9 +272,9 @@ class HostReport {
     }
     std::fprintf(stderr,
                  "HOST_%s {\"wall_ms\": %.1f, \"user_ms\": %.1f, \"sys_ms\": %.1f, "
-                 "\"peak_rss_mib\": %s}\n",
+                 "\"peak_rss_mib\": %s, \"vcsw\": %ld, \"ivcsw\": %ld}\n",
                  program_invocation_short_name, wall_ms, ms(ru.ru_utime), ms(ru.ru_stime),
-                 peak);
+                 peak, ru.ru_nvcsw, ru.ru_nivcsw);
   }
 
  private:

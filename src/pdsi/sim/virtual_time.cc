@@ -1,5 +1,8 @@
 #include "pdsi/sim/virtual_time.h"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 #include <exception>
@@ -11,13 +14,65 @@
 
 namespace pdsi::sim {
 
+namespace {
+
+/// The CPU a scheduler pinned this thread to (-1 for none), and the mask
+/// the thread had before, which finish() puts back.
+struct ThreadPin {
+  int cpu = -1;
+  bool saved_ok = false;  ///< `saved` holds the earlier mask
+  cpu_set_t saved{};
+};
+thread_local ThreadPin tls_pin;
+
+/// The calling thread's CPU, or -1 when it cannot be read.
+int CurrentCpu() {
+  const int cpu = sched_getcpu();
+  return cpu >= 0 && cpu < CPU_SETSIZE ? cpu : -1;
+}
+
+/// Pins the calling thread to `cpu` (>= 0), keeping the mask it had before
+/// its first pin. A mask that cannot be read is not replaced, and one that
+/// cannot be set leaves the thread where it runs; neither is retried.
+void PinCaller(int cpu) {
+  ThreadPin& pin = tls_pin;
+  const pthread_t self = pthread_self();
+  if (pin.cpu < 0) {
+    pin.saved_ok = pthread_getaffinity_np(self, sizeof pin.saved, &pin.saved) == 0;
+  }
+  pin.cpu = cpu;
+  if (!pin.saved_ok) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(self, sizeof one, &one);
+}
+
+/// Puts back the calling thread's mask if it is pinned to `cpu`.
+void UnpinCaller(int cpu) {
+  ThreadPin& pin = tls_pin;
+  if (cpu < 0 || pin.cpu != cpu) return;
+  if (pin.saved_ok) pthread_setaffinity_np(pthread_self(), sizeof pin.saved, &pin.saved);
+  pin.cpu = -1;
+}
+
+}  // namespace
+
 VirtualScheduler::VirtualScheduler(std::size_t num_actors)
-    : times_(num_actors, 0.0), wake_(num_actors) {
+    : times_(num_actors, 0.0), wake_(num_actors), cpu_(num_actors > 1 ? CurrentCpu() : -1) {
   if (num_actors == 0) throw std::invalid_argument("scheduler needs >= 1 actor");
   for (std::size_t a = 0; a < num_actors; ++a) ready_.emplace_hint(ready_.end(), 0.0, a);
 }
 
+void VirtualScheduler::check_actor(std::size_t actor, const char* what) const {
+  if (actor >= times_.size()) {
+    throw std::logic_error("VirtualScheduler: unknown actor " + std::to_string(actor) +
+                           " " + what);
+  }
+}
+
 double VirtualScheduler::now(std::size_t actor) const {
+  check_actor(actor, "read its time");
   std::lock_guard<std::mutex> lk(mu_);
   return times_[actor];
 }
@@ -28,11 +83,19 @@ void VirtualScheduler::wait_turn_locked(std::unique_lock<std::mutex>& lk,
     throw std::logic_error("VirtualScheduler: finished or unknown actor " +
                            std::to_string(actor) + " " + what);
   }
+  if (cpu_ >= 0 && tls_pin.cpu != cpu_) {
+    // The move to cpu_ may wait for that CPU; no lock is held meanwhile.
+    lk.unlock();
+    PinCaller(cpu_);
+    lk.lock();
+  }
   wake_[actor].wait(lk, [&] { return ready_.begin()->second == actor; });
 }
 
-void VirtualScheduler::wake_first_locked() {
-  if (!ready_.empty()) wake_[ready_.begin()->second].notify_one();
+void VirtualScheduler::hand_over(std::unique_lock<std::mutex>& lk) {
+  const std::size_t first = ready_.empty() ? times_.size() : ready_.begin()->second;
+  lk.unlock();
+  if (first < times_.size()) wake_[first].notify_one();
 }
 
 void VirtualScheduler::atomically(std::size_t actor,
@@ -47,7 +110,7 @@ void VirtualScheduler::atomically(std::size_t actor,
   auto node = ready_.extract(ready_.begin());
   node.value().first = next;
   ready_.insert(std::move(node));
-  if (ready_.begin()->second != actor) wake_first_locked();
+  if (ready_.begin()->second != actor) hand_over(lk);
 }
 
 void VirtualScheduler::advance(std::size_t actor, double dt) {
@@ -56,12 +119,14 @@ void VirtualScheduler::advance(std::size_t actor, double dt) {
 }
 
 void VirtualScheduler::finish(std::size_t actor) {
-  std::lock_guard<std::mutex> lk(mu_);
+  check_actor(actor, "finished");
+  UnpinCaller(cpu_);
+  std::unique_lock<std::mutex> lk(mu_);
   const auto it = ready_.find({times_[actor], actor});
   if (it == ready_.end()) return;
   const bool was_first = it == ready_.begin();
   ready_.erase(it);
-  if (was_first) wake_first_locked();
+  if (was_first) hand_over(lk);
 }
 
 double VirtualScheduler::run(const std::function<void(std::size_t actor)>& body) {
@@ -122,14 +187,27 @@ VirtualBarrier::VirtualBarrier(VirtualScheduler& sched)
 
 VirtualBarrier::VirtualBarrier(VirtualScheduler& sched,
                                std::vector<std::size_t> participants)
-    : sched_(sched), participants_(std::move(participants)) {
+    : sched_(sched), participants_(std::move(participants)),
+      member_(sched.num_actors(), false) {
   if (participants_.empty()) throw std::invalid_argument("empty barrier");
+  // A duplicate would make the barrier wait for an arrival that never comes.
+  for (std::size_t p : participants_) {
+    if (p >= member_.size() || member_[p]) {
+      throw std::invalid_argument("VirtualBarrier: participant " + std::to_string(p) +
+                                  " is not an actor or is listed twice");
+    }
+    member_[p] = true;
+  }
 }
 
 double VirtualBarrier::arrive(std::size_t actor) {
+  // Counting a non-participant would complete the barrier one arrival
+  // early and leave the last real participant parked forever.
+  if (actor >= member_.size() || !member_[actor]) {
+    throw std::logic_error("VirtualBarrier: actor " + std::to_string(actor) +
+                           " is not a participant");
+  }
   std::unique_lock<std::mutex> lk(sched_.mu_);
-  assert(std::find(participants_.begin(), participants_.end(), actor) !=
-         participants_.end());
   // Arrive at this actor's (time, id) turn. Otherwise the last arrival
   // could complete the barrier before or after an equal-time actor's
   // admission depending on thread timing, and resumed participants with
@@ -141,8 +219,11 @@ double VirtualBarrier::arrive(std::size_t actor) {
     // Park: out of the ready set, so non-participants keep moving. After
     // the completion a participant resumes only at its own turn, woken by
     // the change that made it the first ready actor, like an admission.
-    sched_.wake_first_locked();
+    // Read the generation before the lock is released: the completion may
+    // come before this thread takes the lock again.
     const std::uint64_t my_generation = generation_;
+    sched_.hand_over(lk);
+    lk.lock();
     sched_.wake_[actor].wait(lk, [&] {
       return generation_ != my_generation &&
              sched_.ready_.begin()->second == actor;
@@ -159,7 +240,7 @@ double VirtualBarrier::arrive(std::size_t actor) {
   arrived_ = 0;
   max_time_ = 0.0;
   ++generation_;
-  if (sched_.ready_.begin()->second != actor) sched_.wake_first_locked();
+  if (sched_.ready_.begin()->second != actor) sched_.hand_over(lk);
   return synced;
 }
 

@@ -29,11 +29,29 @@
 // after moving its clock runs on without a wake-up. Admission costs
 // O(log N) and about one thread switch when the turn passes to another
 // actor, and takes its section as a FunctionRef, so it allocates nothing.
+// The waker notifies only after releasing the scheduler lock: the woken
+// thread shares the waker's CPU (below) and usually preempts it at once,
+// and would otherwise block on the lock the waker still holds.
+//
+// One CPU per multi-actor scheduler. Only the turn holder runs simulated
+// work, so the actors lose no parallelism by sharing a core, and a
+// hand-off between threads on one CPU is a cheap same-CPU wake-up instead
+// of a cross-CPU one (an interrupt and another vCPU leaving idle). A
+// scheduler with more than one actor records the CPU its constructor runs
+// on; the first time a thread enters it (atomically() or
+// VirtualBarrier::arrive()) the thread saves its CPU mask and pins itself
+// to that CPU, and finish() called on that thread puts the saved mask
+// back, as run() and perfbench's rank threads do for every actor. What an
+// actor's thread runs between admissions shares the core too. A
+// single-actor scheduler pins nothing. If the CPU or the thread's mask
+// cannot be read, or the mask cannot be set, the thread runs wherever the
+// OS puts it; the simulation is the same either way.
 //
 // No simulated operation may follow finish(): a finished actor is no
 // longer in the ready set, so atomically() and VirtualBarrier::arrive()
 // throw std::logic_error for it (in every build type) instead of waiting
-// for a turn that never comes.
+// for a turn that never comes. An actor id out of range throws the same
+// way from every member that takes one.
 #pragma once
 
 #include <condition_variable>
@@ -58,7 +76,8 @@ class VirtualScheduler {
   std::size_t num_actors() const { return times_.size(); }
 
   /// The actor's current virtual time. Only the actor itself may assume
-  /// this is exact; other threads get a snapshot.
+  /// this is exact; other threads get a snapshot. Throws
+  /// std::logic_error when `actor` is out of range.
   double now(std::size_t actor) const;
 
   /// Blocks until `actor` is the (time, id)-minimum, then runs `fn(now)`
@@ -83,8 +102,10 @@ class VirtualScheduler {
   double run(const std::function<void(std::size_t actor)>& body);
 
   /// Marks the actor finished; it no longer gates other actors and may
-  /// issue no further simulated operation. Idempotent. run() calls it for
-  /// every actor; perfbench's parked rank threads call it themselves.
+  /// issue no further simulated operation. Idempotent. Called on a thread
+  /// this scheduler pinned, it restores that thread's CPU mask. run()
+  /// calls it for every actor; perfbench's parked rank threads call it
+  /// themselves. Throws std::logic_error when `actor` is out of range.
   void finish(std::size_t actor);
 
   /// True once every actor has finished.
@@ -94,17 +115,22 @@ class VirtualScheduler {
   friend class VirtualBarrier;
   using Key = std::pair<double, std::size_t>;  // (virtual time, actor id)
 
-  /// Blocks until `actor` is the first ready key; throws std::logic_error
-  /// (naming `what`) when it is not in the ready set at all.
+  /// Throws std::logic_error (naming `what`) when `actor` is out of range.
+  void check_actor(std::size_t actor, const char* what) const;
+  /// Blocks until `actor` is the first ready key, pinning the calling
+  /// thread to cpu_ first if it is not yet; throws std::logic_error
+  /// (naming `what`) when `actor` is not in the ready set at all.
   void wait_turn_locked(std::unique_lock<std::mutex>& lk, std::size_t actor,
                         const char* what);
-  /// Notifies the actor holding the first ready key, if any.
-  void wake_first_locked();
+  /// Releases `lk`, then notifies the actor holding the first ready key,
+  /// if any.
+  void hand_over(std::unique_lock<std::mutex>& lk);
 
   mutable std::mutex mu_;
   std::vector<double> times_;
   std::set<Key> ready_;  ///< active actors, first = next to run
   std::vector<std::condition_variable> wake_;  ///< one per actor
+  const int cpu_;  ///< the CPU actor threads are pinned to; -1 for none
 };
 
 /// Synchronises a fixed set of participants: every arriver blocks until
@@ -118,16 +144,19 @@ class VirtualBarrier {
  public:
   /// A barrier over every actor of `sched`.
   explicit VirtualBarrier(VirtualScheduler& sched);
-  /// A barrier over `participants` only (non-empty).
+  /// A barrier over `participants` only: non-empty, each an actor of
+  /// `sched` listed once, else std::invalid_argument.
   VirtualBarrier(VirtualScheduler& sched, std::vector<std::size_t> participants);
 
   /// Blocks until all participants arrive. Returns the synchronised time.
-  /// Throws std::logic_error when `actor` is finished.
+  /// Throws std::logic_error when `actor` is finished or not a
+  /// participant.
   double arrive(std::size_t actor);
 
  private:
   VirtualScheduler& sched_;
   std::vector<std::size_t> participants_;
+  std::vector<bool> member_;  ///< per actor of sched_: a participant
   std::size_t arrived_ = 0;
   std::uint64_t generation_ = 0;
   double max_time_ = 0.0;

@@ -1,9 +1,14 @@
 // Tests for the deterministic virtual-time scheduler and the event queue.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -15,6 +20,31 @@
 
 namespace pdsi::sim {
 namespace {
+
+// The CPUs the calling thread may run on.
+cpu_set_t CallerCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  pthread_getaffinity_np(pthread_self(), sizeof mask, &mask);
+  return mask;
+}
+
+cpu_set_t CpuMask(std::initializer_list<int> cpus) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (int c : cpus) CPU_SET(c, &mask);
+  return mask;
+}
+
+std::vector<int> CpuList(const cpu_set_t& mask) {
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+bool SameCpus(const cpu_set_t& a, const cpu_set_t& b) { return CPU_EQUAL(&a, &b); }
 
 TEST(VirtualScheduler, SingleActorAdvances) {
   VirtualScheduler s(1);
@@ -80,6 +110,18 @@ TEST(VirtualScheduler, OperationAfterFinishThrows) {
   sched.finish(0);
   EXPECT_THROW(sched.advance(0, 1.0), std::logic_error);
   EXPECT_THROW(barrier.arrive(0), std::logic_error);
+}
+
+// finish() and now() check the actor id like atomically() does; none of
+// the failed calls pins the calling thread.
+TEST(VirtualScheduler, UnknownActorThrows) {
+  const cpu_set_t before = CallerCpus();
+  VirtualScheduler sched(2);
+  EXPECT_THROW(sched.finish(2), std::logic_error);
+  EXPECT_THROW(sched.now(2), std::logic_error);
+  EXPECT_THROW(sched.advance(2, 1.0), std::logic_error);
+  EXPECT_FALSE(sched.all_finished());
+  EXPECT_TRUE(SameCpus(CallerCpus(), before));
 }
 
 TEST(VirtualScheduler, RunReturnsLatestTimeAndFinishesEveryActor) {
@@ -165,6 +207,79 @@ TEST(VirtualBarrier, CompletionWakesOnlyTheNextActor) {
   const double per_arrival =
       static_cast<double>(VoluntaryContextSwitches() - before) / (kActors * kBarriers);
   EXPECT_LE(per_arrival, 2.0);
+}
+
+// The actor threads of a multi-actor scheduler share one CPU, so a
+// hand-off wakes a thread on the waker's own CPU.
+TEST(VirtualScheduler, ActorsRunOnOneCpu) {
+  if (CpuList(CallerCpus()).size() < 2) GTEST_SKIP() << "the process may run on one CPU only";
+  constexpr std::size_t kActors = 8;
+  constexpr int kAdmissions = 20;
+  VirtualScheduler sched(kActors);
+  std::vector<int> cpus;  // appended only inside admitted sections
+  sched.run([&](std::size_t a) {
+    // Staggered starts and service times interleave the admissions.
+    std::this_thread::sleep_for(std::chrono::microseconds(300 * a));
+    const double service = 1.0 + 0.01 * static_cast<double>(a);
+    for (int i = 0; i < kAdmissions; ++i) {
+      sched.atomically(a, [&](double now) {
+        cpus.push_back(sched_getcpu());
+        return now + service;
+      });
+    }
+  });
+  ASSERT_EQ(cpus.size(), kActors * kAdmissions);
+  EXPECT_EQ(std::count(cpus.begin(), cpus.end(), cpus.front()),
+            static_cast<std::ptrdiff_t>(cpus.size()));
+}
+
+// Rank threads started by hand, as perfbench's parked ranks are, run on
+// the scheduler's CPU and get their own mask back from finish().
+TEST(VirtualScheduler, FinishRestoresTheThreadsCpuMask) {
+  const std::vector<int> allowed = CpuList(CallerCpus());
+  if (allowed.size() < 2) GTEST_SKIP() << "the process may run on one CPU only";
+  // Constructed on a thread held to allowed[0], the scheduler records it.
+  std::optional<VirtualScheduler> sched;
+  std::thread([&] {
+    const cpu_set_t first = CpuMask({allowed[0]});
+    pthread_setaffinity_np(pthread_self(), sizeof first, &first);
+    sched.emplace(2);
+  }).join();
+  // Narrower than the process's mask when it holds more than two CPUs.
+  const cpu_set_t own = CpuMask({allowed[0], allowed[1]});
+  std::array<cpu_set_t, 2> during{}, after{};
+  std::vector<std::thread> threads;
+  for (std::size_t a = 0; a < 2; ++a) {
+    threads.emplace_back([&, a] {
+      pthread_setaffinity_np(pthread_self(), sizeof own, &own);
+      for (int i = 0; i < 10; ++i) sched->advance(a, 1.0);
+      during[a] = CallerCpus();
+      sched->finish(a);
+      after[a] = CallerCpus();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t a = 0; a < 2; ++a) {
+    EXPECT_TRUE(SameCpus(during[a], CpuMask({allowed[0]}))) << "actor " << a;
+    EXPECT_TRUE(SameCpus(after[a], own)) << "actor " << a;
+  }
+}
+
+// Only actor threads of a multi-actor scheduler are pinned: not the
+// thread driving a single-actor scheduler, and not the one calling run().
+TEST(VirtualScheduler, CallersKeepTheirCpuMask) {
+  const cpu_set_t before = CallerCpus();
+  VirtualScheduler single(1);
+  cpu_set_t inside{};
+  single.atomically(0, [&](double now) {
+    inside = CallerCpus();
+    return now + 1.0;
+  });
+  single.finish(0);
+  EXPECT_TRUE(SameCpus(inside, before));
+  VirtualScheduler multi(4);
+  multi.run([&](std::size_t a) { multi.advance(a, 1.0); });
+  EXPECT_TRUE(SameCpus(CallerCpus(), before));
 }
 
 // Seeded per-actor scripts, run threaded and by a sequential reference.
@@ -352,6 +467,36 @@ TEST(VirtualBarrier, ReusableAcrossGenerations) {
   });
   EXPECT_DOUBLE_EQ(last[0], last[1]);
   EXPECT_DOUBLE_EQ(last[0], 20.0);  // max path is actor 1: 10 rounds x 2s
+}
+
+// An out-of-range or repeated participant would leave the barrier waiting
+// for an arrival that never comes.
+TEST(VirtualBarrier, RejectsBadParticipantLists) {
+  VirtualScheduler sched(3);
+  EXPECT_THROW(VirtualBarrier(sched, {}), std::invalid_argument);
+  EXPECT_THROW(VirtualBarrier(sched, {0, 3}), std::invalid_argument);
+  EXPECT_THROW(VirtualBarrier(sched, {0, 1, 0}), std::invalid_argument);
+}
+
+// A non-participant's arrival throws in every build instead of counting,
+// which would complete the barrier early and park the last participant
+// forever; run() rethrows it once actors 0 and 1 complete the barrier.
+TEST(VirtualBarrier, NonParticipantArrivalThrows) {
+  VirtualScheduler sched(3);
+  VirtualBarrier barrier(sched, {0, 1});
+  std::vector<double> synced(2);
+  EXPECT_THROW(sched.run([&](std::size_t a) {
+                 sched.advance(a, 1.0 + static_cast<double>(a));
+                 if (a == 2) {
+                   barrier.arrive(a);
+                   return;
+                 }
+                 synced[a] = barrier.arrive(a);
+               }),
+               std::logic_error);
+  EXPECT_DOUBLE_EQ(synced[0], 2.0);
+  EXPECT_DOUBLE_EQ(synced[1], 2.0);
+  EXPECT_TRUE(sched.all_finished());
 }
 
 TEST(EventQueue, FiresInTimeOrder) {
