@@ -139,15 +139,6 @@ inline bool ProfileFlag(int argc, char** argv) {
   return false;
 }
 
-/// `--smoke`: run the bench's reduced configuration (the CI smoke lanes);
-/// its BENCH_ lines stay present and deterministic.
-inline bool SmokeFlag(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--smoke") return true;
-  }
-  return false;
-}
-
 /// Parses `--out-dir <dir>` / `--out-dir=<dir>` for benches that write
 /// render artifacts (PPMs). Defaults to the directory holding the
 /// binary — under build/ for a standard configure — so running a bench

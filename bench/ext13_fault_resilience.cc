@@ -13,9 +13,6 @@
 //      injector's actual crash schedule instead of the analytic Weibull
 //      process, against the analytic run at the same MTTI.
 //
-// --smoke shrinks every sweep for the CI lane; BENCH_ lines stay present
-// and parseable.
-//
 // Gate (exit 1, reason on stderr): the fault-free row has no write errors
 // and no retries; every crash row's goodput is below the fault-free row's;
 // the degraded restart read returns every byte, counts read errors and
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
                 "Fig. 4 MTTI projection: at petascale the storage system is "
                 "always partially failed; clients must retry, fail over, and "
                 "restart from what survives");
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::JsonReport json("ext13_fault_resilience");
   bool failed = false;
   auto gate = [&failed](bool ok, const std::string& what) {
@@ -117,9 +113,9 @@ int main(int argc, char** argv) {
   // ---- 1. goodput vs fault rate -------------------------------------------
   PrintBanner(std::cout, "N-1 strided checkpoint vs injected faults "
                          "(timeout + exponential-backoff retries)");
-  const std::uint32_t kRanks = smoke ? 4 : 8;
+  const std::uint32_t kRanks = 8;
   const std::uint64_t kRecord = 47 * KiB;
-  const std::uint32_t kRecords = smoke ? 8 : 24;
+  const std::uint32_t kRecords = 24;
 
   // The whole checkpoint lasts well under a second of virtual time, so the
   // crash process is scaled to that window (a petascale hour compressed):
@@ -132,22 +128,14 @@ int main(int argc, char** argv) {
     double restart_s;
     double drop_prob;
     bool traced;
-    bool in_smoke;
   };
-  std::vector<SweepPoint> sweep = {
-      {"fault-free", 0.0, 0.0, 0.0, false, true},
-      {"crash mtbf 1s", 1.0, 0.2, 0.0, false, false},
-      {"crash mtbf 0.3s", 0.3, 0.2, 0.0, true, true},
-      {"drop 0.1%", 0.0, 0.0, 1e-3, false, false},
-      {"drop 2%", 0.0, 0.0, 2e-2, false, true},
+  const SweepPoint sweep[] = {
+      {"fault-free", 0.0, 0.0, 0.0, false},
+      {"crash mtbf 1s", 1.0, 0.2, 0.0, false},
+      {"crash mtbf 0.3s", 0.3, 0.2, 0.0, true},
+      {"drop 0.1%", 0.0, 0.0, 1e-3, false},
+      {"drop 2%", 0.0, 0.0, 2e-2, false},
   };
-  if (smoke) {
-    std::vector<SweepPoint> kept;
-    for (const SweepPoint& pt : sweep) {
-      if (pt.in_smoke) kept.push_back(pt);
-    }
-    sweep = kept;
-  }
 
   Table t1({"faults", "wall", "goodput", "errors", "retries", "failovers"});
   double clean_goodput = 0.0;
@@ -211,7 +199,7 @@ int main(int argc, char** argv) {
     plfs::Options wopt;
 
     // Two ranks, disjoint halves of the logical file, 64 KiB records.
-    const std::uint64_t kHalf = smoke ? 512 * KiB : 2 * MiB;
+    const std::uint64_t kHalf = 2 * MiB;
     const std::uint64_t kRec = 64 * KiB;
     for (std::uint32_t rank = 0; rank < 2; ++rank) {
       auto w = plfs::Writer::Open(*backend, "/restart", rank, wopt, wclock);
@@ -313,7 +301,7 @@ int main(int argc, char** argv) {
     const std::vector<double> schedule = machine.interrupt_times();
 
     failure::CheckpointSimParams p;
-    p.work_seconds = (smoke ? 10 : 60) * kDay;
+    p.work_seconds = 60 * kDay;
     p.interval = kHour;
     p.checkpoint_seconds = 5 * kMinute;
     p.restart_seconds = 10 * kMinute;

@@ -14,8 +14,7 @@
 //      demotes coldest-first into the object store and the archived
 //      generation reads back intact.
 //
-// Everything is virtual-time and byte-reproducible; --smoke shrinks the
-// data sizes for the CI lane while keeping every BENCH_ line present.
+// Everything is virtual-time and byte-reproducible.
 // Gate (exit 1, reason on stderr): every scenario that verifies bytes
 // (crash_rebuild, capacity_pressure) reads them back identical.
 #include <algorithm>
@@ -75,11 +74,11 @@ bool VerifyObject(tier::TierEngine& e, const std::string& name,
 
 // -- Scenario 1: checkpoint drain racing analysis reads ---------------------
 
-void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
+void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 1: checkpoint drain vs analysis reads");
-  const std::uint64_t kAnalysisObj = (smoke ? 4 : 32) * MiB;
+  const std::uint64_t kAnalysisObj = 32 * MiB;
   const int kAnalysisCount = 4;
-  const std::uint64_t kCkptObj = (smoke ? 8 : 64) * MiB;
+  const std::uint64_t kCkptObj = 64 * MiB;
   const int kCkptCount = 4;
 
   Stack s(4 * GiB, 16 * GiB, ctx);
@@ -151,9 +150,9 @@ void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
 // -- Scenario 2: tier crash + rebuild from parity ---------------------------
 
 /// Returns whether the dataset read back identical in every phase.
-bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx, bool smoke) {
+bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 2: archive device loss, degraded reads, rebuild");
-  const std::uint64_t kObj = (smoke ? 8 : 64) * MiB;
+  const std::uint64_t kObj = 64 * MiB;
 
   Stack s(1 * GiB, 8 * GiB, ctx);
   tier::TierEngine& e = *s.engine;
@@ -210,10 +209,9 @@ bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx, bool smoke
 // -- Scenario 3: capacity pressure forcing archive demotion -----------------
 
 /// Returns whether the archived generation read back identical.
-bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
-                              bool smoke) {
+bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 3: warm watermark demotes to the archive");
-  const std::uint64_t kGen = (smoke ? 4 : 16) * MiB;
+  const std::uint64_t kGen = 16 * MiB;
   const int kGens = 6;
   // Warm budget fits ~4 generations; the high watermark fires during the
   // later flushes and sheds the oldest generations to the object store.
@@ -261,7 +259,6 @@ bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header("Policy-driven storage tiering (pdsi::tier)",
                 "flash staging, PFS warm tier and an 8+2 erasure-coded "
                 "archive behind one engine; drains, demotions and rebuilds "
@@ -270,9 +267,9 @@ int main(int argc, char** argv) {
                         bench::ProfileFlag(argc, argv), "ext15_tiering");
   bench::JsonReport json("ext15_tiering");
 
-  ScenarioDrainRace(json, trace.ctx(), smoke);
-  const bool rebuild_ok = ScenarioCrashRebuild(json, trace.ctx(), smoke);
-  const bool pressure_ok = ScenarioCapacityPressure(json, trace.ctx(), smoke);
+  ScenarioDrainRace(json, trace.ctx());
+  const bool rebuild_ok = ScenarioCrashRebuild(json, trace.ctx());
+  const bool pressure_ok = ScenarioCapacityPressure(json, trace.ctx());
 
   bench::Note("shape check: analysis reads slow down while the drain holds "
               "the warm servers; archive loss within parity degrades but "

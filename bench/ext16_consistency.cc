@@ -289,7 +289,6 @@ bool SweepScenario(const std::string& name, const SweepParams& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header("Consistency-model throughput sweep (pdsi::consist)",
                 "POSIX -> session -> commit -> MPI-IO relaxation reclaims "
                 "lock-manager time on shared files (arXiv 2402.14105); every "
@@ -298,8 +297,6 @@ int main(int argc, char** argv) {
   bench::JsonReport json("ext16_consistency");
 
   SweepParams p;
-  p.ranks = smoke ? 4 : 8;
-  p.rounds = smoke ? 4 : 12;
 
   bool ok = true;
   p.shared = true;

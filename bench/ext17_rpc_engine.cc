@@ -318,7 +318,6 @@ bool SweepScenario(const std::string& name, Runner run, const Shape& shape,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "RPC engine: window/batch sweep vs the synchronous client (pdsi::rpc)",
       "one outstanding RPC per client leaves a petascale machine idle "
@@ -327,14 +326,7 @@ int main(int argc, char** argv) {
   const std::string trace_base = bench::TraceFlag(argc, argv);
   bench::JsonReport json("ext17_rpc_engine");
 
-  Shape shape;
-  if (smoke) {
-    shape.ranks = 2;
-    shape.rounds = 16;
-    shape.meta_files = 24;
-    shape.incast_servers = 8;
-    shape.incast_rounds = 12;
-  }
+  const Shape shape;
 
   const std::vector<Setting> settings = {
       {1, 1},   // the sync anchor: byte-identical to the pre-engine client

@@ -398,7 +398,6 @@ bool ScenarioMissingFsyncAudit(const std::string& trace_base,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "Live monitoring: SLO/anomaly alarms, exact request breakdowns, and "
       "the online consistency monitor (pdsi::obs + pdsi::consist)",
@@ -408,13 +407,7 @@ int main(int argc, char** argv) {
   const std::string trace_base = bench::TraceFlag(argc, argv);
   bench::JsonReport json("ext18_live_monitor");
 
-  Shape shape;
-  if (smoke) {
-    shape.servers = 4;
-    shape.rounds = 12;
-    shape.phases = 2;
-    shape.cap = 48;
-  }
+  const Shape shape;
 
   bool ok = true;
   ok = ScenarioIncastSlo(shape, json) && ok;

@@ -263,7 +263,6 @@ SweepOutcome Sweep(const std::string& name, const Shape& shape,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bench::SmokeFlag(argc, argv);
   bench::Header(
       "Sharded MDS: GIGA+ namespace partitioning vs the single metadata "
       "server (pdsi::pfs::ShardedMds)",
@@ -274,15 +273,7 @@ int main(int argc, char** argv) {
   const std::string trace_path = bench::TraceFlag(argc, argv);
   bench::JsonReport json("ext19_sharded_mds");
 
-  Shape shape;
-  if (smoke) {
-    shape.create_clients = 16;
-    shape.creates_per_client = 64;
-    shape.split_threshold = 48;
-    shape.open_files = 128;
-    shape.openers = 8;
-    shape.open_group = 8;
-  }
+  const Shape shape;
   const std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
 
   const SweepOutcome creates =

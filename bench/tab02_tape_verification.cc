@@ -33,7 +33,7 @@ int main() {
   }
 
   archive::VerificationPolicy policy;
-  const auto r = archive::RunVerification(library, mix, policy, rng);
+  const auto r = archive::RunVerification(library, policy, rng);
 
   PrintBanner(std::cout, "campaign outcome");
   Table t({"metric", "value", "paper"});

@@ -29,9 +29,7 @@ std::vector<Cartridge> BuildLibrary(const std::vector<MediaClass>& classes,
 }
 
 VerificationResult RunVerification(const std::vector<Cartridge>& library,
-                                   const std::vector<MediaClass>& classes,
                                    const VerificationPolicy& policy, Rng& rng) {
-  (void)classes;
   VerificationResult r;
   r.tapes = library.size();
   for (const Cartridge& tape : library) {

@@ -58,7 +58,6 @@ std::vector<Cartridge> BuildLibrary(const std::vector<MediaClass>& classes, Rng&
 
 /// Runs the verification + migration campaign.
 VerificationResult RunVerification(const std::vector<Cartridge>& library,
-                                   const std::vector<MediaClass>& classes,
                                    const VerificationPolicy& policy, Rng& rng);
 
 /// The NERSC media mix (scaled counts preserve the class proportions:

@@ -86,11 +86,11 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
       pfs::PfsClient client(cluster, me);
       auto fh = client.create("/ioz." + std::to_string(me));
       Bytes chunk(256 * KiB);
+      Bytes small(64 * KiB);
       std::uint64_t wpos = 0;
       while (client.now() < total_time) {
         client.write(*fh, wpos, chunk);
         wpos += chunk.size();
-        Bytes small(64 * KiB);
         const std::uint64_t rpos =
             rng.below(std::max<std::uint64_t>(1, wpos / small.size())) * small.size();
         client.read(*fh, rpos, small);

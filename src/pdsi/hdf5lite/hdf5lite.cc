@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <span>
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/pfs/client.h"
@@ -14,6 +15,7 @@ namespace {
 /// File layout: [0, kHeaderBytes) holds the superblock + object headers;
 /// dataset payload begins after it (optionally stripe-aligned).
 constexpr std::uint64_t kHeaderBytes = 16 * 1024;
+constexpr std::uint64_t kSuperblockBytes = 1024;
 constexpr std::uint64_t kMetadataRecord = 256;
 
 std::uint64_t DataStart(const pfs::PfsConfig& cfg, const H5Options& opt) {
@@ -42,6 +44,27 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
   pfs::PfsCluster cluster(config, sched);
 
   const std::uint64_t data_start = DataStart(config, options);
+  // Every rank's region holds the same records. With store_data off the
+  // PFS never reads a payload byte, so all writes share one read-only
+  // zero buffer sized to the largest: a record, a collective buffer (at
+  // most cb_buffer_bytes plus one record) or a header flush.
+  std::uint64_t region_bytes = 0;
+  std::uint64_t largest_record = 0;
+  for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
+    region_bytes += RecordBytes(spec, k);
+    largest_record = std::max(largest_record, RecordBytes(spec, k));
+  }
+  std::uint64_t largest_write =
+      std::max({kSuperblockBytes, kMetadataRecord * spec.metadata_updates_per_rank,
+                largest_record});
+  if (options.collective_buffering) {
+    largest_write = std::max(
+        largest_write, std::min(region_bytes, options.cb_buffer_bytes + largest_record));
+  }
+  const Bytes zeros(largest_write);
+  const auto payload_of = [&zeros](std::uint64_t n) {
+    return std::span<const std::uint8_t>(zeros).first(n);
+  };
   double t_begin = 0.0, t_end = 0.0;
   std::uint64_t payload = 0;
   std::mutex mu;
@@ -55,9 +78,7 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
     pfs::FileHandle fh;
     if (r == 0) {
       fh = *client.create("/dump.h5");
-      // Superblock write.
-      Bytes header(1024);
-      client.write(fh, 0, header);
+      client.write(fh, 0, payload_of(kSuperblockBytes));
       barrier.arrive(r);
     } else {
       barrier.arrive(r);
@@ -68,10 +89,6 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
     // region start inherits the odd header offset and the irregular
     // record sizes; with collective buffering the rank writes its
     // region in large contiguous buffers instead of per-record.
-    std::uint64_t region_bytes = 0;
-    for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
-      region_bytes += RecordBytes(spec, k);
-    }
     // Alignment pads each rank's region to a stripe multiple so
     // neighbouring ranks never share a lock/RAID unit.
     std::uint64_t region_stride = region_bytes;
@@ -90,8 +107,8 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
       const std::uint64_t per = std::max<std::uint32_t>(
           1, spec.records_per_rank / std::max(1u, spec.metadata_updates_per_rank));
       if (k % per == 0 && meta_done < spec.metadata_updates_per_rank) {
-        Bytes attr(kMetadataRecord);
-        client.write(fh, (r * 8 + meta_done) % 32 * kMetadataRecord, attr);
+        client.write(fh, (r * 8 + meta_done) % 32 * kMetadataRecord,
+                     payload_of(kMetadataRecord));
         ++meta_done;
       }
     };
@@ -107,8 +124,7 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
         maybe_metadata(k);
         if (pending >= options.cb_buffer_bytes ||
             k + 1 == spec.records_per_rank) {
-          Bytes buf(pending);
-          client.write(fh, pos, buf);
+          client.write(fh, pos, payload_of(pending));
           pos += pending;
           local += pending;
           pending = 0;
@@ -119,9 +135,8 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
       std::uint64_t pos = region_start;
       for (std::uint32_t k = 0; k < spec.records_per_rank; ++k) {
         const std::uint64_t n = RecordBytes(spec, k);
-        Bytes rec(n);
         maybe_metadata(k);
-        client.write(fh, pos, rec);
+        client.write(fh, pos, payload_of(n));
         pos += n;
         local += n;
       }
@@ -130,8 +145,7 @@ DumpResult RunDump(const pfs::PfsConfig& cfg, const DumpSpec& spec,
     if (options.metadata_coalescing) {
       // One coalesced header flush by rank 0 at close.
       if (r == 0) {
-        Bytes header(kMetadataRecord * spec.metadata_updates_per_rank);
-        client.write(fh, 0, header);
+        client.write(fh, 0, payload_of(kMetadataRecord * spec.metadata_updates_per_rank));
       }
     }
     client.close(fh);

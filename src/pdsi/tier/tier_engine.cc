@@ -299,7 +299,6 @@ Result<double> TierEngine::read(const std::string& name, std::uint64_t off,
         cur = kWarmTier;
       } else if (o->cold) {
         // Warm servers down with no failover: the archive copy survives.
-        const std::uint64_t before = store_.stats().degraded_gets;
         auto g = store_.get(kBucket, cold_key(*o), &cold_buf, now);
         if (!g.ok()) {
           ++stats_.read_errors;
@@ -312,7 +311,6 @@ Result<double> TierEngine::read(const std::string& name, std::uint64_t off,
         if (c_cold_hits_) c_cold_hits_->add();
         ++stats_.degraded_reads;
         if (c_degraded_) c_degraded_->add();
-        (void)before;
         cur = kColdTier;
       } else {
         ++stats_.read_errors;

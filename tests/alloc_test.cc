@@ -1,11 +1,12 @@
 // Heap allocations on the PFS client's steady-state data path.
 //
 // This binary replaces the global operator new with a counting one, so it
-// holds only this suite: no other test sees the counter. A single-actor
+// holds only these suites: no other test sees the counters. A single-actor
 // cluster that stores payloads (no obs context) is warmed up once, after
 // which synchronous reads and overwriting writes must allocate nothing:
 // the scheduler admission and each chunk RPC take their callables by
-// reference, and the handle's cached inode spares the path lookup.
+// reference, and the handle's cached inode spares the path lookup. A
+// timing-only dump (payloads never stored) must not allocate its payload.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,15 +16,18 @@
 
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/units.h"
+#include "pdsi/hdf5lite/hdf5lite.h"
 #include "pdsi/pfs/client.h"
 #include "pdsi/pfs/cluster.h"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -79,3 +83,23 @@ TEST(SteadyStateDataPath, SyncReadsAndOverwritesAllocateNothing) {
 
 }  // namespace
 }  // namespace pdsi::pfs
+
+namespace pdsi::hdf5lite {
+namespace {
+
+TEST(TimingOnlyDump, AllocatesLessThanItsPayload) {
+  // RunDump never stores payloads, so its writes need no buffer of
+  // their own: one that allocates per record allocates the payload.
+  DumpSpec spec;
+  spec.ranks = 8;
+  spec.records_per_rank = 64;
+  spec.record_bytes = 48 * KiB;
+  const std::uint64_t before = g_allocated_bytes.load();
+  const DumpResult r = RunDump(pfs::PfsConfig::LustreLike(4), spec, H5Options{});
+  const std::uint64_t allocated = g_allocated_bytes.load() - before;
+  EXPECT_EQ(r.bytes, spec.total_bytes());
+  EXPECT_LT(allocated, spec.total_bytes());
+}
+
+}  // namespace
+}  // namespace pdsi::hdf5lite

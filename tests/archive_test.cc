@@ -38,7 +38,7 @@ TEST(Verification, AccountingAddsUp) {
   auto mix = NerscMediaMix();
   auto lib = BuildLibrary(mix, rng);
   VerificationPolicy policy;
-  const auto r = RunVerification(lib, mix, policy, rng);
+  const auto r = RunVerification(lib, policy, rng);
   EXPECT_EQ(r.tapes, lib.size());
   EXPECT_EQ(r.appliance_suspects, r.recovered_with_retries + r.unreadable);
   EXPECT_EQ(r.passes_needed.size(), r.recovered_with_retries);
@@ -49,7 +49,7 @@ TEST(Verification, MatchesNerscHeadlineNumbers) {
   auto mix = NerscMediaMix();
   auto lib = BuildLibrary(mix, rng);
   VerificationPolicy policy;
-  const auto r = RunVerification(lib, mix, policy, rng);
+  const auto r = RunVerification(lib, policy, rng);
   // Paper: 13 of 23,820 tapes unreadable => 99.945%. Allow a band.
   EXPECT_GE(r.full_read_probability(), 0.9985);
   EXPECT_LE(r.full_read_probability(), 0.99999);
@@ -71,8 +71,8 @@ TEST(Verification, MoreRetriesRecoverMore) {
   one.migration_retries = 1;
   VerificationPolicy five;
   five.migration_retries = 5;
-  const auto r1 = RunVerification(lib, mix, one, run_a);
-  const auto r5 = RunVerification(lib, mix, five, run_b);
+  const auto r1 = RunVerification(lib, one, run_a);
+  const auto r5 = RunVerification(lib, five, run_b);
   EXPECT_GE(r1.unreadable, r5.unreadable);
 }
 
@@ -85,7 +85,7 @@ TEST(Verification, PermanentDefectsDefeatAllRetries) {
   auto lib = BuildLibrary(mix, rng);
   VerificationPolicy policy;
   policy.migration_retries = 50;
-  const auto r = RunVerification(lib, mix, policy, rng);
+  const auto r = RunVerification(lib, policy, rng);
   EXPECT_EQ(r.unreadable, 200u);
   EXPECT_EQ(r.recovered_with_retries, 0u);
 }
