@@ -237,7 +237,9 @@ class BenchObs {
 /// voluntarily). The peak comes from VmHWM in /proc/self/status:
 /// ru_maxrss carries the launcher's peak across exec.
 /// Host cost varies between runs and machines, so it stays off stdout,
-/// whose lines are deterministic; nothing gates it.
+/// whose lines are deterministic. The release lane's "Bench pass" gates
+/// only user_ms + sys_ms, loosely: more than 2x and more than 500 ms above
+/// the bench's line in bench/baselines/host_cpu.txt fails.
 class HostReport {
  public:
   HostReport() : start_(std::chrono::steady_clock::now()) {}

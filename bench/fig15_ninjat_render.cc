@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   workload::WriteTrace trace;
   workload::RunDirectCheckpoint(pfs::PfsConfig::PanFsLike(4), spec, &trace);
-  std::cout << "trace: " << trace.size() << " writes, "
+  std::cout << "workload: " << trace.size() << " writes, "
             << FormatBytes(static_cast<double>(spec.total_bytes())) << " total\n";
 
   const auto time_offset = ninjat::RenderTimeOffset(trace, {800, 400});

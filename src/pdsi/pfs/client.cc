@@ -759,42 +759,45 @@ double PfsClient::flush_touched(std::uint64_t file_id, double t, Status* st,
 Status PfsClient::fsync(FileHandle fh) {
   OpenFile* f = get(fh);
   if (!f) return Errc::bad_handle;
-  const consist::ConsistencyModel model = cluster_.config().consistency;
   Status st = Status::Ok();
   const std::uint64_t rid = mint_req();
-  cluster_.scheduler().atomically(actor_, [&](double t) {
-    if (engine_.pipelined()) {
-      // The sync barrier: every queued chunk flushes, every in-flight
-      // completion lands, and asynchronous write failures surface here.
-      bool dok = true;
-      t = engine_.drain(t, cluster_.fault(), &dok);
-      if (!dok || pending_io_error_) {
-        st = Errc::io_error;
-        pending_io_error_ = false;
-      }
-    }
-    double done = flush_touched(f->file_id, t, &st, rid);
-    if (st.ok() &&
-        (model == consist::ConsistencyModel::commit ||
-         model == consist::ConsistencyModel::mpiio)) {
-      // Commit publishes at every sync with a full metadata op; mpiio's
-      // collective sync-barrier-sync batches the exchange, so each
-      // participant pays only a fraction of it.
-      const double fraction =
-          model == consist::ConsistencyModel::mpiio ? kMpiioSyncFraction : 1.0;
-      done = cluster_.smds()
-                 .shard(cluster_.smds().home_shard(f->path))
-                 .publish(done, fraction, rid);
-      if (recording_consist()) {
-        record_consist_edge("sync", f->file_id, done);
-        record_consist_edge("pub", f->file_id, done);
-      }
-    } else if (st.ok() && recording_consist()) {
-      record_consist_edge("sync", f->file_id, done);
-    }
-    return done;
-  });
+  cluster_.scheduler().atomically(
+      actor_, [&](double t) { return sync_core(f, t, &st, rid); });
   return st;
+}
+
+double PfsClient::sync_core(OpenFile* f, double t, Status* st, std::uint64_t rid) {
+  const consist::ConsistencyModel model = cluster_.config().consistency;
+  if (engine_.pipelined()) {
+    // The sync barrier: every queued chunk flushes, every in-flight
+    // completion lands, and asynchronous write failures surface here.
+    bool dok = true;
+    t = engine_.drain(t, cluster_.fault(), &dok);
+    if (!dok || pending_io_error_) {
+      *st = Errc::io_error;
+      pending_io_error_ = false;
+    }
+  }
+  double done = flush_touched(f->file_id, t, st, rid);
+  if (st->ok() &&
+      (model == consist::ConsistencyModel::commit ||
+       model == consist::ConsistencyModel::mpiio)) {
+    // Commit publishes at every sync with a full metadata op; mpiio's
+    // collective sync-barrier-sync batches the exchange, so each
+    // participant pays only a fraction of it.
+    const double fraction =
+        model == consist::ConsistencyModel::mpiio ? kMpiioSyncFraction : 1.0;
+    done = cluster_.smds()
+               .shard(cluster_.smds().home_shard(f->path))
+               .publish(done, fraction, rid);
+    if (recording_consist()) {
+      record_consist_edge("sync", f->file_id, done);
+      record_consist_edge("pub", f->file_id, done);
+    }
+  } else if (st->ok() && recording_consist()) {
+    record_consist_edge("sync", f->file_id, done);
+  }
+  return done;
 }
 
 Status PfsClient::close(FileHandle fh) {
@@ -821,7 +824,15 @@ Status PfsClient::close(FileHandle fh) {
     }
     if (recording_consist()) record_consist_edge("close", f->file_id, now());
   } else {
-    st = fsync(fh);
+    // fsync's flush, then, in the same admission (the payload store is
+    // shared), the closed file's chunks give back their growth slack. The
+    // trim charges no time; a commit/mpiio close above keeps the slack.
+    const std::uint64_t sync_rid = mint_req();
+    cluster_.scheduler().atomically(actor_, [&](double t) {
+      const double done = sync_core(f, t, &st, sync_rid);
+      if (auto* buf = cluster_.data_for(f->file_id, false)) buf->shrink_to_fit();
+      return done;
+    });
     if (st.ok() && model == consist::ConsistencyModel::session) {
       // Close-to-open: one metadata op publishes the session's writes.
       const std::uint64_t rid = mint_req();

@@ -214,6 +214,11 @@ class PfsClient {
   double read_core(OpenFile* f, std::uint64_t off, std::span<std::uint8_t> out,
                    double t, Result<std::size_t>* result, std::uint64_t req);
 
+  /// fsync's admitted section, from `t`: a pipelined client's drain, the
+  /// flush fan-out and the commit/mpiio publish. Failures fold into *st;
+  /// returns the completion time.
+  double sync_core(OpenFile* f, double t, Status* st, std::uint64_t req);
+
   /// fsync's flush fan-out over the file's touched servers, from `t`;
   /// failures fold into *st (the other servers still flush).
   double flush_touched(std::uint64_t file_id, double t, Status* st,

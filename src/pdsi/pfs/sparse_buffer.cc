@@ -53,6 +53,20 @@ void SparseBuffer::read(std::uint64_t off, std::span<std::uint8_t> out) const {
   }
 }
 
+void SparseBuffer::shrink_to_fit() {
+  for (auto& entry : chunks_) {
+    Chunk& c = entry.second;
+    // A chunk with an allocation has a non-zero extent, so this never
+    // asks realloc for zero bytes.
+    if (c.extent == c.capacity) continue;
+    auto* trimmed = static_cast<std::uint8_t*>(std::realloc(c.bytes.get(), c.extent));
+    if (!trimmed) continue;  // the old block still holds every byte
+    (void)c.bytes.release();
+    c.bytes.reset(trimmed);
+    c.capacity = c.extent;
+  }
+}
+
 std::uint64_t SparseBuffer::allocated_bytes() const {
   std::uint64_t total = 0;
   for (const auto& entry : chunks_) total += entry.second.capacity;

@@ -3,9 +3,13 @@
 // be multi-GiB, so the file is indexed in fixed-size chunks. Each chunk
 // stores only its written extent: the bytes from the chunk's start up to
 // the highest byte written in it, grown with geometric capacity (never
-// past the chunk size) as a log appends. Bytes past a chunk's extent,
-// chunks never written and bytes past EOF read back as zeros (POSIX
-// holes), so a small append-only dropping costs about its own length.
+// past the chunk size) as a log appends; shrink_to_fit(), which the PFS
+// client calls when a posix or session close flushes the file, trims each
+// chunk back to its extent, so such a closed file holds its bytes and not
+// its growth slack.
+// Bytes past a chunk's extent, chunks never written and bytes past EOF
+// read back as zeros (POSIX holes), so a small append-only dropping costs
+// about its own length.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +33,10 @@ class SparseBuffer {
 
   /// Highest written offset + 1 (POSIX st_size).
   std::uint64_t size() const { return size_; }
+
+  /// Sets each chunk's capacity to its written extent; bytes, holes and
+  /// size() are unchanged, and a later write grows the chunk again.
+  void shrink_to_fit();
 
   /// Bytes of memory the chunks hold allocated (their capacities).
   std::uint64_t allocated_bytes() const;

@@ -1,5 +1,8 @@
 #include "pdsi/scalatrace/scalatrace.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace pdsi::scalatrace {
 
 std::string_view KindName(Event::Kind k) {
@@ -38,31 +41,48 @@ bool WindowsEqual(const std::vector<Node>& nodes, std::size_t a, std::size_t b,
 
 /// One folding pass: applies every non-overlapping fold it finds at each
 /// window size, smallest window first. Returns true if anything changed.
+///
+/// Each window size compacts the vector in place: nodes [0, out) are the
+/// finished prefix and [in, end) the unscanned tail, so the windows read
+/// exactly what an erase-and-insert fold would have left behind the
+/// fold point. `out` never passes `in`, and a fold moves its body out of
+/// the tail before its loop node is written.
 bool FoldOnce(std::vector<Node>& nodes, std::size_t max_window) {
   bool changed = false;
   for (std::size_t w = 1; w <= max_window && w <= nodes.size() / 2; ++w) {
-    for (std::size_t i = 0; i + 2 * w <= nodes.size(); ++i) {
+    const std::size_t end = nodes.size();
+    std::size_t out = 0;
+    std::size_t in = 0;
+    for (; in + 2 * w <= end; ++out) {
       std::size_t repeats = 1;
-      while (i + (repeats + 1) * w <= nodes.size() &&
-             WindowsEqual(nodes, i, i + repeats * w, w)) {
+      while (in + (repeats + 1) * w <= end &&
+             WindowsEqual(nodes, in, in + repeats * w, w)) {
         ++repeats;
       }
-      if (repeats < 2) continue;
+      if (repeats < 2) {
+        if (out != in) nodes[out] = std::move(nodes[in]);
+        ++in;
+        continue;
+      }
 
       Node loop;
-      if (w == 1 && nodes[i].is_loop()) {
+      if (w == 1 && nodes[in].is_loop()) {
         // Merging consecutive identical loops: multiply the counts.
-        loop = nodes[i];
+        loop = std::move(nodes[in]);
         loop.count *= static_cast<std::uint32_t>(repeats);
       } else {
         loop.count = static_cast<std::uint32_t>(repeats);
-        loop.body.assign(nodes.begin() + static_cast<long>(i),
-                         nodes.begin() + static_cast<long>(i + w));
+        loop.body.assign(std::make_move_iterator(nodes.begin() + static_cast<long>(in)),
+                         std::make_move_iterator(nodes.begin() + static_cast<long>(in + w)));
       }
-      nodes.erase(nodes.begin() + static_cast<long>(i),
-                  nodes.begin() + static_cast<long>(i + repeats * w));
-      nodes.insert(nodes.begin() + static_cast<long>(i), std::move(loop));
+      nodes[out] = std::move(loop);
+      in += repeats * w;
       changed = true;  // keep scanning from the fold onwards
+    }
+    if (out != in) {
+      std::move(nodes.begin() + static_cast<long>(in), nodes.end(),
+                nodes.begin() + static_cast<long>(out));
+      nodes.resize(out + (end - in));
     }
   }
   return changed;

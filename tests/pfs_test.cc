@@ -40,8 +40,9 @@ TEST(SparseBuffer, HolesReadAsZeros) {
 // Drives SparseBuffer and a flat byte vector (the reference: its length
 // is the file size) through the same seeded writes and reads: writes that
 // cross chunk boundaries or land below and above a chunk's extent,
-// zero-length writes anywhere, and reads past a chunk's extent and past
-// EOF. Bytes and size() must match after every operation.
+// zero-length writes anywhere, trims to the chunks' extents, and reads
+// past a chunk's extent and past EOF. Bytes and size() must match after
+// every operation.
 TEST(SparseBuffer, MatchesFlatReference) {
   for (const std::size_t chunk : {std::size_t{64}, std::size_t{1024}}) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -55,6 +56,9 @@ TEST(SparseBuffer, MatchesFlatReference) {
         const double dice = rng.uniform();
         if (dice < 0.1) {
           b.write(rng.chance(0.5) ? off : flat.size() + rng.below(2 * chunk), {});
+        } else if (dice < 0.15) {
+          b.shrink_to_fit();
+          ASSERT_LE(b.allocated_bytes(), flat.size()) << "op " << op;
         } else if (dice < 0.6) {
           const std::size_t len = 1 + (rng.chance(0.8) ? rng.below(chunk / 4)
                                                         : rng.below(3 * chunk));
@@ -84,7 +88,8 @@ TEST(SparseBuffer, MatchesFlatReference) {
 
 // One restart_read data dropping: 64 appended records of 512-1024 B. The
 // chunk grows with the log, so memory stays within 2x the bytes written
-// (a whole 256 KiB chunk per dropping would be about 5x here).
+// (a whole 256 KiB chunk per dropping would be about 5x here); the trim
+// at close then gives the growth slack back.
 TEST(SparseBuffer, AppendedLogAllocatesAboutItsLength) {
   Rng rng(18);
   SparseBuffer b;
@@ -99,6 +104,19 @@ TEST(SparseBuffer, AppendedLogAllocatesAboutItsLength) {
   Bytes back(written);
   b.read(0, back);
   EXPECT_EQ(FindPatternMismatch(1, 0, back), kNoMismatch);
+
+  b.shrink_to_fit();
+  EXPECT_EQ(b.allocated_bytes(), b.size());
+  b.read(0, back);
+  EXPECT_EQ(FindPatternMismatch(1, 0, back), kNoMismatch);
+
+  // The log grows again after a trim.
+  const Bytes more = MakePattern(1, written, 700);
+  b.write(written, more);
+  written += more.size();
+  Bytes all(written);
+  b.read(0, all);
+  EXPECT_EQ(FindPatternMismatch(1, 0, all), kNoMismatch);
 }
 
 // A dense file written front to back in unaligned pieces ends with every

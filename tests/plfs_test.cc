@@ -16,9 +16,11 @@
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
+#include "pdsi/pfs/cluster.h"
 #include "pdsi/pfs/sparse_buffer.h"
 #include "pdsi/plfs/flat_index.h"
 #include "pdsi/plfs/index_cache.h"
+#include "pdsi/plfs/pfs_backend.h"
 #include "pdsi/plfs/plfs.h"
 
 namespace pdsi::plfs {
@@ -510,6 +512,65 @@ INSTANTIATE_TEST_SUITE_P(
                        return o;
                      }()}),
     [](const auto& param_info) { return std::string(param_info.param.name); });
+
+// A PFS dropping gives back its chunks' growth slack when a posix (the
+// PanFsLike default) or session close flushes it: once every writer has
+// closed, each data and index dropping of the container holds exactly
+// its bytes, and they still read back.
+TEST(PlfsCore, ClosedPfsDroppingsHoldOnlyTheirBytes) {
+  sim::VirtualScheduler sched(1);
+  pfs::PfsCluster cluster(pfs::PfsConfig::PanFsLike(4), sched);
+  Plfs fs(MakePfsBackend(cluster, 0));
+  constexpr std::uint32_t kRanks = 4;
+  constexpr int kSteps = 64;
+  // Records of 512-1024 B, as a restart_read container's: neither the
+  // data logs nor the uncompressible index logs end on a doubling.
+  Rng rng(25);
+  std::vector<std::unique_ptr<Writer>> writers;
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    auto w = fs.open_write("/ckpt", r);
+    ASSERT_TRUE(w.ok());
+    writers.push_back(std::move(*w));
+  }
+  std::uint64_t off = 0;
+  for (int k = 0; k < kSteps; ++k) {
+    for (std::uint32_t r = 0; r < kRanks; ++r) {
+      const std::uint64_t len = 512 + rng.below(513);
+      ASSERT_TRUE(writers[r]->write(off, MakePattern(1, off, len)).ok());
+      off += len;
+    }
+  }
+  for (auto& w : writers) ASSERT_TRUE(w->close().ok());
+
+  std::vector<std::string> dirs{"/ckpt"};
+  int payloads = 0;
+  while (!dirs.empty()) {
+    const std::string dir = dirs.back();
+    dirs.pop_back();
+    const auto names = cluster.smds().readdir(dir);
+    ASSERT_TRUE(names.ok()) << dir;
+    for (const auto& name : *names) {
+      const std::string path = dir + "/" + name;
+      const auto node = cluster.smds().lookup(path);
+      ASSERT_TRUE(node.ok()) << path;
+      if (node->is_dir) {
+        dirs.push_back(path);
+      } else if (const auto* buf = cluster.data_for(node->file_id, false)) {
+        EXPECT_EQ(buf->allocated_bytes(), buf->size()) << path;
+        ++payloads;
+      }
+    }
+  }
+  EXPECT_EQ(payloads, 2 * static_cast<int>(kRanks));  // a data and an index log each
+
+  auto reader = fs.open_read("/ckpt");
+  ASSERT_TRUE(reader.ok());
+  Bytes back(off);
+  auto n = (*reader)->read(0, back);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, off);
+  EXPECT_EQ(FindPatternMismatch(1, 0, back), kNoMismatch);
+}
 
 TEST(PlfsCore, CompressionShrinksIndexForStridedWrites) {
   auto run = [](bool compress) {
