@@ -22,6 +22,7 @@
 #include "pdsi/obs/format.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/obs/profile.h"
+#include "pdsi/sim/virtual_time.h"
 
 namespace pdsi::bench {
 
@@ -229,12 +230,15 @@ class BenchObs {
 /// Prints one line on stderr when the bench exits:
 ///
 ///   HOST_<bench> {"wall_ms": ..., "user_ms": ..., "sys_ms": ..., "peak_rss_mib": ...,
-///                 "vcsw": ..., "ivcsw": ...}
+///                 "vcsw": ..., "ivcsw": ..., "admissions": ..., "parks": ...}
 ///
 /// with the host wall time since start-up, the process's user and system
-/// CPU time, its peak resident set, and its voluntary and involuntary
-/// context switches (a rank thread that waits for its turn switches
-/// voluntarily). The peak comes from VmHWM in /proc/self/status:
+/// CPU time, its peak resident set, its voluntary and involuntary context
+/// switches (a rank thread that waits for its turn switches voluntarily),
+/// and the turns granted and parks made by every virtual-time scheduler
+/// the bench destroyed (sim::VirtualScheduler::ProcessTotals), so parks
+/// per admission and CPU per park can be read off one line. The peak
+/// comes from VmHWM in /proc/self/status:
 /// ru_maxrss carries the launcher's peak across exec.
 /// Host cost varies between runs and machines, so it stays off stdout,
 /// whose lines are deterministic. The release lane's "Bench pass" gates
@@ -263,11 +267,15 @@ class HostReport {
         break;
       }
     }
+    const sim::VirtualScheduler::Totals sched = sim::VirtualScheduler::ProcessTotals();
     std::fprintf(stderr,
                  "HOST_%s {\"wall_ms\": %.1f, \"user_ms\": %.1f, \"sys_ms\": %.1f, "
-                 "\"peak_rss_mib\": %s, \"vcsw\": %ld, \"ivcsw\": %ld}\n",
+                 "\"peak_rss_mib\": %s, \"vcsw\": %ld, \"ivcsw\": %ld, "
+                 "\"admissions\": %llu, \"parks\": %llu}\n",
                  program_invocation_short_name, wall_ms, ms(ru.ru_utime), ms(ru.ru_stime),
-                 peak, ru.ru_nvcsw, ru.ru_nivcsw);
+                 peak, ru.ru_nvcsw, ru.ru_nivcsw,
+                 static_cast<unsigned long long>(sched.admissions),
+                 static_cast<unsigned long long>(sched.parks));
   }
 
  private:

@@ -86,6 +86,11 @@ class Namespace {
   bool take(const std::string& normalized, Inode* out);
 
   std::size_t entry_count() const { return entries_.size(); }
+  /// Calls `fn(path, inode)` for every entry, in path order.
+  template <class Fn>
+  void for_each_entry(Fn&& fn) const {
+    for (const auto& [path, inode] : entries_) fn(path, inode);
+  }
 
  private:
   /// create/mkdir: the existence and parent checks, then a fresh id.

@@ -1,6 +1,7 @@
 #include "pdsi/pfs/sharded_mds.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace pdsi::pfs {
 
@@ -195,17 +196,31 @@ double ShardedMds::settle_splits(double now, std::uint64_t req) {
 }
 
 bool ShardedMds::check_placement_invariant() const {
+  // One pass over the index: every file's partition, and its home shard.
+  std::unordered_map<std::string_view, std::uint32_t> home;
+  home.reserve(total_files());
   for (const auto& [part, bucket] : parts_) {
     for (const auto& [p, hash] : bucket) {
       if (bitmap_.partition_for(hash) != part) return false;
-      const std::uint32_t home = shard_of(part);
-      for (std::uint32_t s = 0; s < num_shards(); ++s) {
-        const bool present = shards_[s]->lookup(p).ok();
-        if (present != (s == home)) return false;
-      }
+      home.emplace(p, shard_of(part));
     }
   }
-  return true;
+  // One pass over each shard: an indexed file found on a shard must be
+  // home there, and every indexed file must be found.
+  std::size_t at_home = 0;
+  bool stray = false;
+  for (std::uint32_t s = 0; s < num_shards(); ++s) {
+    shards_[s]->for_each_entry([&](const std::string& path, const Inode&) {
+      const auto it = home.find(path);
+      if (it == home.end()) return;
+      if (it->second == s) {
+        ++at_home;
+      } else {
+        stray = true;
+      }
+    });
+  }
+  return !stray && at_home == home.size();
 }
 
 }  // namespace pdsi::pfs

@@ -113,8 +113,9 @@ class ShardedMds {
   /// when nothing is pending (always, at one shard).
   double settle_splits(double now, std::uint64_t req = 0);
 
-  /// Invariant check (tests): every indexed file maps to its partition
-  /// under the current bitmap and exists on exactly its home shard.
+  /// Invariant check (tests, fig07, perfbench): every indexed file maps to
+  /// its partition under the current bitmap and exists on exactly its home
+  /// shard. One pass over the index and one over each shard.
   bool check_placement_invariant() const;
 
  private:

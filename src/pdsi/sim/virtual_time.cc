@@ -1,7 +1,10 @@
 #include "pdsi/sim/virtual_time.h"
 
+#include <linux/futex.h>
 #include <pthread.h>
 #include <sched.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
@@ -17,13 +20,31 @@ namespace pdsi::sim {
 namespace {
 
 /// The CPU a scheduler pinned this thread to (-1 for none), and the mask
-/// the thread had before, which finish() puts back.
+/// and policy the thread had before, which finish() puts back.
 struct ThreadPin {
   int cpu = -1;
   bool saved_ok = false;  ///< `saved` holds the earlier mask
   cpu_set_t saved{};
+  bool batched = false;  ///< moved from SCHED_OTHER to SCHED_BATCH
 };
 thread_local ThreadPin tls_pin;
+
+/// What every destroyed scheduler counted (VirtualScheduler::ProcessTotals).
+std::atomic<std::uint64_t> g_admissions{0};
+std::atomic<std::uint64_t> g_parks{0};
+
+/// Sleeps while `word` holds `expected`; returns early on any wake-up or
+/// signal, so callers re-check the word.
+void FutexWait(std::atomic<std::uint32_t>& word, std::uint32_t expected) {
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAIT_PRIVATE, expected,
+          nullptr, nullptr, 0);
+}
+
+/// Wakes one thread sleeping on `word`, if any.
+void FutexWake(std::atomic<std::uint32_t>& word) {
+  syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAKE_PRIVATE, 1, nullptr,
+          nullptr, 0);
+}
 
 /// The calling thread's CPU, or -1 when it cannot be read.
 int CurrentCpu() {
@@ -32,13 +53,20 @@ int CurrentCpu() {
 }
 
 /// Pins the calling thread to `cpu` (>= 0), keeping the mask it had before
-/// its first pin. A mask that cannot be read is not replaced, and one that
-/// cannot be set leaves the thread where it runs; neither is retried.
+/// its first pin, and on that first pin moves a SCHED_OTHER thread to
+/// SCHED_BATCH. A mask that cannot be read is not replaced, one that cannot
+/// be set leaves the thread where it runs, and any other policy, or one
+/// that cannot be read or set, is left alone; none of this is retried.
 void PinCaller(int cpu) {
   ThreadPin& pin = tls_pin;
   const pthread_t self = pthread_self();
   if (pin.cpu < 0) {
     pin.saved_ok = pthread_getaffinity_np(self, sizeof pin.saved, &pin.saved) == 0;
+    int policy = 0;
+    sched_param param{};
+    pin.batched = pthread_getschedparam(self, &policy, &param) == 0 &&
+                  policy == SCHED_OTHER &&
+                  pthread_setschedparam(self, SCHED_BATCH, &param) == 0;
   }
   pin.cpu = cpu;
   if (!pin.saved_ok) return;
@@ -48,12 +76,17 @@ void PinCaller(int cpu) {
   pthread_setaffinity_np(self, sizeof one, &one);
 }
 
-/// Puts back the calling thread's mask if it is pinned to `cpu`.
+/// Puts back the calling thread's mask and policy if it is pinned to `cpu`.
 void UnpinCaller(int cpu) {
   ThreadPin& pin = tls_pin;
   if (cpu < 0 || pin.cpu != cpu) return;
-  if (pin.saved_ok) pthread_setaffinity_np(pthread_self(), sizeof pin.saved, &pin.saved);
-  pin.cpu = -1;
+  const pthread_t self = pthread_self();
+  if (pin.saved_ok) pthread_setaffinity_np(self, sizeof pin.saved, &pin.saved);
+  if (pin.batched) {
+    const sched_param param{};
+    pthread_setschedparam(self, SCHED_OTHER, &param);
+  }
+  pin = ThreadPin{};
 }
 
 }  // namespace
@@ -62,6 +95,15 @@ VirtualScheduler::VirtualScheduler(std::size_t num_actors)
     : times_(num_actors, 0.0), wake_(num_actors), cpu_(num_actors > 1 ? CurrentCpu() : -1) {
   if (num_actors == 0) throw std::invalid_argument("scheduler needs >= 1 actor");
   for (std::size_t a = 0; a < num_actors; ++a) ready_.emplace_hint(ready_.end(), 0.0, a);
+}
+
+VirtualScheduler::~VirtualScheduler() {
+  g_admissions.fetch_add(admissions_, std::memory_order_relaxed);
+  g_parks.fetch_add(parks_, std::memory_order_relaxed);
+}
+
+VirtualScheduler::Totals VirtualScheduler::ProcessTotals() {
+  return {g_admissions.load(std::memory_order_relaxed), g_parks.load(std::memory_order_relaxed)};
 }
 
 void VirtualScheduler::check_actor(std::size_t actor, const char* what) const {
@@ -89,13 +131,30 @@ void VirtualScheduler::wait_turn_locked(std::unique_lock<std::mutex>& lk,
     PinCaller(cpu_);
     lk.lock();
   }
-  wake_[actor].wait(lk, [&] { return ready_.begin()->second == actor; });
+  while (ready_.begin()->second != actor) park(lk, actor);
+  ++admissions_;
 }
 
 void VirtualScheduler::hand_over(std::unique_lock<std::mutex>& lk) {
   const std::size_t first = ready_.empty() ? times_.size() : ready_.begin()->second;
   lk.unlock();
-  if (first < times_.size()) wake_[first].notify_one();
+  if (first < times_.size()) unpark(first);
+}
+
+void VirtualScheduler::park(std::unique_lock<std::mutex>& lk, std::size_t actor) {
+  // Cleared under the lock: whoever makes this actor first decides so
+  // under the lock afterwards, and sets the word only after this store.
+  std::atomic<std::uint32_t>& word = wake_[actor];
+  word.store(0, std::memory_order_relaxed);
+  ++parks_;
+  lk.unlock();
+  while (word.load(std::memory_order_acquire) == 0) FutexWait(word, 0);
+  lk.lock();
+}
+
+void VirtualScheduler::unpark(std::size_t actor) {
+  wake_[actor].store(1, std::memory_order_release);
+  FutexWake(wake_[actor]);
 }
 
 void VirtualScheduler::atomically(std::size_t actor,
@@ -224,10 +283,9 @@ double VirtualBarrier::arrive(std::size_t actor) {
     const std::uint64_t my_generation = generation_;
     sched_.hand_over(lk);
     lk.lock();
-    sched_.wake_[actor].wait(lk, [&] {
-      return generation_ != my_generation &&
-             sched_.ready_.begin()->second == actor;
-    });
+    while (generation_ == my_generation || sched_.ready_.begin()->second != actor) {
+      sched_.park(lk, actor);
+    }
     return sched_.times_[actor];
   }
   // Last arriver completes the barrier atomically: everyone resumes at

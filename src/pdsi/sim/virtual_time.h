@@ -21,17 +21,21 @@
 //
 // Wake-the-min hand-off. The active actors sit in one ordered *ready set*
 // of (time, id) keys; an actor runs only when it is the set's first
-// element. Each actor sleeps on its own condition variable, and every
-// change to the set (an admission, a finish, a barrier arrival or
-// completion) wakes exactly the actor that became first, if any, instead
-// of every waiter; a participant parked at a completed barrier resumes at
-// its own turn, like any admission. An admitted actor that is still first
-// after moving its clock runs on without a wake-up. Admission costs
-// O(log N) and about one thread switch when the turn passes to another
-// actor, and takes its section as a FunctionRef, so it allocates nothing.
-// The waker notifies only after releasing the scheduler lock: the woken
-// thread shares the waker's CPU (below) and usually preempts it at once,
-// and would otherwise block on the lock the waker still holds.
+// element. Every change to the set (an admission, a finish, a barrier
+// arrival or completion) wakes exactly the actor that became first, if
+// any, instead of every waiter; a participant parked at a completed
+// barrier resumes at its own turn, like any admission. An admitted actor
+// that is still first after moving its clock runs on without a wake-up.
+// Admission costs O(log N), and takes its section as a FunctionRef, so it
+// allocates nothing. Waiting is one private pair, park()/unpark(), over
+// one 32-bit futex word per actor: park() clears the actor's word under
+// the scheduler lock, releases the lock and sleeps in FUTEX_WAIT while the
+// word is clear; unpark() sets the word after the waker has released the
+// lock, then makes one FUTEX_WAKE. A waker therefore decides whom to wake
+// only after the sleeper's word was cleared, so no wake-up is lost; a late
+// one only makes a sleeper re-check its turn. A hand-off costs one thread
+// switch and two futex calls. park() does not spin before it sleeps: the
+// thread that would end the wait shares its CPU (below).
 //
 // One CPU per multi-actor scheduler. Only the turn holder runs simulated
 // work, so the actors lose no parallelism by sharing a core, and a
@@ -40,12 +44,16 @@
 // scheduler with more than one actor records the CPU its constructor runs
 // on; the first time a thread enters it (atomically() or
 // VirtualBarrier::arrive()) the thread saves its CPU mask and pins itself
-// to that CPU, and finish() called on that thread puts the saved mask
-// back, as run() and perfbench's rank threads do for every actor. What an
-// actor's thread runs between admissions shares the core too. A
-// single-actor scheduler pins nothing. If the CPU or the thread's mask
-// cannot be read, or the mask cannot be set, the thread runs wherever the
-// OS puts it; the simulation is the same either way.
+// to that CPU, and moves itself from SCHED_OTHER to SCHED_BATCH: a woken
+// batch thread waits for the waker to park instead of preempting it, so a
+// hand-off is one voluntary switch and no involuntary one. finish() called
+// on that thread puts the saved mask and SCHED_OTHER back, as run() and
+// perfbench's rank threads do for every actor. What an actor's thread runs
+// between admissions shares the core too. A single-actor scheduler pins
+// nothing and parks never. If the CPU or the thread's mask cannot be read,
+// or the mask cannot be set, the thread runs wherever the OS puts it; a
+// policy that cannot be read or set, or is not SCHED_OTHER, is left alone.
+// The simulation is the same either way.
 //
 // No simulated operation may follow finish(): a finished actor is no
 // longer in the ready set, so atomically() and VirtualBarrier::arrive()
@@ -54,7 +62,7 @@
 // way from every member that takes one.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -72,6 +80,10 @@ class VirtualScheduler {
  public:
   /// Creates a scheduler for actors 0..n-1, all active at time 0.
   explicit VirtualScheduler(std::size_t num_actors);
+  /// Adds this scheduler's admissions and parks to ProcessTotals().
+  ~VirtualScheduler();
+  VirtualScheduler(const VirtualScheduler&) = delete;
+  VirtualScheduler& operator=(const VirtualScheduler&) = delete;
 
   std::size_t num_actors() const { return times_.size(); }
 
@@ -111,6 +123,16 @@ class VirtualScheduler {
   /// True once every actor has finished.
   bool all_finished() const;
 
+  /// Turns granted (atomically() sections and barrier arrivals) and
+  /// parks (sleeps until a turn or a barrier completion) over every
+  /// scheduler this process has destroyed. Each scheduler counts under
+  /// its own lock and adds its counts here once, when it is destroyed.
+  struct Totals {
+    std::uint64_t admissions = 0;
+    std::uint64_t parks = 0;
+  };
+  static Totals ProcessTotals();
+
  private:
   friend class VirtualBarrier;
   using Key = std::pair<double, std::size_t>;  // (virtual time, actor id)
@@ -122,15 +144,23 @@ class VirtualScheduler {
   /// (naming `what`) when `actor` is not in the ready set at all.
   void wait_turn_locked(std::unique_lock<std::mutex>& lk, std::size_t actor,
                         const char* what);
-  /// Releases `lk`, then notifies the actor holding the first ready key,
+  /// Releases `lk`, then unparks the actor holding the first ready key,
   /// if any.
   void hand_over(std::unique_lock<std::mutex>& lk);
+  /// Clears `actor`'s word under `lk`, releases `lk`, sleeps until
+  /// unpark(actor) sets the word, and takes `lk` again. Callers re-check
+  /// what they wait for in a loop: a late unpark can end a later park.
+  void park(std::unique_lock<std::mutex>& lk, std::size_t actor);
+  /// Sets `actor`'s word and wakes its thread; called without the lock.
+  void unpark(std::size_t actor);
 
   mutable std::mutex mu_;
   std::vector<double> times_;
   std::set<Key> ready_;  ///< active actors, first = next to run
-  std::vector<std::condition_variable> wake_;  ///< one per actor
+  std::vector<std::atomic<std::uint32_t>> wake_;  ///< futex words, one per actor
   const int cpu_;  ///< the CPU actor threads are pinned to; -1 for none
+  std::uint64_t admissions_ = 0;  ///< turns granted; under mu_
+  std::uint64_t parks_ = 0;       ///< park() calls; under mu_
 };
 
 /// Synchronises a fixed set of participants: every arriver blocks until

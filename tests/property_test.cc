@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pdsi/bb/burst_buffer.h"

@@ -128,6 +128,34 @@ TEST(ShardedMds, PlacementInvariantHoldsThroughSplits) {
   EXPECT_TRUE(smds.check_placement_invariant());
 }
 
+// The check fails when an indexed file is missing from its home shard or
+// present on another one, and holds again once the file is back home.
+TEST(ShardedMds, PlacementInvariantCatchesMisplacedFiles) {
+  PfsConfig cfg = ShardedConfig(4, 16);
+  ShardedMds smds(cfg);
+  ASSERT_TRUE(smds.mkdir("/d").ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(smds.create("/d/f" + std::to_string(i), 0.0).ok()) << i;
+  }
+  ASSERT_GT(smds.splits(), 0u);
+  ASSERT_TRUE(smds.check_placement_invariant());
+  const std::string victim = "/d/f7";
+  const std::uint32_t home = smds.home_shard(victim);
+  const std::uint32_t other = (home + 1) % smds.num_shards();
+  Inode node = *smds.lookup(victim);
+  // A copy on another shard besides the home one.
+  smds.shard(other).install(victim, node);
+  EXPECT_FALSE(smds.check_placement_invariant());
+  // Only on the other shard.
+  ASSERT_TRUE(smds.shard(home).take(victim, &node));
+  EXPECT_FALSE(smds.check_placement_invariant());
+  // On no shard at all.
+  ASSERT_TRUE(smds.shard(other).take(victim, &node));
+  EXPECT_FALSE(smds.check_placement_invariant());
+  smds.shard(home).install(victim, node);
+  EXPECT_TRUE(smds.check_placement_invariant());
+}
+
 TEST(ShardedMds, FileIdsStayGloballyUnique) {
   PfsConfig cfg = ShardedConfig(4, 32);
   ShardedMds smds(cfg);
