@@ -4,7 +4,7 @@
 //   bench_diff --self-test
 //
 // Both inputs are raw bench output; only lines of the form
-// `BENCH_<name>.json {...}` are read (the JsonReport / --profile
+// `BENCH_<name>.json {...}` are read (the bench::Report / --profile
 // contract). Rows pair up positionally per bench name, and every numeric
 // key present in both rows is checked against the tolerance spec:
 //
@@ -43,7 +43,7 @@ struct Row {
   }
 };
 
-// Parses the flat JSON object JsonReport emits: string values are
+// Parses the flat JSON object bench::Report emits: string values are
 // skipped (they name modes/apps and are matched positionally), numeric
 // values are collected. Returns false on malformed input.
 bool ParseFlatObject(const std::string& s, Row* row) {

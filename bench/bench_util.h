@@ -1,7 +1,8 @@
 // Shared helpers for the per-figure benchmark harnesses: consistent
 // banners and paper-vs-measured reporting so bench output can be pasted
-// straight into EXPERIMENTS.md, and a HOST_ line of the run's host cost
-// on stderr at exit.
+// straight into EXPERIMENTS.md, Report (the one path for a bench's tables
+// and BENCH_ rows), and a HOST_ line of the run's host cost on stderr at
+// exit.
 #pragma once
 
 #include <errno.h>  // program_invocation_short_name
@@ -13,12 +14,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "pdsi/common/stats.h"
 #include "pdsi/common/table.h"
+#include "pdsi/common/units.h"
 #include "pdsi/obs/format.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/obs/profile.h"
@@ -71,50 +79,145 @@ void TimeLoop(const std::string& name, Body&& body, std::uint64_t items = 1) {
   std::cout << "\n";
 }
 
-/// Machine-readable mirror of the table output: each emit() prints one
-/// line of the form
+/// One raw value of a Report row: a number (any arithmetic type, a bool
+/// is 1 or 0) or a text label.
+struct Value {
+  template <typename T, std::enable_if_t<std::is_arithmetic_v<T>, int> = 0>
+  Value(T v) : num(static_cast<double>(v)) {}
+  Value(std::string s) : text(std::move(s)), is_text(true) {}
+  Value(const char* s) : Value(std::string(s)) {}
+
+  double num = 0.0;
+  std::string text;
+  bool is_text = false;
+  bool table_only = false;  ///< shown in the table, left out of the BENCH row
+};
+
+/// A table cell with no BENCH field, for a row that fills only some columns.
+inline Value Cell(std::string text) {
+  Value v(std::move(text));
+  v.table_only = true;
+  return v;
+}
+
+/// A BENCH value: a number with 12 significant digits, or a JSON string
+/// for text and for "inf", "-inf" and "nan" (JSON has no such numbers).
+inline std::string JsonValue(const Value& v) {
+  if (!v.is_text && std::isfinite(v.num)) {
+    std::ostringstream os;
+    os.precision(12);
+    os << v.num;
+    return os.str();
+  }
+  std::string out = "\"";
+  out += obs::EscapeJson(v.is_text ? v.text : v.num > 0 ? "inf" : v.num < 0 ? "-inf" : "nan");
+  out += '"';
+  return out;
+}
+
+/// Renders a number as a table cell: JsonValue, FormatRate,
+/// FormatDuration, FormatCount, FormatBytes or one of these.
+using CellFormat = std::function<std::string(double)>;
+inline CellFormat Fixed(int decimals, std::string suffix = "") {
+  return [=](double v) { return FormatDouble(v, decimals) + suffix; };
+}
+inline CellFormat Pct(int decimals) {
+  return [=](double v) { return FormatDouble(100.0 * v, decimals) + "%"; };
+}
+inline CellFormat Flag(std::string yes, std::string no) {
+  return [=](double v) { return v != 0.0 ? yes : no; };
+}
+
+/// One column of a Report: its table header ("" makes it a BENCH-only
+/// field), its BENCH key ("" makes it a table-only cell) and its format.
+/// The format renders a number's cell and makes its BENCH field the
+/// number divided by `unit`: {"goodput", "goodput_mbs", FormatRate, 1e6}
+/// shows B/s as a rate and prints MB/s. Text shows as itself in both.
+struct Column {
+  Column(std::string h, std::string k, CellFormat c = JsonValue, double u = 1.0)
+      : header(std::move(h)), key(std::move(k)), cell(std::move(c)), unit(u) {}
+
+  std::string header;
+  std::string key;
+  CellFormat cell;
+  double unit;
+};
+
+/// The one bench output path. Each reported value is passed once, and the
+/// Report shows it as a table cell and as a field of a machine-readable row
 ///
 ///   BENCH_<bench>.json {"key": value, ...}
 ///
-/// so the perf trajectory can be tracked across PRs with
-/// `grep '^BENCH_' | cut -d' ' -f2-`. Keys insert in call order; values
-/// are JSON numbers or strings (non-finite numbers are emitted as
-/// strings, since JSON has no inf/nan).
-class JsonReport {
+/// with keys in column order, so the perf trajectory can be tracked across
+/// PRs with `grep '^BENCH_' | cut -d' ' -f2-`. Three layouts:
+/// - sweep: row() adds a table row and prints its BENCH row at once, and
+///   print() prints the table;
+/// - metric/value: metrics() prints a table of one "metric value" line per
+///   headed column, then the BENCH row;
+/// - BENCH-only: Emit() prints one row of key/value fields.
+class Report {
  public:
-  explicit JsonReport(std::string bench) : bench_(std::move(bench)) {}
+  using Fields = std::vector<std::pair<std::string, Value>>;
 
-  JsonReport& num(const std::string& key, double v) {
-    if (!std::isfinite(v)) return str(key, v > 0 ? "inf" : (v < 0 ? "-inf" : "nan"));
-    std::ostringstream os;
-    os.precision(12);
-    os << v;
-    add(key, os.str());
-    return *this;
+  Report(std::string bench, std::vector<Column> columns, std::ostream& os = std::cout)
+      : bench_(std::move(bench)), columns_(std::move(columns)), os_(os), table_(Headers()) {}
+
+  void row(const std::vector<Value>& values) {
+    auto [cells, fields] = Split(values);
+    if (!cells.empty()) table_.row(std::move(cells));
+    if (!fields.empty()) Emit(bench_, fields, os_);
   }
 
-  JsonReport& str(const std::string& key, const std::string& v) {
-    std::string quoted = "\"";
-    quoted += obs::EscapeJson(v);
-    quoted += '"';
-    add(key, quoted);
-    return *this;
+  void print() const { table_.print(os_); }
+
+  void metrics(const std::vector<Value>& values) {
+    auto [cells, fields] = Split(values);
+    Table t({"metric", "value"});
+    const std::vector<std::string> metric = Headers();
+    for (std::size_t i = 0; i < cells.size(); ++i) t.row({metric[i], cells[i]});
+    t.print(os_);
+    if (!fields.empty()) Emit(bench_, fields, os_);
   }
 
-  /// Prints the line and clears the fields for the next row.
-  void emit(std::ostream& os = std::cout) {
-    os << "BENCH_" << bench_ << ".json {" << fields_ << "}\n";
-    fields_.clear();
+  static void Emit(const std::string& bench, const Fields& fields, std::ostream& os = std::cout) {
+    os << "BENCH_" << bench << ".json {";
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      os << (i ? ", " : "") << '"' << fields[i].first << "\": " << JsonValue(fields[i].second);
+    }
+    os << "}\n";
   }
 
  private:
-  void add(const std::string& key, const std::string& json_value) {
-    if (!fields_.empty()) fields_ += ", ";
-    fields_ += "\"" + key + "\": " + json_value;
+  std::vector<std::string> Headers() const {
+    std::vector<std::string> out;
+    for (const Column& c : columns_) {
+      if (!c.header.empty()) out.push_back(c.header);
+    }
+    return out;
+  }
+
+  /// The row's table cells and BENCH fields, in column order.
+  std::pair<std::vector<std::string>, Fields> Split(const std::vector<Value>& values) const {
+    if (values.size() != columns_.size()) {
+      throw std::invalid_argument("BENCH_" + bench_ + ": a row's values do not match its columns");
+    }
+    std::vector<std::string> cells;
+    Fields fields;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const Column& c = columns_[i];
+      const Value& v = values[i];
+      if (!c.header.empty()) cells.push_back(v.is_text ? v.text : c.cell(v.num));
+      if (!c.key.empty() && !v.table_only) {
+        fields.emplace_back(c.key, v.is_text ? v : Value(v.num / c.unit));
+      }
+    }
+    return {std::move(cells), std::move(fields)};
   }
 
   std::string bench_;
-  std::string fields_;
+  std::vector<Column> columns_;
+  std::ostream& os_;
+  Table table_;
 };
 
 /// Parses `--trace <path>` / `--trace=<path>` out of argv; returns the
@@ -213,7 +316,6 @@ class BenchObs {
   /// instrumented constructors.
   obs::Context* ctx() { return state_ ? &state_->ctx : nullptr; }
   obs::Tracer* tracer() { return state_ ? &state_->tracer : nullptr; }
-  obs::Registry* registry() { return state_ ? &state_->registry : nullptr; }
 
  private:
   struct State {

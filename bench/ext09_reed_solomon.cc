@@ -26,10 +26,14 @@ int main() {
 
   PrintBanner(std::cout, "geometries (16 MiB of data per run)");
   // Codec rates are host wall clock and vary per run, so they go to
-  // stderr; stdout keeps the deterministic columns.
-  Table t({"k+m", "tolerates", "overhead"});
+  // stderr; stdout and the BENCH rows keep the deterministic columns
+  // (parity content fingerprint and round-trip outcome).
+  bench::Report t("ext09_reed_solomon",
+                  {{"k+m", ""}, {"", "k"},
+                   {"tolerates", "m", bench::Fixed(0, " losses")},
+                   {"", "shard_bytes"}, {"overhead", "overhead_pct", bench::Fixed(0, "%")},
+                   {"", "parity_hash32"}, {"", "recon_ok"}});
   Table host({"k+m", "encode", "reconstruct(m lost)"});
-  bench::JsonReport json("ext09_reed_solomon");
   Rng rng(17);
   for (const auto& [k, m] : {std::pair<int, int>{4, 2}, {6, 3}, {10, 4},
                             {12, 2}, {17, 3}}) {
@@ -57,27 +61,16 @@ int main() {
     }
     const double enc_s = std::chrono::duration<double>(e1 - e0).count();
     const double rec_s = std::chrono::duration<double>(r1 - r0).count();
-    t.row({std::to_string(k) + "+" + std::to_string(m),
-           std::to_string(m) + " losses",
-           FormatDouble(100.0 * m / k, 0) + "%"});
     host.row({std::to_string(k) + "+" + std::to_string(m),
               FormatRate(16.0 * MiB / enc_s), FormatRate(16.0 * MiB / rec_s)});
-
-    // Machine row for bench_diff: deterministic fields only (parity
-    // content fingerprint and round-trip outcome), never wall rates.
     std::uint64_t parity_hash = 0;
     for (const auto& p : parity) {
       parity_hash = parity_hash * 1000003 + HashBytes(p);
     }
-    json.num("k", k)
-        .num("m", m)
-        .num("shard_bytes", static_cast<double>(shard))
-        .num("overhead_pct", 100.0 * m / k)
-        .num("parity_hash32", static_cast<double>(parity_hash & 0xffffffffu))
-        .num("recon_ok", ok ? 1.0 : 0.0);
-    json.emit();
+    t.row({std::to_string(k) + "+" + std::to_string(m), k, m, shard, 100.0 * m / k,
+           parity_hash & 0xffffffffu, ok});
   }
-  t.print(std::cout);
+  t.print();
   PrintBanner(std::cerr, "codec host throughput (wall clock)");
   host.print(std::cerr);
 

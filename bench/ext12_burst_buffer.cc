@@ -48,7 +48,6 @@ int main(int argc, char** argv) {
                 "§4.2.6 flash + Figs. 2/5: the machine idles until the last "
                 "checkpoint byte is durable; staging on flash shrinks that "
                 "window to the absorb time");
-  bench::JsonReport json("ext12_burst_buffer");
   // --trace <path>: part 1's buffer traces onto the bb.* tracks and one
   // part-2 checkpoint sim (the fastest drain) onto the ckpt.* tracks; the
   // other runs stay untraced so each track holds a single unambiguous run.
@@ -100,13 +99,13 @@ int main(int argc, char** argv) {
               " sequential units, so even the durable point beats the "
               "direct write; staging-log write amplification " +
               FormatDouble(buf.ssd().stats().write_amplification(), 3));
-  json.num("direct_bw_mbs", direct_bw / 1e6)
-      .num("absorb_bw_mbs", absorb_bw / 1e6)
-      .num("absorb_speedup", absorb_bw / direct_bw)
-      .num("durable_seconds", durable_time)
-      .num("direct_seconds", direct_time)
-      .num("staging_write_amplification", buf.ssd().stats().write_amplification());
-  json.emit();
+  bench::Report::Emit("ext12_burst_buffer",
+                      {{"direct_bw_mbs", direct_bw / 1e6},
+                       {"absorb_bw_mbs", absorb_bw / 1e6},
+                       {"absorb_speedup", absorb_bw / direct_bw},
+                       {"durable_seconds", durable_time},
+                       {"direct_seconds", direct_time},
+                       {"staging_write_amplification", buf.ssd().stats().write_amplification()}});
 
   // ---- 2. utilisation uplift vs drain overlap ------------------------------
   PrintBanner(std::cout, "Fig. 5 checkpoint sim with absorb/drain split "
@@ -120,11 +119,14 @@ int main(int argc, char** argv) {
   Rng rng(2026);
   const auto direct = failure::SimulateCheckpointing(base, rng);
 
-  Table t2({"drain time", "utilisation", "uplift", "stall", "lost drains"});
-  t2.row({"direct (no BB)",
-          FormatDouble(100.0 * direct.utilization, 1) + "%", "--", "--", "--"});
-  json.str("mode", "direct").num("utilization", direct.utilization);
-  json.emit();
+  bench::Report t2("ext12_burst_buffer",
+                   {{"", "mode"}, {"drain time", "drain_seconds", FormatDuration},
+                    {"utilisation", "utilization", bench::Pct(1)},
+                    {"uplift", "uplift", bench::Fixed(2, "x")},
+                    {"stall", "stall_seconds", FormatDuration},
+                    {"lost drains", "lost_drains", bench::Fixed(0)}});
+  t2.row({"direct", bench::Cell("direct (no BB)"), direct.utilization, bench::Cell("--"),
+          bench::Cell("--"), bench::Cell("--")});
   for (double drain : {4 * kHour, 2 * kHour, kHour, 30 * kMinute,
                        10 * kMinute, kMinute}) {
     failure::CheckpointSimParams p = base;
@@ -133,20 +135,10 @@ int main(int argc, char** argv) {
     if (drain == kMinute) p.obs = trace.ctx();
     Rng r(2026);
     const auto res = failure::SimulateCheckpointing(p, r);
-    t2.row({FormatDuration(drain),
-            FormatDouble(100.0 * res.utilization, 1) + "%",
-            FormatDouble(res.utilization / direct.utilization, 2) + "x",
-            FormatDuration(res.stall_seconds),
-            std::to_string(res.lost_drains)});
-    json.str("mode", "bb")
-        .num("drain_seconds", drain)
-        .num("utilization", res.utilization)
-        .num("uplift", res.utilization / direct.utilization)
-        .num("stall_seconds", res.stall_seconds)
-        .num("lost_drains", static_cast<double>(res.lost_drains));
-    json.emit();
+    t2.row({"bb", drain, res.utilization, res.utilization / direct.utilization,
+            res.stall_seconds, res.lost_drains});
   }
-  t2.print(std::cout);
+  t2.print();
   bench::Note("uplift grows as the drain shrinks and plateaus once it fits "
               "inside the compute interval (further drain bandwidth buys "
               "nothing); drains slower than the interval stall the next "
@@ -168,21 +160,20 @@ int main(int argc, char** argv) {
     t = pressured.write(1, off, MiB, t);
   }
   const auto& s = pressured.stats();
-  Table t3({"metric", "value"});
-  t3.row({"burst written", FormatBytes(static_cast<double>(burst))});
-  t3.row({"buffer capacity", FormatBytes(static_cast<double>(small.ssd.capacity_bytes))});
-  t3.row({"effective ingest", FormatRate(static_cast<double>(burst) / t)});
-  t3.row({"ingest stalls", std::to_string(s.ingest_stalls)});
-  t3.row({"stall time", FormatDuration(s.stall_seconds)});
-  t3.row({"flash absorb time", FormatDuration(s.absorb_seconds)});
-  t3.print(std::cout);
+  // The table shows the effective ingest before the stalls, the BENCH row
+  // after them.
+  const double ingest = static_cast<double>(burst) / t;
+  bench::Report t3("ext12_burst_buffer",
+                   {{"", "mode"}, {"burst written", "", FormatBytes},
+                    {"buffer capacity", "", FormatBytes}, {"effective ingest", "", FormatRate},
+                    {"ingest stalls", "ingest_stalls", bench::Fixed(0)},
+                    {"stall time", "stall_seconds", FormatDuration},
+                    {"flash absorb time", "", FormatDuration},
+                    {"", "effective_ingest_mbs", FormatRate, 1e6}});
+  t3.metrics({"backpressure", burst, small.ssd.capacity_bytes, ingest, s.ingest_stalls,
+              s.stall_seconds, s.absorb_seconds, ingest});
   bench::Note("a checkpoint 4x the buffer degrades to drain speed through "
               "stalls — hysteresis between the watermarks keeps the drain "
               "streaming in large units instead of thrashing");
-  json.str("mode", "backpressure")
-      .num("ingest_stalls", static_cast<double>(s.ingest_stalls))
-      .num("stall_seconds", s.stall_seconds)
-      .num("effective_ingest_mbs", static_cast<double>(burst) / t / 1e6);
-  json.emit();
   return 0;
 }

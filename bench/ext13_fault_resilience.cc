@@ -41,6 +41,8 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext13_fault_resilience";
+
 struct CheckpointRun {
   double seconds = 0.0;
   std::uint64_t bytes_ok = 0;
@@ -96,19 +98,17 @@ int main(int argc, char** argv) {
                 "Fig. 4 MTTI projection: at petascale the storage system is "
                 "always partially failed; clients must retry, fail over, and "
                 "restart from what survives");
-  bench::JsonReport json("ext13_fault_resilience");
   bool failed = false;
   auto gate = [&failed](bool ok, const std::string& what) {
     if (ok) return;
-    std::cerr << "ext13_fault_resilience: FAILED: " << what << "\n";
+    std::cerr << kBench << ": FAILED: " << what << "\n";
     failed = true;
   };
   // --trace <path>: the mtbf=30s sweep row is traced (fault.* retry spans
   // interleaved with the oss/rank tracks); other rows stay untraced so
   // each track holds a single unambiguous run.
   bench::BenchObs trace(bench::TraceFlag(argc, argv),
-                        bench::ProfileFlag(argc, argv),
-                        "ext13_fault_resilience");
+                        bench::ProfileFlag(argc, argv), kBench);
 
   // ---- 1. goodput vs fault rate -------------------------------------------
   PrintBanner(std::cout, "N-1 strided checkpoint vs injected faults "
@@ -137,7 +137,12 @@ int main(int argc, char** argv) {
       {"drop 2%", 0.0, 0.0, 2e-2, false},
   };
 
-  Table t1({"faults", "wall", "goodput", "errors", "retries", "failovers"});
+  bench::Report t1(kBench, {{"", "mode"}, {"faults", "faults"}, {"", "oss_mtbf_s"},
+                            {"", "rpc_drop_prob"}, {"wall", "wall_seconds", FormatDuration},
+                            {"goodput", "goodput_mbs", FormatRate, 1e6},
+                            {"errors", "write_errors", bench::Fixed(0)},
+                            {"retries", "retries", bench::Fixed(0)}, {"", "dropped_rpcs"},
+                            {"failovers", "failovers", bench::Fixed(0)}, {"", "crashes"}});
   double clean_goodput = 0.0;
   for (const SweepPoint& pt : sweep) {
     fault::FaultPlan plan;
@@ -165,23 +170,11 @@ int main(int argc, char** argv) {
       gate(goodput < clean_goodput,
            std::string(pt.label) + " goodput is not below the fault-free row's");
     }
-    t1.row({pt.label, FormatDuration(run.seconds), FormatRate(goodput),
-            std::to_string(run.write_errors), std::to_string(inj.retries()),
-            std::to_string(inj.failovers())});
-    json.str("mode", "sweep")
-        .str("faults", pt.label)
-        .num("oss_mtbf_s", pt.mtbf_s)
-        .num("rpc_drop_prob", pt.drop_prob)
-        .num("wall_seconds", run.seconds)
-        .num("goodput_mbs", goodput / 1e6)
-        .num("write_errors", static_cast<double>(run.write_errors))
-        .num("retries", static_cast<double>(inj.retries()))
-        .num("dropped_rpcs", static_cast<double>(inj.dropped_rpcs()))
-        .num("failovers", static_cast<double>(inj.failovers()))
-        .num("crashes", static_cast<double>(inj.crash_count()));
-    json.emit();
+    t1.row({"sweep", pt.label, pt.mtbf_s, pt.drop_prob, run.seconds, goodput,
+            run.write_errors, inj.retries(), inj.dropped_rpcs(), inj.failovers(),
+            inj.crash_count()});
   }
-  t1.print(std::cout);
+  t1.print();
   bench::Note("the fault-free row is byte-identical to a build without the "
               "fault layer (zero plan = zero behavioural change at " +
               FormatRate(clean_goodput) + "); crash windows turn into timed-out "
@@ -261,26 +254,21 @@ int main(int argc, char** argv) {
     auto n = (*reader)->read(0, out);
     const std::uint64_t zeros = static_cast<std::uint64_t>(
         std::count(out.begin(), out.end(), static_cast<std::uint8_t>(0)));
-    Table t2({"metric", "value"});
-    t2.row({"logical bytes", FormatBytes(static_cast<double>(out.size()))});
-    t2.row({"returned", n.ok() ? FormatBytes(static_cast<double>(*n)) : "error"});
-    t2.row({"zero-filled (lost)", FormatBytes(static_cast<double>(zeros))});
-    t2.row({"read errors", std::to_string((*reader)->read_errors())});
-    t2.print(std::cout);
+    const double survived = static_cast<double>(out.size() - zeros) /
+                            static_cast<double>(out.size());
+    bench::Report(kBench, {{"", "mode"}, {"logical bytes", "bytes", FormatBytes},
+                           {"returned", "returned",
+                            [](double b) { return b < 0 ? "error" : FormatBytes(b); }},
+                           {"zero-filled (lost)", "zero_bytes", FormatBytes},
+                           {"read errors", "read_errors", bench::Fixed(0)},
+                           {"", "survived_fraction"}})
+        .metrics({"degraded_read", out.size(), n.ok() ? static_cast<double>(*n) : -1.0, zeros,
+                  (*reader)->read_errors(), survived});
     bench::Note("the restart keeps " +
                 FormatDouble(100.0 * static_cast<double>(out.size() - zeros) /
                                  static_cast<double>(out.size()), 1) +
                 "% of the checkpoint instead of aborting; without "
                 "degraded_reads the same read returns EIO");
-    const double survived = static_cast<double>(out.size() - zeros) /
-                            static_cast<double>(out.size());
-    json.str("mode", "degraded_read")
-        .num("bytes", static_cast<double>(out.size()))
-        .num("returned", n.ok() ? static_cast<double>(*n) : -1.0)
-        .num("zero_bytes", static_cast<double>(zeros))
-        .num("read_errors", static_cast<double>((*reader)->read_errors()))
-        .num("survived_fraction", survived);
-    json.emit();
     gate(n.ok() && *n == out.size(),
          "the degraded restart read did not return every byte");
     gate((*reader)->read_errors() > 0 && survived > 0.0 && survived < 1.0,
@@ -319,33 +307,21 @@ int main(int argc, char** argv) {
                                injected.checkpoints == injected2.checkpoints;
     gate(deterministic, "the injected checkpoint sim does not rerun bit-identically");
 
-    Table t3({"failure source", "failures", "utilisation", "wall"});
-    t3.row({"analytic Weibull", std::to_string(analytic.failures),
-            FormatDouble(100.0 * analytic.utilization, 1) + "%",
-            FormatDuration(analytic.wall_seconds)});
-    t3.row({"injected schedule", std::to_string(injected.failures),
-            FormatDouble(100.0 * injected.utilization, 1) + "%",
-            FormatDuration(injected.wall_seconds)});
-    t3.print(std::cout);
+    bench::Report t3(kBench, {{"", "mode"}, {"failure source", ""}, {"", "source"},
+                              {"failures", "failures", bench::Fixed(0)},
+                              {"utilisation", "utilization", bench::Pct(1)},
+                              {"wall", "wall_seconds", FormatDuration}, {"", "deterministic"}});
+    t3.row({"ckpt_sim", "analytic Weibull", "analytic", analytic.failures, analytic.utilization,
+            analytic.wall_seconds, bench::Cell("")});
+    t3.row({"ckpt_sim", "injected schedule", "injected", injected.failures,
+            injected.utilization, injected.wall_seconds, deterministic});
+    t3.print();
     bench::Note("same MTTI, two draws of the same process: the injected "
                 "schedule couples lost work to faults the rest of the "
                 "simulator actually experienced; rerunning the schedule is "
                 "bit-stable (" +
                 std::string(deterministic ? "verified" : "VIOLATED") +
                 ")");
-    json.str("mode", "ckpt_sim")
-        .str("source", "analytic")
-        .num("failures", static_cast<double>(analytic.failures))
-        .num("utilization", analytic.utilization)
-        .num("wall_seconds", analytic.wall_seconds);
-    json.emit();
-    json.str("mode", "ckpt_sim")
-        .str("source", "injected")
-        .num("failures", static_cast<double>(injected.failures))
-        .num("utilization", injected.utilization)
-        .num("wall_seconds", injected.wall_seconds)
-        .num("deterministic", deterministic ? 1.0 : 0.0);
-    json.emit();
   }
   return failed ? 1 : 0;
 }

@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
                 "PLFS's per-rank index droppings make the N-to-1 restart "
                 "open scale with writer ranks; compacting or caching the "
                 "merged index removes the per-open merge");
-  bench::JsonReport json("ext14_restart_read");
   // --trace <path>: the largest sweep row is traced (index_merge,
   // index_flatten and index_cache_hit spans over the pfs tracks).
   bench::BenchObs trace(bench::TraceFlag(argc, argv),
@@ -74,8 +73,15 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> record_counts = {64, 256};
   const std::uint64_t kRec = 8 * KiB;
 
-  Table t({"ranks", "records", "entries", "cold open", "flat open",
-           "cached open", "flat x", "cached x"});
+  bench::Report t("ext14_restart_read",
+                  {{"ranks", "ranks", bench::Fixed(0)},
+                   {"records", "records_per_rank", bench::Fixed(0)},
+                   {"entries", "index_entries", bench::Fixed(0)},
+                   {"cold open", "cold_open_s", FormatDuration}, {"", "cold_index_bytes"},
+                   {"flat open", "flat_open_s", FormatDuration}, {"", "flat_index_bytes"},
+                   {"cached open", "cached_open_s", FormatDuration},
+                   {"flat x", "flat_speedup", bench::Fixed(1, "x")},
+                   {"cached x", "cached_speedup", bench::Fixed(1, "x")}});
   const std::uint32_t trace_ranks = rank_counts.back();
   const std::uint32_t trace_records = record_counts.back();
   for (const std::uint32_t ranks : rank_counts) {
@@ -131,25 +137,11 @@ int main(int argc, char** argv) {
       }
       const double flat_x = cold.seconds / flat.seconds;
       const double cached_x = cold.seconds / cached.seconds;
-      t.row({std::to_string(ranks), std::to_string(records),
-             std::to_string(ranks * records),
-             FormatDuration(cold.seconds), FormatDuration(flat.seconds),
-             FormatDuration(cached.seconds),
-             FormatDouble(flat_x, 1) + "x", FormatDouble(cached_x, 1) + "x"});
-      json.num("ranks", ranks)
-          .num("records_per_rank", records)
-          .num("index_entries", static_cast<double>(ranks) * records)
-          .num("cold_open_s", cold.seconds)
-          .num("cold_index_bytes", static_cast<double>(cold.index_bytes))
-          .num("flat_open_s", flat.seconds)
-          .num("flat_index_bytes", static_cast<double>(flat.index_bytes))
-          .num("cached_open_s", cached.seconds)
-          .num("flat_speedup", flat_x)
-          .num("cached_speedup", cached_x);
-      json.emit();
+      t.row({ranks, records, ranks * records, cold.seconds, cold.index_bytes, flat.seconds,
+             flat.index_bytes, cached.seconds, flat_x, cached_x});
     }
   }
-  t.print(std::cout);
+  t.print();
   bench::Note("the cold merge pays per-dropping metadata and index reads, "
               "so its cost grows with ranks; the flat index is one read of "
               "a pattern-compressed file and the cached open only restats "

@@ -36,6 +36,8 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext15_tiering";
+
 /// A fresh three-tier stack per scenario: 4 warm servers, a staging
 /// flash device, and an 8+2 archive shelf.
 struct Stack {
@@ -74,7 +76,7 @@ bool VerifyObject(tier::TierEngine& e, const std::string& name,
 
 // -- Scenario 1: checkpoint drain racing analysis reads ---------------------
 
-void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx) {
+void ScenarioDrainRace(obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 1: checkpoint drain vs analysis reads");
   const std::uint64_t kAnalysisObj = 32 * MiB;
   const int kAnalysisCount = 4;
@@ -127,30 +129,25 @@ void ScenarioDrainRace(bench::JsonReport& json, obs::Context* ctx) {
   quiet_lat /= kAnalysisCount;
 
   const std::uint64_t ckpt_bytes = kCkptObj * kCkptCount;
-  Table tbl({"metric", "value"});
-  tbl.row({"checkpoint absorb", FormatRate(static_cast<double>(ckpt_bytes) / absorb_s)});
-  tbl.row({"durable (drain) time", FormatDuration(drain_s)});
-  tbl.row({"analysis read latency (racing drain)", FormatDuration(racing_lat)});
-  tbl.row({"analysis read latency (quiet)", FormatDuration(quiet_lat)});
-  tbl.row({"slowdown under drain", FormatDouble(racing_lat / quiet_lat, 2) + "x"});
-  tbl.print(std::cout);
-
-  json.str("scenario", "drain_race")
-      .num("ckpt_bytes", static_cast<double>(ckpt_bytes))
-      .num("absorb_s", absorb_s)
-      .num("drain_s", drain_s)
-      .num("racing_read_s", racing_lat)
-      .num("quiet_read_s", quiet_lat)
-      .num("read_slowdown", racing_lat / quiet_lat)
-      .num("warm_hits", static_cast<double>(e.stats().warm_hits))
-      .num("hot_hits", static_cast<double>(e.stats().hot_hits));
-  json.emit();
+  bench::Report(kBench,
+                {{"", "scenario"}, {"", "ckpt_bytes"},
+                 {"checkpoint absorb", "absorb_s",
+                  [ckpt_bytes](double secs) {
+                    return FormatRate(static_cast<double>(ckpt_bytes) / secs);
+                  }},
+                 {"durable (drain) time", "drain_s", FormatDuration},
+                 {"analysis read latency (racing drain)", "racing_read_s", FormatDuration},
+                 {"analysis read latency (quiet)", "quiet_read_s", FormatDuration},
+                 {"slowdown under drain", "read_slowdown", bench::Fixed(2, "x")},
+                 {"", "warm_hits"}, {"", "hot_hits"}})
+      .metrics({"drain_race", ckpt_bytes, absorb_s, drain_s, racing_lat, quiet_lat,
+                racing_lat / quiet_lat, e.stats().warm_hits, e.stats().hot_hits});
 }
 
 // -- Scenario 2: tier crash + rebuild from parity ---------------------------
 
 /// Returns whether the dataset read back identical in every phase.
-bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx) {
+bool ScenarioCrashRebuild(obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 2: archive device loss, degraded reads, rebuild");
   const std::uint64_t kObj = 64 * MiB;
 
@@ -181,35 +178,26 @@ bool ScenarioCrashRebuild(bench::JsonReport& json, obs::Context* ctx) {
   const double rebuilt_read_s = t2 - (*rb + 1.0);
 
   const bool identical = ok_healthy && ok_degraded && ok_rebuilt;
-  Table tbl({"metric", "value"});
-  tbl.row({"healthy read", FormatDuration(healthy_read_s)});
-  tbl.row({"degraded read (2 devices lost)", FormatDuration(degraded_read_s)});
-  tbl.row({"degraded penalty", FormatDouble(degraded_read_s / healthy_read_s, 2) + "x"});
-  tbl.row({"lost shards", FormatCount(lost)});
-  tbl.row({"rebuild-from-parity", FormatDuration(rebuild_s)});
-  tbl.row({"read after rebuild", FormatDuration(rebuilt_read_s)});
-  tbl.row({"bytes identical across all phases", identical ? "yes" : "NO"});
-  tbl.print(std::cout);
-
-  json.str("scenario", "crash_rebuild")
-      .num("object_bytes", static_cast<double>(kObj))
-      .num("healthy_read_s", healthy_read_s)
-      .num("degraded_read_s", degraded_read_s)
-      .num("degraded_penalty", degraded_read_s / healthy_read_s)
-      .num("lost_shards", static_cast<double>(lost))
-      .num("rebuild_s", rebuild_s)
-      .num("rebuilt_shards", static_cast<double>(e.store().stats().rebuilt_shards))
-      .num("rebuilt_read_s", rebuilt_read_s)
-      .num("degraded_gets", static_cast<double>(e.store().stats().degraded_gets))
-      .num("identical", identical ? 1.0 : 0.0);
-  json.emit();
+  bench::Report(kBench,
+                {{"", "scenario"}, {"", "object_bytes"},
+                 {"healthy read", "healthy_read_s", FormatDuration},
+                 {"degraded read (2 devices lost)", "degraded_read_s", FormatDuration},
+                 {"degraded penalty", "degraded_penalty", bench::Fixed(2, "x")},
+                 {"lost shards", "lost_shards", FormatCount},
+                 {"rebuild-from-parity", "rebuild_s", FormatDuration}, {"", "rebuilt_shards"},
+                 {"read after rebuild", "rebuilt_read_s", FormatDuration}, {"", "degraded_gets"},
+                 {"bytes identical across all phases", "identical", bench::Flag("yes", "NO")}})
+      .metrics({"crash_rebuild", kObj, healthy_read_s, degraded_read_s,
+                degraded_read_s / healthy_read_s, lost, rebuild_s,
+                e.store().stats().rebuilt_shards, rebuilt_read_s,
+                e.store().stats().degraded_gets, identical});
   return identical;
 }
 
 // -- Scenario 3: capacity pressure forcing archive demotion -----------------
 
 /// Returns whether the archived generation read back identical.
-bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx) {
+bool ScenarioCapacityPressure(obs::Context* ctx) {
   PrintBanner(std::cout, "scenario 3: warm watermark demotes to the archive");
   const std::uint64_t kGen = 16 * MiB;
   const int kGens = 6;
@@ -234,25 +222,16 @@ bool ScenarioCapacityPressure(bench::JsonReport& json, obs::Context* ctx) {
   const bool identical = VerifyObject(e, "gen0", 0, kGen, &t0);
   const double cold_read_s = t0 - (t + 1.0);
 
-  Table tbl({"metric", "value"});
-  tbl.row({"generations written", FormatCount(kGens)});
-  tbl.row({"demotions", FormatCount(st.demotions)});
-  tbl.row({"bytes demoted", FormatBytes(st.demoted_bytes)});
-  tbl.row({"warm occupancy after", FormatDouble(100.0 * warm_frac, 1) + "%"});
-  tbl.row({"archived gen0 read", FormatDuration(cold_read_s)});
-  tbl.row({"gen0 bytes identical", identical ? "yes" : "NO"});
-  tbl.print(std::cout);
-
-  json.str("scenario", "capacity_pressure")
-      .num("gen_bytes", static_cast<double>(kGen))
-      .num("generations", kGens)
-      .num("demotions", static_cast<double>(st.demotions))
-      .num("demoted_bytes", static_cast<double>(st.demoted_bytes))
-      .num("warm_frac", warm_frac)
-      .num("gen0_tier", cold_tier)
-      .num("cold_read_s", cold_read_s)
-      .num("identical", identical ? 1.0 : 0.0);
-  json.emit();
+  bench::Report(kBench,
+                {{"", "scenario"}, {"", "gen_bytes"},
+                 {"generations written", "generations", FormatCount},
+                 {"demotions", "demotions", FormatCount},
+                 {"bytes demoted", "demoted_bytes", FormatBytes},
+                 {"warm occupancy after", "warm_frac", bench::Pct(1)}, {"", "gen0_tier"},
+                 {"archived gen0 read", "cold_read_s", FormatDuration},
+                 {"gen0 bytes identical", "identical", bench::Flag("yes", "NO")}})
+      .metrics({"capacity_pressure", kGen, kGens, st.demotions, st.demoted_bytes, warm_frac,
+                cold_tier, cold_read_s, identical});
   return identical;
 }
 
@@ -264,12 +243,11 @@ int main(int argc, char** argv) {
                 "archive behind one engine; drains, demotions and rebuilds "
                 "under policy control");
   bench::BenchObs trace(bench::TraceFlag(argc, argv),
-                        bench::ProfileFlag(argc, argv), "ext15_tiering");
-  bench::JsonReport json("ext15_tiering");
+                        bench::ProfileFlag(argc, argv), kBench);
 
-  ScenarioDrainRace(json, trace.ctx());
-  const bool rebuild_ok = ScenarioCrashRebuild(json, trace.ctx());
-  const bool pressure_ok = ScenarioCapacityPressure(json, trace.ctx());
+  ScenarioDrainRace(trace.ctx());
+  const bool rebuild_ok = ScenarioCrashRebuild(trace.ctx());
+  const bool pressure_ok = ScenarioCapacityPressure(trace.ctx());
 
   bench::Note("shape check: analysis reads slow down while the drain holds "
               "the warm servers; archive loss within parity degrades but "

@@ -44,6 +44,7 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext16_consistency";
 constexpr std::uint64_t kRec = 64 * KiB;  // one lock unit per record
 
 struct SweepParams {
@@ -221,12 +222,18 @@ RunResult RunOne(consist::ConsistencyModel model, const SweepParams& p,
 /// Sweeps the four models over one workload family and reports one BENCH
 /// row per model plus a summary row (monotonicity + relaxation speedup).
 bool SweepScenario(const std::string& name, const SweepParams& p,
-                   bench::JsonReport& json, const std::string& trace_base) {
+                   const std::string& trace_base) {
   PrintBanner(std::cout, "scenario: " + name + " (" + std::to_string(p.ranks) +
                              " ranks x " + std::to_string(p.rounds) +
                              " rounds)");
-  Table tbl({"model", "throughput", "makespan", "lock wait", "conflicts",
-             "publishes", "retries", "checker"});
+  bench::Report tbl(
+      kBench,
+      {{"", "scenario"}, {"model", "model"},
+       {"throughput", "mbs", [](double mbs) { return FormatRate(mbs * 1e6); }},
+       {"makespan", "makespan_s", FormatDuration}, {"lock wait", "lock_wait_s", FormatDuration},
+       {"conflicts", "lock_conflicts", FormatCount}, {"", "lock_skips"},
+       {"publishes", "publishes", FormatCount}, {"retries", "retries", FormatCount},
+       {"", "checked_reads"}, {"checker", "clean", bench::Flag("clean", "VIOLATION")}});
   std::vector<RunResult> runs;
   bool all_clean = true;
   for (consist::ConsistencyModel m : consist::kAllConsistencyModels) {
@@ -236,10 +243,6 @@ bool SweepScenario(const std::string& name, const SweepParams& p,
     RunResult res = RunOne(m, p, tpath);
     const bool run_ok = res.check.clean && res.bytes_ok;
     all_clean = all_clean && run_ok;
-    tbl.row({mname, FormatRate(res.mbs * 1e6), FormatDuration(res.makespan_s),
-             FormatDuration(res.lock_wait_s), FormatCount(res.lock_conflicts),
-             FormatCount(res.publishes), FormatCount(res.retries),
-             run_ok ? "clean" : "VIOLATION"});
     if (!res.check.clean) {
       std::cout << "checker: " << mname << ": " << res.first_violation << "\n";
     }
@@ -247,21 +250,12 @@ bool SweepScenario(const std::string& name, const SweepParams& p,
       std::cout << "verify: " << mname << ": read bytes did not match the "
                 << "written pattern\n";
     }
-    json.str("scenario", name)
-        .str("model", mname)
-        .num("mbs", res.mbs)
-        .num("makespan_s", res.makespan_s)
-        .num("lock_wait_s", res.lock_wait_s)
-        .num("lock_conflicts", static_cast<double>(res.lock_conflicts))
-        .num("lock_skips", static_cast<double>(res.lock_skips))
-        .num("publishes", static_cast<double>(res.publishes))
-        .num("retries", static_cast<double>(res.retries))
-        .num("checked_reads", static_cast<double>(res.check.stats.content_checks))
-        .num("clean", run_ok ? 1.0 : 0.0);
-    json.emit();
+    tbl.row({name, mname, res.mbs, res.makespan_s, res.lock_wait_s, res.lock_conflicts,
+             res.lock_skips, res.publishes, res.retries, res.check.stats.content_checks,
+             run_ok});
     runs.push_back(std::move(res));
   }
-  tbl.print(std::cout);
+  tbl.print();
 
   // The acceptance shape: relaxing the model never loses throughput.
   // (The fpp control runs the identical op stream, so its four makespans
@@ -276,13 +270,12 @@ bool SweepScenario(const std::string& name, const SweepParams& p,
             << "x mpiio-vs-posix, " << FormatDuration(reclaimed)
             << " of lock wait reclaimed, throughput "
             << (monotone ? "monotone non-decreasing" : "NOT MONOTONE") << "\n";
-  json.str("scenario", name)
-      .str("model", "summary")
-      .num("monotone", monotone ? 1.0 : 0.0)
-      .num("relax_speedup", speedup)
-      .num("lock_wait_reclaimed_s", reclaimed)
-      .num("all_clean", all_clean ? 1.0 : 0.0);
-  json.emit();
+  bench::Report::Emit(kBench, {{"scenario", name},
+                               {"model", "summary"},
+                               {"monotone", monotone},
+                               {"relax_speedup", speedup},
+                               {"lock_wait_reclaimed_s", reclaimed},
+                               {"all_clean", all_clean}});
   return all_clean && monotone;
 }
 
@@ -294,21 +287,20 @@ int main(int argc, char** argv) {
                 "lock-manager time on shared files (arXiv 2402.14105); every "
                 "run is audited clean by the trace-driven checker");
   const std::string trace_base = bench::TraceFlag(argc, argv);
-  bench::JsonReport json("ext16_consistency");
 
   SweepParams p;
 
   bool ok = true;
   p.shared = true;
   p.faulty = false;
-  ok = SweepScenario("shared_nofault", p, json, trace_base) && ok;
+  ok = SweepScenario("shared_nofault", p, trace_base) && ok;
   p.faulty = true;
-  ok = SweepScenario("shared_fault", p, json, trace_base) && ok;
+  ok = SweepScenario("shared_fault", p, trace_base) && ok;
   p.shared = false;
   p.faulty = false;
-  ok = SweepScenario("fpp_nofault", p, json, trace_base) && ok;
+  ok = SweepScenario("fpp_nofault", p, trace_base) && ok;
   p.faulty = true;
-  ok = SweepScenario("fpp_fault", p, json, trace_base) && ok;
+  ok = SweepScenario("fpp_fault", p, trace_base) && ok;
 
   bench::Note("shape check: shared-file POSIX pays the whole-file lock "
               "chain; session converts it to open/close publishes, commit "

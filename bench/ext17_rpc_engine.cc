@@ -46,6 +46,8 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext17_rpc_engine";
+
 struct Setting {
   std::uint32_t window;
   std::uint32_t batch;
@@ -248,10 +250,18 @@ using Runner = RunResult (*)(const Setting&, const Shape&, obs::Context*);
 
 bool SweepScenario(const std::string& name, Runner run, const Shape& shape,
                    const std::vector<Setting>& settings,
-                   bench::JsonReport& json, const std::string& trace_base) {
+                   const std::string& trace_base) {
   PrintBanner(std::cout, "scenario: " + name);
-  Table tbl({"setting", "op/s", "makespan", "messages", "tails", "stalls",
-             "stall time", "max infl", "verify"});
+  // The table marks the sync anchor's setting; its BENCH field does not.
+  bench::Report tbl(kBench,
+                    {{"", "scenario"}, {"setting", ""}, {"", "setting"}, {"", "window"},
+                     {"", "batch"}, {"", "ops"}, {"op/s", "opss", FormatCount},
+                     {"makespan", "makespan_s", FormatDuration},
+                     {"messages", "messages", FormatCount}, {"tails", "batched_tails", FormatCount},
+                     {"stalls", "window_stalls", FormatCount},
+                     {"stall time", "stall_s", FormatDuration},
+                     {"max infl", "max_inflight", FormatCount}, {"", "rpc_failures"},
+                     {"verify", "verify_ok", bench::Flag("ok", "FAIL")}});
   double sync_opss = 0.0;
   double best_opss = 0.0;
   std::string best_name = "-";
@@ -275,43 +285,23 @@ bool SweepScenario(const std::string& name, Runner run, const Shape& shape,
       best_opss = res.opss();
       best_name = s.name();
     }
-    tbl.row({s.sync() ? s.name() + " (sync)" : s.name(),
-             FormatCount(res.opss()), FormatDuration(res.makespan_s),
-             FormatCount(static_cast<double>(res.rpc.messages)),
-             FormatCount(static_cast<double>(res.rpc.batched_tails)),
-             FormatCount(static_cast<double>(res.rpc.window_stalls)),
-             FormatDuration(res.rpc.stall_s),
-             FormatCount(static_cast<double>(res.rpc.max_inflight)),
-             res.bytes_ok ? "ok" : "FAIL"});
-    json.str("scenario", name)
-        .str("setting", s.name())
-        .num("window", s.window)
-        .num("batch", s.batch)
-        .num("ops", static_cast<double>(res.ops))
-        .num("opss", res.opss())
-        .num("makespan_s", res.makespan_s)
-        .num("messages", static_cast<double>(res.rpc.messages))
-        .num("batched_tails", static_cast<double>(res.rpc.batched_tails))
-        .num("window_stalls", static_cast<double>(res.rpc.window_stalls))
-        .num("stall_s", res.rpc.stall_s)
-        .num("max_inflight", static_cast<double>(res.rpc.max_inflight))
-        .num("rpc_failures", static_cast<double>(res.rpc.failures))
-        .num("verify_ok", res.bytes_ok ? 1.0 : 0.0);
-    json.emit();
+    tbl.row({name, s.sync() ? s.name() + " (sync)" : s.name(), s.name(), s.window, s.batch,
+             res.ops, res.opss(), res.makespan_s, res.rpc.messages, res.rpc.batched_tails,
+             res.rpc.window_stalls, res.rpc.stall_s, res.rpc.max_inflight, res.rpc.failures,
+             res.bytes_ok});
   }
-  tbl.print(std::cout);
+  tbl.print();
   const double speedup = sync_opss > 0.0 ? best_opss / sync_opss : 0.0;
   const bool beats_sync = best_opss > sync_opss;
   std::cout << "pipelining: best " << best_name << " at "
             << FormatDouble(speedup, 2) << "x the sync row ("
             << (beats_sync ? "beats sync" : "DOES NOT BEAT SYNC") << ")\n";
-  json.str("scenario", name)
-      .str("setting", "summary")
-      .str("best", best_name)
-      .num("pipeline_speedup", speedup)
-      .num("beats_sync", beats_sync ? 1.0 : 0.0)
-      .num("verify_all", all_ok ? 1.0 : 0.0);
-  json.emit();
+  bench::Report::Emit(kBench, {{"scenario", name},
+                               {"setting", "summary"},
+                               {"best", best_name},
+                               {"pipeline_speedup", speedup},
+                               {"beats_sync", beats_sync},
+                               {"verify_all", all_ok}});
   return all_ok && beats_sync;
 }
 
@@ -324,7 +314,6 @@ int main(int argc, char** argv) {
       "(incast, mdtest storms); a bounded in-flight window with batched "
       "wire messages is resource-bound instead of latency-bound");
   const std::string trace_base = bench::TraceFlag(argc, argv);
-  bench::JsonReport json("ext17_rpc_engine");
 
   const Shape shape;
 
@@ -337,12 +326,12 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   ok = SweepScenario("shared_small_writes", RunSharedSmallWrites, shape,
-                     settings, json, trace_base) &&
+                     settings, trace_base) &&
        ok;
-  ok = SweepScenario("metadata_storm", RunMetadataStorm, shape, settings, json,
+  ok = SweepScenario("metadata_storm", RunMetadataStorm, shape, settings,
                      trace_base) &&
        ok;
-  ok = SweepScenario("incast_fanin", RunIncastFanin, shape, settings, json,
+  ok = SweepScenario("incast_fanin", RunIncastFanin, shape, settings,
                      trace_base) &&
        ok;
 

@@ -52,6 +52,8 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext18_live_monitor";
+
 struct Shape {
   int servers = 8;        ///< incast fan-out width (one file per server)
   int rounds = 48;        ///< appends per file
@@ -205,7 +207,7 @@ SloRun RunIncastSlo(Mode mode, const Shape& sh) {
   return res;
 }
 
-bool ScenarioIncastSlo(const Shape& sh, bench::JsonReport& json) {
+bool ScenarioIncastSlo(const Shape& sh) {
   PrintBanner(std::cout, "scenario: incast_slo (pipelined client + faults)");
   const SloRun live = RunIncastSlo(Mode::live, sh);
   const SloRun bare = RunIncastSlo(Mode::bare, sh);
@@ -233,26 +235,25 @@ bool ScenarioIncastSlo(const Shape& sh, bench::JsonReport& json) {
             << " stored events, monitor results "
             << (cap_identical ? "identical" : "DIVERGED") << "\n";
 
-  json.str("scenario", "incast_slo")
-      .num("makespan_s", live.makespan_s)
-      .num("requests", static_cast<double>(live.requests))
-      .num("retries", static_cast<double>(live.retries))
-      .num("slo_alarms", static_cast<double>(live.slo_alarms))
-      .num("anomaly_alarms", static_cast<double>(live.anomaly_alarms))
-      .num("watermark_alarms", static_cast<double>(live.watermark_alarms))
-      .num("queue_s", live.queue_s)
-      .num("stall_s", live.stall_s)
-      .num("retry_s", live.retry_s)
-      .num("wire_s", live.wire_s)
-      .num("service_s", live.service_s)
-      .num("req_total_s", live.total_s)
-      .num("exact_ok", live.exact_ok ? 1.0 : 0.0)
-      .num("observer_zero", observer_zero ? 1.0 : 0.0)
-      .num("cap_identical", cap_identical && cap_bites ? 1.0 : 0.0)
-      .num("capped_dropped", static_cast<double>(capped.dropped))
-      .num("verify_ok",
-           live.verify_ok && bare.verify_ok && capped.verify_ok ? 1.0 : 0.0)
-      .emit();
+  bench::Report::Emit(kBench,
+                      {{"scenario", "incast_slo"},
+                       {"makespan_s", live.makespan_s},
+                       {"requests", live.requests},
+                       {"retries", live.retries},
+                       {"slo_alarms", live.slo_alarms},
+                       {"anomaly_alarms", live.anomaly_alarms},
+                       {"watermark_alarms", live.watermark_alarms},
+                       {"queue_s", live.queue_s},
+                       {"stall_s", live.stall_s},
+                       {"retry_s", live.retry_s},
+                       {"wire_s", live.wire_s},
+                       {"service_s", live.service_s},
+                       {"req_total_s", live.total_s},
+                       {"exact_ok", live.exact_ok},
+                       {"observer_zero", observer_zero},
+                       {"cap_identical", cap_identical && cap_bites},
+                       {"capped_dropped", capped.dropped},
+                       {"verify_ok", live.verify_ok && bare.verify_ok && capped.verify_ok}});
 
   return live.verify_ok && bare.verify_ok && capped.verify_ok &&
          live.exact_ok && observer_zero && cap_identical && cap_bites &&
@@ -346,8 +347,7 @@ AuditRun RunCommitAudit(bool with_fsync) {
   return res;
 }
 
-bool ScenarioMissingFsyncAudit(const std::string& trace_base,
-                               bench::JsonReport& json) {
+bool ScenarioMissingFsyncAudit(const std::string& trace_base) {
   PrintBanner(std::cout, "scenario: missing_fsync_audit (commit model)");
   const AuditRun buggy = RunCommitAudit(/*with_fsync=*/false);
   const AuditRun fixed = RunCommitAudit(/*with_fsync=*/true);
@@ -381,14 +381,13 @@ bool ScenarioMissingFsyncAudit(const std::string& trace_base,
     }
   }
 
-  json.str("scenario", "missing_fsync_audit")
-      .num("events", static_cast<double>(buggy.events))
-      .num("buggy_clean", buggy.batch_clean ? 1.0 : 0.0)
-      .num("fixed_clean", fixed.batch_clean ? 1.0 : 0.0)
-      .num("online_agree", buggy.agree && fixed.agree ? 1.0 : 0.0)
-      .num("peak_retained", static_cast<double>(buggy.peak_retained))
-      .num("verify_ok", buggy.io_ok && fixed.io_ok ? 1.0 : 0.0)
-      .emit();
+  bench::Report::Emit(kBench, {{"scenario", "missing_fsync_audit"},
+                               {"events", buggy.events},
+                               {"buggy_clean", buggy.batch_clean},
+                               {"fixed_clean", fixed.batch_clean},
+                               {"online_agree", buggy.agree && fixed.agree},
+                               {"peak_retained", buggy.peak_retained},
+                               {"verify_ok", buggy.io_ok && fixed.io_ok}});
 
   return buggy.io_ok && fixed.io_ok && buggy.agree && fixed.agree &&
          !buggy.batch_clean && !buggy.live_clean && fixed.batch_clean &&
@@ -405,13 +404,12 @@ int main(int argc, char** argv) {
       "causal latency attribution, deterministic alarms, and streaming "
       "consistency auditing — at zero cost to runs nobody watches");
   const std::string trace_base = bench::TraceFlag(argc, argv);
-  bench::JsonReport json("ext18_live_monitor");
 
   const Shape shape;
 
   bool ok = true;
-  ok = ScenarioIncastSlo(shape, json) && ok;
-  ok = ScenarioMissingFsyncAudit(trace_base, json) && ok;
+  ok = ScenarioIncastSlo(shape) && ok;
+  ok = ScenarioMissingFsyncAudit(trace_base) && ok;
 
   bench::Note(
       "shape check: retry penalties dominate the slowest requests (the "

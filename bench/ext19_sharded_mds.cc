@@ -42,6 +42,8 @@ using namespace pdsi;
 
 namespace {
 
+constexpr char kBench[] = "ext19_sharded_mds";
+
 struct Shape {
   int create_clients = 64;      ///< ranks in the create storm
   int creates_per_client = 1024;
@@ -209,10 +211,19 @@ struct SweepOutcome {
 
 SweepOutcome Sweep(const std::string& name, const Shape& shape,
                    const std::vector<std::uint32_t>& shard_counts,
-                   bench::JsonReport& json, const std::string& trace_path) {
+                   const std::string& trace_path) {
   PrintBanner(std::cout, "scenario: " + name);
-  Table tbl({"shards", "rank-op/s", "scaling", "makespan", "splits",
-             "stale retries", "retries/op", "per-shard ops", "verify"});
+  // The table shows the scaling before the makespan, the BENCH row after it.
+  bench::Report tbl(kBench,
+                    {{"", "scenario"}, {"shards", "shards", bench::Fixed(0)}, {"", "ops"},
+                     {"", "effective_rank_ops"}, {"rank-op/s", "rank_opss", FormatCount},
+                     {"scaling", "", bench::Fixed(2, "x")},
+                     {"makespan", "makespan_s", FormatDuration}, {"", "scaling"},
+                     {"splits", "splits", bench::Fixed(0)}, {"", "partitions"},
+                     {"stale retries", "stale_retries", bench::Fixed(0)},
+                     {"retries/op", "", bench::Fixed(4)}, {"per-shard ops", ""},
+                     {"", "shard_ops_min"}, {"", "shard_ops_max"},
+                     {"verify", "verify_ok", bench::Flag("ok", "FAIL")}});
   SweepOutcome out;
   double prev = 0.0;
   for (std::uint32_t shards : shard_counts) {
@@ -234,29 +245,12 @@ SweepOutcome Sweep(const std::string& name, const Shape& shape,
     prev = res.opss();
     out.all_ok = out.all_ok && res.ok;
     const double scaling = res.opss() / out.anchor_opss;
-    tbl.row({std::to_string(shards), FormatCount(res.opss()),
-             FormatDouble(scaling, 2) + "x", FormatDuration(res.makespan_s),
-             std::to_string(res.splits), std::to_string(res.stale_retries),
-             FormatDouble(static_cast<double>(res.stale_retries) /
-                              static_cast<double>(res.ops),
-                          4),
-             res.shard_ops.per_shard, res.ok ? "ok" : "FAIL"});
-    json.str("scenario", name)
-        .num("shards", shards)
-        .num("ops", static_cast<double>(res.ops))
-        .num("effective_rank_ops", static_cast<double>(res.effective))
-        .num("rank_opss", res.opss())
-        .num("makespan_s", res.makespan_s)
-        .num("scaling", scaling)
-        .num("splits", static_cast<double>(res.splits))
-        .num("partitions", static_cast<double>(res.partitions))
-        .num("stale_retries", static_cast<double>(res.stale_retries))
-        .num("shard_ops_min", static_cast<double>(res.shard_ops.min))
-        .num("shard_ops_max", static_cast<double>(res.shard_ops.max))
-        .num("verify_ok", res.ok ? 1.0 : 0.0);
-    json.emit();
+    tbl.row({name, shards, res.ops, res.effective, res.opss(), scaling, res.makespan_s,
+             scaling, res.splits, res.partitions, res.stale_retries,
+             static_cast<double>(res.stale_retries) / static_cast<double>(res.ops),
+             res.shard_ops.per_shard, res.shard_ops.min, res.shard_ops.max, res.ok});
   }
-  tbl.print(std::cout);
+  tbl.print();
   return out;
 }
 
@@ -271,15 +265,14 @@ int main(int argc, char** argv) {
       "scales creates/sec while stale client caches cost only a bounded "
       "trickle of lazily-corrected bounces");
   const std::string trace_path = bench::TraceFlag(argc, argv);
-  bench::JsonReport json("ext19_sharded_mds");
 
   const Shape shape;
   const std::vector<std::uint32_t> shard_counts = {1, 2, 4, 8};
 
   const SweepOutcome creates =
-      Sweep("create_storm", shape, shard_counts, json, trace_path);
+      Sweep("create_storm", shape, shard_counts, trace_path);
   const SweepOutcome opens =
-      Sweep("open_storm", shape, shard_counts, json, "");
+      Sweep("open_storm", shape, shard_counts, "");
 
   const double speedup8 =
       creates.anchor_opss > 0.0 ? creates.last_opss / creates.anchor_opss : 0.0;
@@ -288,14 +281,14 @@ int main(int argc, char** argv) {
   std::cout << "create scaling at " << shard_counts.back() << " shards: "
             << FormatDouble(speedup8, 2) << "x the single-MDS anchor ("
             << (scaling_ok ? "monotonic, gate met" : "GATE FAILED") << ")\n";
-  json.str("scenario", "summary")
-      .num("create_speedup8", speedup8)
-      .num("open_speedup8",
-           opens.anchor_opss > 0.0 ? opens.last_opss / opens.anchor_opss : 0.0)
-      .num("monotonic", creates.monotonic ? 1.0 : 0.0)
-      .num("scaling_ok", scaling_ok ? 1.0 : 0.0)
-      .num("verify_all", all_ok ? 1.0 : 0.0);
-  json.emit();
+  bench::Report::Emit(
+      kBench,
+      {{"scenario", "summary"},
+       {"create_speedup8", speedup8},
+       {"open_speedup8", opens.anchor_opss > 0.0 ? opens.last_opss / opens.anchor_opss : 0.0},
+       {"monotonic", creates.monotonic},
+       {"scaling_ok", scaling_ok},
+       {"verify_all", all_ok}});
 
   bench::Note(
       "shape check: the 1-shard row is the legacy MDS (one service queue + "

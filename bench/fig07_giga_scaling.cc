@@ -94,11 +94,18 @@ int main() {
   bench::Header("Fig. 7: GIGA+ create scaling (Metarates-style storm)",
                 "creates/sec grows near-linearly with servers; client "
                 "addressing corrections stay rare");
-  bench::JsonReport json("fig07_giga_scaling");
 
   constexpr double kCreates = kClients * kPerClient;
-  Table t({"servers", "creates/s", "steady creates/s", "steady scaling",
-           "splits", "partitions", "stale retries", "retries/op", "verify"});
+  bench::Report t("fig07_giga_scaling",
+                  {{"", "scenario"}, {"servers", "shards", bench::Fixed(0)},
+                   {"creates/s", "creates_per_s", FormatCount},
+                   {"steady creates/s", "steady_creates_per_s", FormatCount},
+                   {"steady scaling", "scaling", bench::Fixed(2, "x")},
+                   {"splits", "splits", bench::Fixed(0)},
+                   {"partitions", "partitions", bench::Fixed(0)},
+                   {"stale retries", "stale_retries", bench::Fixed(0)},
+                   {"retries/op", "retries_per_create", bench::Fixed(4)},
+                   {"verify", "verify_ok", bench::Flag("ok", "FAIL")}});
   double base = 0.0;
   double prev_scaling = 0.0;
   double max_retries_per_create = 0.0;
@@ -117,34 +124,20 @@ int main() {
     max_retries_per_create =
         std::max(max_retries_per_create, retries_per_create);
     verify_all = verify_all && r.ok;
-    t.row({std::to_string(servers), FormatCount(r.creates_per_second),
-           FormatCount(r.steady_creates_per_second),
-           FormatDouble(scaling, 2) + "x", std::to_string(r.splits),
-           std::to_string(r.partitions), std::to_string(r.stale_retries),
-           FormatDouble(retries_per_create, 4), r.ok ? "ok" : "FAIL"});
-    json.str("scenario", "metarates")
-        .num("shards", servers)
-        .num("creates_per_s", r.creates_per_second)
-        .num("steady_creates_per_s", r.steady_creates_per_second)
-        .num("scaling", scaling)
-        .num("splits", static_cast<double>(r.splits))
-        .num("partitions", static_cast<double>(r.partitions))
-        .num("stale_retries", static_cast<double>(r.stale_retries))
-        .num("retries_per_create", retries_per_create)
-        .num("verify_ok", r.ok ? 1.0 : 0.0);
-    json.emit();
+    t.row({"metarates", servers, r.creates_per_second, r.steady_creates_per_second,
+           scaling, r.splits, r.partitions, r.stale_retries, retries_per_create, r.ok});
   }
-  t.print(std::cout);
+  t.print();
 
   const bool bounces_ok = max_retries_per_create < kMaxRetriesPerCreate;
   const bool shape_ok = monotonic && scaling_ok && bounces_ok && verify_all;
-  json.str("scenario", "summary")
-      .num("max_retries_per_create", max_retries_per_create)
-      .num("monotonic", monotonic ? 1.0 : 0.0)
-      .num("scaling_ok", scaling_ok ? 1.0 : 0.0)
-      .num("bounces_ok", bounces_ok ? 1.0 : 0.0)
-      .num("verify_all", verify_all ? 1.0 : 0.0);
-  json.emit();
+  bench::Report::Emit("fig07_giga_scaling",
+                      {{"scenario", "summary"},
+                       {"max_retries_per_create", max_retries_per_create},
+                       {"monotonic", monotonic},
+                       {"scaling_ok", scaling_ok},
+                       {"bounces_ok", bounces_ok},
+                       {"verify_all", verify_all}});
   bench::Note("shape check: near-linear scaling until the 64 clients "
               "saturate; retries bounded by split count, not op count.");
   if (!shape_ok) {

@@ -22,9 +22,13 @@ void Sweep(const char* title, const char* link, double link_bw,
            std::uint32_t buffer_pkts, std::uint64_t sru,
            const std::vector<std::uint32_t>& senders) {
   PrintBanner(std::cout, title);
-  Table t({"senders", "rto=200ms", "timeouts", "rto=1ms", "rto=1ms+rand",
-           "timeouts(rand)"});
-  bench::JsonReport json("fig09_incast");
+  bench::Report t("fig09_incast",
+                  {{"", "link"}, {"senders", "senders", bench::Fixed(0)},
+                   {"rto=200ms", "coarse_mbs", FormatRate, 1e6},
+                   {"timeouts", "coarse_timeouts", bench::Fixed(0)},
+                   {"rto=1ms", "fine_mbs", FormatRate, 1e6},
+                   {"rto=1ms+rand", "rand_mbs", FormatRate, 1e6},
+                   {"timeouts(rand)", "rand_timeouts", bench::Fixed(0)}});
   double peak_coarse = 0.0, floor_coarse = 1e300;
   double floor_fine = 1e300, floor_rand = 1e300;
   for (std::uint32_t n : senders) {
@@ -45,34 +49,22 @@ void Sweep(const char* title, const char* link, double link_bw,
     p.rto_jitter = 0.5;
     const auto fine_rand = incast::SimulateIncast(p);
 
-    t.row({std::to_string(n), FormatRate(coarse.goodput_bytes),
-           std::to_string(coarse.timeouts), FormatRate(fine.goodput_bytes),
-           FormatRate(fine_rand.goodput_bytes),
-           std::to_string(fine_rand.timeouts)});
+    t.row({link, n, coarse.goodput_bytes, coarse.timeouts, fine.goodput_bytes,
+           fine_rand.goodput_bytes, fine_rand.timeouts});
 
     peak_coarse = std::max(peak_coarse, coarse.goodput_bytes);
     floor_coarse = std::min(floor_coarse, coarse.goodput_bytes);
     floor_fine = std::min(floor_fine, fine.goodput_bytes);
     floor_rand = std::min(floor_rand, fine_rand.goodput_bytes);
-
-    json.str("link", link)
-        .num("senders", n)
-        .num("coarse_mbs", coarse.goodput_bytes / 1e6)
-        .num("coarse_timeouts", static_cast<double>(coarse.timeouts))
-        .num("fine_mbs", fine.goodput_bytes / 1e6)
-        .num("rand_mbs", fine_rand.goodput_bytes / 1e6)
-        .num("rand_timeouts", static_cast<double>(fine_rand.timeouts))
-        .emit();
   }
-  t.print(std::cout);
-  json.str("link", link)
-      .str("row", "summary")
-      .num("peak_coarse_mbs", peak_coarse / 1e6)
-      .num("floor_coarse_mbs", floor_coarse / 1e6)
-      .num("collapse_x", peak_coarse / floor_coarse)
-      .num("fine_floor_mbs", floor_fine / 1e6)
-      .num("rand_floor_mbs", floor_rand / 1e6)
-      .emit();
+  t.print();
+  bench::Report::Emit("fig09_incast", {{"link", link},
+                                       {"row", "summary"},
+                                       {"peak_coarse_mbs", peak_coarse / 1e6},
+                                       {"floor_coarse_mbs", floor_coarse / 1e6},
+                                       {"collapse_x", peak_coarse / floor_coarse},
+                                       {"fine_floor_mbs", floor_fine / 1e6},
+                                       {"rand_floor_mbs", floor_rand / 1e6}});
 }
 
 }  // namespace

@@ -61,7 +61,6 @@ void TimeModels() {
 /// Fixed op sequences through each model; the summed service times are
 /// pure functions of the parameters, so the emitted row is byte-stable.
 void EmitModelAnswers() {
-  bench::JsonReport json("micro_storage_models");
   constexpr int kOps = 1024;
 
   DiskModel seq(ReferenceSataDisk());
@@ -98,13 +97,13 @@ void EmitModelAnswers() {
     ssd_rand_steady_s += ssd_rand.write(ssd_rng.below(pages) * 4096, 4096);
   }
 
-  json.num("ops", kOps)
-      .num("disk_seq_s", disk_seq_s)
-      .num("disk_rand_s", disk_rand_s)
-      .num("ssd_seq_write_s", ssd_seq_write_s)
-      .num("ssd_rand_steady_s", ssd_rand_steady_s)
-      .num("ssd_write_amp", ssd_rand.stats().write_amplification());
-  json.emit();
+  bench::Report::Emit("micro_storage_models",
+                      {{"ops", kOps},
+                       {"disk_seq_s", disk_seq_s},
+                       {"disk_rand_s", disk_rand_s},
+                       {"ssd_seq_write_s", ssd_seq_write_s},
+                       {"ssd_rand_steady_s", ssd_rand_steady_s},
+                       {"ssd_write_amp", ssd_rand.stats().write_amplification()}});
 }
 
 }  // namespace

@@ -4,6 +4,10 @@
 // under an injected fault and essentially no falsely indicated servers"
 // (iozone workload, injected hog / blocked-resource faults). Runs many
 // trials per fault kind with varying seeds and fault locations.
+//
+// Shape gate (exit 1, reason on stderr): every injected fault kind is
+// identified correctly in at least 2/3 of its trials, and the healthy
+// row (fault=none) indicts no server.
 #include <iostream>
 
 #include "bench_util.h"
@@ -23,6 +27,7 @@ int main() {
   Table t({"fault", "trials", "detected", "correct", "false alarms",
            "median windows-to-detect"});
   int healthy_false = 0;
+  std::string broken;  // the rows the shape gate rejects
   for (FaultKind kind : {FaultKind::disk_hog, FaultKind::network_loss,
                          FaultKind::cpu_hog, FaultKind::none}) {
     int detected = 0, correct = 0, false_alarm = 0;
@@ -43,6 +48,10 @@ int main() {
       if (r.correct) latencies.push_back(r.windows_to_detect);
     }
     if (kind == FaultKind::none) healthy_false = detected;
+    if (kind == FaultKind::none ? detected != 0 : 3 * correct < 2 * kTrials) {
+      broken += ' ';
+      broken += diagnosis::FaultKindName(kind);
+    }
     t.row({std::string(diagnosis::FaultKindName(kind)), std::to_string(kTrials),
            std::to_string(detected), std::to_string(correct),
            std::to_string(false_alarm),
@@ -52,5 +61,11 @@ int main() {
   bench::Note("shape check: correct >= 2/3 of trials per fault kind; the "
               "healthy row (fault=none) shows " +
               std::to_string(healthy_false) + " false indictments.");
+  if (!broken.empty()) {
+    std::cerr << "tab03_diagnosis_accuracy: FAILED (a fault kind correct in "
+                 "under 2/3 of its trials, or a detection on none:"
+              << broken << ")\n";
+    return 1;
+  }
   return 0;
 }

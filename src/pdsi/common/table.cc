@@ -4,7 +4,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "pdsi/common/stats.h"
 
 namespace pdsi {
 
@@ -13,13 +12,6 @@ Table::Table(std::vector<std::string> header) : header_(std::move(header)) {}
 void Table::row(std::vector<std::string> cells) {
   cells.resize(header_.size());
   rows_.push_back(std::move(cells));
-}
-
-void Table::row_numeric(const std::vector<double>& cells, int decimals) {
-  std::vector<std::string> out;
-  out.reserve(cells.size());
-  for (double c : cells) out.push_back(FormatDouble(c, decimals));
-  row(std::move(out));
 }
 
 void Table::print(std::ostream& os) const {

@@ -3,7 +3,6 @@
 // experiments is uniform and diffable.
 #pragma once
 
-#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -21,11 +20,6 @@ class Table {
 
   /// Adds a data row; pads or truncates to the header width.
   void row(std::vector<std::string> cells);
-
-  /// Convenience: convert each double with the given precision.
-  void row_numeric(const std::vector<double>& cells, int decimals = 2);
-
-  std::size_t rows() const { return rows_.size(); }
 
   void print(std::ostream& os) const;
   std::string to_string() const;
