@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::Header("Fig. 8: PLFS vs direct N-1 checkpoint bandwidth",
                 "Chombo ~10x, FLASH ~100x, LANL apps 5-28x; gains on "
                 "PanFS, Lustre and GPFS alike");
-  // With --trace <path>, the first (PanFS-like, Chombo) *direct* run of
+  // With --trace <path>, the first (PanFS-like, FLASH-io) *direct* run of
   // the app table is traced — the N-1 lock-convoy case the profile and
   // critical path explain; one run per file keeps its tracks unambiguous.
   // --profile additionally aggregates that run into a BENCH_ profile line.

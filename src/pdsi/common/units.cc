@@ -6,16 +6,17 @@
 namespace pdsi {
 namespace {
 
-std::string WithUnit(double v, const char* unit) {
+/// `v` with `decimals` places, then " unit" (nothing for an empty unit).
+std::string Fixed(double v, int decimals, const char* unit) {
   char buf[64];
-  if (v >= 100.0) {
-    std::snprintf(buf, sizeof(buf), "%.0f %s", v, unit);
-  } else if (v >= 10.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f %s", v, unit);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.2f %s", v, unit);
-  }
+  std::snprintf(buf, sizeof(buf), "%.*f%s%s", decimals, v, *unit ? " " : "",
+                unit);
   return buf;
+}
+
+/// Three significant digits for values in [1, 1000).
+std::string WithUnit(double v, const char* unit) {
+  return Fixed(v, v >= 100.0 ? 0 : v >= 10.0 ? 1 : 2, unit);
 }
 
 }  // namespace
@@ -56,7 +57,10 @@ std::string FormatDuration(double seconds) {
 
 std::string FormatCount(double count) {
   const double a = std::abs(count);
-  if (a < 1e3) return WithUnit(count, "");
+  if (a < 1e3) {
+    return count == std::floor(count) ? Fixed(count, 0, "")
+                                      : WithUnit(count, "");
+  }
   if (a < 1e6) return WithUnit(count / 1e3, "K");
   if (a < 1e9) return WithUnit(count / 1e6, "M");
   return WithUnit(count / 1e9, "G");

@@ -32,7 +32,8 @@ std::string FormatRate(double bytes_per_second);
 /// "12.3 us", "4.5 ms", "6.7 s", "2.1 h" — picks the natural unit.
 std::string FormatDuration(double seconds);
 
-/// "12.3K", "4.56M" for op counts / ops-per-second.
+/// "6", "4.50", "12.5 K", "4.56 M" for op counts / ops-per-second: a
+/// whole count below 1000 prints as an integer.
 std::string FormatCount(double count);
 
 }  // namespace pdsi

@@ -94,14 +94,12 @@ PfsClient::OpenFile* PfsClient::get(FileHandle fh) {
 }
 
 FileHandle PfsClient::put(std::uint64_t file_id, std::string path) {
-  for (std::size_t i = 0; i < open_files_.size(); ++i) {
-    if (!open_files_[i].in_use) {
-      open_files_[i] = {true, file_id, std::move(path), {}};
-      return static_cast<FileHandle>(i);
-    }
-  }
-  open_files_.push_back({true, file_id, std::move(path), {}});
-  return static_cast<FileHandle>(open_files_.size() - 1);
+  std::size_t i = free_hint_;
+  while (i < open_files_.size() && open_files_[i].in_use) ++i;
+  if (i == open_files_.size()) open_files_.emplace_back();
+  open_files_[i] = {true, file_id, std::move(path), {}};
+  free_hint_ = i + 1;
+  return static_cast<FileHandle>(i);
 }
 
 double PfsClient::submit_mds(double t, std::size_t charges, double fraction,
@@ -126,7 +124,7 @@ double PfsClient::submit_mds(double t, std::size_t charges, double fraction,
   return engine_.submit(std::move(req), t, nullptr);
 }
 
-std::uint32_t PfsClient::route_mds(const std::string& normalized, double* t,
+std::uint32_t PfsClient::route_mds(std::uint64_t hash, double* t,
                                    std::uint64_t rid, double fraction) {
   ShardedMds& smds = cluster_.smds();
   const double lat = cluster_.config().rpc_latency_s;
@@ -139,7 +137,6 @@ std::uint32_t PfsClient::route_mds(const std::string& normalized, double* t,
     charge(0);
     return 0;
   }
-  const std::uint64_t hash = giga::HashName(normalized);
   for (;;) {
     const std::uint32_t p = mds_bitmap_.partition_for(hash);
     const std::uint32_t s = smds.shard_of(p);
@@ -150,11 +147,10 @@ std::uint32_t PfsClient::route_mds(const std::string& normalized, double* t,
   }
 }
 
-std::uint32_t PfsClient::route_mds_queued(const std::string& normalized,
-                                          double* t, std::uint64_t rid) {
+std::uint32_t PfsClient::route_mds_queued(std::uint64_t hash, double* t,
+                                          std::uint64_t rid) {
   ShardedMds& smds = cluster_.smds();
   if (smds.num_shards() == 1) return 0;
-  const std::uint64_t hash = giga::HashName(normalized);
   for (;;) {
     const std::uint32_t p = mds_bitmap_.partition_for(hash);
     const std::uint32_t s = smds.shard_of(p);
@@ -171,13 +167,14 @@ Status PfsClient::mkdir(const std::string& path) {
   Status st;
   const std::uint64_t rid = mint_req();
   const std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
     st = cluster_.smds().mkdir(np);
     if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
-      return submit_mds(t, 1, 1.0, ParentPath(np), rid, s);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
+      return submit_mds(t, 1, 1.0, std::string(ParentPath(np)), rid, s);
     }
-    const std::uint32_t s = route_mds(np, &t, rid);
+    const std::uint32_t s = route_mds(hash, &t, rid);
     return cluster_.smds().shard(s).charge_dir(ParentPath(np), t, rid);
   });
   return st;
@@ -186,16 +183,18 @@ Status PfsClient::mkdir(const std::string& path) {
 Result<FileHandle> PfsClient::create(const std::string& path) {
   Result<FileHandle> out(Errc::io_error);
   const std::uint64_t rid = mint_req();
-  const std::string np = NormalizePath(path);
+  // The path is normalised and hashed once; the handle keeps it.
+  std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   if (engine_.pipelined()) {
     cluster_.scheduler().atomically(actor_, [&](double t) {
       // State transitions at submit time (the inode's mtime stamps the
       // submission); the metadata charge rides the MDS queue.
-      auto r = cluster_.smds().create(np, t);
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      auto r = cluster_.smds().create(np, hash, t);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       if (r.ok()) {
-        out = put(r->file_id, np);
-        t = submit_mds(t, 1, 1.0, ParentPath(np), rid, s);
+        t = submit_mds(t, 1, 1.0, std::string(ParentPath(np)), rid, s);
+        out = put(r->file_id, std::move(np));
       } else {
         out = r.error();
         t = submit_mds(t, 1, 1.0, "", rid, s);
@@ -207,11 +206,11 @@ Result<FileHandle> PfsClient::create(const std::string& path) {
     return out;
   }
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    const std::uint32_t s = route_mds(np, &t, rid);
-    auto r = cluster_.smds().create(np, t);
+    const std::uint32_t s = route_mds(hash, &t, rid);
+    auto r = cluster_.smds().create(np, hash, t);
     if (r.ok()) {
       t = cluster_.smds().shard(s).charge_dir(ParentPath(np), t, rid);
-      out = put(r->file_id, np);
+      out = put(r->file_id, std::move(np));
       if (recording_consist()) record_consist_edge("open", r->file_id, t);
     } else {
       out = r.error();
@@ -224,7 +223,8 @@ Result<FileHandle> PfsClient::create(const std::string& path) {
 Result<FileHandle> PfsClient::open(const std::string& path) {
   Result<FileHandle> out(Errc::io_error);
   const std::uint64_t rid = mint_req();
-  const std::string np = NormalizePath(path);
+  std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
     if (engine_.pipelined()) {
       auto r = cluster_.smds().lookup(np);
@@ -233,19 +233,19 @@ Result<FileHandle> PfsClient::open(const std::string& path) {
       } else if (r->is_dir) {
         out = Errc::is_dir;
       } else {
-        out = put(r->file_id, np);
+        out = put(r->file_id, std::move(np));
       }
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       return submit_mds(t, 1, 1.0, "", rid, s);
     }
-    route_mds(np, &t, rid);
+    route_mds(hash, &t, rid);
     auto r = cluster_.smds().lookup(np);
     if (!r.ok()) {
       out = r.error();
     } else if (r->is_dir) {
       out = Errc::is_dir;
     } else {
-      out = put(r->file_id, np);
+      out = put(r->file_id, std::move(np));
       if (recording_consist()) record_consist_edge("open", r->file_id, t);
     }
     return t;
@@ -257,6 +257,7 @@ Result<StatResult> PfsClient::stat(const std::string& path) {
   Result<StatResult> out(Errc::io_error);
   const std::uint64_t rid = mint_req();
   const std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
     if (engine_.pipelined()) {
       auto r = cluster_.smds().lookup(np);
@@ -265,10 +266,10 @@ Result<StatResult> PfsClient::stat(const std::string& path) {
       } else {
         out = r.error();
       }
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       return submit_mds(t, 1, 1.0, "", rid, s);
     }
-    route_mds(np, &t, rid);
+    route_mds(hash, &t, rid);
     auto r = cluster_.smds().lookup(np);
     if (r.ok()) {
       out = StatResult{r->size, r->is_dir, r->mtime};
@@ -284,13 +285,14 @@ Result<LayoutInfo> PfsClient::layout(const std::string& path) {
   Result<LayoutInfo> out(Errc::io_error);
   const std::uint64_t rid = mint_req();
   const std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
     double done;
     if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       done = submit_mds(t, 1, 1.0, "", rid, s);
     } else {
-      route_mds(np, &t, rid);
+      route_mds(hash, &t, rid);
       done = t;
     }
     auto r = cluster_.smds().lookup(np);
@@ -319,16 +321,17 @@ Result<FileHandle> PfsClient::open_group(const std::string& path,
   Result<FileHandle> out(Errc::io_error);
   const double fraction = 1.0 / std::max<std::uint32_t>(1, group_size);
   const std::uint64_t rid = mint_req();
-  const std::string np = NormalizePath(path);
+  std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
     // One metadata op amortised over the group: the MDS answers once and
     // the result is broadcast over the (cheap) interconnect.
     double done;
     if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       done = submit_mds(t, 1, fraction, "", rid, s);
     } else {
-      route_mds(np, &t, rid, fraction);
+      route_mds(hash, &t, rid, fraction);
       done = t;
     }
     auto r = cluster_.smds().lookup(np);
@@ -337,7 +340,7 @@ Result<FileHandle> PfsClient::open_group(const std::string& path,
     } else if (r->is_dir) {
       out = Errc::is_dir;
     } else {
-      out = put(r->file_id, np);
+      out = put(r->file_id, std::move(np));
       if (recording_consist()) record_consist_edge("open", r->file_id, done);
     }
     return done;
@@ -349,11 +352,12 @@ Result<std::vector<std::string>> PfsClient::readdir(const std::string& path) {
   Result<std::vector<std::string>> out(Errc::io_error);
   const std::uint64_t rid = mint_req();
   const std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   const std::uint32_t nshards = cluster_.smds().num_shards();
   cluster_.scheduler().atomically(actor_, [&](double t) {
     if (engine_.pipelined()) {
       auto r = cluster_.smds().readdir(np);
-      const std::uint32_t s = route_mds_queued(np, &t, rid);
+      const std::uint32_t s = route_mds_queued(hash, &t, rid);
       // Sharded listings scatter-gather: every other shard serves one
       // list op too (queued on its own queue).
       for (std::uint32_t k = 0; k < nshards; ++k) {
@@ -367,7 +371,7 @@ Result<std::vector<std::string>> PfsClient::readdir(const std::string& path) {
       out = r.error();
       return submit_mds(t, 1, 1.0, "", rid, s);
     }
-    const std::uint32_t s = route_mds(np, &t, rid);
+    const std::uint32_t s = route_mds(hash, &t, rid);
     if (nshards > 1) {
       // The addressed shard coordinates the gather; the other shards
       // each serve one list op in parallel.
@@ -401,7 +405,7 @@ Result<std::vector<std::string>> PfsClient::readdir(const std::string& path) {
 double PfsClient::unlink_core(const std::string& path, double t, Status* st,
                               std::uint64_t rid) {
   const std::string np = NormalizePath(path);
-  route_mds(np, &t, rid);
+  route_mds(giga::HashName(np), &t, rid);
   auto looked = cluster_.smds().lookup(np);
   const std::uint32_t nshards = cluster_.smds().num_shards();
   if (nshards > 1 && looked.ok() && looked->is_dir) {
@@ -451,24 +455,26 @@ Status PfsClient::rename(const std::string& from, const std::string& to) {
   const std::uint64_t rid = mint_req();
   const std::string nf = NormalizePath(from);
   const std::string nt = NormalizePath(to);
+  const std::uint64_t from_hash = giga::HashName(nf);
+  const std::uint64_t to_hash = giga::HashName(nt);
   const std::uint32_t nshards = cluster_.smds().num_shards();
   cluster_.scheduler().atomically(actor_, [&](double t) {
     st = cluster_.smds().rename(nf, nt, t);
     if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(nf, &t, rid);
+      const std::uint32_t s = route_mds_queued(from_hash, &t, rid);
       t = submit_mds(t, 1, 1.0, "", rid, s);
       if (nshards > 1) {
         // Cross-shard rename is a two-phase op: the destination shard
         // serves the install leg.
-        const std::uint32_t d = route_mds_queued(nt, &t, rid);
+        const std::uint32_t d = route_mds_queued(to_hash, &t, rid);
         if (d != s) t = submit_mds(t, 1, 1.0, "", rid, d);
       }
       return cluster_.smds().settle_splits(t, rid);
     }
-    const std::uint32_t s = route_mds(nf, &t, rid);
+    const std::uint32_t s = route_mds(from_hash, &t, rid);
     if (nshards > 1) {
       const std::uint32_t d = cluster_.smds().home_shard(nt);
-      if (d != s) route_mds(nt, &t, rid);
+      if (d != s) route_mds(to_hash, &t, rid);
     }
     return cluster_.smds().settle_splits(t, rid);
   });
@@ -852,6 +858,7 @@ Status PfsClient::close(FileHandle fh) {
     }
   }
   f->in_use = false;
+  free_hint_ = std::min(free_hint_, static_cast<std::size_t>(fh));
   return st;
 }
 

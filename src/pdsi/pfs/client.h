@@ -130,6 +130,8 @@ class PfsClient {
   };
 
   OpenFile* get(FileHandle fh);
+  /// Opens the lowest free slot, as a scan from slot 0 would, but starts
+  /// at free_hint_: a client holding N open files does not scan N slots.
   FileHandle put(std::uint64_t file_id, std::string path);
 
   /// Charge extent/whole-file lock acquisition for [off, off+len); returns
@@ -157,21 +159,23 @@ class PfsClient {
     return cluster_.num_oss() + shard;
   }
 
-  /// Synchronous-mode MDS addressing: charges one op (scaled by
-  /// `fraction`) on the shard the cached bitmap addresses, looping while
-  /// the addressing is stale — each bounced attempt pays a full round
-  /// trip to the wrong shard, whose reply's fresh bitmap rows merge into
-  /// the cache. Advances *t past the final (correctly-addressed) charge
-  /// and returns that shard. One shard degenerates to a single
-  /// charge(t + rpc_latency) on shard 0, byte-identical to the lone MDS.
-  std::uint32_t route_mds(const std::string& normalized, double* t,
-                          std::uint64_t req, double fraction = 1.0);
+  /// Synchronous-mode MDS addressing of the path whose GIGA+ name hash
+  /// is `hash` (giga::HashName of the normalised path, computed once per
+  /// op): charges one op (scaled by `fraction`) on the shard the cached
+  /// bitmap addresses, looping while the addressing is stale — each
+  /// bounced attempt pays a full round trip to the wrong shard, whose
+  /// reply's fresh bitmap rows merge into the cache. Advances *t past the
+  /// final (correctly-addressed) charge and returns that shard. One shard
+  /// degenerates to a single charge(t + rpc_latency) on shard 0,
+  /// byte-identical to the lone MDS.
+  std::uint32_t route_mds(std::uint64_t hash, double* t, std::uint64_t req,
+                          double fraction = 1.0);
 
   /// Pipelined-mode addressing: resolves the shard against the cached
   /// bitmap without charging, submitting one deferred wire charge to
   /// each stale shard bounced off along the way. The caller submits the
   /// real op to the returned shard's queue.
-  std::uint32_t route_mds_queued(const std::string& normalized, double* t,
+  std::uint32_t route_mds_queued(std::uint64_t hash, double* t,
                                  std::uint64_t req);
 
   /// Mints the causal request id for one public client op. Ids are
@@ -240,6 +244,8 @@ class PfsClient {
   /// failure; surfaced (then cleared) by the next fsync/close.
   bool pending_io_error_ = false;
   std::vector<OpenFile> open_files_;
+  /// Every slot below this one is in use; close lowers it.
+  std::size_t free_hint_ = 0;
   obs::Counter* c_lock_conflicts_ = nullptr;
   obs::Histogram* h_lock_wait_ = nullptr;
   // consist.* instruments exist only when the run opted into a relaxed

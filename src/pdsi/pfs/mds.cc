@@ -71,9 +71,13 @@ double Mds::publish(double now, double fraction, std::uint64_t req) {
   return done;
 }
 
-double Mds::charge_dir(const std::string& parent, double now,
+double Mds::charge_dir(std::string_view parent, double now,
                        std::uint64_t req) {
-  const double done = dir_locks_[parent].reserve(now, kDirLockS);
+  auto lock = dir_locks_.find(parent);
+  if (lock == dir_locks_.end()) {
+    lock = dir_locks_.emplace(std::string(parent), sim::SimResource{}).first;
+  }
+  const double done = lock->second.reserve(now, kDirLockS);
   if (ctx_ && ctx_->tracer) {
     // The span covers the lock hold; queueing shows as the gap from `now`.
     ctx_->tracer->complete(track_, "dir_lock", "mds", done - kDirLockS, done,

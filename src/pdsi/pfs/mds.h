@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "pdsi/obs/obs.h"
 #include "pdsi/sim/virtual_time.h"
@@ -57,7 +59,7 @@ class Mds : public Namespace {
   /// Namespace mutations additionally serialise on the parent directory's
   /// lock (concurrent creates into one directory contend; this is what
   /// PLFS hostdir fan-out spreads out).
-  double charge_dir(const std::string& parent, double now,
+  double charge_dir(std::string_view parent, double now,
                     std::uint64_t req = 0);
 
   // -- Sharded-namespace support (pdsi::pfs::ShardedMds) --
@@ -70,7 +72,16 @@ class Mds : public Namespace {
  private:
   const PfsConfig& cfg_;
   sim::SimResource service_;
-  std::unordered_map<std::string, sim::SimResource> dir_locks_;
+  /// Hashes a std::string_view key (a parent path) without building a
+  /// string, so a directory lock is found without a copy.
+  struct PathHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, sim::SimResource, PathHash, std::equal_to<>>
+      dir_locks_;
   std::uint32_t track_ = 0;
   std::string iprefix_ = "mds.";  ///< instrument prefix ("mds.s<k>." sharded)
 

@@ -25,9 +25,24 @@ std::string NormalizePath(std::string_view path) {
   return out;
 }
 
-std::string ParentPath(const std::string& normalized) {
+namespace {
+/// True when `path` is already in NormalizePath's form.
+bool IsNormalized(std::string_view path) {
+  if (path.empty() || path[0] != '/') return false;
+  if (path.size() == 1) return true;  // the root
+  return path.back() != '/' && path.find("//") == std::string_view::npos;
+}
+}  // namespace
+
+const std::string& Normalized(const std::string& path, std::string* own) {
+  if (IsNormalized(path)) return path;
+  *own = NormalizePath(path);
+  return *own;
+}
+
+std::string_view ParentPath(std::string_view normalized) {
   const auto pos = normalized.find_last_of('/');
-  if (pos == 0 || pos == std::string::npos) return "/";
+  if (pos == 0 || pos == std::string_view::npos) return "/";
   return normalized.substr(0, pos);
 }
 
@@ -39,16 +54,18 @@ Namespace::Namespace(std::uint64_t first_id) : next_file_id_(first_id) {
 
 Result<Inode> Namespace::add(const std::string& path, bool is_dir,
                              double mtime) {
-  const std::string p = NormalizePath(path);
-  if (entries_.count(p)) return Errc::exists;
-  auto parent = entries_.find(ParentPath(p));
+  std::string own;
+  const std::string& p = Normalized(path, &own);
+  const auto at = entries_.lower_bound(p);
+  if (at != entries_.end() && at->first == p) return Errc::exists;
+  const auto parent = entries_.find(ParentPath(p));
   if (parent == entries_.end()) return Errc::not_found;
   if (!parent->second.is_dir) return Errc::not_dir;
   Inode node;
   node.file_id = next_file_id_++;
   node.is_dir = is_dir;
   node.mtime = mtime;
-  entries_.emplace(p, node);
+  entries_.emplace_hint(at, p, node);
   return node;
 }
 
@@ -62,7 +79,8 @@ Status Namespace::mkdir(const std::string& path) {
 }
 
 Result<Inode> Namespace::lookup(const std::string& path) const {
-  auto it = entries_.find(NormalizePath(path));
+  std::string own;
+  auto it = entries_.find(Normalized(path, &own));
   if (it == entries_.end()) return Errc::not_found;
   return it->second;
 }
@@ -80,7 +98,8 @@ bool Namespace::has_children(const std::string& normalized) const {
 }
 
 Status Namespace::unlink(const std::string& path, Inode* removed) {
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   if (p == "/") return Errc::not_supported;  // the root is not unlinkable
   auto it = entries_.find(p);
   if (it == entries_.end()) return Errc::not_found;
@@ -93,8 +112,10 @@ Status Namespace::unlink(const std::string& path, Inode* removed) {
 
 Status Namespace::rename(const std::string& from, const std::string& to,
                          double mtime) {
-  const std::string f = NormalizePath(from);
-  const std::string t = NormalizePath(to);
+  std::string own_from;
+  std::string own_to;
+  const std::string& f = Normalized(from, &own_from);
+  const std::string& t = Normalized(to, &own_to);
   auto it = entries_.find(f);
   if (it == entries_.end()) return Errc::not_found;
   if (it->second.is_dir) return Errc::not_supported;  // file rename only
@@ -113,7 +134,8 @@ Status Namespace::rename(const std::string& from, const std::string& to,
 
 Result<std::vector<std::string>> Namespace::readdir(
     const std::string& path) const {
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   auto it = entries_.find(p);
   if (it == entries_.end()) return Errc::not_found;
   if (!it->second.is_dir) return Errc::not_dir;
@@ -129,7 +151,7 @@ Result<std::vector<std::string>> Namespace::readdir(
   return names;
 }
 
-Inode* Namespace::find(const std::string& normalized) {
+Inode* Namespace::find(std::string_view normalized) {
   auto it = entries_.find(normalized);
   return it == entries_.end() ? nullptr : &it->second;
 }

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -37,8 +38,14 @@ struct Inode {
 /// components. Throws std::invalid_argument on malformed input.
 std::string NormalizePath(std::string_view path);
 
-/// Parent directory of a normalised path ("/" for top-level entries).
-std::string ParentPath(const std::string& normalized);
+/// `path` in NormalizePath's form: `path` itself when it already is, else
+/// its normal form stored in *own. A layer calls this at its boundary, so a
+/// path its caller normalised is neither normalised nor copied again.
+const std::string& Normalized(const std::string& path, std::string* own);
+
+/// Parent directory of a normalised path ("/" for top-level entries): a
+/// view into `normalized`, which must outlive it.
+std::string_view ParentPath(std::string_view normalized);
 
 /// The root directory always exists. create/mkdir need an existing parent
 /// directory (not_found when it is missing, not_dir when it is a file);
@@ -66,7 +73,7 @@ class Namespace {
   /// The entry at `normalized`, or nullptr. The pointer stays valid, and
   /// keeps naming that path's entry, while generation() is unchanged;
   /// writes extend a file through it (Inode::extend).
-  Inode* find(const std::string& normalized);
+  Inode* find(std::string_view normalized);
   /// Bumped whenever an entry is erased or replaced (unlink, rename, take,
   /// install). Creates, mkdirs and extends leave it alone: they move no
   /// existing entry.
@@ -93,10 +100,13 @@ class Namespace {
   }
 
  private:
-  /// create/mkdir: the existence and parent checks, then a fresh id.
+  /// create/mkdir: the existence and parent checks, then a fresh id. One
+  /// descent finds both the new entry's place and whether it exists.
   Result<Inode> add(const std::string& path, bool is_dir, double mtime);
 
-  std::map<std::string, Inode> entries_;  ///< ordered for readdir scans
+  /// Ordered for readdir scans; std::less<> finds a std::string_view key
+  /// (a parent path) without building a string.
+  std::map<std::string, Inode, std::less<>> entries_;
   std::uint64_t next_file_id_;
   std::uint64_t generation_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "pdsi/pfs/sharded_mds.h"
 
 #include <algorithm>
-#include <string_view>
 
 namespace pdsi::pfs {
 
@@ -16,39 +15,45 @@ ShardedMds::ShardedMds(const PfsConfig& cfg, obs::Context* ctx) : cfg_(cfg) {
   for (std::uint32_t k = 0; k < n; ++k) {
     shards_.push_back(std::make_unique<Mds>(cfg, ctx, k, n));
   }
-  depth_[0] = 0;
-  parts_[0] = {};
+  partitions_.resize(1);  // partition 0 at depth 0
 }
 
 std::uint64_t ShardedMds::total_files() const {
   std::uint64_t n = 0;
-  for (const auto& [part, bucket] : parts_) n += bucket.size();
+  for (const Partition& p : partitions_) n += p.files;
   return n;
 }
 
 Result<Inode> ShardedMds::create(const std::string& path, double mtime) {
-  if (num_shards() == 1) return shards_[0]->create(path, mtime);
-  const std::string p = NormalizePath(path);
-  const std::uint64_t hash = giga::HashName(p);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
+  return create(p, giga::HashName(p), mtime);
+}
+
+Result<Inode> ShardedMds::create(const std::string& normalized,
+                                 std::uint64_t hash, double mtime) {
+  if (num_shards() == 1) return shards_[0]->create(normalized, mtime);
   const std::uint32_t part = bitmap_.partition_for(hash);
   // The home shard runs the real checks: a name collision (file or
   // replicated directory) and the parent directory both live there.
-  auto r = shards_[shard_of(part)]->create(p, mtime);
+  auto r = shards_[shard_of(part)]->create(normalized, mtime);
   if (!r.ok()) return r;
-  parts_[part].emplace(p, hash);
+  ++partitions_[part].files;
   maybe_split(part);
   return r;
 }
 
 Result<Inode> ShardedMds::lookup(const std::string& path) const {
   if (num_shards() == 1) return shards_[0]->lookup(path);
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   return shards_[home_shard(p)]->lookup(p);
 }
 
 Status ShardedMds::mkdir(const std::string& path) {
   if (num_shards() == 1) return shards_[0]->mkdir(path);
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   // The home shard allocates the id and runs the exists/parent checks;
   // the directory then replicates everywhere with that one id so every
   // shard can check parents locally and list its local children.
@@ -64,7 +69,8 @@ Status ShardedMds::mkdir(const std::string& path) {
 
 Status ShardedMds::unlink(const std::string& path) {
   if (num_shards() == 1) return shards_[0]->unlink(path);
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   if (p == "/") return Errc::not_supported;  // the root is not unlinkable
   const std::uint32_t part = bitmap_.partition_for(giga::HashName(p));
   const std::uint32_t home = shard_of(part);
@@ -79,34 +85,35 @@ Status ShardedMds::unlink(const std::string& path) {
     return Status::Ok();
   }
   const Status st = shards_[home]->unlink(p);
-  if (st.ok()) parts_[part].erase(p);
+  if (st.ok()) --partitions_[part].files;
   return st;
 }
 
 Status ShardedMds::rename(const std::string& from, const std::string& to,
                           double mtime) {
   if (num_shards() == 1) return shards_[0]->rename(from, to, mtime);
-  const std::string f = NormalizePath(from);
-  const std::string t = NormalizePath(to);
-  const std::uint64_t to_hash = giga::HashName(t);
+  std::string own_from;
+  std::string own_to;
+  const std::string& f = Normalized(from, &own_from);
+  const std::string& t = Normalized(to, &own_to);
   const std::uint32_t from_part = bitmap_.partition_for(giga::HashName(f));
-  const std::uint32_t to_part = bitmap_.partition_for(to_hash);
+  const std::uint32_t to_part = bitmap_.partition_for(giga::HashName(t));
   Mds& src = *shards_[shard_of(from_part)];
   Mds& dst = *shards_[shard_of(to_part)];
   const auto r = src.lookup(f);
   if (!r.ok()) return Errc::not_found;
   if (r->is_dir) return Errc::not_supported;  // file rename only
   if (f == t) return Status::Ok();  // POSIX: same-path rename is a no-op
-  if (dst.lookup(t).ok()) return Errc::exists;
-  const auto parent = dst.lookup(ParentPath(t));
-  if (!parent.ok()) return Errc::not_found;
+  if (dst.find(t)) return Errc::exists;
+  const Inode* parent = dst.find(ParentPath(t));
+  if (!parent) return Errc::not_found;
   if (!parent->is_dir) return Errc::not_dir;
   Inode node = *r;
   node.mtime = mtime;
   src.take(f, nullptr);
   dst.install(t, node);
-  parts_[from_part].erase(f);
-  parts_[to_part].emplace(t, to_hash);
+  --partitions_[from_part].files;
+  ++partitions_[to_part].files;
   maybe_split(to_part);
   return Status::Ok();
 }
@@ -114,7 +121,8 @@ Status ShardedMds::rename(const std::string& from, const std::string& to,
 Result<std::vector<std::string>> ShardedMds::readdir(
     const std::string& path) const {
   if (num_shards() == 1) return shards_[0]->readdir(path);
-  const std::string p = NormalizePath(path);
+  std::string own;
+  const std::string& p = Normalized(path, &own);
   const auto ino = lookup(p);
   if (!ino.ok()) return ino.error();
   if (!ino->is_dir) return Errc::not_dir;
@@ -140,38 +148,32 @@ Inode* ShardedMds::resolve(const std::string& normalized, InodeRef* ref) {
 }
 
 void ShardedMds::maybe_split(std::uint32_t part) {
-  auto bucket_it = parts_.find(part);
-  if (bucket_it == parts_.end() ||
-      bucket_it->second.size() < cfg_.mds_split_threshold) {
-    return;
-  }
-  const std::uint32_t d = depth_[part];
+  if (partitions_[part].files < cfg_.mds_split_threshold) return;
+  const std::uint32_t d = partitions_[part].depth;
   const std::uint32_t child = giga::SplitChild(part, d);
   const std::uint64_t child_mask = (1ULL << (d + 1)) - 1;
-  const std::uint32_t src_shard = shard_of(part);
-  const std::uint32_t dst_shard = shard_of(child);
+  Mds& src = *shards_[shard_of(part)];
+  Mds& dst = *shards_[shard_of(child)];
 
-  parts_[child];  // materialise before taking references (rehash safety)
-  auto& bucket = parts_[part];
-  auto& dest = parts_[child];
+  // One pass over the source shard finds the movers: its files whose hash
+  // falls in the child's class. Only this partition's files can, since
+  // every other partition covers a class disjoint from its own. They are
+  // collected first, because moving them edits the map being scanned.
   std::uint64_t moved = 0;
-  for (auto it = bucket.begin(); it != bucket.end();) {
-    if ((it->second & child_mask) == child) {
-      if (dst_shard != src_shard) {
-        Inode node;
-        if (shards_[src_shard]->take(it->first, &node)) {
-          shards_[dst_shard]->install(it->first, node);
-        }
-      }
-      dest.emplace(it->first, it->second);
-      it = bucket.erase(it);
-      ++moved;
-    } else {
-      ++it;
-    }
+  std::vector<std::string> movers;
+  src.for_each_entry([&](const std::string& path, const Inode& node) {
+    if (node.is_dir || (giga::HashName(path) & child_mask) != child) return;
+    ++moved;
+    if (&dst != &src) movers.push_back(path);
+  });
+  for (const std::string& path : movers) {
+    Inode node;
+    src.take(path, &node);
+    dst.install(path, node);
   }
-  depth_[part] = d + 1;
-  depth_[child] = d + 1;
+  if (child >= partitions_.size()) partitions_.resize(child + 1);
+  partitions_[part] = {d + 1, partitions_[part].files - moved};
+  partitions_[child] = {d + 1, moved};
   bitmap_.set(child);
   ++splits_;
   pending_.push_back({part, child, moved});
@@ -196,31 +198,27 @@ double ShardedMds::settle_splits(double now, std::uint64_t req) {
 }
 
 bool ShardedMds::check_placement_invariant() const {
-  // One pass over the index: every file's partition, and its home shard.
-  std::unordered_map<std::string_view, std::uint32_t> home;
-  home.reserve(total_files());
-  for (const auto& [part, bucket] : parts_) {
-    for (const auto& [p, hash] : bucket) {
-      if (bitmap_.partition_for(hash) != part) return false;
-      home.emplace(p, shard_of(part));
-    }
-  }
-  // One pass over each shard: an indexed file found on a shard must be
-  // home there, and every indexed file must be found.
-  std::size_t at_home = 0;
-  bool stray = false;
+  if (num_shards() == 1) return true;
+  // One pass over each shard: a file found there must be home there, and
+  // its partition's tally must end at that partition's count.
+  std::vector<std::uint64_t> found(partitions_.size(), 0);
   for (std::uint32_t s = 0; s < num_shards(); ++s) {
-    shards_[s]->for_each_entry([&](const std::string& path, const Inode&) {
-      const auto it = home.find(path);
-      if (it == home.end()) return;
-      if (it->second == s) {
-        ++at_home;
+    bool stray = false;
+    shards_[s]->for_each_entry([&](const std::string& path, const Inode& node) {
+      if (node.is_dir) return;
+      const std::uint32_t part = bitmap_.partition_for(giga::HashName(path));
+      if (shard_of(part) == s) {
+        ++found[part];
       } else {
         stray = true;
       }
     });
+    if (stray) return false;
   }
-  return !stray && at_home == home.size();
+  for (std::size_t part = 0; part < partitions_.size(); ++part) {
+    if (found[part] != partitions_[part].files) return false;
+  }
+  return true;
 }
 
 }  // namespace pdsi::pfs

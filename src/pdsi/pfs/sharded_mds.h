@@ -15,7 +15,11 @@
 //
 // Layout rules:
 //  - Files live only on their home shard (partition_for of the path
-//    hash). The partition index kept here is what splits consult.
+//    hash). Beside the bitmap this keeps only a depth and a file count
+//    per partition: a count says when a partition is full, and a split
+//    finds its movers in one pass over the source shard's namespace, so
+//    it costs O(entries on that shard) while a create costs no index
+//    insert.
 //  - Directories are replicated on every shard with one file id, so each
 //    shard can run parent checks locally and list its local children;
 //    readdir is a scatter-gather merge and directory-unlink emptiness is
@@ -32,7 +36,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pdsi/common/result.h"
@@ -74,7 +77,8 @@ class ShardedMds {
   }
 
   std::uint64_t splits() const { return splits_; }
-  /// Total file entries across all partitions (directories excluded).
+  /// Total file entries across all partitions (directories excluded): the
+  /// sum of the per-partition counts. 0 at one shard, which keeps none.
   std::uint64_t total_files() const;
 
   // -- Authoritative namespace operations. These route internally by the
@@ -83,6 +87,11 @@ class ShardedMds {
   //    All are zero-cost state transitions (pair with shard charges),
   //    called inside scheduler atomically sections.
   Result<Inode> create(const std::string& path, double mtime);
+  /// create() of a path already in NormalizePath's form, with its
+  /// giga::HashName: a client that routed the op by them passes both,
+  /// and the raw-path create() computes them once and forwards here.
+  Result<Inode> create(const std::string& normalized, std::uint64_t hash,
+                       double mtime);
   Result<Inode> lookup(const std::string& path) const;
   Status mkdir(const std::string& path);
   Status unlink(const std::string& path);
@@ -113,9 +122,10 @@ class ShardedMds {
   /// when nothing is pending (always, at one shard).
   double settle_splits(double now, std::uint64_t req = 0);
 
-  /// Invariant check (tests, fig07, perfbench): every indexed file maps to
-  /// its partition under the current bitmap and exists on exactly its home
-  /// shard. One pass over the index and one over each shard.
+  /// Invariant check (tests, fig07, perfbench): every file on a shard is
+  /// home there under the current bitmap, and the files found per
+  /// partition match its count. One pass over each shard. True at one
+  /// shard, where every file is home and no count is kept.
   bool check_placement_invariant() const;
 
  private:
@@ -126,12 +136,13 @@ class ShardedMds {
   const PfsConfig& cfg_;
   std::vector<std::unique_ptr<Mds>> shards_;
   giga::Bitmap bitmap_;
-  /// Current radix depth of each live partition.
-  std::unordered_map<std::uint32_t, std::uint32_t> depth_;
-  /// Partition -> file path -> name hash: the split migration index.
-  std::unordered_map<std::uint32_t,
-                     std::unordered_map<std::string, std::uint64_t>>
-      parts_;
+  /// A live partition's radix depth and file count.
+  struct Partition {
+    std::uint32_t depth = 0;
+    std::uint64_t files = 0;
+  };
+  /// Indexed by partition number; the bitmap says which entries are live.
+  std::vector<Partition> partitions_;
   std::uint64_t splits_ = 0;
 
   struct PendingSplit {

@@ -6,15 +6,21 @@
 // which synchronous reads and overwriting writes must allocate nothing:
 // the scheduler admission and each chunk RPC take their callables by
 // reference, and the handle's cached inode spares the path lookup. A
-// timing-only dump (payloads never stored) must not allocate its payload.
+// create storm on a sharded MDS stays within a pinned number of
+// allocations per create. A timing-only dump (payloads never stored) must
+// not allocate its payload.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "pdsi/common/bytes.h"
+#include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
 #include "pdsi/hdf5lite/hdf5lite.h"
 #include "pdsi/pfs/client.h"
@@ -79,6 +85,52 @@ TEST(SteadyStateDataPath, SyncReadsAndOverwritesAllocateNothing) {
   const std::uint64_t allocations = g_allocations.load() - before;
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations, 0u);
+}
+
+TEST(CreateStorm, AllocatesAFewBlocksPerCreate) {
+  // perfbench's create_storm: 64 clients create 48 files each in one flat
+  // directory on 8 MDS shards whose partitions split past 64 files. A
+  // create normalises its path once (the handle keeps that copy) and
+  // the namespace stores one entry; splits find their movers by scanning
+  // the source shard, not through a second index of every name.
+  constexpr std::size_t kClients = 64;
+  constexpr std::size_t kPerClient = 48;
+  PfsConfig cfg = PfsConfig::PanFsLike(4);
+  cfg.num_mds_shards = 8;
+  cfg.mds_split_threshold = 64;
+  cfg.store_data = false;
+  sim::VirtualScheduler sched(kClients);
+  PfsCluster cluster(cfg, sched);
+  // Names as long as create_storm's, past the short-string buffer.
+  std::vector<std::vector<std::string>> names(kClients);
+  Rng rng(1);
+  char buf[32];
+  for (auto& list : names) {
+    while (list.size() < kPerClient) {
+      std::snprintf(buf, sizeof buf, "/f%016llx",
+                    static_cast<unsigned long long>(rng()));
+      list.emplace_back(buf);
+    }
+  }
+  std::atomic<bool> ok{true};
+  const std::uint64_t before = g_allocations.load();
+  sched.run([&](std::size_t c) {
+    PfsClient client(cluster, c);
+    for (const std::string& name : names[c]) {
+      if (!client.create(name).ok()) ok = false;
+    }
+  });
+  const std::uint64_t allocations = g_allocations.load() - before;
+  constexpr double kCreates = kClients * kPerClient;
+  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(cluster.smds().total_files(), kCreates);
+  EXPECT_GT(cluster.smds().splits(), 40u);
+  EXPECT_TRUE(cluster.smds().check_placement_invariant());
+  // Measured at 3.47 (one normalised copy, one namespace node and its
+  // key, plus thread, client and split set-up); a second index of every
+  // name beside the namespace made this 9.86.
+  EXPECT_LE(static_cast<double>(allocations) / kCreates, 4.0)
+      << allocations << " allocations for " << kCreates << " creates";
 }
 
 }  // namespace

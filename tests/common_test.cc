@@ -188,6 +188,13 @@ TEST(Units, Formatting) {
   EXPECT_EQ(FormatBytes(4096), "4.00 KiB");
   EXPECT_EQ(FormatDuration(0.0125), "12.5 ms");
   EXPECT_EQ(FormatCount(12500), "12.5 K");
+  EXPECT_EQ(FormatCount(6), "6");
+  EXPECT_EQ(FormatCount(0), "0");
+  EXPECT_EQ(FormatCount(999), "999");
+  EXPECT_EQ(FormatCount(4.5), "4.50");
+  EXPECT_EQ(FormatCount(123.4), "123");
+  EXPECT_EQ(FormatCount(1000), "1.00 K");
+  EXPECT_EQ(FormatCount(2.5e6), "2.50 M");
 }
 
 TEST(Result, ValueAndError) {

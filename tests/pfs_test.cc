@@ -181,6 +181,19 @@ TEST(Paths, Normalization) {
   EXPECT_THROW(NormalizePath("relative"), std::invalid_argument);
 }
 
+TEST(Paths, NormalizedCopiesOnlyWhatIsNotNormal) {
+  for (const std::string p :
+       {"/", "//", "/a", "/a/", "//a", "/a//b", "/a/b", "/a/b/", "/a.x/b"}) {
+    std::string own;
+    const std::string& n = Normalized(p, &own);
+    EXPECT_EQ(n, NormalizePath(p)) << p;
+    EXPECT_EQ(&n == &p, NormalizePath(p) == p) << p;  // copied only if needed
+  }
+  std::string own;
+  EXPECT_THROW(Normalized("", &own), std::invalid_argument);
+  EXPECT_THROW(Normalized("relative", &own), std::invalid_argument);
+}
+
 class PfsFixture : public ::testing::Test {
  protected:
   PfsFixture()
@@ -314,6 +327,25 @@ TEST_F(PfsFixture, HandleSeesTheFileRecreatedAtItsPath) {
   auto n = client_.read(*fh, 0, out);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 100u);
+}
+
+TEST_F(PfsFixture, HandlesAreReusedLowestFirst) {
+  // Handle numbers are those of a scan from slot 0: closed slots are
+  // reused lowest first, before any new slot.
+  for (int i = 0; i < 1000; ++i) {
+    auto fh = client_.create("/f" + std::to_string(i));
+    ASSERT_TRUE(fh.ok());
+    ASSERT_EQ(*fh, i);
+  }
+  ASSERT_TRUE(client_.close(3).ok());
+  ASSERT_TRUE(client_.close(700).ok());
+  EXPECT_EQ(client_.create("/g0").value_or(-1), 3);
+  EXPECT_EQ(client_.create("/g1").value_or(-1), 700);
+  EXPECT_EQ(client_.open("/f3").value_or(-1), 1000);
+  // A reused slot names its new file.
+  ASSERT_TRUE(client_.write(3, 0, MakePattern(7, 0, 10)).ok());
+  EXPECT_EQ(client_.file_size(3).value_or(0), 10u);
+  EXPECT_EQ(client_.stat("/f3")->size, 0u);
 }
 
 TEST(PfsHandle, AnotherClientsExtendIsVisibleToTheEofClamp) {

@@ -4,8 +4,10 @@
 // must not make a populated directory deletable), the root unlink guard,
 // POSIX same-path rename, placement invariants and name collisions under
 // GIGA+ splitting, stale-bitmap client convergence with bounces bounded by
-// split history, single-shard equivalence with the legacy lone MDS, and
-// cross-shard readdir. Labelled `mds` in ctest.
+// split history, single-shard equivalence with the legacy lone MDS,
+// cross-shard readdir, and the count-only partition index checked against
+// a brute-force placement from the names (through unlinks and a rename
+// that splits). Labelled `mds` in ctest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "pdsi/common/bytes.h"
+#include "pdsi/giga/giga.h"
 #include "pdsi/obs/obs.h"
 #include "pdsi/pfs/client.h"
 #include "pdsi/pfs/cluster.h"
@@ -28,6 +31,38 @@ PfsConfig ShardedConfig(std::uint32_t shards, std::uint32_t threshold) {
   cfg.num_mds_shards = shards;
   cfg.mds_split_threshold = threshold;
   return cfg;
+}
+
+using ShardFiles = std::vector<std::set<std::string>>;
+
+/// The files each shard holds (directories excluded).
+ShardFiles FilesByShard(const ShardedMds& smds) {
+  ShardFiles out(smds.num_shards());
+  for (std::uint32_t s = 0; s < smds.num_shards(); ++s) {
+    smds.shard(s).for_each_entry([&](const std::string& path, const Inode& n) {
+      if (!n.is_dir) out[s].insert(path);
+    });
+  }
+  return out;
+}
+
+/// Brute force from the names alone: the shard whose partition covers
+/// each name's hash under the current bitmap.
+ShardFiles ExpectedByShard(const ShardedMds& smds,
+                           const std::set<std::string>& names) {
+  ShardFiles out(smds.num_shards());
+  for (const std::string& name : names) {
+    const std::string p = NormalizePath(name);
+    out[smds.shard_of(smds.bitmap().partition_for(giga::HashName(p)))]
+        .insert(p);
+  }
+  return out;
+}
+
+std::uint64_t LivePartitions(const giga::Bitmap& bitmap) {
+  std::uint64_t n = 0;
+  for (std::uint32_t p = 0; p <= bitmap.highest(); ++p) n += bitmap.test(p);
+  return n;
 }
 
 // -- Mds namespace bug regressions ------------------------------------
@@ -154,6 +189,105 @@ TEST(ShardedMds, PlacementInvariantCatchesMisplacedFiles) {
   EXPECT_FALSE(smds.check_placement_invariant());
   smds.shard(home).install(victim, node);
   EXPECT_TRUE(smds.check_placement_invariant());
+}
+
+TEST(ShardedMds, EveryShardHoldsExactlyTheFilesItsPartitionsCover) {
+  const PfsConfig cfg = ShardedConfig(8, 16);
+  ShardedMds smds(cfg);
+  ASSERT_TRUE(smds.mkdir("/d").ok());
+  std::set<std::string> names;
+  for (int i = 0; i < 1200; ++i) {
+    const std::string name = "/d/f" + std::to_string(i);
+    ASSERT_TRUE(smds.create(name, 0.0).ok()) << i;
+    names.insert(name);
+  }
+  ASSERT_GT(smds.splits(), 20u);
+  EXPECT_EQ(FilesByShard(smds), ExpectedByShard(smds, names));
+  EXPECT_EQ(smds.splits() + 1, LivePartitions(smds.bitmap()));
+  EXPECT_EQ(smds.total_files(), names.size());
+  EXPECT_TRUE(smds.check_placement_invariant());
+}
+
+TEST(ShardedMds, CountsFollowUnlinkAndARenameThatSplits) {
+  constexpr std::uint32_t kThreshold = 16;
+  const PfsConfig cfg = ShardedConfig(4, kThreshold);
+  ShardedMds smds(cfg);
+  ASSERT_TRUE(smds.mkdir("/d").ok());
+  std::set<std::string> names;
+  for (int i = 0; i < 300; ++i) {
+    const std::string name = "/d/f" + std::to_string(i);
+    ASSERT_TRUE(smds.create(name, 0.0).ok()) << i;
+    names.insert(name);
+  }
+  ASSERT_GT(smds.splits(), 0u);
+  for (int i = 0; i < 300; i += 7) {
+    const std::string name = "/d/f" + std::to_string(i);
+    ASSERT_TRUE(smds.unlink(name).ok()) << i;
+    names.erase(name);
+  }
+  EXPECT_EQ(smds.total_files(), names.size());
+  EXPECT_EQ(FilesByShard(smds), ExpectedByShard(smds, names));
+  EXPECT_TRUE(smds.check_placement_invariant());
+
+  // Fill one partition to one file short of its threshold, then rename a
+  // file from another partition into it: the rename fills it and splits.
+  const auto part_of = [&](const std::string& p) {
+    return smds.bitmap().partition_for(giga::HashName(p));
+  };
+  const auto files_in = [&](std::uint32_t part) {
+    return std::count_if(names.begin(), names.end(), [&](const std::string& n) {
+      return part_of(n) == part;
+    });
+  };
+  int fresh = 0;
+  const auto fresh_name_in = [&](std::uint32_t part) {
+    std::string name;
+    do {
+      name = "/d/g" + std::to_string(fresh++);
+    } while (part_of(name) != part);
+    return name;
+  };
+  const std::uint32_t target = part_of(*names.begin());
+  ASSERT_LT(files_in(target), kThreshold);
+  const std::uint64_t splits = smds.splits();
+  while (files_in(target) < kThreshold - 1) {
+    const std::string name = fresh_name_in(target);
+    ASSERT_TRUE(smds.create(name, 0.0).ok());
+    names.insert(name);
+    ASSERT_EQ(smds.splits(), splits) << "split below the threshold";
+  }
+  const auto from = std::find_if(names.begin(), names.end(),
+                                 [&](const std::string& n) {
+                                   return part_of(n) != target;
+                                 });
+  ASSERT_NE(from, names.end());
+  const std::string from_name = *from;
+  const std::string to = fresh_name_in(target);
+  ASSERT_TRUE(smds.rename(from_name, to, 1.0).ok());
+  names.erase(from_name);
+  names.insert(to);
+  EXPECT_EQ(smds.splits(), splits + 1);
+  EXPECT_EQ(smds.total_files(), names.size());
+  EXPECT_EQ(FilesByShard(smds), ExpectedByShard(smds, names));
+  EXPECT_TRUE(smds.check_placement_invariant());
+}
+
+TEST(ShardedMds, CreateNormalisesItsPathOnce) {
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE(shards);
+    const PfsConfig cfg = ShardedConfig(shards, 16);
+    ShardedMds smds(cfg);
+    ASSERT_TRUE(smds.mkdir("/d").ok());
+    ASSERT_TRUE(smds.create("//d///f", 0.0).ok());
+    EXPECT_NE(smds.shard(smds.home_shard("/d/f")).find("/d/f"), nullptr);
+    EXPECT_EQ(smds.create("/d/f", 1.0).error(), Errc::exists);
+    EXPECT_EQ(smds.create("//d///f", 1.0).error(), Errc::exists);
+    EXPECT_EQ(*smds.readdir("/d"), std::vector<std::string>{"f"});
+    if (shards > 1) {
+      EXPECT_EQ(smds.total_files(), 1u);
+    }
+    EXPECT_TRUE(smds.check_placement_invariant());
+  }
 }
 
 TEST(ShardedMds, FileIdsStayGloballyUnique) {
@@ -392,6 +526,29 @@ TEST(ShardedClient, NamespaceLifecycleAcrossShards) {
   ASSERT_TRUE(client.close(*fh).ok());
   ASSERT_TRUE(client.unlink("/dir/f1").ok());
   EXPECT_EQ(client.open("/dir/f1").error(), Errc::not_found);
+}
+
+TEST(ShardedClient, CreateNormalisesItsPathOnce) {
+  PfsConfig pipelined = ShardedConfig(4, 16);
+  pipelined.rpc_window = 32;
+  pipelined.rpc_batch = 8;
+  for (const PfsConfig& cfg :
+       {ShardedConfig(1, 16), ShardedConfig(4, 16), pipelined}) {
+    SCOPED_TRACE(std::to_string(cfg.num_mds_shards) + " shards, window " +
+                 std::to_string(cfg.rpc_window));
+    ClusterFixture fx(cfg);
+    PfsClient client(fx.cluster, 0);
+    ASSERT_TRUE(client.mkdir("/d").ok());
+    auto fh = client.create("//d///f");
+    ASSERT_TRUE(fh.ok());
+    EXPECT_EQ(client.create("/d/f").error(), Errc::exists);
+    EXPECT_EQ(*client.readdir("/d"), std::vector<std::string>{"f"});
+    // The handle names the normal path: a write through it extends /d/f.
+    ASSERT_TRUE(client.write(*fh, 0, MakePattern(3, 0, 100)).ok());
+    ASSERT_TRUE(client.close(*fh).ok());
+    EXPECT_EQ(client.stat("/d/f")->size, 100u);
+    EXPECT_TRUE(fx.cluster.smds().check_placement_invariant());
+  }
 }
 
 TEST(ShardedClient, OpenHandleFollowsItsFileThroughASplit) {
