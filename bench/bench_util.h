@@ -332,20 +332,24 @@ class BenchObs {
 /// Prints one line on stderr when the bench exits:
 ///
 ///   HOST_<bench> {"wall_ms": ..., "user_ms": ..., "sys_ms": ..., "peak_rss_mib": ...,
-///                 "vcsw": ..., "ivcsw": ..., "admissions": ..., "parks": ...}
+///                 "vcsw": ..., "ivcsw": ..., "admissions": ..., "parks": ...,
+///                 "pins": ...}
 ///
 /// with the host wall time since start-up, the process's user and system
 /// CPU time, its peak resident set, its voluntary and involuntary context
 /// switches (a rank thread that waits for its turn switches voluntarily),
-/// and the turns granted and parks made by every virtual-time scheduler
-/// the bench destroyed (sim::VirtualScheduler::ProcessTotals), so parks
-/// per admission and CPU per park can be read off one line. The peak
+/// and the turns granted, parks made and actor threads moved onto a
+/// scheduler's CPU by every virtual-time scheduler the bench destroyed
+/// (sim::VirtualScheduler::ProcessTotals), so parks per admission and CPU
+/// per park can be read off one line. The peak
 /// comes from VmHWM in /proc/self/status:
 /// ru_maxrss carries the launcher's peak across exec.
 /// Host cost varies between runs and machines, so it stays off stdout,
 /// whose lines are deterministic. The release lane's "Bench pass" gates
 /// only user_ms + sys_ms, loosely: more than 2x and more than 500 ms above
-/// the bench's line in bench/baselines/host_cpu.txt fails.
+/// the bench's line in bench/baselines/host_cpu.txt fails, and so does
+/// any non-zero pins: a bench's rank threads start through run() on the
+/// thread that built their scheduler, so they are born on its CPU.
 class HostReport {
  public:
   HostReport() : start_(std::chrono::steady_clock::now()) {}
@@ -373,11 +377,12 @@ class HostReport {
     std::fprintf(stderr,
                  "HOST_%s {\"wall_ms\": %.1f, \"user_ms\": %.1f, \"sys_ms\": %.1f, "
                  "\"peak_rss_mib\": %s, \"vcsw\": %ld, \"ivcsw\": %ld, "
-                 "\"admissions\": %llu, \"parks\": %llu}\n",
+                 "\"admissions\": %llu, \"parks\": %llu, \"pins\": %llu}\n",
                  program_invocation_short_name, wall_ms, ms(ru.ru_utime), ms(ru.ru_stime),
                  peak, ru.ru_nvcsw, ru.ru_nivcsw,
                  static_cast<unsigned long long>(sched.admissions),
-                 static_cast<unsigned long long>(sched.parks));
+                 static_cast<unsigned long long>(sched.parks),
+                 static_cast<unsigned long long>(sched.pins));
   }
 
  private:

@@ -128,12 +128,7 @@ StormResult RunCreateStorm(std::uint32_t shards, const Shape& shape,
   res.partitions = res.splits + 1;  // every split adds one partition
   res.stale_retries = reg.counter("pfs.mds_stale_retries").value();
   res.shard_ops = CollectShardOps(reg, shards);
-  // At one shard the partition index is bypassed entirely (the
-  // byte-identical legacy path), so count the namespace directly there.
-  const std::uint64_t files =
-      shards > 1 ? cluster.smds().total_files()
-                 : cluster.mds().entry_count() - 1;  // minus root
-  res.ok = ok.load() && res.ops == files &&
+  res.ok = ok.load() && res.ops == cluster.smds().total_files() &&
            cluster.smds().check_placement_invariant();
   return res;
 }

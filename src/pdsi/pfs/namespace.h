@@ -92,7 +92,6 @@ class Namespace {
   /// when absent.
   bool take(const std::string& normalized, Inode* out);
 
-  std::size_t entry_count() const { return entries_.size(); }
   /// Calls `fn(path, inode)` for every entry, in path order.
   template <class Fn>
   void for_each_entry(Fn&& fn) const {

@@ -20,7 +20,11 @@ ShardedMds::ShardedMds(const PfsConfig& cfg, obs::Context* ctx) : cfg_(cfg) {
 
 std::uint64_t ShardedMds::total_files() const {
   std::uint64_t n = 0;
-  for (const Partition& p : partitions_) n += p.files;
+  for (const auto& shard : shards_) {
+    shard->for_each_entry([&](const std::string&, const Inode& node) {
+      if (!node.is_dir) ++n;
+    });
+  }
   return n;
 }
 

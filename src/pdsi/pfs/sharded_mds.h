@@ -77,8 +77,8 @@ class ShardedMds {
   }
 
   std::uint64_t splits() const { return splits_; }
-  /// Total file entries across all partitions (directories excluded): the
-  /// sum of the per-partition counts. 0 at one shard, which keeps none.
+  /// Total file entries (directories excluded) that the shards hold, at
+  /// any shard count: one pass over every shard, for checks only.
   std::uint64_t total_files() const;
 
   // -- Authoritative namespace operations. These route internally by the

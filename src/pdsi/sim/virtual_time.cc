@@ -19,19 +19,31 @@ namespace pdsi::sim {
 
 namespace {
 
-/// The CPU a scheduler pinned this thread to (-1 for none), and the mask
-/// and policy the thread had before, which finish() puts back.
+/// How schedulers hold or pin the calling thread: the CPU it is pinned to
+/// (-1 for none), how many schedulers built on it still hold it, whether
+/// it is pinned as an actor until finish(), and the mask and policy it had
+/// before, which come back once nothing holds or pins it.
 struct ThreadPin {
   int cpu = -1;
-  bool saved_ok = false;  ///< `saved` holds the earlier mask
+  int holds = 0;
+  bool actor = false;
+  bool saved_ok = false;  ///< `saved` holds the mask to put back
   cpu_set_t saved{};
   bool batched = false;  ///< moved from SCHED_OTHER to SCHED_BATCH
 };
 thread_local ThreadPin tls_pin;
 
+/// The calling thread's number among the threads that ever held a
+/// scheduler, 0 before its first hold. Unlike a pthread_t it is never
+/// reused, so a scheduler recognises its holder even after the holder
+/// exited and a new thread took its id.
+thread_local std::uint64_t tls_holder = 0;
+std::atomic<std::uint64_t> g_holders{0};
+
 /// What every destroyed scheduler counted (VirtualScheduler::ProcessTotals).
 std::atomic<std::uint64_t> g_admissions{0};
 std::atomic<std::uint64_t> g_parks{0};
+std::atomic<std::uint64_t> g_pins{0};
 
 /// Sleeps while `word` holds `expected`; returns early on any wake-up or
 /// signal, so callers re-check the word.
@@ -52,34 +64,47 @@ int CurrentCpu() {
   return cpu >= 0 && cpu < CPU_SETSIZE ? cpu : -1;
 }
 
-/// Pins the calling thread to `cpu` (>= 0), keeping the mask it had before
-/// its first pin, and on that first pin moves a SCHED_OTHER thread to
-/// SCHED_BATCH. A mask that cannot be read is not replaced, one that cannot
-/// be set leaves the thread where it runs, and any other policy, or one
-/// that cannot be read or set, is left alone; none of this is retried.
-void PinCaller(int cpu) {
+/// Pins the calling thread to `cpu` (>= 0) unless it is pinned there
+/// already. Its first pin moves a SCHED_OTHER thread to SCHED_BATCH, and
+/// the first mask it replaces is kept; a thread already alone on `cpu`
+/// keeps its mask, so a thread born pinned and batched changes nothing.
+/// Returns whether the mask or the policy was changed. A mask that cannot
+/// be read is not replaced, one that cannot be set leaves the thread where
+/// it runs, and any other policy, or one that cannot be read or set, is
+/// left alone; none of this is retried.
+bool PinCaller(int cpu) {
   ThreadPin& pin = tls_pin;
+  if (pin.cpu == cpu) return false;
   const pthread_t self = pthread_self();
+  bool changed = false;
   if (pin.cpu < 0) {
-    pin.saved_ok = pthread_getaffinity_np(self, sizeof pin.saved, &pin.saved) == 0;
     int policy = 0;
     sched_param param{};
     pin.batched = pthread_getschedparam(self, &policy, &param) == 0 &&
                   policy == SCHED_OTHER &&
                   pthread_setschedparam(self, SCHED_BATCH, &param) == 0;
+    changed = pin.batched;
   }
   pin.cpu = cpu;
-  if (!pin.saved_ok) return;
+  cpu_set_t mask;
+  if (pthread_getaffinity_np(self, sizeof mask, &mask) != 0 ||
+      (CPU_COUNT(&mask) == 1 && CPU_ISSET(cpu, &mask))) {
+    return changed;
+  }
+  if (!pin.saved_ok) {
+    pin.saved = mask;
+    pin.saved_ok = true;
+  }
   cpu_set_t one;
   CPU_ZERO(&one);
   CPU_SET(cpu, &one);
-  pthread_setaffinity_np(self, sizeof one, &one);
+  return pthread_setaffinity_np(self, sizeof one, &one) == 0 || changed;
 }
 
-/// Puts back the calling thread's mask and policy if it is pinned to `cpu`.
-void UnpinCaller(int cpu) {
+/// Puts back the calling thread's saved mask and policy, if any, and
+/// forgets its pin.
+void RestoreCaller() {
   ThreadPin& pin = tls_pin;
-  if (cpu < 0 || pin.cpu != cpu) return;
   const pthread_t self = pthread_self();
   if (pin.saved_ok) pthread_setaffinity_np(self, sizeof pin.saved, &pin.saved);
   if (pin.batched) {
@@ -89,21 +114,47 @@ void UnpinCaller(int cpu) {
   pin = ThreadPin{};
 }
 
+/// Ends the calling thread's actor pin on `cpu`, if it has one, and
+/// restores the thread when no scheduler holds it.
+void UnpinCaller(int cpu) {
+  ThreadPin& pin = tls_pin;
+  if (cpu < 0 || pin.cpu != cpu || !pin.actor) return;
+  pin.actor = false;
+  if (pin.holds == 0) RestoreCaller();
+}
+
 }  // namespace
 
 VirtualScheduler::VirtualScheduler(std::size_t num_actors)
     : times_(num_actors, 0.0), wake_(num_actors), cpu_(num_actors > 1 ? CurrentCpu() : -1) {
   if (num_actors == 0) throw std::invalid_argument("scheduler needs >= 1 actor");
   for (std::size_t a = 0; a < num_actors; ++a) ready_.emplace_hint(ready_.end(), 0.0, a);
+  // Last, so a constructor that throws leaves no hold behind.
+  if (cpu_ >= 0) {
+    PinCaller(cpu_);
+    ++tls_pin.holds;
+    if (tls_holder == 0) tls_holder = g_holders.fetch_add(1, std::memory_order_relaxed) + 1;
+    holder_ = tls_holder;
+    held_ = true;
+  }
 }
 
 VirtualScheduler::~VirtualScheduler() {
+  release_hold();
   g_admissions.fetch_add(admissions_, std::memory_order_relaxed);
   g_parks.fetch_add(parks_, std::memory_order_relaxed);
+  g_pins.fetch_add(pins_, std::memory_order_relaxed);
 }
 
 VirtualScheduler::Totals VirtualScheduler::ProcessTotals() {
-  return {g_admissions.load(std::memory_order_relaxed), g_parks.load(std::memory_order_relaxed)};
+  return {g_admissions.load(std::memory_order_relaxed), g_parks.load(std::memory_order_relaxed),
+          g_pins.load(std::memory_order_relaxed)};
+}
+
+void VirtualScheduler::release_hold() {
+  if (holder_ == 0 || holder_ != tls_holder || !held_) return;
+  held_ = false;
+  if (--tls_pin.holds == 0 && !tls_pin.actor) RestoreCaller();
 }
 
 void VirtualScheduler::check_actor(std::size_t actor, const char* what) const {
@@ -125,11 +176,14 @@ void VirtualScheduler::wait_turn_locked(std::unique_lock<std::mutex>& lk,
     throw std::logic_error("VirtualScheduler: finished or unknown actor " +
                            std::to_string(actor) + " " + what);
   }
-  if (cpu_ >= 0 && tls_pin.cpu != cpu_) {
+  if (cpu_ >= 0 && !(tls_pin.actor && tls_pin.cpu == cpu_)) {
     // The move to cpu_ may wait for that CPU; no lock is held meanwhile.
     lk.unlock();
-    PinCaller(cpu_);
+    const bool moved = PinCaller(cpu_);
+    tls_pin.actor = true;
+    release_hold();  // the builder's hold goes on as its actor pin
     lk.lock();
+    if (moved) ++pins_;
   }
   while (ready_.begin()->second != actor) park(lk, actor);
   ++admissions_;
@@ -178,6 +232,7 @@ void VirtualScheduler::advance(std::size_t actor, double dt) {
 }
 
 void VirtualScheduler::finish(std::size_t actor) {
+  release_hold();
   check_actor(actor, "finished");
   UnpinCaller(cpu_);
   std::unique_lock<std::mutex> lk(mu_);
@@ -194,6 +249,7 @@ double VirtualScheduler::run(const std::function<void(std::size_t actor)>& body)
   // No body starts until every thread exists: if a thread fails to start,
   // the started ones run no body, so none can wait on a missing peer.
   std::latch start(1);
+  std::exception_ptr start_error;
   bool all_started = false;  // read only after `start` opens
   std::vector<std::thread> threads;
   threads.reserve(n);
@@ -213,12 +269,14 @@ double VirtualScheduler::run(const std::function<void(std::size_t actor)>& body)
     }
     all_started = true;
   } catch (...) {
-    start.count_down();
-    for (std::thread& t : threads) t.join();
-    throw;
+    start_error = std::current_exception();
   }
+  // Every actor thread exists; if this thread held the scheduler, they
+  // were born on cpu_ as SCHED_BATCH threads.
+  release_hold();
   start.count_down();
   for (std::thread& t : threads) t.join();
+  if (start_error) std::rethrow_exception(start_error);
   for (const std::exception_ptr& e : errors) {
     if (e) std::rethrow_exception(e);
   }

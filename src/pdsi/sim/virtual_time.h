@@ -42,16 +42,38 @@
 // hand-off between threads on one CPU is a cheap same-CPU wake-up instead
 // of a cross-CPU one (an interrupt and another vCPU leaving idle). A
 // scheduler with more than one actor records the CPU its constructor runs
-// on; the first time a thread enters it (atomically() or
-// VirtualBarrier::arrive()) the thread saves its CPU mask and pins itself
-// to that CPU, and moves itself from SCHED_OTHER to SCHED_BATCH: a woken
-// batch thread waits for the waker to park instead of preempting it, so a
-// hand-off is one voluntary switch and no involuntary one. finish() called
-// on that thread puts the saved mask and SCHED_OTHER back, as run() and
-// perfbench's rank threads do for every actor. What an actor's thread runs
-// between admissions shares the core too. A single-actor scheduler pins
-// nothing and parks never. If the CPU or the thread's mask cannot be read,
-// or the mask cannot be set, the thread runs wherever the OS puts it; a
+// on. An actor thread is pinned there from its first entry (atomically()
+// or VirtualBarrier::arrive()) until finish() runs on it, and runs as
+// SCHED_BATCH meanwhile: a woken batch thread waits for the waker to park
+// instead of preempting it, so a hand-off is one voluntary switch and no
+// involuntary one. What an actor's thread runs between admissions shares
+// the core too.
+//
+// The builder's hold. The constructor also pins the thread that builds the
+// scheduler (the holder) to that CPU and moves it from SCHED_OTHER to
+// SCHED_BATCH, and threads the holder starts while it is held inherit both.
+// So run()'s actor threads, and perfbench's parked rank threads, are born,
+// released, run and exit on the one CPU, and their first entry changes
+// nothing: a thread already alone on the CPU and not SCHED_OTHER only reads
+// its mask and policy, and finish() then has nothing to put back for it. Born
+// anywhere else, a rank thread would park on whichever vCPU the kernel chose,
+// be released from another and migrate at its first entry, each step a
+// cross-CPU interrupt. The hold ends on the holder's next call that changes
+// the scheduler: in run() once every actor thread exists, before any body
+// starts; at an admission or a barrier arrival, where it goes on as that
+// actor's pin; in finish() with any id, before the id is checked; or in the
+// destructor. A thread keeps a count of the schedulers holding it beside its
+// actor pin, and gets its own mask and SCHED_OTHER back only when nothing
+// holds or pins it any more. A scheduler destroyed on another thread leaves
+// its holder as it is, because the holder may have exited. The cost of the
+// hold: the holder's own work between construction and the end of the hold
+// (building a cluster, starting threads) shares the one CPU, and a thread
+// started meanwhile that never enters as an actor keeps that CPU and
+// SCHED_BATCH for its whole life. Actor threads started from any other thread
+// are pinned on entry, and finish() puts their saved mask and SCHED_OTHER
+// back; Totals::pins counts those entries. A single-actor scheduler holds and
+// pins nothing and parks never. If the CPU or the thread's mask cannot be
+// read, or the mask cannot be set, the thread runs wherever the OS puts it; a
 // policy that cannot be read or set, or is not SCHED_OTHER, is left alone.
 // The simulation is the same either way.
 //
@@ -78,9 +100,11 @@ namespace pdsi::sim {
 
 class VirtualScheduler {
  public:
-  /// Creates a scheduler for actors 0..n-1, all active at time 0.
+  /// Creates a scheduler for actors 0..n-1, all active at time 0. With
+  /// n > 1 it holds the calling thread on its CPU (see the file comment).
   explicit VirtualScheduler(std::size_t num_actors);
-  /// Adds this scheduler's admissions and parks to ProcessTotals().
+  /// Ends the hold if called on the holder, and adds this scheduler's
+  /// admissions, parks and pins to ProcessTotals().
   ~VirtualScheduler();
   VirtualScheduler(const VirtualScheduler&) = delete;
   VirtualScheduler& operator=(const VirtualScheduler&) = delete;
@@ -111,25 +135,31 @@ class VirtualScheduler {
   /// bodies throw, every actor still finishes and run() rethrows the
   /// exception of the lowest such actor after all threads have joined. If
   /// a thread cannot be started, no body runs and that error propagates.
+  /// Called on the holder, it ends the hold once every thread exists.
   double run(const std::function<void(std::size_t actor)>& body);
 
   /// Marks the actor finished; it no longer gates other actors and may
-  /// issue no further simulated operation. Idempotent. Called on a thread
-  /// this scheduler pinned, it restores that thread's CPU mask. run()
-  /// calls it for every actor; perfbench's parked rank threads call it
-  /// themselves. Throws std::logic_error when `actor` is out of range.
+  /// issue no further simulated operation. Idempotent. Called on the
+  /// holder, it first ends the hold, whatever the id. Called on a thread
+  /// this scheduler pinned as an actor, it restores that thread's CPU mask
+  /// and policy unless another scheduler still holds it. run() calls it
+  /// for every actor; perfbench's parked rank threads call it themselves.
+  /// Throws std::logic_error when `actor` is out of range.
   void finish(std::size_t actor);
 
   /// True once every actor has finished.
   bool all_finished() const;
 
-  /// Turns granted (atomically() sections and barrier arrivals) and
-  /// parks (sleeps until a turn or a barrier completion) over every
-  /// scheduler this process has destroyed. Each scheduler counts under
-  /// its own lock and adds its counts here once, when it is destroyed.
+  /// Turns granted (atomically() sections and barrier arrivals), parks
+  /// (sleeps until a turn or a barrier completion) and pins (actor
+  /// entries that had to change their thread's mask or policy, each a
+  /// migration and up to four system calls) over every scheduler this
+  /// process has destroyed. Each scheduler counts under its own lock and
+  /// adds its counts here once, when it is destroyed.
   struct Totals {
     std::uint64_t admissions = 0;
     std::uint64_t parks = 0;
+    std::uint64_t pins = 0;
   };
   static Totals ProcessTotals();
 
@@ -140,8 +170,9 @@ class VirtualScheduler {
   /// Throws std::logic_error (naming `what`) when `actor` is out of range.
   void check_actor(std::size_t actor, const char* what) const;
   /// Blocks until `actor` is the first ready key, pinning the calling
-  /// thread to cpu_ first if it is not yet; throws std::logic_error
-  /// (naming `what`) when `actor` is not in the ready set at all.
+  /// thread to cpu_ as an actor first if it is not yet (a holder's hold
+  /// goes on as that pin); throws std::logic_error (naming `what`) when
+  /// `actor` is not in the ready set at all.
   void wait_turn_locked(std::unique_lock<std::mutex>& lk, std::size_t actor,
                         const char* what);
   /// Releases `lk`, then unparks the actor holding the first ready key,
@@ -153,14 +184,21 @@ class VirtualScheduler {
   void park(std::unique_lock<std::mutex>& lk, std::size_t actor);
   /// Sets `actor`'s word and wakes its thread; called without the lock.
   void unpark(std::size_t actor);
+  /// Ends the hold if the calling thread is the holder and it lasts.
+  void release_hold();
 
   mutable std::mutex mu_;
   std::vector<double> times_;
   std::set<Key> ready_;  ///< active actors, first = next to run
   std::vector<std::atomic<std::uint32_t>> wake_;  ///< futex words, one per actor
   const int cpu_;  ///< the CPU actor threads are pinned to; -1 for none
+  /// The holder's thread number (0 for none), set by the constructor, and
+  /// whether the hold lasts, read and written only on the holder.
+  std::uint64_t holder_ = 0;
+  bool held_ = false;
   std::uint64_t admissions_ = 0;  ///< turns granted; under mu_
   std::uint64_t parks_ = 0;       ///< park() calls; under mu_
+  std::uint64_t pins_ = 0;        ///< entries that moved their thread; under mu_
 };
 
 /// Synchronises a fixed set of participants: every arriver blocks until

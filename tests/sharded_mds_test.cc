@@ -283,9 +283,7 @@ TEST(ShardedMds, CreateNormalisesItsPathOnce) {
     EXPECT_EQ(smds.create("/d/f", 1.0).error(), Errc::exists);
     EXPECT_EQ(smds.create("//d///f", 1.0).error(), Errc::exists);
     EXPECT_EQ(*smds.readdir("/d"), std::vector<std::string>{"f"});
-    if (shards > 1) {
-      EXPECT_EQ(smds.total_files(), 1u);
-    }
+    EXPECT_EQ(smds.total_files(), 1u);
     EXPECT_TRUE(smds.check_placement_invariant());
   }
 }

@@ -362,6 +362,216 @@ TEST(VirtualScheduler, CallersKeepTheirCpuMask) {
   }
 }
 
+// Why a hold cannot show here, or nullptr when it can: the tests of the
+// builder's hold need more than one CPU and a SCHED_BATCH thread.
+const char* HoldCannotShow() {
+  if (CpuList(CallerCpus()).size() < 2) return "the process may run on one CPU only";
+  if (!BatchPolicyAllowed()) return "threads may not move to SCHED_BATCH";
+  return nullptr;
+}
+
+std::uint64_t PinsSince(const VirtualScheduler::Totals& before) {
+  return VirtualScheduler::ProcessTotals().pins - before.pins;
+}
+
+// A multi-actor scheduler holds the thread that builds it: the builder
+// runs alone on the scheduler's CPU as a SCHED_BATCH thread, and a thread
+// started meanwhile is born with the same mask and policy. The destructor,
+// run on the builder, puts the builder's own back.
+TEST(VirtualScheduler, ConstructionHoldsTheBuilder) {
+  if (const char* why = HoldCannotShow()) GTEST_SKIP() << why;
+  const cpu_set_t before = CallerCpus();
+  const int policy_before = CallerPolicy();
+  {
+    VirtualScheduler sched(2);
+    const cpu_set_t held = CallerCpus();
+    ASSERT_EQ(CpuList(held).size(), 1u);
+    EXPECT_EQ(CpuList(held).front(), sched_getcpu());
+    EXPECT_EQ(CallerPolicy(), SCHED_BATCH);
+    cpu_set_t born{};
+    int born_policy = -1;
+    std::thread([&] {
+      born = CallerCpus();
+      born_policy = CallerPolicy();
+    }).join();
+    EXPECT_TRUE(SameCpus(born, held));
+    EXPECT_EQ(born_policy, SCHED_BATCH);
+  }
+  EXPECT_TRUE(SameCpus(CallerCpus(), before));
+  EXPECT_EQ(CallerPolicy(), policy_before);
+}
+
+// run() on the builder ends the hold once every actor thread exists: the
+// actors are born on the scheduler's CPU as SCHED_BATCH threads, so no
+// entry moves one, and the builder has its own mask and policy back when
+// run() returns.
+TEST(VirtualScheduler, RunEndsTheHold) {
+  if (const char* why = HoldCannotShow()) GTEST_SKIP() << why;
+  constexpr std::size_t kActors = 4;
+  const cpu_set_t before = CallerCpus();
+  const int policy_before = CallerPolicy();
+  const VirtualScheduler::Totals totals = VirtualScheduler::ProcessTotals();
+  {
+    VirtualScheduler sched(kActors);
+    const cpu_set_t held = CallerCpus();
+    std::array<cpu_set_t, kActors> born{}, during{};
+    std::array<int, kActors> born_policy{}, policy_during{};
+    sched.run([&](std::size_t a) {
+      born[a] = CallerCpus();
+      born_policy[a] = CallerPolicy();
+      for (int i = 0; i < 10; ++i) sched.advance(a, 1.0 + 0.1 * static_cast<double>(a));
+      during[a] = CallerCpus();
+      policy_during[a] = CallerPolicy();
+    });
+    EXPECT_TRUE(SameCpus(CallerCpus(), before));
+    EXPECT_EQ(CallerPolicy(), policy_before);
+    for (std::size_t a = 0; a < kActors; ++a) {
+      EXPECT_TRUE(SameCpus(born[a], held)) << "actor " << a;
+      EXPECT_TRUE(SameCpus(during[a], held)) << "actor " << a;
+      EXPECT_EQ(born_policy[a], SCHED_BATCH) << "actor " << a;
+      EXPECT_EQ(policy_during[a], SCHED_BATCH) << "actor " << a;
+    }
+  }
+  EXPECT_EQ(PinsSince(totals), 0u);
+}
+
+// perfbench's parked ranks: the builder starts the rank threads itself,
+// and they admit, arrive at a barrier and finish() on their own. Every
+// section runs on the scheduler's CPU, each rank keeps the mask and policy
+// it was born with (finish() has nothing to put back), no entry moves a
+// thread, and the builder gets its own mask back only when the scheduler
+// is destroyed on it.
+TEST(VirtualScheduler, HandStartedRanksKeepTheirBirthPin) {
+  if (const char* why = HoldCannotShow()) GTEST_SKIP() << why;
+  constexpr std::size_t kRanks = 4;
+  const cpu_set_t before = CallerCpus();
+  const int policy_before = CallerPolicy();
+  const VirtualScheduler::Totals totals = VirtualScheduler::ProcessTotals();
+  std::vector<int> cpus;  // appended only inside admitted sections
+  cpu_set_t held{};
+  {
+    VirtualScheduler sched(kRanks);
+    VirtualBarrier barrier(sched);
+    held = CallerCpus();
+    std::array<cpu_set_t, kRanks> born{}, after{};
+    std::array<int, kRanks> born_policy{}, policy_after{};
+    auto section = [&](double dt) {
+      return [&, dt](double now) {
+        cpus.push_back(sched_getcpu());
+        return now + dt;
+      };
+    };
+    std::vector<std::thread> ranks;
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      ranks.emplace_back([&, r] {
+        born[r] = CallerCpus();
+        born_policy[r] = CallerPolicy();
+        for (int i = 0; i < 5; ++i) sched.atomically(r, section(1.0 + 0.1 * static_cast<double>(r)));
+        barrier.arrive(r);
+        sched.atomically(r, section(1.0));
+        sched.finish(r);
+        after[r] = CallerCpus();
+        policy_after[r] = CallerPolicy();
+      });
+    }
+    for (std::thread& t : ranks) t.join();
+    EXPECT_TRUE(SameCpus(CallerCpus(), held));
+    EXPECT_EQ(CallerPolicy(), SCHED_BATCH);
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      EXPECT_TRUE(SameCpus(born[r], held)) << "rank " << r;
+      EXPECT_TRUE(SameCpus(after[r], held)) << "rank " << r;
+      EXPECT_EQ(born_policy[r], SCHED_BATCH) << "rank " << r;
+      EXPECT_EQ(policy_after[r], SCHED_BATCH) << "rank " << r;
+    }
+  }
+  ASSERT_EQ(CpuList(held).size(), 1u);
+  ASSERT_EQ(cpus.size(), kRanks * 6);
+  EXPECT_EQ(std::count(cpus.begin(), cpus.end(), CpuList(held).front()),
+            static_cast<std::ptrdiff_t>(cpus.size()));
+  EXPECT_EQ(PinsSince(totals), 0u);
+  EXPECT_TRUE(SameCpus(CallerCpus(), before));
+  EXPECT_EQ(CallerPolicy(), policy_before);
+}
+
+// n1_checkpoint builds two schedulers per round on one thread: the thread
+// stays held until the last of them lets go, whichever goes first.
+TEST(VirtualScheduler, TwoHoldsLastUntilBothLetGo) {
+  if (const char* why = HoldCannotShow()) GTEST_SKIP() << why;
+  const cpu_set_t before = CallerCpus();
+  const int policy_before = CallerPolicy();
+  for (const bool first_built_goes_first : {true, false}) {
+    SCOPED_TRACE(first_built_goes_first);
+    std::optional<VirtualScheduler> first, second;
+    first.emplace(2);
+    const cpu_set_t held = CallerCpus();
+    second.emplace(3);
+    EXPECT_TRUE(SameCpus(CallerCpus(), held));
+    (first_built_goes_first ? first : second).reset();
+    EXPECT_TRUE(SameCpus(CallerCpus(), held));
+    EXPECT_EQ(CallerPolicy(), SCHED_BATCH);
+    (first_built_goes_first ? second : first).reset();
+    EXPECT_TRUE(SameCpus(CallerCpus(), before));
+    EXPECT_EQ(CallerPolicy(), policy_before);
+  }
+}
+
+// A builder that enters its scheduler as an actor keeps the hold as its
+// actor pin: the entry moves nothing, and finish() on it puts back the
+// builder's original mask and policy.
+TEST(VirtualScheduler, ABuilderThatEntersIsPinnedOnce) {
+  if (const char* why = HoldCannotShow()) GTEST_SKIP() << why;
+  const cpu_set_t before = CallerCpus();
+  const int policy_before = CallerPolicy();
+  const VirtualScheduler::Totals totals = VirtualScheduler::ProcessTotals();
+  {
+    VirtualScheduler sched(2);
+    const cpu_set_t held = CallerCpus();
+    cpu_set_t inside{};
+    int policy_inside = -1;
+    // A zero step keeps actor 0 the (time, id) minimum: no peer must run.
+    sched.atomically(0, [&](double now) {
+      inside = CallerCpus();
+      policy_inside = CallerPolicy();
+      return now;
+    });
+    EXPECT_TRUE(SameCpus(inside, held));
+    EXPECT_EQ(policy_inside, SCHED_BATCH);
+    sched.finish(0);
+    EXPECT_TRUE(SameCpus(CallerCpus(), before));
+    EXPECT_EQ(CallerPolicy(), policy_before);
+    sched.finish(1);
+  }
+  EXPECT_EQ(PinsSince(totals), 0u);
+}
+
+// Actor threads started from a thread that does not hold the scheduler are
+// moved onto its CPU on entry, and Totals::pins counts each. A scheduler
+// destroyed on another thread than its holder (here one that has exited)
+// leaves the destroying thread as it is.
+TEST(VirtualScheduler, PinsCountActorThreadsMovedOnEntry) {
+  const std::vector<int> allowed = CpuList(CallerCpus());
+  if (allowed.size() < 2) GTEST_SKIP() << "the process may run on one CPU only";
+  const cpu_set_t before = CallerCpus();
+  const VirtualScheduler::Totals totals = VirtualScheduler::ProcessTotals();
+  std::optional<VirtualScheduler> sched;
+  std::thread([&] {
+    const cpu_set_t first = CpuMask({allowed[0]});
+    pthread_setaffinity_np(pthread_self(), sizeof first, &first);
+    sched.emplace(2);
+  }).join();
+  std::vector<std::thread> threads;
+  for (std::size_t a = 0; a < 2; ++a) {
+    threads.emplace_back([&, a] {
+      for (int i = 0; i < 5; ++i) sched->advance(a, 1.0);
+      sched->finish(a);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  sched.reset();
+  EXPECT_EQ(PinsSince(totals), 2u);
+  EXPECT_TRUE(SameCpus(CallerCpus(), before));
+}
+
 // Seeded per-actor scripts, run threaded and by a sequential reference.
 struct Step {
   enum class Kind { kAdvance, kArrive, kFinish };
