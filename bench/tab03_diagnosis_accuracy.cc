@@ -5,6 +5,9 @@
 // (iozone workload, injected hog / blocked-resource faults). Runs many
 // trials per fault kind with varying seeds and fault locations.
 //
+// One BENCH row per fault kind: trials, detected, correct, false_alarms
+// and median_windows_to_detect (absent when nothing was identified).
+//
 // Shape gate (exit 1, reason on stderr): every injected fault kind is
 // identified correctly in at least 2/3 of its trials, and the healthy
 // row (fault=none) indicts no server.
@@ -12,7 +15,6 @@
 
 #include "bench_util.h"
 #include "pdsi/common/stats.h"
-#include "pdsi/common/table.h"
 #include "pdsi/diagnosis/diagnosis.h"
 
 using namespace pdsi;
@@ -24,8 +26,11 @@ int main() {
                 ">= 66% correct identification, ~0 false indictments");
 
   constexpr int kTrials = 8;
-  Table t({"fault", "trials", "detected", "correct", "false alarms",
-           "median windows-to-detect"});
+  bench::Report t("tab03_diagnosis_accuracy",
+                  {{"fault", "fault"}, {"trials", "trials"}, {"detected", "detected"},
+                   {"correct", "correct"}, {"false alarms", "false_alarms"},
+                   {"median windows-to-detect", "median_windows_to_detect",
+                    bench::Fixed(1)}});
   int healthy_false = 0;
   std::string broken;  // the rows the shape gate rejects
   for (FaultKind kind : {FaultKind::disk_hog, FaultKind::network_loss,
@@ -52,12 +57,11 @@ int main() {
       broken += ' ';
       broken += diagnosis::FaultKindName(kind);
     }
-    t.row({std::string(diagnosis::FaultKindName(kind)), std::to_string(kTrials),
-           std::to_string(detected), std::to_string(correct),
-           std::to_string(false_alarm),
-           latencies.empty() ? "-" : FormatDouble(Percentile(latencies, 0.5), 1)});
+    t.row({std::string(diagnosis::FaultKindName(kind)), kTrials, detected, correct,
+           false_alarm,
+           latencies.empty() ? bench::Cell("-") : bench::Value(Percentile(latencies, 0.5))});
   }
-  t.print(std::cout);
+  t.print();
   bench::Note("shape check: correct >= 2/3 of trials per fault kind; the "
               "healthy row (fault=none) shows " +
               std::to_string(healthy_false) + " false indictments.");
