@@ -73,7 +73,6 @@ int main() {
   std::cout << "\nlogical size: " << FormatBytes(static_cast<double>(total))
             << " from " << (*reader)->dropping_count() << " droppings, index "
             << FormatBytes(static_cast<double>((*reader)->index_bytes_read()))
-            << " built in " << FormatDuration((*reader)->index_build_seconds())
             << "\n";
 
   Bytes buf(total);

@@ -121,7 +121,6 @@ class BurstBuffer {
   /// All staged bytes (dirty + in-flight + clean-but-resident).
   std::uint64_t resident_bytes() const { return resident_bytes_; }
   std::uint64_t capacity_bytes() const { return params_.ssd.capacity_bytes; }
-  bool drain_idle() const { return !drain_active_; }
 
   const BbParams& params() const { return params_; }
   const BbStats& stats() const { return stats_; }

@@ -1,3 +1,6 @@
+// The peer diagnoser and its experiment harness. The injected fault is a
+// fault::FaultInjector degradation of one server, installed before any
+// traffic; the monitor actor only samples windows and runs the diagnoser.
 #include "pdsi/diagnosis/diagnosis.h"
 
 #include <algorithm>
@@ -6,10 +9,29 @@
 #include "pdsi/common/bytes.h"
 #include "pdsi/common/rng.h"
 #include "pdsi/common/units.h"
+#include "pdsi/fault/fault.h"
 #include "pdsi/pfs/client.h"
 #include "pdsi/pfs/cluster.h"
 
 namespace pdsi::diagnosis {
+
+namespace {
+
+/// The service-time factors one fault kind applies to its server. Packet
+/// loss collapses TCP goodput far more than it slows a disk, so the NIC
+/// factor makes the wire term comparable to the disk term it must stand
+/// out against; a runaway process leaves only a sliver of CPU.
+fault::Factors FaultFactors(FaultKind kind, double severity) {
+  switch (kind) {
+    case FaultKind::disk_hog: return {.disk = severity, .nic = 1.0, .cpu = 1.0};
+    case FaultKind::network_loss: return {.disk = 1.0, .nic = 12.0 * severity, .cpu = 1.0};
+    case FaultKind::cpu_hog: return {.disk = 1.0, .nic = 1.0, .cpu = 200.0 * severity};
+    case FaultKind::none: break;
+  }
+  return {};
+}
+
+}  // namespace
 
 std::string_view FaultKindName(FaultKind k) {
   switch (k) {
@@ -73,10 +95,21 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
   cfg.store_data = false;
 
   const std::uint32_t actors = params.clients + 1;  // + monitor
-  sim::VirtualScheduler sched(actors);
-  pfs::PfsCluster cluster(cfg, sched, pfs::MakeHashedPlacement());
   const double total_time = params.windows * params.window_s;
   const std::uint32_t fault_window = params.windows / 2;
+
+  // The fault window opens at the monitor's clock after `fault_window`
+  // advances. Requests at that instant are admitted before the monitor's
+  // sample (it has the highest actor id), so they belong to the window
+  // before and are not slowed: the fault starts strictly after it.
+  double fault_start = 0.0;
+  for (std::uint32_t w = 0; w < fault_window; ++w) fault_start += params.window_s;
+  fault::FaultInjector injector(fault::FaultPlan{}, params.servers);
+  injector.degrade(params.faulty_server, fault_start,
+                   FaultFactors(params.fault, params.severity));
+  sim::VirtualScheduler sched(actors);
+  pfs::PfsCluster cluster(cfg, sched, pfs::MakeHashedPlacement());
+  cluster.set_fault(&injector);
 
   ExperimentResult result;
   sched.run([&](std::size_t me) {
@@ -98,38 +131,12 @@ ExperimentResult RunDiagnosisExperiment(const ExperimentParams& params) {
       return;
     }
 
-    // Monitor: samples windows, injects the fault, runs the diagnoser.
+    // Monitor: samples windows and runs the diagnoser.
     PeerDiagnoser diagnoser(params.servers);
     for (std::uint32_t s = 0; s < params.servers; ++s) {
       cluster.oss(s).drain_metrics();  // reset
     }
     for (std::uint32_t w = 0; w < params.windows; ++w) {
-      if (w == fault_window && params.fault != FaultKind::none) {
-        pfs::OssPerturbation p;
-        switch (params.fault) {
-          case FaultKind::disk_hog:
-            p.disk_factor = params.severity;
-            break;
-          case FaultKind::network_loss:
-            // Packet loss collapses TCP goodput far more than it slows a
-            // disk: scale to make the wire term comparable to the disk
-            // term it must stand out against.
-            p.net_factor = 12.0 * params.severity;
-            break;
-          case FaultKind::cpu_hog:
-            // A runaway process leaves only a sliver of CPU.
-            p.cpu_factor = 200.0 * params.severity;
-            break;
-          case FaultKind::none:
-            break;
-        }
-        // Perturbation flips between windows: safe because the monitor
-        // holds the virtual-time minimum inside atomically.
-        sched.atomically(me, [&](double now) {
-          cluster.oss(params.faulty_server).set_perturbation(p);
-          return now;
-        });
-      }
       sched.advance(me, params.window_s);
       std::vector<MetricSample> window(params.servers);
       sched.atomically(me, [&](double now) {

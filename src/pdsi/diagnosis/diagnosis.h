@@ -70,8 +70,9 @@ enum class FaultKind {
 std::string_view FaultKindName(FaultKind k);
 
 /// Experiment harness: runs an iozone-like workload over a PVFS-like
-/// cluster, injects `fault` on `faulty_server` halfway through, samples
-/// windows, and reports what the diagnoser concluded.
+/// cluster whose fault::FaultInjector slows `faulty_server` by `fault`
+/// from the start of the middle window on, samples windows, and reports
+/// what the diagnoser concluded.
 struct ExperimentParams {
   std::uint32_t servers = 20;
   std::uint32_t clients = 16;

@@ -80,9 +80,4 @@ WeibullFit FitTimeBetweenFailures(const std::vector<FailureEvent>& trace) {
   return FitWeibull(gaps);
 }
 
-double ObservedMtti(const std::vector<FailureEvent>& trace, double total_seconds) {
-  if (trace.empty()) return total_seconds;
-  return total_seconds / static_cast<double>(trace.size());
-}
-
 }  // namespace pdsi::failure

@@ -63,7 +63,4 @@ std::vector<double> AnnualRatePerNode(const std::vector<FailureEvent>& trace,
 /// Weibull fit of the system-wide time-between-failure sequence.
 WeibullFit FitTimeBetweenFailures(const std::vector<FailureEvent>& trace);
 
-/// Mean time between interrupts observed in a trace (seconds).
-double ObservedMtti(const std::vector<FailureEvent>& trace, double total_seconds);
-
 }  // namespace pdsi::failure

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace pdsi::fault {
 
@@ -9,7 +10,7 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t num_servers,
                              obs::Context* ctx)
     : plan_(plan), ctx_(ctx) {
   windows_.resize(num_servers);
-  disk_factor_.assign(num_servers, 1.0);
+  degradations_.resize(num_servers);
   drop_rng_.reserve(num_servers);
 
   // One master stream forked per concern keeps the schedule for server s
@@ -30,7 +31,10 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t num_servers,
     }
     Rng disk = disk_master.fork();
     if (plan_.slow_disk_prob > 0.0 && disk.chance(plan_.slow_disk_prob)) {
-      disk_factor_[s] = plan_.slow_disk_factor;
+      // Degraded from the start: every request arrives after -infinity.
+      degradations_[s].push_back(
+          {-std::numeric_limits<double>::infinity(),
+           {.disk = plan_.slow_disk_factor, .nic = 1.0, .cpu = 1.0}});
     }
     drop_rng_.push_back(drop_master.fork());
   }
@@ -64,8 +68,16 @@ double FaultInjector::next_up(std::uint32_t server, double t) const {
   return t;
 }
 
-double FaultInjector::disk_factor(std::uint32_t server) const {
-  return disk_factor_[server];
+Factors FaultInjector::factors(std::uint32_t server, double t) const {
+  Factors out;
+  for (const Degradation& d : degradations_[server]) {
+    if (d.start < t) {
+      out.disk *= d.factors.disk;
+      out.nic *= d.factors.nic;
+      out.cpu *= d.factors.cpu;
+    }
+  }
+  return out;
 }
 
 std::uint64_t FaultInjector::crashes_between(std::uint32_t server, double since,
@@ -105,6 +117,11 @@ void FaultInjector::force_down(std::uint32_t server, double start, double end) {
     }
   }
   w = std::move(merged);
+}
+
+void FaultInjector::degrade(std::uint32_t server, double start_s,
+                            const Factors& f) {
+  degradations_[server].push_back({start_s, f});
 }
 
 bool FaultInjector::drop_rpc(std::uint32_t server) {

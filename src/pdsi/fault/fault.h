@@ -8,19 +8,26 @@
 // crash/restart windows, slow-disk degradation and dropped RPCs, all
 // derived from a seeded PRNG so every run is byte-reproducible.
 //
+// One mechanism slows a server: its schedule of degradations, each a
+// start instant plus disk, NIC and CPU factors. The plan's random slow
+// disk starts at -infinity; degrade() adds a timed one. pfs::Oss applies
+// factors(), the product of those started strictly before a request's
+// arrival, to each request's charges.
+//
 // Determinism contract:
 //   * All random state (crash windows, per-server degradation factors)
 //     is precomputed at construction from plan.seed via per-server
-//     forked xoshiro streams — queries like down()/disk_factor() are
-//     pure functions of (server, time).
+//     forked xoshiro streams — queries like down()/factors() are pure
+//     functions of (server, time).
 //   * The only runtime randomness is drop_rpc(), which consumes a
 //     per-server stream. Callers invoke it exclusively inside
 //     VirtualScheduler::atomically sections (totally ordered by the
 //     scheduler) or from a single-threaded event loop, so the i-th draw
 //     for a server is the same draw on every run.
-//   * An injector built from an all-zero (inactive) plan consumes no
-//     randomness on the data path and changes no timing: installing it
-//     is behaviourally identical to not installing one.
+//   * An injector built from an all-zero (inactive) plan, with no
+//     forced crash window or degradation added, consumes no randomness
+//     on the data path and changes no timing: installing it is
+//     behaviourally identical to not installing one.
 //
 // Counters are atomic (order-independent sums) so rank threads may
 // report concurrently; trace events land on obs::kFaultTrack and are
@@ -69,6 +76,13 @@ struct FaultPlan {
   }
 };
 
+/// Service-time multipliers of one server's disk, NIC and CPU.
+struct Factors {
+  double disk = 1.0;
+  double nic = 1.0;
+  double cpu = 1.0;
+};
+
 class FaultInjector {
  public:
   /// Precomputes the whole failure schedule for `num_servers` object
@@ -88,8 +102,9 @@ class FaultInjector {
   bool down(std::uint32_t server, double t) const;
   /// End of the crash window containing `t`, or `t` if the server is up.
   double next_up(std::uint32_t server, double t) const;
-  /// Disk service-time multiplier for the server (1.0 unless degraded).
-  double disk_factor(std::uint32_t server) const;
+  /// Product of the factors of every degradation of `server` whose start
+  /// is strictly before `t` (all 1.0 when none is).
+  Factors factors(std::uint32_t server, double t) const;
   /// Crash windows beginning in (since, until] — the OSS uses this to
   /// drop volatile cache state after a restart.
   std::uint64_t crashes_between(std::uint32_t server, double since,
@@ -100,6 +115,9 @@ class FaultInjector {
 
   /// Test/bench hook: force an additional crash window.
   void force_down(std::uint32_t server, double start, double end);
+  /// Test/bench hook: slow `server` by `f` for requests arriving strictly
+  /// after `start_s`; it multiplies with the server's other degradations.
+  void degrade(std::uint32_t server, double start_s, const Factors& f);
 
   // -- Runtime draws & incident reporting (scheduler-ordered contexts) --
 
@@ -125,10 +143,14 @@ class FaultInjector {
     double start;
     double end;
   };
+  struct Degradation {
+    double start;
+    Factors factors;
+  };
 
   FaultPlan plan_;
   std::vector<std::vector<Window>> windows_;  ///< per server, sorted
-  std::vector<double> disk_factor_;
+  std::vector<std::vector<Degradation>> degradations_;  ///< per server
   std::vector<Rng> drop_rng_;
 
   std::atomic<std::uint64_t> retries_{0};

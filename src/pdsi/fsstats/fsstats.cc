@@ -38,15 +38,6 @@ std::vector<CdfPoint> Survey::bytes_by_size_cdf() const {
   return cdf;
 }
 
-std::vector<CdfPoint> Survey::dir_size_cdf() const {
-  std::unordered_map<std::uint32_t, double> counts;
-  for (const auto& f : files) counts[f.directory] += 1.0;
-  std::vector<double> sizes;
-  sizes.reserve(counts.size());
-  for (const auto& [dir, n] : counts) sizes.push_back(n);
-  return EmpiricalCdf(std::move(sizes));
-}
-
 double Survey::fraction_below(std::uint64_t size) const {
   if (files.empty()) return 0.0;
   std::size_t below = 0;

@@ -36,8 +36,6 @@ struct Survey {
   std::vector<CdfPoint> size_cdf() const;
   /// CDF over *bytes* by file size (where the capacity lives).
   std::vector<CdfPoint> bytes_by_size_cdf() const;
-  /// CDF of files per directory.
-  std::vector<CdfPoint> dir_size_cdf() const;
 
   /// Fraction of files at or below `size` bytes.
   double fraction_below(std::uint64_t size) const;

@@ -2,15 +2,6 @@
 
 namespace pdsi::fsva {
 
-std::string_view MountName(Mount m) {
-  switch (m) {
-    case Mount::native: return "native in-kernel client";
-    case Mount::fsva_hypercall: return "FSVA (hypercall per message)";
-    case Mount::fsva_shared_ring: return "FSVA (shared-memory rings)";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Forwarding cost for one request/response pair.

@@ -26,8 +26,6 @@ enum class Mount {
   fsva_shared_ring,  ///< forwarding via shared-memory rings
 };
 
-std::string_view MountName(Mount m);
-
 struct CostModel {
   double vfs_dispatch_s = 1.5e-6;     ///< in-kernel VFS overhead (always)
   double hypercall_s = 12e-6;         ///< VM world switch per message

@@ -23,7 +23,7 @@ std::uint64_t DataStart(const pfs::PfsConfig& cfg, const H5Options& opt) {
   return (kHeaderBytes + cfg.stripe_unit - 1) / cfg.stripe_unit * cfg.stripe_unit;
 }
 
-/// Record size for record k of a rank: irregular dumps perturb sizes so
+/// Record size for record k of a rank: irregular dumps vary sizes so
 /// region offsets never align (AMR boxes differ), keeping total constant.
 std::uint64_t RecordBytes(const DumpSpec& spec, std::uint32_t k) {
   if (!spec.irregular) return spec.record_bytes;

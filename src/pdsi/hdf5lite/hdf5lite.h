@@ -39,7 +39,7 @@ struct DumpSpec {
   /// Metadata updates issued per rank during the dump (attributes, object
   /// headers); each is a ~256 B write near the file front.
   std::uint32_t metadata_updates_per_rank = 16;
-  /// Irregular layouts (Chombo AMR) perturb record sizes so nothing
+  /// Irregular layouts (Chombo AMR) vary record sizes so nothing
   /// aligns even when the region start does.
   bool irregular = false;
 

@@ -2,15 +2,6 @@
 
 namespace pdsi::pfs {
 
-std::string_view LockProtocolName(LockProtocol p) {
-  switch (p) {
-    case LockProtocol::none: return "none";
-    case LockProtocol::extent: return "extent";
-    case LockProtocol::whole_file: return "whole_file";
-  }
-  return "?";
-}
-
 PfsConfig PfsConfig::PanFsLike(std::uint32_t num_oss) {
   PfsConfig c;
   c.name = "panfs-like";

@@ -24,8 +24,6 @@ enum class LockProtocol {
   whole_file,  ///< degenerate shared-file lock (worst case baseline)
 };
 
-std::string_view LockProtocolName(LockProtocol p);
-
 /// The disk behind every OSS.
 inline storage::DiskParams OssDisk() { return storage::EnterpriseFcDisk(); }
 

@@ -53,18 +53,21 @@ void Oss::maybe_crash_reset(double now) {
   fault_checked_ = std::max(fault_checked_, now);
 }
 
+fault::Factors Oss::slowdown(double now) const {
+  return fault_ ? fault_->factors(index_, now) : fault::Factors{};
+}
+
 double Oss::disk_charge(std::uint64_t object_id, std::uint64_t off,
-                        std::uint64_t len, double t, const char* what) {
-  const double dfac =
-      perturb_.disk_factor * (fault_ ? fault_->disk_factor(index_) : 1.0);
-  const double service = disk_.access(object_id, off, len) * dfac;
+                        std::uint64_t len, double t, double disk_factor,
+                        const char* what) {
+  const double service = disk_.access(object_id, off, len) * disk_factor;
   const double done = disk_res_.reserve(t, service);
   if (ctx_) {
     // Seek-vs-transfer attribution: streaming time is the irreducible
     // part, everything above it is head positioning (the quantity PLFS
     // exists to eliminate).
     const double transfer =
-        std::min(service, disk_.stream_time(len) * dfac);
+        std::min(service, disk_.stream_time(len) * disk_factor);
     if (g_transfer_s_) g_transfer_s_->add(transfer);
     if (g_seek_s_) g_seek_s_->add(service - transfer);
     if (ctx_->tracer) {
@@ -78,30 +81,31 @@ double Oss::disk_charge(std::uint64_t object_id, std::uint64_t off,
   return done;
 }
 
-double Oss::flush_pending(ObjectState& st, std::uint64_t object_id, double t) {
+double Oss::flush_pending(ObjectState& st, std::uint64_t object_id, double t,
+                          double disk_factor) {
   if (st.pending_len == 0) return t;
   const std::uint64_t len = st.pending_len;
   st.pending_len = 0;
-  return disk_charge(object_id, st.pending_start, len, t, "flush");
+  return disk_charge(object_id, st.pending_start, len, t, disk_factor, "flush");
 }
 
-double Oss::rmw_charge(std::uint64_t object_id, std::uint64_t off, double t) {
+double Oss::rmw_charge(std::uint64_t object_id, std::uint64_t off, double t,
+                       double disk_factor) {
   // Unaligned write into a cold region: read the containing RAID/block
   // unit before it can be modified.
   const std::uint64_t unit_start = off / cfg_.rmw_unit * cfg_.rmw_unit;
-  return disk_charge(object_id, unit_start, cfg_.rmw_unit, t, "rmw");
+  return disk_charge(object_id, unit_start, cfg_.rmw_unit, t, disk_factor, "rmw");
 }
 
 double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
                         std::uint64_t len, double now, bool charge_rpc,
                         std::uint64_t req) {
   maybe_crash_reset(now);
+  const fault::Factors slow = slowdown(now);
   const double disk_q = ctx_ ? std::max(0.0, disk_res_.free_at() - now) : 0.0;
   double t = charge_rpc ? now + cfg_.rpc_latency_s : now;
-  t = cpu_res_.reserve(
-      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
-  t = nic_res_.reserve(
-      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
+  t = cpu_res_.reserve(t, (kCpuPerOpS + cfg_.security_verify_s) * slow.cpu);
+  t = nic_res_.reserve(t, static_cast<double>(len) / kNetBwBytes * slow.nic);
 
   ObjectState& st = objects_[object_id];
   st.size = std::max(st.size, off + len);
@@ -118,15 +122,15 @@ double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
   } else {
     // A discontiguous arrival evicts the previous run (small flush) —
     // this is what shreds interleaved strided writes to a shared object.
-    t = flush_pending(st, object_id, t);
+    t = flush_pending(st, object_id, t, slow.disk);
     if (cfg_.rmw_on_unaligned && off % cfg_.rmw_unit != 0) {
-      t = rmw_charge(object_id, off, t);
+      t = rmw_charge(object_id, off, t, slow.disk);
     }
     st.pending_start = off;
     st.pending_len = len;
   }
   if (st.pending_len >= kFlushChunk) {
-    t = flush_pending(st, object_id, t);
+    t = flush_pending(st, object_id, t, slow.disk);
     st.pending_start = off + len;
   }
   record(now, t, len);
@@ -150,10 +154,10 @@ double Oss::serve_read(std::uint64_t object_id, std::uint64_t off,
                        std::uint64_t len, double now, bool charge_rpc,
                        std::uint64_t req) {
   maybe_crash_reset(now);
+  const fault::Factors slow = slowdown(now);
   const double disk_q = ctx_ ? std::max(0.0, disk_res_.free_at() - now) : 0.0;
   double t = charge_rpc ? now + cfg_.rpc_latency_s : now;
-  t = cpu_res_.reserve(
-      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
+  t = cpu_res_.reserve(t, (kCpuPerOpS + cfg_.security_verify_s) * slow.cpu);
 
   ObjectState& st = objects_[object_id];
   const bool hit =
@@ -167,16 +171,15 @@ double Oss::serve_read(std::uint64_t object_id, std::uint64_t off,
     // Fetch a readahead window starting at the request, clamped to the
     // object's stored size (no point prefetching past EOF). Dirty pending
     // data must reach disk first so the read observes it.
-    t = flush_pending(st, object_id, t);
+    t = flush_pending(st, object_id, t, slow.disk);
     std::uint64_t window = std::max<std::uint64_t>(len, kFlushChunk);
     window = std::min(window, st.size - off);
     window = std::max(window, len);
-    t = disk_charge(object_id, off, window, t, "readahead");
+    t = disk_charge(object_id, off, window, t, slow.disk, "readahead");
     st.ra_start = off;
     st.ra_len = window;
   }
-  t = nic_res_.reserve(
-      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
+  t = nic_res_.reserve(t, static_cast<double>(len) / kNetBwBytes * slow.nic);
   record(now, t, len);
   if (ctx_) {
     if (c_bytes_read_) c_bytes_read_->add(len);
@@ -198,14 +201,13 @@ double Oss::serve_failover_read(std::uint64_t object_id, std::uint64_t off,
                                 std::uint64_t len, double now,
                                 std::uint64_t req) {
   maybe_crash_reset(now);
+  const fault::Factors slow = slowdown(now);
   double t = now + cfg_.rpc_latency_s;
-  t = cpu_res_.reserve(
-      t, (kCpuPerOpS + cfg_.security_verify_s) * perturb_.cpu_factor);
+  t = cpu_res_.reserve(t, (kCpuPerOpS + cfg_.security_verify_s) * slow.cpu);
   // Always a cold disk read: the replica copy's cache is not modelled and
   // this server's own readahead window must not be disturbed.
-  t = disk_charge(object_id, off, len, t, "failover_read");
-  t = nic_res_.reserve(
-      t, static_cast<double>(len) / kNetBwBytes * perturb_.net_factor);
+  t = disk_charge(object_id, off, len, t, slow.disk, "failover_read");
+  t = nic_res_.reserve(t, static_cast<double>(len) / kNetBwBytes * slow.nic);
   record(now, t, len);
   if (ctx_) {
     if (c_bytes_read_) c_bytes_read_->add(len);
@@ -225,7 +227,7 @@ double Oss::serve_failover_read(std::uint64_t object_id, std::uint64_t off,
 double Oss::serve_small_op(double now, std::uint64_t req) {
   maybe_crash_reset(now);
   double t = now + cfg_.rpc_latency_s;
-  t = cpu_res_.reserve(t, kCpuPerOpS * perturb_.cpu_factor);
+  t = cpu_res_.reserve(t, kCpuPerOpS * slowdown(now).cpu);
   record(now, t, 0);
   if (ctx_ && ctx_->tracer) {
     ctx_->tracer->complete(obs::kOssTrackBase + index_, "small_op", "oss", now,
@@ -238,7 +240,7 @@ double Oss::flush(std::uint64_t object_id, double now) {
   maybe_crash_reset(now);
   auto it = objects_.find(object_id);
   if (it == objects_.end()) return now;
-  return flush_pending(it->second, object_id, now);
+  return flush_pending(it->second, object_id, now, slowdown(now).disk);
 }
 
 void Oss::forget(std::uint64_t object_id) { objects_.erase(object_id); }

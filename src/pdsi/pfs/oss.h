@@ -10,6 +10,11 @@
 // runs and flushes them to disk in large chunks — the mechanism that lets
 // N sequential streams (PLFS logs) approach media rate while interleaved
 // strided writes to one object degrade into small seek-bound I/Os.
+//
+// The installed fault::FaultInjector is the only thing that slows a
+// server: each request asks it once, at its arrival, for the disk, NIC
+// and CPU factors of the degradations that started strictly before, and
+// every charge of that request uses them.
 #pragma once
 
 #include <cstdint>
@@ -23,17 +28,10 @@
 
 namespace pdsi::fault {
 class FaultInjector;
+struct Factors;
 }  // namespace pdsi::fault
 
 namespace pdsi::pfs {
-
-/// Fault-injection knobs (diagnosis experiments): service-time multipliers
-/// applied to this server only.
-struct OssPerturbation {
-  double cpu_factor = 1.0;
-  double disk_factor = 1.0;
-  double net_factor = 1.0;
-};
 
 /// Windowed per-server metrics, as an external monitor would sample them.
 struct OssMetrics {
@@ -81,12 +79,10 @@ class Oss {
   /// Drops cached state for an object (unlink).
   void forget(std::uint64_t object_id);
 
-  void set_perturbation(const OssPerturbation& p) { perturb_ = p; }
-  const OssPerturbation& perturbation() const { return perturb_; }
-
-  /// Installs the cluster's fault injector: its per-server disk factor
-  /// multiplies every disk charge, and volatile cache state (write-back
-  /// runs, readahead windows) is dropped once a crash window has passed.
+  /// Installs the cluster's fault injector: its degradation factors for
+  /// this server multiply every CPU, NIC and disk charge, and volatile
+  /// cache state (write-back runs, readahead windows) is dropped once a
+  /// crash window has passed.
   void set_fault(const fault::FaultInjector* f) { fault_ = f; }
 
   /// Snapshot-and-reset windowed metrics (monitor sampling).
@@ -104,17 +100,23 @@ class Oss {
     std::uint64_t size = 0;           ///< highest byte stored here
   };
 
-  double rmw_charge(std::uint64_t object_id, std::uint64_t off, double t);
-  double flush_pending(ObjectState& st, std::uint64_t object_id, double t);
+  /// The injector's factors for a request arriving at `now`.
+  fault::Factors slowdown(double now) const;
+  double rmw_charge(std::uint64_t object_id, std::uint64_t off, double t,
+                    double disk_factor);
+  double flush_pending(ObjectState& st, std::uint64_t object_id, double t,
+                       double disk_factor);
   /// Crash recovery: if an injected crash window began since the last
   /// request, the restarted server has lost its volatile cache (dirty
   /// write-back runs and readahead windows; object sizes are on disk).
   void maybe_crash_reset(double now);
   void record(double start, double end, std::uint64_t len);
-  /// Charges a disk access and splits the service into seek vs transfer
-  /// time for the obs gauges; emits a "disk" span when tracing.
+  /// Charges a disk access, slowed by the request's `disk_factor`, and
+  /// splits the service into seek vs transfer time for the obs gauges;
+  /// emits a "disk" span when tracing.
   double disk_charge(std::uint64_t object_id, std::uint64_t off,
-                     std::uint64_t len, double t, const char* what);
+                     std::uint64_t len, double t, double disk_factor,
+                     const char* what);
 
   const PfsConfig& cfg_;
   std::uint32_t index_;
@@ -122,7 +124,6 @@ class Oss {
   sim::SimResource disk_res_;
   sim::SimResource nic_res_;
   sim::SimResource cpu_res_;
-  OssPerturbation perturb_;
   const fault::FaultInjector* fault_ = nullptr;
   double fault_checked_ = 0.0;  ///< crash windows scanned up to here
   OssMetrics metrics_;

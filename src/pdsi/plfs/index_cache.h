@@ -58,7 +58,6 @@ class IndexCache {
   void invalidate(const std::string& container);
 
   std::size_t size() const;
-  std::size_t max_cached_entries() const { return max_entries_; }
 
   /// Lifetime totals, independent of any obs registry (tests, reporting).
   std::uint64_t hits() const;

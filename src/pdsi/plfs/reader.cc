@@ -1,7 +1,6 @@
 #include "pdsi/plfs/reader.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -15,6 +14,8 @@ namespace {
 /// sort + newest-wins resolve), in seconds. This is why index compression
 /// pays off at restart: pattern records shrink the merge.
 constexpr double kIndexMergeCostPerEntry = 3e-6;
+/// A data dropping this Reader has not opened yet.
+constexpr BackendHandle kNotOpen = -1;
 }  // namespace
 
 Result<std::unique_ptr<Reader>> Reader::Open(Backend& backend,
@@ -25,6 +26,7 @@ Result<std::unique_ptr<Reader>> Reader::Open(Backend& backend,
   if (!*is_c) return Errc::invalid;
   std::unique_ptr<Reader> reader(new Reader(backend, options));
   if (auto st = reader->build(path); !st.ok()) return st.error();
+  reader->handles_.assign(reader->dropping_count(), kNotOpen);
   return reader;
 }
 
@@ -47,7 +49,9 @@ Reader::Reader(Backend& backend, Options options)
 }
 
 Reader::~Reader() {
-  for (auto& [id, h] : handles_) backend_.close(h);
+  for (BackendHandle h : handles_) {
+    if (h != kNotOpen) backend_.close(h);
+  }
 }
 
 std::shared_ptr<const IndexSnapshot> Reader::try_load_flat(
@@ -83,14 +87,8 @@ std::shared_ptr<const IndexSnapshot> Reader::try_load_flat(
 }
 
 Status Reader::build(const std::string& path) {
-  const auto t0 = std::chrono::steady_clock::now();
   obs::Tracer* tracer = options_.obs ? options_.obs->tracer : nullptr;
   const double v0 = tracer ? backend_.now() : 0.0;
-  auto finish_timer = [&] {
-    index_build_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  };
 
   // Discover index droppings across hostdirs. The same top-level listing
   // reveals whether a flattened index is present, so the plain merge path
@@ -164,7 +162,6 @@ Status Reader::build(const std::string& path) {
                          {obs::Arg::Int("droppings", snap_->droppings.size()),
                           obs::Arg::Int("entries", snap_->raw_entries.size())});
       }
-      finish_timer();
       return Status::Ok();
     }
     if (options_.obs && options_.obs->registry) {
@@ -186,7 +183,6 @@ Status Reader::build(const std::string& path) {
       }
       snap_ = std::move(snap);
       if (options_.index_cache) options_.index_cache->put(path, snap_);
-      finish_timer();
       return Status::Ok();
     }
     // Stale, corrupt, or unreadable flat dropping: fall back to the merge.
@@ -302,17 +298,16 @@ Status Reader::build(const std::string& path) {
   if (options_.index_cache && have_fingerprint && read_errors_ == 0) {
     options_.index_cache->put(path, snap_);
   }
-  finish_timer();
   return Status::Ok();
 }
 
 Result<BackendHandle> Reader::data_handle(std::uint32_t dropping) {
-  auto it = handles_.find(dropping);
-  if (it != handles_.end()) return it->second;
-  auto h = backend_.open(snap_->droppings[dropping]);
-  if (!h.ok()) return h.error();
-  handles_.emplace(dropping, *h);
-  return *h;
+  BackendHandle& h = handles_[dropping];
+  if (h != kNotOpen) return h;
+  auto opened = backend_.open(snap_->droppings[dropping]);
+  if (!opened.ok()) return opened.error();
+  h = *opened;
+  return h;
 }
 
 Result<std::size_t> Reader::read(std::uint64_t off, std::span<std::uint8_t> out) {

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pdsi/common/result.h"
@@ -55,7 +54,6 @@ class Reader {
   const std::vector<std::string>& droppings() const { return snap_->droppings; }
   /// Index bytes this open actually fetched (0 on a cache hit).
   std::uint64_t index_bytes_read() const { return index_bytes_read_; }
-  double index_build_seconds() const { return index_build_seconds_; }
   /// Fingerprint of the index droppings the snapshot was built from.
   std::uint64_t index_fingerprint() const { return snap_->fingerprint; }
   /// Index droppings skipped (options.degraded_reads) or torn at build,
@@ -76,9 +74,9 @@ class Reader {
   Backend& backend_;
   Options options_;
   std::shared_ptr<const IndexSnapshot> snap_;
-  std::unordered_map<std::uint32_t, BackendHandle> handles_;
+  /// Open data handles by dropping id; -1 until the dropping is first read.
+  std::vector<BackendHandle> handles_;
   std::uint64_t index_bytes_read_ = 0;
-  double index_build_seconds_ = 0.0;            ///< wall time (real backends)
   std::uint64_t read_errors_ = 0;
   obs::Counter* c_reads_ = nullptr;
   obs::Counter* c_segments_ = nullptr;

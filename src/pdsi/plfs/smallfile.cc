@@ -120,7 +120,6 @@ Status SmallFileWriter::put(const std::string& name,
   r.sequence = clock_.fetch_add(1, std::memory_order_relaxed);
   pending_.push_back(std::move(r));
   data_off_ += data.size();
-  ++files_written_;
   return Status::Ok();
 }
 

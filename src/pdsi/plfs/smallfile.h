@@ -57,8 +57,6 @@ class SmallFileWriter {
   Status sync();
   Status close();
 
-  std::uint64_t files_written() const { return files_written_; }
-
  private:
   SmallFileWriter(Backend& backend, std::uint32_t writer_id, WriteClock& clock,
                   BackendHandle data, BackendHandle names);
@@ -72,7 +70,6 @@ class SmallFileWriter {
   std::uint64_t data_off_ = 0;
   std::uint64_t names_off_ = 0;
   std::vector<NameRecord> pending_;
-  std::uint64_t files_written_ = 0;
 };
 
 class SmallFileReader {

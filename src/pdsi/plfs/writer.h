@@ -53,7 +53,6 @@ class Writer {
   std::uint64_t records_written() const { return records_; }
   std::uint64_t index_entries_flushed() const { return index_entries_flushed_; }
   std::uint64_t index_bytes_flushed() const { return index_bytes_flushed_; }
-  std::uint64_t max_logical_end() const { return max_logical_end_; }
 
  private:
   Writer(Backend& backend, std::string path, std::uint32_t rank, Options options,

@@ -5,19 +5,6 @@
 
 namespace pdsi::scalatrace {
 
-std::string_view KindName(Event::Kind k) {
-  switch (k) {
-    case Event::Kind::open: return "open";
-    case Event::Kind::close: return "close";
-    case Event::Kind::read: return "read";
-    case Event::Kind::write: return "write";
-    case Event::Kind::seek: return "seek";
-    case Event::Kind::barrier: return "barrier";
-    case Event::Kind::compute: return "compute";
-  }
-  return "?";
-}
-
 namespace {
 
 using Node = CompressedTrace::Node;

@@ -33,8 +33,6 @@ struct Event {
   bool operator==(const Event&) const = default;
 };
 
-std::string_view KindName(Event::Kind k);
-
 /// A compressed trace: a sequence of nodes, each either a literal event
 /// or a loop of an inner sequence.
 class CompressedTrace {

@@ -33,6 +33,4 @@ double DiskModel::access(std::uint64_t object_id, std::uint64_t offset,
   return params_.per_request_s + positioning + stream_time(len);
 }
 
-void DiskModel::reset_position() { has_position_ = false; }
-
 }  // namespace pdsi::storage

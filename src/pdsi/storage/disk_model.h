@@ -44,9 +44,6 @@ class DiskModel {
     return static_cast<double>(len) / params_.seq_bw_bytes;
   }
 
-  /// Forgets head position (e.g. after the disk is reassigned).
-  void reset_position();
-
   std::uint64_t total_requests() const { return requests_; }
   std::uint64_t sequential_requests() const { return sequential_; }
 

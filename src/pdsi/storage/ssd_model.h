@@ -80,7 +80,6 @@ class SsdModel {
   const SsdParams& params() const { return params_; }
   const SsdStats& stats() const { return stats_; }
 
-  std::uint64_t logical_pages() const { return logical_pages_; }
 
   /// Reads `len` bytes at logical byte offset `off`; returns service time.
   double read(std::uint64_t off, std::uint64_t len);

@@ -1,10 +1,12 @@
 // pdsi::fault — the deterministic fault-injection layer and every data
-// path that consults it: client retry/failover, OSS crash recovery,
-// burst-buffer drain parking, PLFS degraded reads, and the injected
-// interrupt schedule for the checkpoint simulator.
+// path that consults it: client retry/failover, OSS crash recovery and
+// degradations (slowed disk, NIC and CPU), burst-buffer drain parking,
+// PLFS degraded reads, and the injected interrupt schedule for the
+// checkpoint simulator.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "pdsi/bb/drain_target.h"
@@ -85,9 +87,165 @@ TEST(FaultSchedule, SlowDiskFactor) {
   plan.slow_disk_prob = 1.0;
   plan.slow_disk_factor = 4.0;
   fault::FaultInjector inj(plan, 3);
-  for (std::uint32_t s = 0; s < 3; ++s) EXPECT_EQ(inj.disk_factor(s), 4.0);
+  for (std::uint32_t s = 0; s < 3; ++s) EXPECT_EQ(inj.factors(s, 0.0).disk, 4.0);
   fault::FaultInjector none(fault::FaultPlan{}, 3);
-  for (std::uint32_t s = 0; s < 3; ++s) EXPECT_EQ(none.disk_factor(s), 1.0);
+  for (std::uint32_t s = 0; s < 3; ++s) EXPECT_EQ(none.factors(s, 0.0).disk, 1.0);
+}
+
+void ExpectFactors(const fault::Factors& got, double disk, double nic,
+                   double cpu) {
+  EXPECT_EQ(got.disk, disk);
+  EXPECT_EQ(got.nic, nic);
+  EXPECT_EQ(got.cpu, cpu);
+}
+
+TEST(FaultDegrade, AppliesToItsServerStrictlyAfterItsStart) {
+  fault::FaultInjector inj(fault::FaultPlan{}, 3);
+  inj.degrade(1, 2.0, {.disk = 2.0, .nic = 3.0, .cpu = 5.0});
+  ExpectFactors(inj.factors(1, 1.0), 1.0, 1.0, 1.0);
+  ExpectFactors(inj.factors(1, 2.0), 1.0, 1.0, 1.0);
+  ExpectFactors(inj.factors(1, std::nextafter(2.0, 3.0)), 2.0, 3.0, 5.0);
+  ExpectFactors(inj.factors(0, 10.0), 1.0, 1.0, 1.0);
+  ExpectFactors(inj.factors(2, 10.0), 1.0, 1.0, 1.0);
+
+  // A second degradation multiplies into the first from its own start.
+  inj.degrade(1, 4.0, {.disk = 7.0, .nic = 1.0, .cpu = 1.0});
+  ExpectFactors(inj.factors(1, 3.0), 2.0, 3.0, 5.0);
+  ExpectFactors(inj.factors(1, 5.0), 14.0, 3.0, 5.0);
+}
+
+TEST(FaultDegrade, MultipliesWithRandomSlowDisk) {
+  fault::FaultPlan plan;
+  plan.slow_disk_prob = 1.0;
+  plan.slow_disk_factor = 4.0;
+  fault::FaultInjector inj(plan, 2);
+  inj.degrade(0, 1.0, {.disk = 3.0, .nic = 1.0, .cpu = 1.0});
+  EXPECT_EQ(inj.factors(0, 0.5).disk, 4.0);
+  EXPECT_EQ(inj.factors(0, 1.5).disk, 12.0);
+  EXPECT_EQ(inj.factors(1, 1.5).disk, 4.0);
+
+  // The OSS charges the product: a 4 MiB flush keeps its disk 12x as
+  // long as on a server with no injector.
+  const pfs::PfsConfig cfg = pfs::PfsConfig::PanFsLike(2);
+  pfs::Oss plain(cfg, 0);
+  pfs::Oss slowed(cfg, 0);
+  slowed.set_fault(&inj);
+  plain.serve_write(7, 0, 4 * 1024 * 1024, 1.5);
+  slowed.serve_write(7, 0, 4 * 1024 * 1024, 1.5);
+  ASSERT_GT(plain.disk_busy_seconds(), 0.0);
+  EXPECT_EQ(slowed.disk_busy_seconds(), plain.disk_busy_seconds() * 12.0);
+}
+
+TEST(FaultDegrade, OssSlowsOnlyItsServerAndLaterArrivals) {
+  const pfs::PfsConfig cfg = pfs::PfsConfig::PanFsLike(2);
+  fault::FaultInjector inj(fault::FaultPlan{}, 2);
+  inj.degrade(0, 1.0, {.disk = 2.0, .nic = 2.0, .cpu = 2.0});
+  pfs::Oss ref(cfg, 0);  // no injector
+  pfs::Oss degraded(cfg, 0);
+  pfs::Oss peer(cfg, 1);
+  degraded.set_fault(&inj);
+  peer.set_fault(&inj);
+
+  // Each request flushes the previous one's dirty run (a discontiguous
+  // write), so every charge kind is exercised.
+  const std::uint64_t len = 256 * 1024;
+  const double at_start = ref.serve_write(7, 0, len, 1.0);
+  EXPECT_EQ(degraded.serve_write(7, 0, len, 1.0), at_start)
+      << "a request arriving at the start instant is not slowed";
+  EXPECT_EQ(peer.serve_write(7, 0, len, 1.0), at_start);
+
+  const double later = ref.serve_write(7, 4 * len, len, 2.0);
+  EXPECT_GT(degraded.serve_write(7, 4 * len, len, 2.0), later);
+  EXPECT_EQ(peer.serve_write(7, 4 * len, len, 2.0), later);
+  const double read = ref.serve_read(7, 0, len, 3.0);
+  EXPECT_GT(degraded.serve_read(7, 0, len, 3.0), read);
+  EXPECT_EQ(peer.serve_read(7, 0, len, 3.0), read);
+  const double op = ref.serve_small_op(4.0);
+  EXPECT_GT(degraded.serve_small_op(4.0), op);
+  EXPECT_EQ(peer.serve_small_op(4.0), op);
+  EXPECT_EQ(peer.disk_busy_seconds(), ref.disk_busy_seconds());
+  EXPECT_GT(degraded.disk_busy_seconds(), ref.disk_busy_seconds());
+}
+
+// One client writes `bytes` in 256 KiB stripe units over PanFsLike(4),
+// fsyncs, reads it back and closes; returns its finish time and each
+// server's disk busy seconds.
+struct StripedRun {
+  double finish = 0.0;
+  std::vector<double> disk_busy;
+};
+
+StripedRun RunStriped(fault::FaultInjector* inj, std::uint64_t bytes) {
+  sim::VirtualScheduler sched(1);
+  pfs::PfsConfig cfg = pfs::PfsConfig::PanFsLike(4);
+  cfg.stripe_unit = 256 * 1024;
+  pfs::PfsCluster cluster(cfg, sched);
+  if (inj) cluster.set_fault(inj);
+  pfs::PfsClient client(cluster, 0);
+  auto fh = *client.create("/f");
+  Bytes buf(bytes);
+  EXPECT_TRUE(client.write(fh, 0, buf).ok());
+  EXPECT_TRUE(client.fsync(fh).ok());
+  EXPECT_TRUE(client.read(fh, 0, buf).ok());
+  EXPECT_TRUE(client.close(fh).ok());
+  StripedRun run;
+  run.finish = client.now();
+  for (std::uint32_t s = 0; s < cluster.num_oss(); ++s) {
+    run.disk_busy.push_back(cluster.oss(s).disk_busy_seconds());
+  }
+  return run;
+}
+
+void ExpectSameRun(const StripedRun& a, const StripedRun& b) {
+  EXPECT_EQ(a.finish, b.finish);
+  EXPECT_EQ(a.disk_busy, b.disk_busy);
+}
+
+TEST(FaultDegrade, InertDegradationsLeaveTheRunBitIdentical) {
+  // Two of the four servers hold the 512 KiB file.
+  const StripedRun base = RunStriped(nullptr, 512 * 1024);
+  std::vector<std::uint32_t> untouched;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    if (base.disk_busy[s] == 0.0) untouched.push_back(s);
+  }
+  ASSERT_EQ(untouched.size(), 2u);
+
+  fault::FaultInjector unit(fault::FaultPlan{}, 4);
+  for (std::uint32_t s = 0; s < 4; ++s) unit.degrade(s, 0.0, {});
+  ExpectSameRun(RunStriped(&unit, 512 * 1024), base);
+
+  fault::FaultInjector after_end(fault::FaultPlan{}, 4);
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    after_end.degrade(s, base.finish, {.disk = 2.0, .nic = 2.0, .cpu = 2.0});
+  }
+  ExpectSameRun(RunStriped(&after_end, 512 * 1024), base);
+
+  fault::FaultInjector elsewhere(fault::FaultPlan{}, 4);
+  for (std::uint32_t s : untouched) {
+    elsewhere.degrade(s, -std::numeric_limits<double>::infinity(),
+                      {.disk = 2.0, .nic = 2.0, .cpu = 2.0});
+  }
+  ExpectSameRun(RunStriped(&elsewhere, 512 * 1024), base);
+}
+
+TEST(FaultDegrade, SlowingOneServerNeverLowersTheFinishTime) {
+  const std::uint64_t bytes = 2 * 1024 * 1024;  // two stripes on each server
+  const double base = RunStriped(nullptr, bytes).finish;
+  for (const fault::Factors f : {fault::Factors{.disk = 2.0, .nic = 1.0, .cpu = 1.0},
+                                 fault::Factors{.disk = 1.0, .nic = 2.0, .cpu = 1.0},
+                                 fault::Factors{.disk = 1.0, .nic = 1.0, .cpu = 2.0}}) {
+    double slowest = base;
+    for (std::uint32_t s = 0; s < 4; ++s) {
+      fault::FaultInjector inj(fault::FaultPlan{}, 4);
+      inj.degrade(s, 0.0, f);
+      const double finish = RunStriped(&inj, bytes).finish;
+      EXPECT_GE(finish, base) << "server " << s << " disk " << f.disk << " nic "
+                              << f.nic << " cpu " << f.cpu;
+      slowest = std::max(slowest, finish);
+    }
+    EXPECT_GT(slowest, base) << "disk " << f.disk << " nic " << f.nic << " cpu "
+                             << f.cpu << " reaches no charge";
+  }
 }
 
 // Runs a small write/read/fsync workload and returns the client's final

@@ -902,7 +902,8 @@ TEST(PlfsCore, TornIndexTailKeepsWholeRecords) {
 }
 
 // Delegating backend that fails selected operations on demand — reaches
-// writer error paths MemBackend alone cannot.
+// writer error paths MemBackend alone cannot — and counts opens per path
+// and closes.
 class FailingBackend : public Backend {
  public:
   FailingBackend() : inner_(MakeMemBackend()) {}
@@ -913,6 +914,7 @@ class FailingBackend : public Backend {
     return inner_->create(p);
   }
   Result<BackendHandle> open(const std::string& p) override {
+    ++opens[p];
     if (!fail_open_containing.empty() &&
         p.find(fail_open_containing) != std::string::npos) {
       return Errc::io_error;
@@ -933,7 +935,10 @@ class FailingBackend : public Backend {
     if (fail_fsync) return Errc::io_error;
     return inner_->fsync(h);
   }
-  Status close(BackendHandle h) override { return inner_->close(h); }
+  Status close(BackendHandle h) override {
+    ++closes;
+    return inner_->close(h);
+  }
   Result<std::vector<std::string>> readdir(const std::string& p) override {
     return inner_->readdir(p);
   }
@@ -948,6 +953,8 @@ class FailingBackend : public Backend {
   bool fail_fsync = false;
   bool fail_creates = false;
   std::string fail_open_containing;  ///< opens of matching paths fail
+  std::map<std::string, int> opens;
+  int closes = 0;
 
  private:
   std::unique_ptr<Backend> inner_;
@@ -987,6 +994,50 @@ TEST(PlfsCore, FailedBufferFlushRollsBackTheWrite) {
   Bytes buf(1200);
   ASSERT_TRUE((*r)->read(0, buf).ok());
   EXPECT_EQ(FindPatternMismatch(0, 0, buf), kNoMismatch);
+}
+
+// A Reader keeps one handle per data dropping: however many reads touch
+// a dropping, it is opened at most once, and the Reader closes each
+// handle it opened.
+TEST(PlfsCore, ReaderOpensEachDataDroppingOnce) {
+  FailingBackend backend;
+  WriteClock clock{0};
+  constexpr std::uint32_t kRanks = 4;
+  constexpr std::uint64_t kRecord = 1000;
+  constexpr std::uint64_t kSteps = 16;
+  for (std::uint32_t rank = 0; rank < kRanks; ++rank) {
+    auto w = Writer::Open(backend, "/f", rank, Options{}, clock);
+    ASSERT_TRUE(w.ok());
+    for (std::uint64_t s = 0; s < kSteps; ++s) {
+      const std::uint64_t off = (s * kRanks + rank) * kRecord;
+      ASSERT_TRUE((*w)->write(off, MakePattern(rank, off, kRecord)).ok());
+    }
+    ASSERT_TRUE((*w)->close().ok());
+  }
+
+  auto r = Reader::Open(backend, "/f");
+  ASSERT_TRUE(r.ok());
+  const std::vector<std::string> data = (*r)->droppings();
+  ASSERT_EQ(data.size(), kRanks);
+  backend.opens.clear();
+  backend.closes = 0;
+  Bytes buf(700);
+  for (int pass = 0; pass < 3; ++pass) {
+    for (std::uint64_t off = 0; off + buf.size() <= (*r)->size(); off += 350) {
+      ASSERT_TRUE((*r)->read(off, buf).ok());
+      for (std::uint64_t i = 0; i < buf.size(); i += kRecord / 4) {
+        const std::uint64_t at = off + i;
+        const auto rank = static_cast<std::uint32_t>(at / kRecord % kRanks);
+        ASSERT_EQ(FindPatternMismatch(rank, at, std::span(buf).subspan(i, 1)),
+                  kNoMismatch) << "offset " << at;
+      }
+    }
+  }
+  EXPECT_EQ(backend.opens.size(), kRanks);
+  for (const std::string& path : data) EXPECT_EQ(backend.opens[path], 1) << path;
+  EXPECT_EQ(backend.closes, 0);
+  r->reset();
+  EXPECT_EQ(backend.closes, static_cast<int>(kRanks));
 }
 
 int CountSpans(obs::Tracer& tracer, std::string_view name) {
