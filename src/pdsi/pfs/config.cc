@@ -10,7 +10,6 @@ PfsConfig PfsConfig::PanFsLike(std::uint32_t num_oss) {
   c.lock_unit = 64 * KiB;
   c.lock_revoke_s = 0.8e-3;
   // Object RAID: unaligned shared-file writes pay parity read-modify-write.
-  c.rmw_on_unaligned = true;
   c.rmw_unit = 64 * KiB;
   return c;
 }
@@ -23,7 +22,7 @@ PfsConfig PfsConfig::LustreLike(std::uint32_t num_oss) {
   // LDLM extent locks: coarser grain, pricier ping-pong.
   c.lock_unit = 1 * MiB;
   c.lock_revoke_s = 1.5e-3;
-  c.rmw_on_unaligned = false;  // no client-visible parity RMW
+  c.rmw_unit = 0;  // no client-visible parity RMW
   return c;
 }
 
@@ -35,7 +34,6 @@ PfsConfig PfsConfig::GpfsLike(std::uint32_t num_oss) {
   // Block-granular byte-range tokens.
   c.lock_unit = 256 * KiB;
   c.lock_revoke_s = 1.0e-3;
-  c.rmw_on_unaligned = true;
   c.rmw_unit = 256 * KiB;
   return c;
 }
@@ -45,7 +43,7 @@ PfsConfig PfsConfig::PvfsLike(std::uint32_t num_oss) {
   c.name = "pvfs-like";
   c.num_oss = num_oss;
   c.locking = LockProtocol::none;
-  c.rmw_on_unaligned = false;
+  c.rmw_unit = 0;
   return c;
 }
 

@@ -123,7 +123,7 @@ double Oss::serve_write(std::uint64_t object_id, std::uint64_t off,
     // A discontiguous arrival evicts the previous run (small flush) —
     // this is what shreds interleaved strided writes to a shared object.
     t = flush_pending(st, object_id, t, slow.disk);
-    if (cfg_.rmw_on_unaligned && off % cfg_.rmw_unit != 0) {
+    if (cfg_.rmw_unit != 0 && off % cfg_.rmw_unit != 0) {
       t = rmw_charge(object_id, off, t, slow.disk);
     }
     st.pending_start = off;

@@ -808,7 +808,7 @@ TEST(WholeFileGrant, FailedWriteCannotLeakAHeldLockUnit) {
 // the untouched prefix and non-overlapping writes keep serving hits.
 TEST(OssRegression, OverlappingWriteInvalidatesReadaheadWindow) {
   PfsConfig cfg = PfsConfig::PanFsLike(1);
-  cfg.rmw_on_unaligned = false;  // isolate the readahead charges
+  cfg.rmw_unit = 0;  // isolate the readahead charges
   sim::VirtualScheduler sched(1);
   PfsCluster cluster(cfg, sched);
   Oss& oss = cluster.oss(0);
@@ -865,7 +865,7 @@ TEST(OssRegression, HoleReadsChargeNoDiskAndWindowClampsToSize) {
   {
     sim::VirtualScheduler sched(1);
     PfsConfig cfg = PfsConfig::PanFsLike(1);
-    cfg.rmw_on_unaligned = false;
+    cfg.rmw_unit = 0;
     PfsCluster cluster(cfg, sched);
     Oss& oss = cluster.oss(0);
     double t = oss.serve_write(2, 0, 100 * KiB, 0.0);
