@@ -102,62 +102,65 @@ FileHandle PfsClient::put(std::uint64_t file_id, std::string path) {
   return static_cast<FileHandle>(i);
 }
 
-double PfsClient::submit_mds(double t, std::size_t charges, double fraction,
-                             std::string parent, std::uint64_t rid,
-                             std::uint32_t shard) {
-  rpc::RequestEngine::Request req;
-  req.queue = mds_queue(shard);
-  req.drop_eligible = false;
-  req.fault_exempt = true;  // the MDS is outside the fault plan
-  req.req_id = rid;
-  req.serve = [this, charges, fraction, rid, shard,
-               parent = std::move(parent)](double at, bool wire) {
-    Mds& mds = cluster_.smds().shard(shard);
-    double done = wire ? at + cluster_.config().rpc_latency_s : at;
-    for (std::size_t i = 0; i < charges; ++i) {
-      done = fraction >= 1.0 ? mds.charge(done, rid)
-                             : mds.charge_fraction(done, fraction, rid);
+double PfsClient::serve_mds(std::uint32_t shard, const MdsCharge& c,
+                            std::uint64_t rid, double at, bool wire) {
+  ShardedMds& smds = cluster_.smds();
+  const double lat = cluster_.config().rpc_latency_s;
+  Mds& mds = smds.shard(shard);
+  double done = mds.charge(wire ? at + lat : at, rid, c.fraction);
+  if (c.fanout != MdsCharge::Fanout::none && smds.num_shards() > 1) {
+    const double served = done;
+    for (std::uint32_t k = 0; k < smds.num_shards(); ++k) {
+      if (k == shard && c.fanout == MdsCharge::Fanout::others) continue;
+      done = std::max(done, smds.shard(k).charge(served + lat, rid));
     }
-    if (!parent.empty()) done = mds.charge_dir(parent, done, rid);
-    return done;
+  }
+  for (std::size_t b = 0; b < c.batches; ++b) done = mds.charge(done, rid);
+  if (!c.parent.empty()) done = mds.charge_dir(c.parent, done, rid);
+  return done;
+}
+
+double PfsClient::mds_rpc(double t, std::uint32_t shard, std::uint64_t rid,
+                          const MdsCharge& c) {
+  rpc::RequestEngine::Route route;
+  route.queue = mds_queue(shard);
+  route.drop_eligible = false;
+  route.fault_exempt = true;  // the MDS is outside the fault plan
+  route.req_id = rid;
+  if (c.await || !engine_.pipelined()) {
+    bool ok = true;
+    return engine_.execute(
+        route, [&](double at, bool wire) { return serve_mds(shard, c, rid, at, wire); },
+        {}, t, nullptr, /*charge_wire=*/true, &ok);
+  }
+  // Only the clock rides the queue, served after the caller's parent path
+  // may be gone: the request keeps its own copy.
+  rpc::RequestEngine::Request req;
+  static_cast<rpc::RequestEngine::Route&>(req) = route;
+  MdsCharge queued = c;
+  queued.parent = {};
+  req.serve = [this, shard, rid, queued, parent = std::string(c.parent)](
+                  double at, bool wire) mutable {
+    queued.parent = parent;
+    return serve_mds(shard, queued, rid, at, wire);
   };
   return engine_.submit(std::move(req), t, nullptr);
 }
 
 std::uint32_t PfsClient::route_mds(std::uint64_t hash, double* t,
-                                   std::uint64_t rid, double fraction) {
-  ShardedMds& smds = cluster_.smds();
-  const double lat = cluster_.config().rpc_latency_s;
-  const auto charge = [&](std::uint32_t s) {
-    *t = fraction >= 1.0
-             ? smds.shard(s).charge(*t + lat, rid)
-             : smds.shard(s).charge_fraction(*t + lat, fraction, rid);
-  };
-  if (smds.num_shards() == 1) {
-    charge(0);
-    return 0;
-  }
-  for (;;) {
-    const std::uint32_t p = mds_bitmap_.partition_for(hash);
-    const std::uint32_t s = smds.shard_of(p);
-    charge(s);
-    if (smds.fresh(p, hash)) return s;
-    mds_bitmap_.merge(smds.bitmap());
-    if (c_mds_stale_) c_mds_stale_->add(1);
-  }
-}
-
-std::uint32_t PfsClient::route_mds_queued(std::uint64_t hash, double* t,
-                                          std::uint64_t rid) {
+                                   std::uint64_t rid, const MdsCharge& c) {
   ShardedMds& smds = cluster_.smds();
   if (smds.num_shards() == 1) return 0;
   for (;;) {
     const std::uint32_t p = mds_bitmap_.partition_for(hash);
     const std::uint32_t s = smds.shard_of(p);
     if (smds.fresh(p, hash)) return s;
-    // The wrong shard still serves (and charges) the bounced request
-    // before replying with its fresh bitmap rows.
-    *t = submit_mds(*t, 1, 1.0, "", rid, s);
+    // The wrong shard still serves (and charges) the bounced op before
+    // replying with its fresh bitmap rows.
+    MdsCharge bounce;
+    bounce.fraction = c.fraction;
+    bounce.await = c.await;
+    *t = mds_rpc(*t, s, rid, bounce);
     mds_bitmap_.merge(smds.bitmap());
     if (c_mds_stale_) c_mds_stale_->add(1);
   }
@@ -169,13 +172,11 @@ Status PfsClient::mkdir(const std::string& path) {
   const std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
+    const std::uint32_t s = route_mds(hash, &t, rid, {});
     st = cluster_.smds().mkdir(np);
-    if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      return submit_mds(t, 1, 1.0, std::string(ParentPath(np)), rid, s);
-    }
-    const std::uint32_t s = route_mds(hash, &t, rid);
-    return cluster_.smds().shard(s).charge_dir(ParentPath(np), t, rid);
+    MdsCharge c;
+    c.parent = ParentPath(np);
+    return mds_rpc(t, s, rid, c);
   });
   return st;
 }
@@ -186,71 +187,29 @@ Result<FileHandle> PfsClient::create(const std::string& path) {
   // The path is normalised and hashed once; the handle keeps it.
   std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
-  if (engine_.pipelined()) {
-    cluster_.scheduler().atomically(actor_, [&](double t) {
-      // State transitions at submit time (the inode's mtime stamps the
-      // submission); the metadata charge rides the MDS queue.
-      auto r = cluster_.smds().create(np, hash, t);
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      if (r.ok()) {
-        t = submit_mds(t, 1, 1.0, std::string(ParentPath(np)), rid, s);
-        out = put(r->file_id, std::move(np));
-      } else {
-        out = r.error();
-        t = submit_mds(t, 1, 1.0, "", rid, s);
-      }
-      // A triggered split blocks this client: its submission window
-      // stalls while the addressed shard migrates the partition.
-      return cluster_.smds().settle_splits(t, rid);
-    });
-    return out;
-  }
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    const std::uint32_t s = route_mds(hash, &t, rid);
+    // Routed before the create, so a split the create itself triggers
+    // cannot bounce it.
+    const std::uint32_t s = route_mds(hash, &t, rid, {});
     auto r = cluster_.smds().create(np, hash, t);
+    MdsCharge c;
+    if (r.ok()) c.parent = ParentPath(np);
+    t = mds_rpc(t, s, rid, c);
     if (r.ok()) {
-      t = cluster_.smds().shard(s).charge_dir(ParentPath(np), t, rid);
       out = put(r->file_id, std::move(np));
       if (recording_consist()) record_consist_edge("open", r->file_id, t);
     } else {
       out = r.error();
     }
+    // A triggered split blocks this client: in GIGA+ the create completes
+    // only once its partition has split.
     return cluster_.smds().settle_splits(t, rid);
   });
   return out;
 }
 
 Result<FileHandle> PfsClient::open(const std::string& path) {
-  Result<FileHandle> out(Errc::io_error);
-  const std::uint64_t rid = mint_req();
-  std::string np = NormalizePath(path);
-  const std::uint64_t hash = giga::HashName(np);
-  cluster_.scheduler().atomically(actor_, [&](double t) {
-    if (engine_.pipelined()) {
-      auto r = cluster_.smds().lookup(np);
-      if (!r.ok()) {
-        out = r.error();
-      } else if (r->is_dir) {
-        out = Errc::is_dir;
-      } else {
-        out = put(r->file_id, std::move(np));
-      }
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      return submit_mds(t, 1, 1.0, "", rid, s);
-    }
-    route_mds(hash, &t, rid);
-    auto r = cluster_.smds().lookup(np);
-    if (!r.ok()) {
-      out = r.error();
-    } else if (r->is_dir) {
-      out = Errc::is_dir;
-    } else {
-      out = put(r->file_id, std::move(np));
-      if (recording_consist()) record_consist_edge("open", r->file_id, t);
-    }
-    return t;
-  });
-  return out;
+  return open_group(path, 1);
 }
 
 Result<StatResult> PfsClient::stat(const std::string& path) {
@@ -259,17 +218,8 @@ Result<StatResult> PfsClient::stat(const std::string& path) {
   const std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    if (engine_.pipelined()) {
-      auto r = cluster_.smds().lookup(np);
-      if (r.ok()) {
-        out = StatResult{r->size, r->is_dir, r->mtime};
-      } else {
-        out = r.error();
-      }
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      return submit_mds(t, 1, 1.0, "", rid, s);
-    }
-    route_mds(hash, &t, rid);
+    const std::uint32_t s = route_mds(hash, &t, rid, {});
+    t = mds_rpc(t, s, rid, {});
     auto r = cluster_.smds().lookup(np);
     if (r.ok()) {
       out = StatResult{r->size, r->is_dir, r->mtime};
@@ -287,14 +237,8 @@ Result<LayoutInfo> PfsClient::layout(const std::string& path) {
   const std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    double done;
-    if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      done = submit_mds(t, 1, 1.0, "", rid, s);
-    } else {
-      route_mds(hash, &t, rid);
-      done = t;
-    }
+    const std::uint32_t s = route_mds(hash, &t, rid, {});
+    t = mds_rpc(t, s, rid, {});
     auto r = cluster_.smds().lookup(np);
     if (!r.ok()) {
       out = r.error();
@@ -305,13 +249,13 @@ Result<LayoutInfo> PfsClient::layout(const std::string& path) {
       info.stripe_unit = cluster_.config().stripe_unit;
       info.lock_unit = cluster_.config().lock_unit;
       info.num_servers = cluster_.num_oss();
-      for (std::uint32_t s = 0; s < info.num_servers; ++s) {
+      for (std::uint32_t k = 0; k < info.num_servers; ++k) {
         info.first_stripes.push_back(
-            cluster_.placement().server_for(r->file_id, s, info.num_servers));
+            cluster_.placement().server_for(r->file_id, k, info.num_servers));
       }
       out = std::move(info);
     }
-    return done;
+    return t;
   });
   return out;
 }
@@ -319,21 +263,16 @@ Result<LayoutInfo> PfsClient::layout(const std::string& path) {
 Result<FileHandle> PfsClient::open_group(const std::string& path,
                                          std::uint32_t group_size) {
   Result<FileHandle> out(Errc::io_error);
-  const double fraction = 1.0 / std::max<std::uint32_t>(1, group_size);
+  // One metadata op amortised over the group: the MDS answers once and
+  // the result is broadcast over the (cheap) interconnect.
+  MdsCharge share;
+  share.fraction = 1.0 / std::max<std::uint32_t>(1, group_size);
   const std::uint64_t rid = mint_req();
   std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    // One metadata op amortised over the group: the MDS answers once and
-    // the result is broadcast over the (cheap) interconnect.
-    double done;
-    if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      done = submit_mds(t, 1, fraction, "", rid, s);
-    } else {
-      route_mds(hash, &t, rid, fraction);
-      done = t;
-    }
+    const std::uint32_t s = route_mds(hash, &t, rid, share);
+    t = mds_rpc(t, s, rid, share);
     auto r = cluster_.smds().lookup(np);
     if (!r.ok()) {
       out = r.error();
@@ -341,9 +280,9 @@ Result<FileHandle> PfsClient::open_group(const std::string& path,
       out = Errc::is_dir;
     } else {
       out = put(r->file_id, std::move(np));
-      if (recording_consist()) record_consist_edge("open", r->file_id, done);
+      if (recording_consist()) record_consist_edge("open", r->file_id, t);
     }
-    return done;
+    return t;
   });
   return out;
 }
@@ -353,99 +292,55 @@ Result<std::vector<std::string>> PfsClient::readdir(const std::string& path) {
   const std::uint64_t rid = mint_req();
   const std::string np = NormalizePath(path);
   const std::uint64_t hash = giga::HashName(np);
-  const std::uint32_t nshards = cluster_.smds().num_shards();
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    if (engine_.pipelined()) {
-      auto r = cluster_.smds().readdir(np);
-      const std::uint32_t s = route_mds_queued(hash, &t, rid);
-      // Sharded listings scatter-gather: every other shard serves one
-      // list op too (queued on its own queue).
-      for (std::uint32_t k = 0; k < nshards; ++k) {
-        if (k != s) t = submit_mds(t, 1, 1.0, "", rid, k);
-      }
-      if (r.ok()) {
-        const std::size_t batches = r->empty() ? 0 : (r->size() - 1) / 1024;
-        out = std::move(r);
-        return submit_mds(t, 1 + batches, 1.0, "", rid, s);
-      }
-      out = r.error();
-      return submit_mds(t, 1, 1.0, "", rid, s);
-    }
-    const std::uint32_t s = route_mds(hash, &t, rid);
-    if (nshards > 1) {
-      // The addressed shard coordinates the gather; the other shards
-      // each serve one list op in parallel.
-      double gathered = t;
-      for (std::uint32_t k = 0; k < nshards; ++k) {
-        if (k == s) continue;
-        gathered = std::max(
-            gathered, cluster_.smds().shard(k).charge(
-                          t + cluster_.config().rpc_latency_s, rid));
-      }
-      t = gathered;
-    }
-    auto r = cluster_.smds().readdir(np);
-    if (r.ok()) {
-      // Large listings stream in bounded batches; the first 1024 entries
-      // arrive with the initial RPC reply, so only the entries beyond
-      // them cost extra round trips.
-      const std::size_t batches = r->empty() ? 0 : (r->size() - 1) / 1024;
-      for (std::size_t b = 0; b < batches; ++b) {
-        t = cluster_.smds().shard(s).charge(t, rid);
-      }
-      out = std::move(r);
-    } else {
-      out = r.error();
-    }
-    return t;
+    const std::uint32_t s = route_mds(hash, &t, rid, {});
+    out = cluster_.smds().readdir(np);
+    // The addressed shard gathers a sharded listing from every other
+    // shard. Large listings stream in bounded batches: the first 1024
+    // entries arrive with the initial reply, so only the entries beyond
+    // them cost extra ops.
+    MdsCharge c;
+    c.fanout = MdsCharge::Fanout::others;
+    if (out.ok() && !out->empty()) c.batches = (out->size() - 1) / 1024;
+    return mds_rpc(t, s, rid, c);
   });
   return out;
-}
-
-double PfsClient::unlink_core(const std::string& path, double t, Status* st,
-                              std::uint64_t rid) {
-  const std::string np = NormalizePath(path);
-  route_mds(giga::HashName(np), &t, rid);
-  auto looked = cluster_.smds().lookup(np);
-  const std::uint32_t nshards = cluster_.smds().num_shards();
-  if (nshards > 1 && looked.ok() && looked->is_dir) {
-    // Directory emptiness is an every-shard probe (children may live on
-    // any shard); the probes fan out in parallel.
-    double probed = t;
-    for (std::uint32_t k = 0; k < nshards; ++k) {
-      probed = std::max(probed,
-                        cluster_.smds().shard(k).charge(
-                            t + cluster_.config().rpc_latency_s, rid));
-    }
-    t = probed;
-  }
-  double done = t;
-  *st = cluster_.smds().unlink(np);
-  if (st->ok() && looked.ok() && !looked->is_dir) {
-    const std::uint64_t fid = looked->file_id;
-    for (std::uint32_t s : cluster_.touched_servers(fid)) {
-      done = std::max(done, cluster_.oss(s).serve_small_op(done, rid));
-      cluster_.oss(s).forget(fid);
-    }
-    cluster_.drop_data(fid);
-    cluster_.drop_locks(fid);
-    cluster_.drop_touched(fid);
-  }
-  return done;
 }
 
 Status PfsClient::unlink(const std::string& path) {
   Status st;
   const std::uint64_t rid = mint_req();
+  const std::string np = NormalizePath(path);
+  const std::uint64_t hash = giga::HashName(np);
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    if (engine_.pipelined()) {
-      // Queued chunks may still target this file's objects (and decide
-      // which servers count as touched), so teardown waits for them.
-      bool dok = true;
-      t = engine_.drain(t, cluster_.fault(), &dok);
-      if (!dok) pending_io_error_ = true;
+    // Queued chunks may still target this file's objects (and decide
+    // which servers count as touched), so teardown waits for them, and a
+    // pipelined client charges this op at once too.
+    bool dok = true;
+    t = engine_.drain(t, cluster_.fault(), &dok);
+    if (!dok) pending_io_error_ = true;
+    MdsCharge c;
+    c.await = true;
+    const std::uint32_t s = route_mds(hash, &t, rid, c);
+    auto looked = cluster_.smds().lookup(np);
+    // Directory emptiness is an every-shard probe: children may live on
+    // any shard.
+    const bool dir = looked.ok() && looked->is_dir;
+    if (dir) c.fanout = MdsCharge::Fanout::all;
+    t = mds_rpc(t, s, rid, c);
+    st = cluster_.smds().unlink(np);
+    double done = t;
+    if (st.ok() && looked.ok() && !dir) {
+      const std::uint64_t fid = looked->file_id;
+      for (std::uint32_t server : cluster_.touched_servers(fid)) {
+        done = std::max(done, cluster_.oss(server).serve_small_op(done, rid));
+        cluster_.oss(server).forget(fid);
+      }
+      cluster_.drop_data(fid);
+      cluster_.drop_locks(fid);
+      cluster_.drop_touched(fid);
     }
-    return unlink_core(path, t, &st, rid);
+    return done;
   });
   return st;
 }
@@ -457,26 +352,18 @@ Status PfsClient::rename(const std::string& from, const std::string& to) {
   const std::string nt = NormalizePath(to);
   const std::uint64_t from_hash = giga::HashName(nf);
   const std::uint64_t to_hash = giga::HashName(nt);
-  const std::uint32_t nshards = cluster_.smds().num_shards();
   cluster_.scheduler().atomically(actor_, [&](double t) {
-    st = cluster_.smds().rename(nf, nt, t);
-    if (engine_.pipelined()) {
-      const std::uint32_t s = route_mds_queued(from_hash, &t, rid);
-      t = submit_mds(t, 1, 1.0, "", rid, s);
-      if (nshards > 1) {
-        // Cross-shard rename is a two-phase op: the destination shard
-        // serves the install leg.
-        const std::uint32_t d = route_mds_queued(to_hash, &t, rid);
-        if (d != s) t = submit_mds(t, 1, 1.0, "", rid, d);
-      }
-      return cluster_.smds().settle_splits(t, rid);
+    ShardedMds& smds = cluster_.smds();
+    st = smds.rename(nf, nt, t);
+    const std::uint32_t s = route_mds(from_hash, &t, rid, {});
+    t = mds_rpc(t, s, rid, {});
+    // A cross-shard rename is two-phase: the destination's home shard
+    // serves the install leg.
+    if (smds.shard_of(smds.bitmap().partition_for(to_hash)) != s) {
+      const std::uint32_t d = route_mds(to_hash, &t, rid, {});
+      t = mds_rpc(t, d, rid, {});
     }
-    const std::uint32_t s = route_mds(from_hash, &t, rid);
-    if (nshards > 1) {
-      const std::uint32_t d = cluster_.smds().home_shard(nt);
-      if (d != s) route_mds(to_hash, &t, rid);
-    }
-    return cluster_.smds().settle_splits(t, rid);
+    return smds.settle_splits(t, rid);
   });
   return st;
 }
@@ -720,17 +607,14 @@ Result<std::size_t> PfsClient::read(FileHandle fh, std::uint64_t off,
   Result<std::size_t> result(static_cast<std::size_t>(0));
   const std::uint64_t rid = mint_req();
 
-  cluster_.scheduler().atomically(actor_, [&](double t0) {
-    double t = t0;
-    if (engine_.pipelined()) {
-      // A read is a synchronisation point: it queues behind everything
-      // this client already submitted (read-after-write ordering), and
-      // any asynchronous failure it observes is latched for the next
-      // fsync/close to report.
-      bool dok = true;
-      t = engine_.drain(t0, cluster_.fault(), &dok);
-      if (!dok) pending_io_error_ = true;
-    }
+  cluster_.scheduler().atomically(actor_, [&](double t) {
+    // A read is a synchronisation point: it queues behind everything
+    // this client already submitted (read-after-write ordering), and any
+    // asynchronous failure it observes is latched for the next
+    // fsync/close to report.
+    bool dok = true;
+    t = engine_.drain(t, cluster_.fault(), &dok);
+    if (!dok) pending_io_error_ = true;
     return read_core(f, off, out, t, &result, rid);
   });
   return result;
@@ -774,15 +658,13 @@ Status PfsClient::fsync(FileHandle fh) {
 
 double PfsClient::sync_core(OpenFile* f, double t, Status* st, std::uint64_t rid) {
   const consist::ConsistencyModel model = cluster_.config().consistency;
-  if (engine_.pipelined()) {
-    // The sync barrier: every queued chunk flushes, every in-flight
-    // completion lands, and asynchronous write failures surface here.
-    bool dok = true;
-    t = engine_.drain(t, cluster_.fault(), &dok);
-    if (!dok || pending_io_error_) {
-      *st = Errc::io_error;
-      pending_io_error_ = false;
-    }
+  // The sync barrier: every queued chunk flushes, every in-flight
+  // completion lands, and asynchronous write failures surface here.
+  bool dok = true;
+  t = engine_.drain(t, cluster_.fault(), &dok);
+  if (!dok || pending_io_error_) {
+    *st = Errc::io_error;
+    pending_io_error_ = false;
   }
   double done = flush_touched(f->file_id, t, st, rid);
   if (st->ok() &&

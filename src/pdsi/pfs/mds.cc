@@ -28,28 +28,19 @@ Mds::Mds(const PfsConfig& cfg, obs::Context* ctx, std::uint32_t shard,
   }
 }
 
-double Mds::charge(double now, std::uint64_t req) {
-  const double done = service_.reserve(now, cfg_.mds_op_s);
+double Mds::charge(double now, std::uint64_t req, double fraction) {
+  const double cost = cfg_.mds_op_s * fraction;
+  const double done = service_.reserve(now, cost);
   if (ctx_) {
     if (c_ops_) c_ops_->add(1);
     if (h_lat_) h_lat_->add(done - now);
     if (ctx_->tracer) {
-      ctx_->tracer->complete(track_, "op", "mds", done - cfg_.mds_op_s, done,
-                             {}, req);
-    }
-  }
-  return done;
-}
-
-double Mds::charge_fraction(double now, double fraction, std::uint64_t req) {
-  const double done = service_.reserve(now, cfg_.mds_op_s * fraction);
-  if (ctx_) {
-    if (c_ops_) c_ops_->add(1);
-    if (h_lat_) h_lat_->add(done - now);
-    if (ctx_->tracer) {
-      ctx_->tracer->complete(track_, "group_op", "mds",
-                             done - cfg_.mds_op_s * fraction, done,
-                             {obs::Arg::Num("fraction", fraction)}, req);
+      if (fraction < 1.0) {
+        ctx_->tracer->complete(track_, "group_op", "mds", done - cost, done,
+                               {obs::Arg::Num("fraction", fraction)}, req);
+      } else {
+        ctx_->tracer->complete(track_, "op", "mds", done - cost, done, {}, req);
+      }
     }
   }
   return done;

@@ -42,11 +42,10 @@ class Mds : public Namespace {
   //    `req` (0 = unattributed) is the client's causal request id; it is
   //    stamped on the service span only when a live monitor subscribes,
   //    so unmonitored traces stay byte-identical.
-  double charge(double now, std::uint64_t req = 0);
-
-  /// Charges a fraction of one op (group operations amortise the MDS
-  /// work over the participants).
-  double charge_fraction(double now, double fraction, std::uint64_t req = 0);
+  //    A `fraction` below 1 charges that share of one op, traced as a
+  //    "group_op" (group operations amortise the MDS work over the
+  //    participants); a whole op is traced as an "op".
+  double charge(double now, std::uint64_t req = 0, double fraction = 1.0);
 
   /// Visibility publication for the relaxed consistency models: one
   /// metadata op (scaled by `fraction`) that makes a client's pending

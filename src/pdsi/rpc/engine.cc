@@ -155,6 +155,8 @@ double RequestEngine::submit(Request req, double t, fault::FaultInjector* inj) {
 }
 
 double RequestEngine::drain(double t, fault::FaultInjector* inj, bool* ok) {
+  *ok = true;
+  if (!cfg_.pipelined()) return t;  // nothing is ever queued or in flight
   const double start = t;
   for (std::uint32_t q = 0; q < queues_.size(); ++q) {
     if (!queues_[q].empty()) t = flush_queue(q, t, inj);

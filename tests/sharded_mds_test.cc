@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pdsi/common/bytes.h"
@@ -596,6 +597,37 @@ TEST(ShardedClient, PipelinedModeSurvivesSplitStorm) {
     auto fh = client.open("/p" + std::to_string(i));
     ASSERT_TRUE(fh.ok()) << i;
     ASSERT_TRUE(client.close(*fh).ok());
+  }
+}
+
+TEST(ShardedClient, PipelinedCreatesBounceAsOftenAsSync) {
+  // A create routes before it applies, in both modes: a split the create
+  // itself triggers changes the bitmap only after its shard was chosen,
+  // so it cannot bounce the op that caused it. The same create sequence
+  // therefore bounces, and splits, exactly as often from a pipelined
+  // client as from a synchronous one.
+  for (const std::uint32_t threshold : {4u, 16u}) {
+    SCOPED_TRACE("split threshold " + std::to_string(threshold));
+    const auto bounces_and_splits = [&](std::uint32_t window,
+                                        std::uint32_t batch) {
+      obs::Registry registry;
+      obs::Context ctx{nullptr, &registry};
+      PfsConfig cfg = ShardedConfig(4, threshold);
+      cfg.rpc_window = window;
+      cfg.rpc_batch = batch;
+      ClusterFixture fx(cfg, &ctx);
+      PfsClient client(fx.cluster, 0);
+      for (int i = 0; i < 400; ++i) {
+        EXPECT_TRUE(client.create("/f" + std::to_string(i)).ok()) << i;
+      }
+      return std::pair{registry.counter("pfs.mds_stale_retries").value(),
+                       fx.cluster.smds().splits()};
+    };
+    const auto sync = bounces_and_splits(1, 1);
+    const auto pipelined = bounces_and_splits(8, 4);
+    EXPECT_GT(sync.first, 0u);
+    EXPECT_EQ(pipelined.first, sync.first) << "bounces";
+    EXPECT_EQ(pipelined.second, sync.second) << "splits";
   }
 }
 
